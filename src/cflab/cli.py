@@ -102,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--workers", type=int, default=1)
     suite.add_argument("--skip", action="append", default=[],
                        help="drop checks whose id or example group matches")
-    suite.add_argument("--tol", type=float, default=None,
-                       help="validated only; per-check tolerances are fixed")
     suite.add_argument("--format", choices=("table", "json", "csv"),
                        default="table")
     suite.add_argument("--out", default=None)
@@ -175,8 +173,7 @@ def run_cli(argv=None) -> int:
     try:
         if args.command == "suite":
             config = RunConfig(seed=args.seed, workers=args.workers,
-                               skip=tuple(args.skip), fmt=args.format,
-                               out=args.out, tol=args.tol)
+                               skip=tuple(args.skip))
             checks = casebook.full_report(config)
         else:
             checks = _run_verify(args)

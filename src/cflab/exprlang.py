@@ -420,7 +420,3 @@ def _render(expr, required: int) -> str:
 def to_str(expr: HolomorphicExpr) -> str:
     """Render the tree to text that reparses to an identically printed tree."""
     return _render(expr, _LEVEL_ADD)
-
-
-def const_expr(value: complex) -> HolomorphicExpr:
-    return Num(complex(value))

@@ -1,9 +1,9 @@
 """Degree-k complex multilinear antisymmetric forms as evaluators.
 
-A form is either *term-based* (a linear combination of coordinate wedge
-monomials ``c(p) dz_{i1} ^ ... ^ dz_{ik}`` with strictly increasing indices)
-or a raw evaluator closure (numeric exterior derivatives, chart pullbacks).
-Both expose the same ``evaluate(point, vectors)`` contract.
+A form is a linear combination of coordinate wedge monomials
+``c(p) dz_{i1} ^ ... ^ dz_{ik}``: a dict from strictly increasing index
+tuples to coefficient callables.  Wedge, sum, scaling and chart sections
+all build new term dicts, so every form is evaluated the same way.
 
 Evaluation canonicalizes the tangent-vector order (sort by coordinates,
 multiply by the permutation sign) so that swapping two vectors flips the
@@ -12,7 +12,6 @@ sign exactly, not just up to rounding.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, InputError, PoleError
@@ -85,19 +84,15 @@ def _sort_parity(vectors: Sequence[Vector]) -> tuple[tuple[Vector, ...], int]:
 class KForm:
     """A degree-k form on C^dim, evaluated on k complex tangent vectors."""
 
-    __slots__ = ("degree", "dim", "terms", "_raw")
+    __slots__ = ("degree", "dim", "terms")
 
     def __init__(self, degree: int, dim: int, *,
-                 terms: dict[tuple[int, ...], CoeffFn] | None = None,
-                 raw: Callable[[Point, tuple[Vector, ...]], complex] | None = None):
+                 terms: dict[tuple[int, ...], CoeffFn]):
         if degree < 0 or dim < 1:
             raise InputError("form degree must be >= 0 on an ambient of dim >= 1")
-        if (terms is None) == (raw is None):
-            raise InputError("exactly one of terms/raw must be given")
         self.degree = degree
         self.dim = dim
         self.terms = terms
-        self._raw = raw
 
     # -- construction helpers ------------------------------------------
 
@@ -154,33 +149,20 @@ class KForm:
         return value if parity == 1 else -value
 
     def _eval_inner(self, point: Point, vecs: tuple[Vector, ...]) -> complex:
-        if self.terms is not None:
-            total = 0j
-            for key, coeff in self.terms.items():
-                c = coeff(point)
-                if c != 0:
-                    total += c * _minor(key, vecs)
-            return total
-        return self._raw(point, vecs)
+        total = 0j
+        for key, coeff in self.terms.items():
+            c = coeff(point)
+            if c != 0:
+                total += c * _minor(key, vecs)
+        return total
 
     def coefficient_scale(self, point) -> float:
         """Sup norm of the coefficients at ``point`` (frame-insensitive size)."""
         point = _as_point(point)
-        if self.terms is not None:
-            best = 0.0
-            for coeff in self.terms.values():
-                best = max(best, abs(coeff(point)))
-            return best
-        basis_frames = itertools.combinations(range(self.dim), self.degree)
         best = 0.0
-        for frame in basis_frames:
-            vecs = tuple(_unit(self.dim, i) for i in frame)
-            best = max(best, abs(self._raw(point, vecs)))
+        for coeff in self.terms.values():
+            best = max(best, abs(coeff(point)))
         return best
-
-
-def _unit(dim: int, i: int) -> Vector:
-    return tuple(1 + 0j if j == i else 0j for j in range(dim))
 
 
 def _sorted_key(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -194,10 +176,6 @@ def _sorted_key(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(indices[i] for i in order), (-1) ** inversions
 
 
-def evaluate(form: KForm, point, vectors) -> complex:
-    return form.evaluate(point, vectors)
-
-
 # ------------------------------------------------------------ form algebra
 
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
@@ -209,44 +187,29 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
 
 
 def wedge(f1: KForm, f2: KForm) -> KForm:
-    """Exterior product: the alternating shuffle sum of the two factors."""
+    """Exterior product, merging the wedge monomials of the two factors."""
     if f1.dim != f2.dim:
         raise DimensionMismatchError("wedge factors live on different ambients")
     degree = f1.degree + f2.degree
     if degree > 2 * f1.dim:
         raise InputError("wedge degree exceeds the ambient real capacity")
-    if f1.terms is not None and f2.terms is not None:
-        terms: dict[tuple[int, ...], list] = {}
-        for k1, c1 in f1.terms.items():
-            for k2, c2 in f2.terms.items():
-                if set(k1) & set(k2):
-                    continue
-                sign = _merge_sign(k1, k2)
-                key = tuple(sorted(k1 + k2))
-                terms.setdefault(key, []).append((sign, c1, c2))
-        merged: dict[tuple[int, ...], CoeffFn] = {}
-        for key, parts in terms.items():
-            def coeff(p, parts=tuple(parts)):
-                total = 0j
-                for sign, c1, c2 in parts:
-                    total += sign * c1(p) * c2(p)
-                return total
-            merged[key] = coeff
-        return KForm(degree, f1.dim, terms=merged)
-
-    k1 = f1.degree
-
-    def raw(point, vecs):
-        total = 0j
-        for subset in itertools.combinations(range(degree), k1):
-            rest = tuple(i for i in range(degree) if i not in subset)
-            sign = (-1) ** (sum(subset) - k1 * (k1 - 1) // 2)
-            a = f1._eval_inner(point, tuple(vecs[i] for i in subset))
-            b = f2._eval_inner(point, tuple(vecs[i] for i in rest))
-            total += sign * a * b
-        return total
-
-    return KForm(degree, f1.dim, raw=raw)
+    terms: dict[tuple[int, ...], list] = {}
+    for k1, c1 in f1.terms.items():
+        for k2, c2 in f2.terms.items():
+            if set(k1) & set(k2):
+                continue
+            sign = _merge_sign(k1, k2)
+            key = tuple(sorted(k1 + k2))
+            terms.setdefault(key, []).append((sign, c1, c2))
+    merged: dict[tuple[int, ...], CoeffFn] = {}
+    for key, parts in terms.items():
+        def coeff(p, parts=tuple(parts)):
+            total = 0j
+            for sign, c1, c2 in parts:
+                total += sign * c1(p) * c2(p)
+            return total
+        merged[key] = coeff
+    return KForm(degree, f1.dim, terms=merged)
 
 
 def wedge_all(factors: Sequence[KForm]) -> KForm:
@@ -259,32 +222,23 @@ def wedge_all(factors: Sequence[KForm]) -> KForm:
 def add(f1: KForm, f2: KForm) -> KForm:
     if f1.dim != f2.dim or f1.degree != f2.degree:
         raise DimensionMismatchError("can only add forms of equal degree and ambient")
-    if f1.terms is not None and f2.terms is not None:
-        terms = dict(f1.terms)
-        for key, c2 in f2.terms.items():
-            if key in terms:
-                c1 = terms[key]
-                terms[key] = lambda p, c1=c1, c2=c2: c1(p) + c2(p)
-            else:
-                terms[key] = c2
-        return KForm(f1.degree, f1.dim, terms=terms)
-
-    def raw(point, vecs):
-        return f1._eval_inner(point, vecs) + f2._eval_inner(point, vecs)
-
-    return KForm(f1.degree, f1.dim, raw=raw)
+    terms = dict(f1.terms)
+    for key, c2 in f2.terms.items():
+        if key in terms:
+            c1 = terms[key]
+            terms[key] = lambda p, c1=c1, c2=c2: c1(p) + c2(p)
+        else:
+            terms[key] = c2
+    return KForm(f1.degree, f1.dim, terms=terms)
 
 
 def scale(form: KForm, factor: complex | CoeffFn) -> KForm:
     fn = factor if callable(factor) else _const_fn(factor)
-    if form.terms is not None:
-        terms = {
-            key: (lambda p, c=c, fn=fn: fn(p) * c(p))
-            for key, c in form.terms.items()
-        }
-        return KForm(form.degree, form.dim, terms=terms)
-    return KForm(form.degree, form.dim,
-                 raw=lambda p, vecs: fn(p) * form._raw(p, vecs))
+    terms = {
+        key: (lambda p, c=c, fn=fn: fn(p) * c(p))
+        for key, c in form.terms.items()
+    }
+    return KForm(form.degree, form.dim, terms=terms)
 
 
 def differential(dim: int, gradient: Callable[[Point], Sequence[complex]]) -> KForm:
@@ -324,37 +278,7 @@ def d_numeric(form: KForm, point, vectors, step: float | None = None) -> complex
     return total
 
 
-def exterior_derivative(form: KForm, step: float | None = None) -> KForm:
-    """Wrap :func:`d_numeric` as a (k+1)-form evaluator."""
-    return KForm(form.degree + 1, form.dim,
-                 raw=lambda p, vecs: d_numeric(form, p, vecs, step))
-
-
-# ----------------------------------------------------------------- pullback
-
-def pullback(form: KForm, param_dim: int,
-             mapping: Callable[[Point], Point],
-             jacobian_columns: Callable[[Point], Sequence[Vector]]) -> KForm:
-    """Pull ``form`` back along an analytically parametrized map.
-
-    ``jacobian_columns(q)`` returns one ambient vector per parameter
-    coordinate (the pushforwards of the parameter frame).
-    """
-
-    def raw(q, vecs):
-        target = _as_point(mapping(q))
-        cols = [_as_point(c) for c in jacobian_columns(q)]
-        if len(cols) != param_dim:
-            raise DimensionMismatchError("jacobian column count != parameter dim")
-        pushed = []
-        for w in vecs:
-            pushed.append(tuple(
-                sum(w[j] * cols[j][i] for j in range(param_dim))
-                for i in range(form.dim)))
-        return form.evaluate(target, pushed)
-
-    return KForm(form.degree, param_dim, raw=raw)
-
+# ------------------------------------------------------------ chart sections
 
 def chart_section(form: KForm, layout: Sequence[int | complex]) -> KForm:
     """Restrict an ambient form along a linear section of the coordinates.
@@ -362,22 +286,30 @@ def chart_section(form: KForm, layout: Sequence[int | complex]) -> KForm:
     ``layout`` has one entry per ambient coordinate: an ``int`` names the
     chart coordinate mapped there, anything else is held constant.  Used to
     evaluate kernels on homogeneous-coordinate lifts such as
-    ``(eta, x) -> (xi0, xi1, x) = (eta, 1, x)``.
+    ``(eta, x) -> (xi0, xi1, x) = (eta, 1, x)``.  A held coordinate has no
+    differential on the chart, so only the terms whose indices are all
+    chart coordinates survive, re-indexed to the chart.
     """
+    if len(layout) != form.dim:
+        raise DimensionMismatchError(
+            f"section layout has {len(layout)} entries, form lives on C^{form.dim}")
     chart_dim = sum(1 for entry in layout if isinstance(entry, int))
 
-    def mapping(q):
+    def lift(q):
         return tuple(
             q[entry] if isinstance(entry, int) else complex(entry)
             for entry in layout)
 
-    columns = []
-    for j in range(chart_dim):
-        columns.append(tuple(
-            1 + 0j if (isinstance(entry, int) and entry == j) else 0j
-            for entry in layout))
-    cols = tuple(columns)
-    return pullback(form, chart_dim, mapping, lambda q: cols)
+    terms: dict[tuple[int, ...], CoeffFn] = {}
+    for key, coeff in form.terms.items():
+        if not all(isinstance(layout[i], int) for i in key):
+            continue
+        chart_key, sign = _sorted_key(tuple(layout[i] for i in key))
+        fn = lambda q, c=coeff: c(lift(q))
+        if sign < 0:
+            fn = lambda q, inner=fn: -inner(q)
+        terms[chart_key] = fn
+    return KForm(form.degree, chart_dim, terms=terms)
 
 
 def pullback_integrand(form: KForm, cycle, param) -> complex:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -142,15 +143,39 @@ def test_d_numeric_constant_coefficients_vanish():
     assert abs(val) < 1e-8
 
 
+def _d_form(form):
+    """d(form) as terms: the coefficient of dz_J is d_numeric on the unit
+    frame e_J."""
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(form.dim))
+
+    terms = {
+        key: (lambda p, frame=tuple(unit(i) for i in key):
+              forms.d_numeric(form, p, frame))
+        for key in itertools.combinations(range(form.dim), form.degree + 1)
+    }
+    return KForm(form.degree + 1, form.dim, terms=terms)
+
+
 def test_d_numeric_squared_is_small():
     rng = random.Random(21)
     f = KForm.basis(3, 1, coeff=lambda p: p[0] ** 2 * p[2] + p[1])
-    df = forms.exterior_derivative(f)
+    df = _d_form(f)
     for _ in range(10):
         p = _rand_vec(rng, 3)
         v = [_rand_vec(rng, 3) for _ in range(3)]
         scale = max(1.0, abs(df.evaluate(p, v[:2])))
         assert abs(forms.d_numeric(df, p, v)) < 1e-4 * scale
+
+
+def test_chart_section_reorders_with_sign():
+    # (u, v) -> (v, 2, u): dz0 ^ dz2 restricts to dv ^ du = -du ^ dv, and
+    # the dz1 term drops out because z1 is held.
+    form = forms.add(KForm.basis(3, 0, 2, coeff=lambda p: p[1]),
+                     KForm.basis(3, 1, 2, coeff=5))
+    section = forms.chart_section(form, (1, 2 + 0j, 0))
+    assert list(section.terms) == [(0, 1)]
+    assert section.evaluate((0.5, 0.25), [(1, 0), (0, 1)]) == -2
 
 
 def test_pullback_integrand_circle():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cflab import exprlang, forms, geometry, kernels
-from cflab.errors import ChartDomainError, InputError, PoleError
+from cflab.errors import (ChartDomainError, DimensionMismatchError, InputError,
+                          PoleError)
 from cflab.forms import KForm
 from cflab.kernels import (casebook_form, catalog_entries, kernel_basis_form,
                            kernel_on_chart, phi, phi_chart_identity_gap, psi,
@@ -86,6 +87,40 @@ def test_psi_n2_u2_chart_formula():
         vecs = [_rand_vec(rng, 4) for _ in range(4)]
         assert chart.evaluate(p, vecs) == pytest.approx(
             reference.evaluate(p, vecs), rel=1e-12)
+
+
+def _lift(chart, coords, held):
+    # The unit sections of kernels.kernel_on_chart, with `held` in the slot
+    # the chart holds fixed.
+    if chart == "eta":
+        return (coords[0], held, coords[1])
+    return coords[:2] + (held,) + coords[2:]
+
+
+@pytest.mark.parametrize("kernel, n, chart", [
+    (phi, 1, "eta"), (psi, 1, "eta"), (phi, 2, "U2"), (psi, 2, "U2")])
+def test_kernel_on_chart_equals_lifted_evaluation_exactly(kernel, n, chart):
+    # The chart form drops the held coordinate's terms, whose minors vanish
+    # on lifted vectors, so both sides run the same arithmetic.
+    rng = random.Random(50 + n)
+    f = exprlang.parse_expr("exp(x)+x^2", 1) if n == 1 else None
+    z = (0j,) * n
+    ambient = kernel(n, z, f)
+    section = kernel_on_chart(ambient, chart)
+    chart_dim = 2 * n
+    for _ in range(50):
+        q = _rand_vec(rng, chart_dim)
+        if abs(q[0]) < 0.1:
+            continue
+        vecs = [_rand_vec(rng, chart_dim) for _ in range(ambient.degree)]
+        want = ambient.evaluate(_lift(chart, q, 1 + 0j),
+                                [_lift(chart, v, 0j) for v in vecs])
+        assert section.evaluate(q, vecs) == want
+
+
+def test_kernel_on_chart_rejects_wrong_ambient():
+    with pytest.raises(DimensionMismatchError):
+        kernel_on_chart(phi(1, (0j,)), "U2")
 
 
 def test_phi_pole_on_incidence_hyperplane():
