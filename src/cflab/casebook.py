@@ -8,7 +8,6 @@ the whole battery in a fixed order.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import time
@@ -92,8 +91,8 @@ def alpha_orientation_factor(n: int, z, cycle: cycles.Cycle) -> int:
 
 
 def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
-                  quad=None, tol: float = 1e-8, workers: int = 1,
-                  check_id: str = "first", group: str = "core") -> CheckReport:
+                  quad=None, tol: float = 1e-8, check_id: str = "first",
+                  group: str = "core") -> CheckReport:
     """Reproduce f(z) as (n-1)!/(2 pi i)^n times the kernel integral."""
     t0 = time.perf_counter()
     if n not in (1, 2):
@@ -105,8 +104,7 @@ def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
     quad_spec = cycles.QuadratureSpec.of(quad, sphere.dim)
     factor = alpha_orientation_factor(n, z, sphere)
     outward = cycles.orientation_sign(sphere, z)
-    raw = cycles.integrate(kernels.phi(n, z, f), sphere, quad_spec,
-                           workers=workers)
+    raw = cycles.integrate(kernels.phi(n, z, f), sphere, quad_spec)
     constant = math.factorial(n - 1) / TWO_PI_I ** n
     computed = constant * factor * raw
     expected = eval_expr(f, z)
@@ -132,11 +130,11 @@ def second_formula_n1(f: HolomorphicExpr, z: complex, r: float,
         raise InputError("residue circle radius must be positive")
 
     def qmap(param):
-        x = z + r * cmath.exp(1j * param[0])
+        x = z + r * np.exp(1j * param[0])
         return (-x, 1 + 0j, x)
 
     def qtan(param):
-        dx = 1j * r * cmath.exp(1j * param[0])
+        dx = 1j * r * np.exp(1j * param[0])
         return ((-dx, 0j, dx),)
 
     lifted = cycles.Cycle(kind="circle_on_Q",
@@ -195,14 +193,11 @@ def third_formula_case(case_id: str, f: HolomorphicExpr,
 # ---------------------------------------------------- necessary condition
 
 def _loop_integral(fn, center: complex, radius: float, n: int = 512) -> complex:
-    """Plain one-variable trapezoid loop integral (independent oracle path)."""
+    """Plain one-variable trapezoid loop integral of an array-valued ``fn``,
+    summed in node order (independent oracle path)."""
     h = 2.0 * math.pi / n
-    total = 0j
-    for j in range(n):
-        t = h * j
-        pos = center + radius * cmath.exp(1j * t)
-        total += fn(pos) * 1j * radius * cmath.exp(1j * t) * h
-    return total
+    e = np.exp(1j * (h * np.arange(n)))
+    return complex(np.cumsum(fn(center + radius * e) * 1j * radius * e * h)[-1])
 
 
 def residue_oracle_D(eps: float, n: int = 512) -> complex:
@@ -213,17 +208,19 @@ def residue_oracle_D(eps: float, n: int = 512) -> complex:
 
 
 def residue_oracle_E(r1: float, r2: float, n: int = 512) -> complex:
-    """Nested one-variable loops for ((v-u)^3+1)/(uv), u outside, v inside."""
+    """Nested one-variable loops for ((v-u)^3+1)/(uv), u outside, v inside:
+    a Python loop over the u nodes, each v loop one array sum."""
 
-    def inner(u):
-        return _loop_integral(lambda v: ((v - u) ** 3 + 1) / (u * v), 0j, r2, n)
+    def inner(us):
+        return np.array([
+            _loop_integral(lambda v: ((v - u) ** 3 + 1) / (u * v), 0j, r2, n)
+            for u in us.tolist()])
 
     return _loop_integral(inner, 0j, r1, n)
 
 
 def necessary_condition_case(case_id: str, eps: float = 0.5,
-                             radii=(0.5, 0.5), quad=(128, 128),
-                             tol: float = 1e-8, workers: int = 1,
+                             radii=(0.5, 0.5), quad=(128, 128), tol: float = 1e-8,
                              check_id: str | None = None) -> CheckReport:
     """Obstruction torus integrals for Examples D and E.
 
@@ -248,7 +245,7 @@ def necessary_condition_case(case_id: str, eps: float = 0.5,
     else:
         raise InputError("necessary-condition cases are 'D' and 'E'")
     quad_spec = cycles.QuadratureSpec.of(quad, 2)
-    computed = cycles.integrate(form, torus, quad_spec, workers=workers)
+    computed = cycles.integrate(form, torus, quad_spec)
     nonzero = abs(computed) > 0.1
     params.update({
         "oracle": _cfmt(oracle),
@@ -262,16 +259,13 @@ def necessary_condition_case(case_id: str, eps: float = 0.5,
 
 
 def necessary_condition_eps_invariance(eps_a: float = 0.3, eps_b: float = 0.7,
-                                       quad=(128, 128), tol: float = 1e-8,
-                                       workers: int = 1) -> CheckReport:
+                                       quad=(128, 128), tol: float = 1e-8) -> CheckReport:
     """Example D's class does not depend on the torus radius."""
     t0 = time.perf_counter()
     form = kernels.casebook_form("theta_D")
     quad_spec = cycles.QuadratureSpec.of(quad, 2)
-    va = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_a),
-                          quad_spec, workers=workers)
-    vb = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_b),
-                          quad_spec, workers=workers)
+    va = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_a), quad_spec)
+    vb = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_b), quad_spec)
     params = {"eps_a": eps_a, "eps_b": eps_b,
               "value_a": _cfmt(va), "value_b": _cfmt(vb)}
     return _value_report("necessary_D_eps_invariance", "D", params,
@@ -799,7 +793,7 @@ class RunConfig:
     """Knobs for a full verification run."""
 
     seed: int = 7
-    workers: int = 1
+    workers: int = 1  # validated only: quadrature is single-threaded
     skip: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -814,18 +808,17 @@ def _skipped(report: CheckReport, skip) -> bool:
 def full_report(config: RunConfig | None = None) -> list[CheckReport]:
     """Every acceptance check, in a fixed deterministic order."""
     config = config or RunConfig()
-    w = config.workers
     checks: list[CheckReport] = []
 
     checks.append(first_formula(
         1, parse_expr("exp(x)+x^2", 1), (0.3 + 0.1j,), 0.7,
-        quad=(128,), tol=1e-10, workers=w, check_id="first_n1"))
+        quad=(128,), tol=1e-10, check_id="first_n1"))
     checks.append(first_formula(
         2, parse_expr("1", 2), (0.2, -0.1), 0.5,
-        quad=(32, 64, 64), tol=1e-8, workers=w, check_id="first_n2_const"))
+        quad=(32, 64, 64), tol=1e-8, check_id="first_n2_const"))
     checks.append(first_formula(
         2, parse_expr("x1^2*x2+3", 2), (0.2, -0.1), 0.5,
-        quad=(32, 64, 64), tol=1e-6, workers=w, check_id="first_n2_poly"))
+        quad=(32, 64, 64), tol=1e-6, check_id="first_n2_poly"))
     checks.append(second_formula_n1(
         parse_expr("exp(x)", 1), 0.3, 0.4, tol=1e-10, check_id="second_exp"))
     checks.append(second_formula_n1(
@@ -838,9 +831,9 @@ def full_report(config: RunConfig | None = None) -> list[CheckReport]:
         "A", parse_expr("1", 1), a=1, check_id="third_A_a1"))
     checks.append(third_formula_case(
         "B", parse_expr("exp(x)", 1), check_id="third_B"))
-    checks.append(necessary_condition_case("D", eps=0.5, workers=w))
-    checks.append(necessary_condition_eps_invariance(workers=w))
-    checks.append(necessary_condition_case("E", radii=(0.5, 0.5), workers=w))
+    checks.append(necessary_condition_case("D", eps=0.5))
+    checks.append(necessary_condition_eps_invariance())
+    checks.append(necessary_condition_case("E", radii=(0.5, 0.5)))
     checks.extend(identity_suite(seed=config.seed))
     checks.append(fibration_check_C2(seed=_subseed(config.seed, "fibration")))
     checks.extend(transversality_suite(seed=config.seed))

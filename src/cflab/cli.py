@@ -7,6 +7,7 @@ parse errors.  Diagnostics go to stderr; reports go to stdout or ``--out``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__, casebook, report
@@ -19,26 +20,35 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _parse_complex_list(text: str, what: str) -> tuple[complex, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise InputError(f"empty {what}")
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
-        values = [float(p) for p in parts]
+        values = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise InputError(f"bad {what}: {exc}") from None
+    if not values:
+        raise InputError(f"empty {what}")
+    return tuple(_finite(v, what) for v in values)
+
+
+def _parse_complex_list(text: str, what: str) -> tuple[complex, ...]:
+    values = list(_parse_floats(text, what))
     if len(values) % 2:
         values.append(0.0)
     return tuple(complex(values[i], values[i + 1])
                  for i in range(0, len(values), 2))
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
 def _parse_nodes(text: str) -> tuple[int, ...]:
-    sizes = tuple(int(p) for p in text.split(",") if p.strip())
+    try:
+        sizes = tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError as exc:
+        raise InputError(f"bad --nodes: {exc}") from None
     if not sizes or any(n < 4 for n in sizes):
         raise InputError("node counts must be integers >= 4")
     return sizes
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _default_tol(args, fallback):
     if args.tol is None:
         return fallback
-    if args.tol <= 0:
+    if _finite(args.tol, "--tol") <= 0:
         raise InputError("tolerance must be positive")
     return args.tol
 
@@ -128,11 +138,12 @@ def _run_verify(args) -> list[casebook.CheckReport]:
         if nodes is not None and len(nodes) == 1 and n == 2:
             nodes = (nodes[0] // 2, nodes[0], nodes[0])
         tol = _default_tol(args, 1e-10 if n == 1 else 1e-6)
-        return [casebook.first_formula(n, f, z, args.eps, quad=nodes, tol=tol)]
+        return [casebook.first_formula(n, f, z, _finite(args.eps, "--eps"),
+                                       quad=nodes, tol=tol)]
     if args.which == "second":
         f = parse_expr(args.f, 1)
         z = _parse_complex_list(args.z, "--z")[0]
-        r = _parse_floats(args.radii)[0]
+        r = _parse_floats(args.radii, "--radii")[0]
         nodes = _parse_nodes(args.nodes)[0]
         return [casebook.second_formula_n1(
             f, z, r, nodes=nodes, tol=_default_tol(args, 1e-10))]
@@ -146,11 +157,11 @@ def _run_verify(args) -> list[casebook.CheckReport]:
         nodes = _parse_nodes(args.nodes)
         if len(nodes) == 1:
             nodes = (nodes[0], nodes[0])
-        radii = _parse_floats(args.radii)
+        radii = _parse_floats(args.radii, "--radii")
         if len(radii) == 1:
             radii = (radii[0], radii[0])
         return [casebook.necessary_condition_case(
-            args.case, eps=args.eps, radii=radii, quad=nodes,
+            args.case, eps=_finite(args.eps, "--eps"), radii=radii, quad=nodes,
             tol=_default_tol(args, 1e-8))]
     if args.which == "identities":
         ids = args.ids or [None]

@@ -2,28 +2,27 @@
 
 Periodic parameter directions use the trapezoid rule (spectrally accurate
 for analytic periodic integrands); interval directions use Gauss-Legendre.
-Grid values are always reduced in parameter-lexicographic order with
-compensated (Neumaier) summation, so results are bit-identical across runs
-and across worker counts.
+Cycle maps are numpy ufunc expressions, so :func:`integrate` evaluates the
+grid in blocks of parameter arrays; one correctly rounded ``math.fsum`` per
+real and imaginary part makes the result independent of evaluation order.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import forms
-from .errors import (ConvergenceError, InputError, PoleError,
-                     UnsupportedKindError)
+from .errors import (ConvergenceError, DimensionMismatchError, InputError,
+                     PoleError, UnsupportedKindError)
 
 Point = tuple[complex, ...]
 Param = tuple[float, ...]
+
+BLOCK_POINTS = 4096  # grid points per vectorized evaluation pass
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,8 +86,9 @@ class Cycle:
 
     ``map`` sends a parameter tuple to an ambient point; ``tangent`` returns
     one ambient vector per parameter factor (hand differentiated, never by
-    finite differences).  ``x_indices`` names the ambient coordinates that
-    project to affine space, used by the orientation test.
+    finite differences); both also take a tuple of parameter arrays.
+    ``x_indices`` names the ambient coordinates that project to affine
+    space, used by the orientation test.
     """
 
     kind: str
@@ -151,10 +151,10 @@ def _circle(center: complex = 0j, radius: float = 1.0) -> Cycle:
     center = complex(center)
 
     def cmap(param):
-        return (center + radius * cmath.exp(1j * param[0]),)
+        return (center + radius * np.exp(1j * param[0]),)
 
     def ctan(param):
-        return ((1j * radius * cmath.exp(1j * param[0]),),)
+        return ((1j * radius * np.exp(1j * param[0]),),)
 
     return Cycle(kind="circle", domain=ParamDomain((Circle(),)),
                  map=cmap, tangent=ctan, ambient_dim=1,
@@ -190,14 +190,12 @@ def _sphere_M(z: Sequence[complex], eps: float) -> Cycle:
         z0 = z[0]
 
         def mmap(param):
-            delta = eps * cmath.exp(1j * param[0])
-            x = z0 + delta
+            delta = eps * np.exp(1j * param[0])
             xi1 = delta.conjugate()
-            xi0 = -z0 * xi1 - eps * eps
-            return (xi0, xi1, x)
+            return (-z0 * xi1 - eps * eps, xi1, z0 + delta)
 
         def mtan(param):
-            delta = eps * cmath.exp(1j * param[0])
+            delta = eps * np.exp(1j * param[0])
             d_delta = 1j * delta
             d_conj = d_delta.conjugate()
             return ((-z0 * d_conj, d_conj, d_delta),)
@@ -208,37 +206,25 @@ def _sphere_M(z: Sequence[complex], eps: float) -> Cycle:
     if n == 2:
         z1, z2 = z
 
-        def deltas(param):
-            psi, p1, p2 = param
-            return (eps * math.cos(psi) * cmath.exp(1j * p1),
-                    eps * math.sin(psi) * cmath.exp(1j * p2))
-
         def mmap(param):
-            d1, d2 = deltas(param)
+            psi, p1, p2 = param
+            d1 = eps * np.cos(psi) * np.exp(1j * p1)
+            d2 = eps * np.sin(psi) * np.exp(1j * p2)
             c1, c2 = d1.conjugate(), d2.conjugate()
             xi0 = -(z1 * c1 + z2 * c2) - eps * eps
             return (xi0, c1, c2, z1 + d1, z2 + d2)
 
         def mtan(param):
             psi, p1, p2 = param
-            e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
-            a1, a2 = eps * math.cos(psi), eps * math.sin(psi)
-            # d/dpsi
-            d1_psi = -eps * math.sin(psi) * e1
-            d2_psi = eps * math.cos(psi) * e2
-            c1_psi = d1_psi.conjugate()
-            c2_psi = d2_psi.conjugate()
-            t_psi = (-(z1 * c1_psi + z2 * c2_psi), c1_psi, c2_psi,
-                     d1_psi, d2_psi)
-            # d/dphi1
-            d1_1 = 1j * a1 * e1
-            c1_1 = d1_1.conjugate()
-            t_p1 = (-(z1 * c1_1), c1_1, 0j, d1_1, 0j)
-            # d/dphi2
-            d2_2 = 1j * a2 * e2
-            c2_2 = d2_2.conjugate()
-            t_p2 = (-(z2 * c2_2), 0j, c2_2, 0j, d2_2)
-            return (t_psi, t_p1, t_p2)
+            e1, e2 = np.exp(1j * p1), np.exp(1j * p2)
+            a1, a2 = eps * np.cos(psi), eps * np.sin(psi)
+            d1_psi, d2_psi = -a2 * e1, a1 * e2           # d/dpsi
+            d1_1, d2_2 = 1j * a1 * e1, 1j * a2 * e2      # d/dphi1, d/dphi2
+            c1_psi, c2_psi = d1_psi.conjugate(), d2_psi.conjugate()
+            c1_1, c2_2 = d1_1.conjugate(), d2_2.conjugate()
+            return ((-(z1 * c1_psi + z2 * c2_psi), c1_psi, c2_psi, d1_psi, d2_psi),
+                    (-(z1 * c1_1), c1_1, 0j, d1_1, 0j),
+                    (-(z2 * c2_2), 0j, c2_2, 0j, d2_2))
 
         return Cycle(kind="sphere_M",
                      domain=ParamDomain((Interval(0.0, math.pi / 2),
@@ -256,10 +242,9 @@ def _torus_D(eps: float) -> Cycle:
 
     def parts(param):
         th, et = param
-        y1 = eps * cmath.exp(1j * th)
-        x2 = eps * cmath.exp(1j * et)
+        y1, x2 = eps * np.exp(1j * th), eps * np.exp(1j * et)
         num = 1 + x2 * x2
-        den = eps * eps * cmath.exp(1j * (th + et)) * (1 + y1)
+        den = eps * eps * np.exp(1j * (th + et)) * (1 + y1)
         return y1, x2, num, den
 
     def dmap(param):
@@ -268,16 +253,12 @@ def _torus_D(eps: float) -> Cycle:
 
     def dtan(param):
         y1, x2, num, den = parts(param)
-        dy1 = 1j * y1
-        dx2 = 1j * x2
+        dy1, dx2 = 1j * y1, 1j * x2
         # d/dtheta: num constant, den has factor exp(i theta)(1 + y1)
-        dden_th = 1j * den + eps * eps * cmath.exp(1j * (param[0] + param[1])) * dy1
-        dx1_th = num * dden_th / (den * den)
-        # d/deta
-        dnum_et = 2j * x2 * x2
-        dden_et = 1j * den
-        dx1_et = (num * dden_et - dnum_et * den) / (den * den)
-        return ((dy1, 0j, dx1_th), (0j, dx2, dx1_et))
+        dden_th = 1j * den + eps * eps * np.exp(1j * (param[0] + param[1])) * dy1
+        # d/deta: num' = 2i x2^2, den' = i den
+        dx1_et = (num * (1j * den) - 2j * x2 * x2 * den) / (den * den)
+        return ((dy1, 0j, num * dden_th / (den * den)), (0j, dx2, dx1_et))
 
     return Cycle(kind="torus_D", domain=ParamDomain((Circle(), Circle())),
                  map=dmap, tangent=dtan, ambient_dim=3,
@@ -289,11 +270,11 @@ def _torus_E(r1: float, r2: float) -> Cycle:
         raise InputError("torus_E radii must be positive")
 
     def emap(param):
-        return (r1 * cmath.exp(1j * param[0]), r2 * cmath.exp(1j * param[1]))
+        return (r1 * np.exp(1j * param[0]), r2 * np.exp(1j * param[1]))
 
     def etan(param):
-        return ((1j * r1 * cmath.exp(1j * param[0]), 0j),
-                (0j, 1j * r2 * cmath.exp(1j * param[1])))
+        return ((1j * r1 * np.exp(1j * param[0]), 0j),
+                (0j, 1j * r2 * np.exp(1j * param[1])))
 
     return Cycle(kind="torus_E", domain=ParamDomain((Circle(), Circle())),
                  map=emap, tangent=etan, ambient_dim=2,
@@ -310,16 +291,13 @@ def _torus_generic(centers: Sequence[complex], radii: Sequence[float]) -> Cycle:
     k = len(centers)
 
     def gmap(param):
-        return tuple(c + r * cmath.exp(1j * t)
+        return tuple(c + r * np.exp(1j * t)
                      for c, r, t in zip(centers, radii, param))
 
     def gtan(param):
-        frame = []
-        for j in range(k):
-            vec = [0j] * k
-            vec[j] = 1j * radii[j] * cmath.exp(1j * param[j])
-            frame.append(tuple(vec))
-        return tuple(frame)
+        d = [1j * r * np.exp(1j * t) for r, t in zip(radii, param)]
+        return tuple(tuple(d[j] if i == j else 0j for i in range(k))
+                     for j in range(k))
 
     return Cycle(kind="torus_generic",
                  domain=ParamDomain(tuple(Circle() for _ in range(k))),
@@ -340,13 +318,6 @@ _CYCLE_BUILDERS = {
 
 # ------------------------------------------------------------- orientation
 
-def _realify(values: Sequence[complex]) -> list[float]:
-    out = []
-    for c in values:
-        out.extend((c.real, c.imag))
-    return out
-
-
 def orientation_sign(cycle: Cycle, interior_point: Sequence[complex]) -> int:
     """+1 if the parametrization induces the outward-normal orientation.
 
@@ -365,10 +336,10 @@ def orientation_sign(cycle: Cycle, interior_point: Sequence[complex]) -> int:
         raise InputError("interior point dimension mismatch")
     normal = [a - b for a, b in zip(xs, interior)]
     norm = math.sqrt(sum(abs(c) ** 2 for c in normal))
-    columns = [_realify(c / norm for c in normal)]
-    for vec in cycle.tangent(param):
-        columns.append(_realify(vec[i] for i in cycle.x_indices))
-    matrix = np.array(columns, dtype=float).T
+    columns = np.array([[c / norm for c in normal]]
+                       + [[vec[i] for i in cycle.x_indices]
+                          for vec in cycle.tangent(param)], dtype=complex)
+    matrix = columns.view(float).T  # realified: each entry becomes (re, im)
     det = float(np.linalg.det(matrix))
     if det == 0.0:
         raise InputError("degenerate frame at the reference parameter")
@@ -377,24 +348,82 @@ def orientation_sign(cycle: Cycle, interior_point: Sequence[complex]) -> int:
 
 # -------------------------------------------------------------- quadrature
 
-def _factor_rule(factor, n: int) -> tuple[list[float], list[float]]:
+def _factor_rule(factor, n: int) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(factor, Circle):
         h = TWO_PI / n
-        return [h * j for j in range(n)], [h] * n
+        return h * np.arange(n), np.full(n, h)
     nodes, weights = np.polynomial.legendre.leggauss(n)
     mid = 0.5 * (factor.a + factor.b)
     half = 0.5 * (factor.b - factor.a)
-    return ([mid + half * t for t in nodes],
-            [half * w for w in weights])
+    return mid + half * nodes, half * weights
 
 
-def _neumaier_add(s: float, c: float, x: float) -> tuple[float, float]:
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
+def _as_grid(out, m: int) -> np.ndarray:
+    if isinstance(out, (tuple, list)):
+        return np.stack([_as_grid(o, m) for o in out])
+    return np.broadcast_to(np.asarray(out, dtype=complex), (m,))
+
+
+def _on_block(fn, params: tuple[np.ndarray, ...],
+              shape: tuple[int, ...]) -> np.ndarray:
+    """A cycle callable on m block points, as a complex array ``shape + (m,)``.
+
+    A callable that takes only floats is called point by point, and a
+    ``ZeroDivisionError`` there leaves NaN: a non-finite value at its param.
+    """
+    m = len(params[0])
+    try:
+        with np.errstate(all="ignore"):
+            out = _as_grid(fn(params), m)
+    except (TypeError, ValueError):
+        rows = []
+        for param in zip(*(a.tolist() for a in params)):
+            try:
+                rows.append(fn(param))
+            except ZeroDivisionError:
+                rows.append(np.full(shape, np.nan))
+        out = np.moveaxis(np.array(rows, dtype=complex), 0, -1)
+    if out.shape != shape + (m,):
+        raise DimensionMismatchError(f"cycle gave {out.shape[:-1]}, expected {shape}")
+    return out
+
+
+def _weighted_block(form: forms.KForm, cycle: Cycle,
+                    params: tuple[np.ndarray, ...],
+                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted real and imaginary integrand parts on one block of the grid.
+
+    Coefficients are called per point and term, in grid order; frame minors
+    are taken on whole arrays.
+    """
+    m = len(weights)
+    point = _on_block(cycle.map, params, (form.dim,))
+    frame = _on_block(cycle.tangent, params, (form.degree, form.dim))
+    finite = np.isfinite(point).all(axis=0) & np.isfinite(frame).all(axis=(0, 1))
+    stop = m if finite.all() else int(finite.argmin())
+    coeffs = tuple(form.terms.values())
+    flat, n, pole = [], stop, None
+    try:
+        for j, p in enumerate(zip(*point[:, :stop].tolist())):
+            for c in coeffs:
+                flat.append(c(p))
+    except (PoleError, ZeroDivisionError) as exc:
+        n, pole = j, exc.point if isinstance(exc, PoleError) else p
+    coeff = np.array(flat[:n * len(coeffs)], dtype=complex).reshape(n, len(coeffs))
+    vectors = tuple(frame[..., :n])
+    with np.errstate(all="ignore"):
+        value = cycle.orientation * sum(
+            coeff[:, t] * forms._minor(key, vectors)
+            for t, key in enumerate(form.terms))
+        re, im = weights[:n] * value.real, weights[:n] * value.imag
+    bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
+    if len(bad) or n < m:
+        j = int(bad[0]) if len(bad) else n
+        param = tuple(float(a[j]) for a in params)
+        what = "pole" if j == n < stop else "is not finite"
+        raise PoleError(f"integrand {what} on the grid at param {param}",
+                        point=pole if j == n else None, param=param)
+    return re, im
 
 
 def integrate(form: forms.KForm, cycle: Cycle,
@@ -402,9 +431,13 @@ def integrate(form: forms.KForm, cycle: Cycle,
               workers: int = 1) -> complex:
     """Integrate a form over a cycle on the tensor-product grid.
 
-    Grid evaluations may run on several workers; the reduction is a single
-    pass in parameter-lexicographic order with compensated summation, so the
-    result does not depend on the worker count.
+    The grid is walked in parameter-lexicographic order, :data:`BLOCK_POINTS`
+    points at a time, with one ``cycle.map`` and ``cycle.tangent`` call per
+    block.  The weighted real and imaginary parts of the whole grid are each
+    reduced by one ``math.fsum`` (correctly rounded, so order-independent).
+    A pole or a non-finite map, frame or value raises :class:`PoleError`
+    carrying the first offending param in grid order.  ``workers`` is
+    accepted and changes nothing.
     """
     if form.degree != cycle.dim:
         raise InputError(
@@ -413,56 +446,20 @@ def integrate(form: forms.KForm, cycle: Cycle,
     if len(quad.sizes) != cycle.dim:
         raise InputError("quadrature spec does not match the cycle dimension")
     rules = [_factor_rule(f, n) for f, n in zip(cycle.domain.factors, quad.sizes)]
-    grid = list(itertools.product(*[range(n) for n in quad.sizes]))
-
-    def eval_at(idx):
-        param = tuple(rules[d][0][i] for d, i in enumerate(idx))
-        try:
-            return forms.pullback_integrand(form, cycle, param)
-        except PoleError as exc:
-            raise PoleError(f"integrand pole on the grid at param {param}",
-                            point=exc.point, param=param) from None
-        except ZeroDivisionError:
-            raise PoleError(f"integrand pole on the grid at param {param}",
-                            param=param) from None
-
-    if workers <= 1:
-        values = [eval_at(idx) for idx in grid]
-    else:
-        values = [0j] * len(grid)
-        chunk = (len(grid) + workers - 1) // workers
-
-        def run(lo):
-            hi = min(lo + chunk, len(grid))
-            out = []
-            for pos in range(lo, hi):
-                try:
-                    out.append(eval_at(grid[pos]))
-                except PoleError as exc:
-                    out.append(exc)
-            return lo, out
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo, out in pool.map(run, range(0, len(grid), chunk)):
-                values[lo:lo + len(out)] = out
-        for v in values:
-            if isinstance(v, PoleError):
-                raise v
-
-    s_re = c_re = s_im = c_im = 0.0
-    for idx, v in zip(grid, values):
-        w = 1.0
-        for d, i in enumerate(idx):
-            w *= rules[d][1][i]
-        s_re, c_re = _neumaier_add(s_re, c_re, w * v.real)
-        s_im, c_im = _neumaier_add(s_im, c_im, w * v.imag)
-    return complex(s_re + c_re, s_im + c_im)
+    total = math.prod(quad.sizes)
+    re, im = np.empty(total), np.empty(total)
+    for lo in range(0, total, BLOCK_POINTS):
+        hi = min(lo + BLOCK_POINTS, total)
+        index = np.unravel_index(np.arange(lo, hi), quad.sizes)
+        params = tuple(nodes[i] for (nodes, _), i in zip(rules, index))
+        weights = math.prod(w[i] for (_, w), i in zip(rules, index))
+        re[lo:hi], im[lo:hi] = _weighted_block(form, cycle, params, weights)
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
 def refine_until(form: forms.KForm, cycle: Cycle,
                  base_quad: QuadratureSpec | int | Sequence[int],
-                 tol: float, max_doublings: int = 6,
-                 workers: int = 1) -> tuple[complex, float]:
+                 tol: float, max_doublings: int = 6) -> tuple[complex, float]:
     """Double every node count until successive values differ by < tol."""
     if tol <= 0:
         raise InputError("tolerance must be positive")
@@ -470,11 +467,10 @@ def refine_until(form: forms.KForm, cycle: Cycle,
         raise InputError("max_doublings must be >= 1")
     quad = base_quad if isinstance(base_quad, QuadratureSpec) \
         else QuadratureSpec.of(base_quad, cycle.dim)
-    value = integrate(form, cycle, quad, workers=workers)
-    previous = value
+    value = previous = integrate(form, cycle, quad)
     for _ in range(max_doublings):
         quad = quad.doubled()
-        nxt = integrate(form, cycle, quad, workers=workers)
+        nxt = integrate(form, cycle, quad)
         delta = abs(nxt - value)
         if delta < tol:
             return nxt, delta

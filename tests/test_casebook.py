@@ -175,6 +175,29 @@ def test_oracles_equal_minus_four_pi_sq():
     assert inner == pytest.approx(2j * math.pi, abs=1e-12)
 
 
+def _plain_loop(fn, center, radius, n):
+    # The scalar cmath loop the array oracles must reproduce, in node order.
+    h = 2 * math.pi / n
+    total = 0j
+    for j in range(n):
+        e = cmath.exp(1j * (h * j))
+        total += fn(center + radius * e) * 1j * radius * e * h
+    return total
+
+
+def test_array_oracles_match_plain_loops():
+    # Same terms summed in the same order; only the rounding of complex
+    # products may differ, a few ulps per term.
+    n = 48
+    d = (_plain_loop(lambda y: 1 / (y * (y + 1)), 0j, 0.3, n)
+         * _plain_loop(lambda x: (x * x + 1) / x, 0j, 0.3, n))
+    e = _plain_loop(
+        lambda u: _plain_loop(lambda v: ((v - u) ** 3 + 1) / (u * v), 0j, 0.4, n),
+        0j, 0.6, n)
+    assert abs(residue_oracle_D(0.3, n) - d) <= 1e-14 * abs(d)
+    assert abs(residue_oracle_E(0.6, 0.4, n) - e) <= 1e-14 * abs(e)
+
+
 def test_necessary_d_fails_nonzero():
     rep = necessary_condition_case("D", eps=0.5)
     assert rep.passed

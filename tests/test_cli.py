@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from cflab import report
 from cflab.cli import run_cli
 
@@ -117,3 +119,23 @@ def test_suite_with_skips(capsys):
     assert "first_n2_const" not in ids
     assert "necessary_E" not in ids
     assert "vanish_tauE_SE" not in ids
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "first", "--n", "1", "--eps", "inf"],
+    ["verify", "necessary", "D", "--eps", "nan"],
+    ["verify", "third", "B", "--tol", "nan"],
+    ["verify", "first", "--n", "1", "--z", "nan,0"],
+    ["verify", "second", "--radii", "nan"],
+    ["verify", "third", "A", "--a", "nan"],
+], ids=["eps", "eps_nan", "tol", "z", "radii", "a"])
+def test_non_finite_float_input_exits_2_with_one_line(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "must be finite" in err
+
+
+def test_malformed_node_count_exits_2(capsys):
+    assert run_cli(["verify", "first", "--nodes", "abc"]) == 2
+    assert "bad --nodes" in capsys.readouterr().err

@@ -1,11 +1,15 @@
+import cmath
+import dataclasses
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cflab import cycles, forms, kernels
+from cflab import cycles, exprlang, forms, kernels
 from cflab.cycles import QuadratureSpec, integrate, make_cycle, refine_until
-from cflab.errors import (ConvergenceError, InputError, PoleError,
+from cflab.errors import (CflabError, ConvergenceError, InputError, PoleError,
                           UnsupportedKindError)
 from cflab.forms import KForm
 
@@ -219,3 +223,146 @@ def test_integrand_e_pole_on_grid_raises():
     form = kernels.casebook_form("integrand_E")
     with pytest.raises(PoleError):
         integrate(form, t, (8, 8))
+
+
+# ------------------------------------------------- batched grid evaluation
+
+def _reference_integral(form, cycle, sizes):
+    """fsum of the one-point pullback times the tensor weights."""
+    rules = []
+    for factor, n in zip(cycle.domain.factors, sizes):
+        if isinstance(factor, cycles.Circle):
+            rules.append([(2 * math.pi / n * j, 2 * math.pi / n)
+                          for j in range(n)])
+        else:
+            nodes, weights = np.polynomial.legendre.leggauss(n)
+            mid, half = (factor.a + factor.b) / 2, (factor.b - factor.a) / 2
+            rules.append([(mid + half * float(t), half * float(w))
+                          for t, w in zip(nodes, weights)])
+    terms = []
+    for combo in itertools.product(*rules):
+        param = tuple(node for node, _ in combo)
+        weight = math.prod(w for _, w in combo)
+        terms.append(weight * forms.pullback_integrand(form, cycle, param))
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
+
+
+def _scalar_detour():
+    # A user cycle written with cmath: its callables accept floats only.
+    return cycles.Cycle(
+        kind="segment", domain=cycles.ParamDomain((cycles.Interval(0.0, 1.0),)),
+        map=lambda t: (0.5 + 0.5 * cmath.exp(1j * math.pi * t[0]),),
+        tangent=lambda t: ((0.5j * math.pi * cmath.exp(1j * math.pi * t[0]),),),
+        ambient_dim=1, x_indices=(0,), reference_param=(0.5,))
+
+
+_LINE_FORM = KForm.basis(1, 0, coeff=lambda p: 1 / p[0] + p[0] ** 2 - 1j)
+_SPHERE_2 = make_cycle("sphere_M", z=(0.2 + 0j, -0.1 + 0.3j), eps=0.5)
+_TORUS_E = make_cycle("torus_E", r1=0.5, r2=0.4)
+
+AGREEMENT_CASES = {
+    "circle": (_LINE_FORM, make_cycle("circle", center=0.1 + 0.2j, radius=0.9),
+               (64,)),
+    "segment": (_LINE_FORM, make_cycle("segment", start=1 + 1j, end=2 - 1j),
+                (16,)),
+    "sphere_M_n1": (kernels.phi(1, (0.3 + 0.1j,), exprlang.parse_expr("exp(x)", 1)),
+                    make_cycle("sphere_M", z=(0.3 + 0.1j,), eps=0.7), (64,)),
+    # 16 * 24 * 24 points: more than one block
+    "sphere_M_n2": (kernels.phi(2, (0.2 + 0j, -0.1 + 0.3j),
+                                exprlang.parse_expr("x1^2*x2+3", 2)),
+                    _SPHERE_2, (16, 24, 24)),
+    "torus_D": (kernels.casebook_form("theta_D"),
+                make_cycle("torus_D", eps=0.4), (32, 32)),
+    "torus_E": (kernels.casebook_form("integrand_E"), _TORUS_E, (32, 32)),
+    "torus_generic": (kernels.casebook_form("integrand_E"),
+                      make_cycle("torus_generic", centers=(0.1j, 0.2 + 0j),
+                                 radii=(0.5, 0.4)), (16, 24)),
+    "reversed_circle_factor": (kernels.casebook_form("integrand_E"),
+                               _TORUS_E.reversed_factor(1), (32, 32)),
+    "reversed_interval_factor": (kernels.phi(2, (0.2 + 0j, -0.1 + 0.3j)),
+                                 _SPHERE_2.reversed_factor(0), (8, 12, 12)),
+    "scalar_only_user_cycle": (_LINE_FORM, _scalar_detour(), (24,)),
+    "negative_orientation": (kernels.casebook_form("integrand_E"),
+                             dataclasses.replace(_TORUS_E, orientation=-1),
+                             (16, 16)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_batched_integrate_matches_pointwise_reference(case):
+    form, cycle, sizes = AGREEMENT_CASES[case]
+    value = integrate(form, cycle, sizes)
+    reference = _reference_integral(form, cycle, sizes)
+    assert abs(value - reference) <= 1e-13 * abs(reference)
+
+
+def _identity_torus(sizes):
+    # Ambient point = parameter point, so a coefficient can name grid params.
+    return cycles.Cycle(
+        kind="torus_generic",
+        domain=cycles.ParamDomain((cycles.Circle(), cycles.Circle())),
+        map=lambda t: (t[0] + 0j, t[1] + 0j),
+        tangent=lambda t: ((1 + 0j, 0j), (0j, 1 + 0j)),
+        ambient_dim=2, x_indices=(0, 1), reference_param=(0.4, 1.1))
+
+
+@pytest.mark.parametrize("raised", [ZeroDivisionError, PoleError, None])
+def test_pole_error_names_first_param_in_grid_order(raised):
+    sizes = (128, 64)
+    h0, h1 = 2 * math.pi / sizes[0], 2 * math.pi / sizes[1]
+    first, later = (h0 * 70, h1 * 50), (h0 * 100, h1 * 3)
+    # Both poles lie past the first block; ``later`` has the smaller second
+    # index, ``first`` comes first in parameter-lexicographic order.
+    assert 70 * sizes[1] + 50 > cycles.BLOCK_POINTS
+
+    def coeff(p):
+        at = (p[0].real, p[1].real)
+        if at == first and raised is None:
+            return complex("nan")  # a non-finite value before a pole
+        if at in (first, later):
+            raise (raised or ZeroDivisionError)("pole")
+        return p[0] * p[1]
+
+    form = KForm.basis(2, 0, 1, coeff=coeff)
+    with pytest.raises(PoleError) as err:
+        integrate(form, _identity_torus(sizes), sizes)
+    assert err.value.param == first
+
+
+def test_non_finite_map_raises_with_param():
+    # Odd Gauss rules put a node at the midpoint 0.5, where the numpy
+    # division inside the map divides by an exact zero.
+    seg = cycles.Cycle(
+        kind="segment", domain=cycles.ParamDomain((cycles.Interval(0.0, 1.0),)),
+        map=lambda t: (1 / (2 * t[0] - 1) + 0j,),
+        tangent=lambda t: (((-2 + 0j) / (2 * t[0] - 1) ** 2,),),
+        ambient_dim=1, x_indices=(0,), reference_param=(0.25,))
+    with pytest.raises(CflabError) as err:
+        integrate(KForm.basis(1, 0), seg, 5)
+    assert err.value.param == (0.5,)
+
+
+def test_scalar_only_map_division_by_zero_raises_with_param():
+    seg = cycles.Cycle(
+        kind="segment", domain=cycles.ParamDomain((cycles.Interval(0.0, 1.0),)),
+        map=lambda t: (cmath.exp(1j * t[0]) / (t[0] - 0.5),),
+        tangent=lambda t: ((1 + 0j,),),
+        ambient_dim=1, x_indices=(0,), reference_param=(0.25,))
+    with pytest.raises(CflabError) as err:
+        integrate(KForm.basis(1, 0), seg, 7)
+    assert err.value.param == (0.5,)
+
+
+def test_non_finite_value_raises_instead_of_returning_nan():
+    sizes = (16, 16)
+    h = 2 * math.pi / 16
+    bad = (h * 9, h * 2)
+
+    def coeff(p):
+        return complex("nan") if (p[0].real, p[1].real) == bad else 1 + 0j
+
+    form = KForm.basis(2, 0, 1, coeff=coeff)
+    with pytest.raises(CflabError) as err:
+        integrate(form, _identity_torus(sizes), sizes)
+    assert err.value.param == bad
