@@ -297,7 +297,7 @@ def test_batched_integrate_matches_pointwise_reference(case):
     assert abs(value - reference) <= 1e-13 * abs(reference)
 
 
-def _identity_torus(sizes):
+def _identity_torus():
     # Ambient point = parameter point, so a coefficient can name grid params.
     return cycles.Cycle(
         kind="torus_generic",
@@ -326,7 +326,7 @@ def test_pole_error_names_first_param_in_grid_order(raised):
 
     form = KForm.basis(2, 0, 1, coeff=coeff)
     with pytest.raises(PoleError) as err:
-        integrate(form, _identity_torus(sizes), sizes)
+        integrate(form, _identity_torus(), sizes)
     assert err.value.param == first
 
 
@@ -364,5 +364,5 @@ def test_non_finite_value_raises_instead_of_returning_nan():
 
     form = KForm.basis(2, 0, 1, coeff=coeff)
     with pytest.raises(CflabError) as err:
-        integrate(form, _identity_torus(sizes), sizes)
+        integrate(form, _identity_torus(), sizes)
     assert err.value.param == bad
