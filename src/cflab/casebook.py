@@ -801,45 +801,59 @@ class RunConfig:
             raise InputError("workers must be >= 1")
 
 
-def _skipped(report: CheckReport, skip) -> bool:
-    return report.group in skip or report.id in skip
+def _skipped(check_id: str, group: str, skip) -> bool:
+    return check_id in skip or group in skip
 
 
 def full_report(config: RunConfig | None = None) -> list[CheckReport]:
-    """Every acceptance check, in a fixed deterministic order."""
+    """Every acceptance check, in a fixed deterministic order.
+
+    A single check whose id or group is in ``config.skip`` is never run;
+    the multi-check suites run and their skipped rows are dropped.
+    """
     config = config or RunConfig()
+    skip = config.skip
+    seed = config.seed
+    # (id, group, call) for single checks; (None, None, call) for suites.
+    calls = (
+        ("first_n1", "core", lambda: first_formula(
+            1, parse_expr("exp(x)+x^2", 1), (0.3 + 0.1j,), 0.7,
+            quad=(128,), tol=1e-10, check_id="first_n1")),
+        ("first_n2_const", "core", lambda: first_formula(
+            2, parse_expr("1", 2), (0.2, -0.1), 0.5,
+            quad=(32, 64, 64), tol=1e-8, check_id="first_n2_const")),
+        ("first_n2_poly", "core", lambda: first_formula(
+            2, parse_expr("x1^2*x2+3", 2), (0.2, -0.1), 0.5,
+            quad=(32, 64, 64), tol=1e-6, check_id="first_n2_poly")),
+        ("second_exp", "core", lambda: second_formula_n1(
+            parse_expr("exp(x)", 1), 0.3, 0.4, tol=1e-10,
+            check_id="second_exp")),
+        ("second_square", "core", lambda: second_formula_n1(
+            parse_expr("x^2", 1), 1 + 1j, 0.4, tol=1e-10,
+            check_id="second_square")),
+        ("third_A_a0", "A", lambda: third_formula_case(
+            "A", parse_expr("exp(x)", 1), a=0, check_id="third_A_a0")),
+        ("third_A_a2", "A", lambda: third_formula_case(
+            "A", parse_expr("x+1", 1), a=2, check_id="third_A_a2")),
+        ("third_A_a1", "A", lambda: third_formula_case(
+            "A", parse_expr("1", 1), a=1, check_id="third_A_a1")),
+        ("third_B", "B", lambda: third_formula_case(
+            "B", parse_expr("exp(x)", 1), check_id="third_B")),
+        ("necessary_D", "D", lambda: necessary_condition_case("D", eps=0.5)),
+        ("necessary_D_eps_invariance", "D", necessary_condition_eps_invariance),
+        ("necessary_E", "E",
+         lambda: necessary_condition_case("E", radii=(0.5, 0.5))),
+        (None, None, lambda: identity_suite(seed=seed)),
+        ("fibration_C2", "C",
+         lambda: fibration_check_C2(seed=_subseed(seed, "fibration"))),
+        (None, None, lambda: transversality_suite(seed=seed)),
+    )
     checks: list[CheckReport] = []
-
-    checks.append(first_formula(
-        1, parse_expr("exp(x)+x^2", 1), (0.3 + 0.1j,), 0.7,
-        quad=(128,), tol=1e-10, check_id="first_n1"))
-    checks.append(first_formula(
-        2, parse_expr("1", 2), (0.2, -0.1), 0.5,
-        quad=(32, 64, 64), tol=1e-8, check_id="first_n2_const"))
-    checks.append(first_formula(
-        2, parse_expr("x1^2*x2+3", 2), (0.2, -0.1), 0.5,
-        quad=(32, 64, 64), tol=1e-6, check_id="first_n2_poly"))
-    checks.append(second_formula_n1(
-        parse_expr("exp(x)", 1), 0.3, 0.4, tol=1e-10, check_id="second_exp"))
-    checks.append(second_formula_n1(
-        parse_expr("x^2", 1), 1 + 1j, 0.4, tol=1e-10, check_id="second_square"))
-    checks.append(third_formula_case(
-        "A", parse_expr("exp(x)", 1), a=0, check_id="third_A_a0"))
-    checks.append(third_formula_case(
-        "A", parse_expr("x+1", 1), a=2, check_id="third_A_a2"))
-    checks.append(third_formula_case(
-        "A", parse_expr("1", 1), a=1, check_id="third_A_a1"))
-    checks.append(third_formula_case(
-        "B", parse_expr("exp(x)", 1), check_id="third_B"))
-    checks.append(necessary_condition_case("D", eps=0.5))
-    checks.append(necessary_condition_eps_invariance())
-    checks.append(necessary_condition_case("E", radii=(0.5, 0.5)))
-    checks.extend(identity_suite(seed=config.seed))
-    checks.append(fibration_check_C2(seed=_subseed(config.seed, "fibration")))
-    checks.extend(transversality_suite(seed=config.seed))
-
-    if config.skip:
-        checks = [c for c in checks if not _skipped(c, config.skip)]
+    for check_id, group, call in calls:
+        if check_id is None:
+            checks.extend(c for c in call() if not _skipped(c.id, c.group, skip))
+        elif not _skipped(check_id, group, skip):
+            checks.append(call())
     return checks
 
 

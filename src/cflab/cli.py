@@ -19,6 +19,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# Default test function of ``verify first``, per dimension n.
+_FIRST_DEFAULT_F = {1: "exp(x)+x^2", 2: "x1^2*x2+3"}
+
 
 def _finite(value: float, what: str) -> float:
     if not math.isfinite(value):
@@ -67,7 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_first = vsub.add_parser("first", help="reproducing-kernel integral")
     p_first.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p_first.add_argument("--f", default="exp(x)+x^2", help="holomorphic test function")
+    p_first.add_argument("--f", default=None,
+                         help="holomorphic test function (default: "
+                              f"{_FIRST_DEFAULT_F[1]} for n = 1, "
+                              f"{_FIRST_DEFAULT_F[2]} for n = 2)")
     p_first.add_argument("--z", default=None, help="base point re,im[,re,im]")
     p_first.add_argument("--eps", type=float, default=0.7)
     p_first.add_argument("--nodes", default=None)
@@ -129,7 +135,7 @@ def _default_tol(args, fallback):
 def _run_verify(args) -> list[casebook.CheckReport]:
     if args.which == "first":
         n = args.n
-        f = parse_expr(args.f, n)
+        f = parse_expr(args.f if args.f is not None else _FIRST_DEFAULT_F[n], n)
         z = _parse_complex_list(args.z, "--z") if args.z else \
             ((0.3 + 0.1j,) if n == 1 else (0.2 + 0j, -0.1 + 0j))
         if len(z) != n:
@@ -186,6 +192,8 @@ def run_cli(argv=None) -> int:
             config = RunConfig(seed=args.seed, workers=args.workers,
                                skip=tuple(args.skip))
             checks = casebook.full_report(config)
+            if not checks:
+                raise InputError("--skip removed every check")
         else:
             checks = _run_verify(args)
     except CflabError as exc:

@@ -10,8 +10,10 @@ symbolic differentiation.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import DimensionMismatchError, InputError, PoleError
@@ -19,53 +21,70 @@ from .errors import DimensionMismatchError, InputError, PoleError
 
 # ----------------------------------------------------------------- AST
 
+class _Node:
+    """Common base of the expression nodes.
+
+    ``_fn`` is the tree compiled to nested closures, built on first use and
+    cached on the node; it is not a dataclass field, so equality, hashing
+    and ``repr`` see only the tree.
+    """
+
+    @cached_property
+    def _fn(self):
+        return _compile(self)
+
+    def __getstate__(self):
+        # Closures do not pickle; an unpickled tree compiles again.
+        return {k: v for k, v in vars(self).items() if k != "_fn"}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: complex
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int  # 0-based
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "HolomorphicExpr"
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     left: "HolomorphicExpr"
     right: "HolomorphicExpr"
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Node):
     left: "HolomorphicExpr"
     right: "HolomorphicExpr"
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     left: "HolomorphicExpr"
     right: "HolomorphicExpr"
 
 
 @dataclass(frozen=True)
-class Div:
+class Div(_Node):
     left: "HolomorphicExpr"
     right: "HolomorphicExpr"
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: "HolomorphicExpr"
     exponent: int
 
 
 @dataclass(frozen=True)
-class Exp:
+class Exp(_Node):
     arg: "HolomorphicExpr"
 
 
@@ -245,43 +264,89 @@ def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
     """Evaluate the expression at a point of C^n.
 
     Division by an exact zero raises :class:`PoleError` carrying the point.
+    The tree is compiled once, on its first evaluation.
     """
-    point = tuple(complex(c) for c in point)
-    return _eval(expr, point)
+    point = tuple(map(complex, point))
+    fn = expr._fn if isinstance(expr, _Node) else _compile(expr)
+    try:
+        return fn(point)
+    except IndexError:
+        # Only a variable beyond the point's width indexes out of range; the
+        # first such variable in evaluation order is the one that raised.
+        index = next(i for i in _var_order(expr) if i >= len(point))
+        raise DimensionMismatchError(
+            f"expression uses x{index + 1} but the point has "
+            f"{len(point)} coordinates") from None
 
 
-def _eval(expr, point):
-    if isinstance(expr, Num):
-        return expr.value
+def _var_order(expr):
+    """Variable indices in the order evaluation reaches them."""
     if isinstance(expr, Var):
-        if expr.index >= len(point):
-            raise DimensionMismatchError(
-                f"expression uses x{expr.index + 1} but the point has "
-                f"{len(point)} coordinates")
-        return point[expr.index]
-    if isinstance(expr, Neg):
-        return -_eval(expr.arg, point)
-    if isinstance(expr, Add):
-        return _eval(expr.left, point) + _eval(expr.right, point)
-    if isinstance(expr, Sub):
-        return _eval(expr.left, point) - _eval(expr.right, point)
-    if isinstance(expr, Mul):
-        return _eval(expr.left, point) * _eval(expr.right, point)
-    if isinstance(expr, Div):
-        den = _eval(expr.right, point)
-        if den == 0:
-            raise PoleError("division by zero in expression", point=point)
-        return _eval(expr.left, point) / den
-    if isinstance(expr, Pow):
-        base = _eval(expr.base, point)
-        if base == 0 and expr.exponent < 0:
-            raise PoleError("negative power of zero in expression", point=point)
-        return base ** expr.exponent
-    if isinstance(expr, Exp):
-        import cmath
+        yield expr.index
+    elif isinstance(expr, (Neg, Exp)):
+        yield from _var_order(expr.arg)
+    elif isinstance(expr, Pow):
+        yield from _var_order(expr.base)
+    elif isinstance(expr, Div):
+        yield from _var_order(expr.right)
+        yield from _var_order(expr.left)
+    elif isinstance(expr, (Add, Sub, Mul)):
+        yield from _var_order(expr.left)
+        yield from _var_order(expr.right)
 
-        return cmath.exp(_eval(expr.arg, point))
-    raise InputError(f"not an expression node: {expr!r}")
+
+def _compile(expr):
+    """``expr`` as nested closures of a tuple of complex coordinates.
+
+    Each closure does the arithmetic of one node, children first (the
+    denominator before the numerator), so values and errors are those of a
+    recursive walk of the tree.
+    """
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda p: value
+    if isinstance(expr, Var):
+        index = expr.index
+        return lambda p: p[index]
+    if isinstance(expr, Neg):
+        arg = _compile(expr.arg)
+        return lambda p: -arg(p)
+    if isinstance(expr, Exp):
+        arg, exp = _compile(expr.arg), cmath.exp
+        return lambda p: exp(arg(p))
+    if isinstance(expr, Pow):
+        base, k = _compile(expr.base), expr.exponent
+        if k >= 0:
+            return lambda p: base(p) ** k
+
+        def negative_power(p):
+            b = base(p)
+            if b == 0:
+                raise PoleError("negative power of zero in expression", point=p)
+            return b ** k
+
+        return negative_power
+    if isinstance(expr, (Add, Sub, Mul, Div)):
+        left, right = _compile(expr.left), _compile(expr.right)
+        if isinstance(expr, Add):
+            return lambda p: left(p) + right(p)
+        if isinstance(expr, Sub):
+            return lambda p: left(p) - right(p)
+        if isinstance(expr, Mul):
+            return lambda p: left(p) * right(p)
+
+        def divide(p):
+            den = right(p)
+            if den == 0:
+                raise PoleError("division by zero in expression", point=p)
+            return left(p) / den
+
+        return divide
+
+    def not_a_node(p):
+        raise InputError(f"not an expression node: {expr!r}")
+
+    return not_a_node
 
 
 # ----------------------------------------------------------- differentiation

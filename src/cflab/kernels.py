@@ -9,8 +9,9 @@ unnormalized xi) and the affine-chart computations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,21 +63,40 @@ def kernel_basis_form(kind: str, n: int) -> KForm:
     raise InputError(f"unknown kernel basis form {kind!r}")
 
 
-def _pairing_with_z(n: int, z: Sequence[complex]) -> Callable[[Point], complex]:
+def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
+            f: HolomorphicExpr | None) -> KForm:
+    """f(x) / (xi.z)^power * basis(xi) ^ omega(x), one closure per term.
+
+    ``basis`` is omega' (``first`` = 1) or omega* (``first`` = 0): the sum
+    over k >= first of (-1)^(k-first) xi_k times the dxi_j, j >= first,
+    without dxi_k.  Term keys, signs and order are those of
+    ``wedge(basis, omega)``, whose merge signs are all +1; the ``0j +``
+    keeps the signed zeros of that wedge's accumulation.
+    """
+    _check_n(n)
     z = tuple(complex(c) for c in z)
     if len(z) != n:
         raise InputError(f"base point z must have {n} coordinates")
+    xi, x = slice(1, n + 1), slice(n + 1, None)
+    message = f"{name} evaluated on xi.z = 0"
 
-    def pairing(p: Point) -> complex:
-        return p[0] + sum(p[1 + k] * z[k] for k in range(n))
+    def term(k: int, s: int) -> forms.CoeffFn:
+        def coeff(p: Point) -> complex:
+            den = p[0] + sum(map(operator.mul, p[xi], z))
+            if den == 0:
+                raise PoleError(message, point=p)
+            fx = 1 + 0j if f is None else exprlang.eval_expr(f, p[x])
+            return fx / den ** power * (0j + s * p[k])
 
-    return pairing
+        return coeff
 
-
-def _f_on_x(n: int, f: HolomorphicExpr | None) -> Callable[[Point], complex]:
-    if f is None:
-        return lambda p: 1 + 0j
-    return lambda p: exprlang.eval_expr(f, p[n + 1:])
+    omega = tuple(range(n + 1, 2 * n + 1))
+    terms = {
+        tuple(j for j in range(first, n + 1) if j != k) + omega:
+            term(k, (-1) ** (k - first))
+        for k in range(first, n + 1)
+    }
+    return KForm(2 * n - first, joint_dim(n), terms=terms)
 
 
 def phi(n: int, z: Sequence[complex], f: HolomorphicExpr | None = None) -> KForm:
@@ -85,36 +105,12 @@ def phi(n: int, z: Sequence[complex], f: HolomorphicExpr | None = None) -> KForm
     A (2n-1)-form on the joint ambient, holomorphic off the hyperplane
     xi.z = 0 where evaluation raises :class:`PoleError`.
     """
-    _check_n(n)
-    pairing = _pairing_with_z(n, z)
-    fx = _f_on_x(n, f)
-
-    def coeff(p: Point) -> complex:
-        den = pairing(p)
-        if den == 0:
-            raise PoleError("phi evaluated on xi.z = 0", point=p)
-        return fx(p) / den ** n
-
-    body = forms.wedge(kernel_basis_form("omega_prime", n),
-                       kernel_basis_form("omega", n))
-    return forms.scale(body, coeff)
+    return _kernel("phi", 1, n, n, z, f)
 
 
 def psi(n: int, z: Sequence[complex], f: HolomorphicExpr | None = None) -> KForm:
     """The derivative kernel f * omega*(xi)^omega(x) / (xi.z)^(n+1), a 2n-form."""
-    _check_n(n)
-    pairing = _pairing_with_z(n, z)
-    fx = _f_on_x(n, f)
-
-    def coeff(p: Point) -> complex:
-        den = pairing(p)
-        if den == 0:
-            raise PoleError("psi evaluated on xi.z = 0", point=p)
-        return fx(p) / den ** (n + 1)
-
-    body = forms.wedge(kernel_basis_form("omega_star", n),
-                       kernel_basis_form("omega", n))
-    return forms.scale(body, coeff)
+    return _kernel("psi", 0, n + 1, n, z, f)
 
 
 # -------------------------------------------------- chart identity (z = 0)

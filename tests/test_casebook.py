@@ -283,3 +283,22 @@ def test_full_report_skip_group():
     assert "vanish_tauE_SE" not in ids
     assert not any(c.group == "E" for c in checks)
     assert "necessary_D" in ids
+
+
+def test_full_report_never_runs_a_skipped_check(monkeypatch):
+    called = []
+    real = casebook.first_formula
+
+    def spy(*args, check_id, **kwargs):
+        called.append(check_id)
+        return real(*args, check_id=check_id, **kwargs)
+
+    monkeypatch.setattr(casebook, "first_formula", spy)
+    checks = full_report(RunConfig(skip=("first_n2_poly", "first_n2_const")))
+    assert called == ["first_n1"]
+    ids = [c.id for c in checks]
+    assert ids[:2] == ["first_n1", "second_exp"]
+    assert len(ids) == 46
+    called.clear()
+    full_report(RunConfig(skip=("core",)))
+    assert called == []

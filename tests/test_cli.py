@@ -31,6 +31,23 @@ def test_third_a_one_constant_formula_failure_still_exit_zero(capsys):
     assert check["params"]["pass_formula"] is False
 
 
+def test_first_n2_default_function_runs(capsys):
+    assert run_cli(["verify", "first", "--n", "2", "--format", "json"]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["params"]["f"] == "x1^2*x2+3"
+
+
+def test_suite_skipping_every_check_exits_2(capsys):
+    argv = ["suite"]
+    for group in ("core", "A", "B", "C", "D", "E"):
+        argv += ["--skip", group]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--skip removed every check" in captured.err
+
+
 def test_first_rejects_n3():
     assert run_cli(["verify", "first", "--n", "3"]) == 2
 

@@ -1,7 +1,10 @@
 import cmath
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cflab.errors import DimensionMismatchError, InputError, PoleError
 from cflab.exprlang import (Add, Div, Exp, ExprSyntaxError, Mul, Neg, Num,
@@ -155,3 +158,96 @@ def test_print_parse_tree_roundtrip_without_mixed_literals():
             continue  # mixed literal; covered by the fixed-point test
         assert to_str(parse_expr(text, 1)) == text
         produced += 1
+
+
+# ------------------------------------------- compiled evaluation, properties
+
+def _reference_eval(expr, point):
+    """A recursive walk of the tree: the arithmetic eval_expr must repeat."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        if expr.index >= len(point):
+            raise DimensionMismatchError(
+                f"expression uses x{expr.index + 1} but the point has "
+                f"{len(point)} coordinates")
+        return point[expr.index]
+    if isinstance(expr, Neg):
+        return -_reference_eval(expr.arg, point)
+    if isinstance(expr, Add):
+        return _reference_eval(expr.left, point) + _reference_eval(expr.right, point)
+    if isinstance(expr, Sub):
+        return _reference_eval(expr.left, point) - _reference_eval(expr.right, point)
+    if isinstance(expr, Mul):
+        return _reference_eval(expr.left, point) * _reference_eval(expr.right, point)
+    if isinstance(expr, Div):
+        den = _reference_eval(expr.right, point)
+        if den == 0:
+            raise PoleError("division by zero in expression", point=point)
+        return _reference_eval(expr.left, point) / den
+    if isinstance(expr, Pow):
+        base = _reference_eval(expr.base, point)
+        if base == 0 and expr.exponent < 0:
+            raise PoleError("negative power of zero in expression", point=point)
+        return base ** expr.exponent
+    if isinstance(expr, Exp):
+        return cmath.exp(_reference_eval(expr.arg, point))
+    raise InputError(f"not an expression node: {expr!r}")
+
+
+def _outcome(call):
+    """The value's repr (signed zeros and NaN included) or the error raised."""
+    try:
+        return repr(call())
+    except Exception as exc:  # noqa: BLE001 - every error must match
+        return type(exc), str(exc), repr(getattr(exc, "point", None))
+
+
+_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 700.0]))
+_complexes = st.builds(complex, _floats, _floats)
+_trees = st.recursive(
+    st.one_of(st.builds(Num, _complexes), st.builds(Var, st.integers(0, 3))),
+    lambda kids: st.one_of(
+        st.builds(Neg, kids), st.builds(Exp, kids),
+        st.builds(Pow, kids, st.integers(-3, 4)),
+        st.builds(Add, kids, kids), st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids), st.builds(Div, kids, kids)),
+    max_leaves=12)
+_points = st.lists(st.one_of(_complexes, _floats, st.integers(-3, 3)),
+                   max_size=4)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_trees, _points)
+def test_compiled_eval_matches_reference_walk_and_text_roundtrips(expr, point):
+    want = _outcome(lambda: _reference_eval(expr, tuple(complex(c) for c in point)))
+    assert _outcome(lambda: eval_expr(expr, point)) == want
+    # A second evaluation runs the cached closures.
+    assert _outcome(lambda: eval_expr(expr, point)) == want
+    # Printing is a fixed point after one parse (mixed literals such as
+    # (1+2i) reparse as a sum), and exact when the tree has none.
+    text = to_str(expr)
+    text1 = to_str(parse_expr(text, 4))
+    assert to_str(parse_expr(text1, 4)) == text1
+    if not any(isinstance(e, Num) and e.value.real != 0 and e.value.imag != 0
+               for e in _nodes(expr)):
+        assert text1 == text
+
+
+def _nodes(expr):
+    yield expr
+    for child in vars(expr).values():
+        if isinstance(child, (Num, Var, Neg, Add, Sub, Mul, Div, Pow, Exp)):
+            yield from _nodes(child)
+
+
+def test_compiled_expressions_keep_equality_hash_and_repr():
+    a, b = parse_expr("x1^2*x2+3", 2), parse_expr("x1^2*x2+3", 2)
+    text_a = repr(a)
+    eval_expr(a, (1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == text_a == repr(b)
+    assert to_str(a) == "x1^2*x2+3"
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and eval_expr(back, (1, 2)) == eval_expr(a, (1, 2))

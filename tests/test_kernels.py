@@ -123,6 +123,64 @@ def test_kernel_on_chart_rejects_wrong_ambient():
         kernel_on_chart(phi(1, (0j,)), "U2")
 
 
+def _reference_kernel(name, basis, power, n, z, f):
+    """f / (xi.z)^power scaling wedge(basis, omega), built from the algebra."""
+    z = tuple(complex(c) for c in z)
+
+    def coeff(p):
+        den = p[0] + sum(p[1 + k] * z[k] for k in range(n))
+        if den == 0:
+            raise PoleError(f"{name} evaluated on xi.z = 0", point=p)
+        fx = 1 + 0j if f is None else exprlang.eval_expr(f, p[n + 1:])
+        return fx / den ** power
+
+    body = forms.wedge(kernel_basis_form(basis, n), kernel_basis_form("omega", n))
+    return forms.scale(body, coeff)
+
+
+def _signed_zero_c(rng):
+    # Random coordinates, some parts exactly +0.0 or -0.0.
+    parts = [rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.uniform(-1, 1)
+             for _ in range(2)]
+    return complex(*parts)
+
+
+_F_BY_N = {1: "exp(x)+x^2", 2: "x1^2*x2+3", 3: "x1*x2-exp(x3)/(x1+2)"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kernel, name, basis, extra", [
+    (phi, "phi", "omega_prime", 0), (psi, "psi", "omega_star", 1)])
+def test_fused_kernel_equals_wedge_and_scale_reference(kernel, name, basis,
+                                                       extra, n):
+    rng = random.Random(70 + n)
+    dim = 2 * n + 1
+    z = tuple(_rand_c(rng, 0.3) for _ in range(n))
+    for f in (None, exprlang.parse_expr(_F_BY_N[n], n)):
+        fused = kernel(n, z, f)
+        ref = _reference_kernel(name, basis, n + extra, n, z, f)
+        assert (fused.degree, fused.dim) == (ref.degree, ref.dim)
+        assert list(fused.terms) == list(ref.terms)
+        for _ in range(40):
+            p = tuple(_signed_zero_c(rng) for _ in range(dim))
+            p = (p[0] + 2,) + p[1:]
+            for key in ref.terms:
+                assert repr(fused.terms[key](p)) == repr(ref.terms[key](p))
+            vecs = [_rand_vec(rng, dim) for _ in range(fused.degree)]
+            assert fused.evaluate(p, vecs) == ref.evaluate(p, vecs)
+        # A point on xi.z = 0: the same error, message and point.
+        xi = tuple(_rand_c(rng) for _ in range(n))
+        s = sum(c * w for c, w in zip(xi, z))
+        p = (-s,) + xi + tuple(_rand_c(rng) for _ in range(n))
+        errors = []
+        for form in (fused, ref):
+            with pytest.raises(PoleError) as info:
+                form.evaluate(p, [_rand_vec(rng, dim)
+                                  for _ in range(form.degree)])
+            errors.append((str(info.value), info.value.point))
+        assert errors[0] == errors[1]
+
+
 def test_phi_pole_on_incidence_hyperplane():
     form = phi(1, (0j,))
     with pytest.raises(PoleError):
