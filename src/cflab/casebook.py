@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cycles, exprlang, forms, geometry, kernels
-from .errors import InputError
+from .errors import CflabError, InputError
 from .exprlang import HolomorphicExpr, eval_expr, parse_expr
 from .forms import KForm
 from .geometry import _rand_c
@@ -809,12 +809,14 @@ def full_report(config: RunConfig | None = None) -> list[CheckReport]:
     """Every acceptance check, in a fixed deterministic order.
 
     A single check whose id or group is in ``config.skip`` is never run;
-    the multi-check suites run and their skipped rows are dropped.
+    the multi-check suites run and their skipped rows are dropped.  A check
+    or suite that raises :class:`CflabError` becomes one FAIL row with its
+    id, carrying the error in ``params``, and the others still run.
     """
     config = config or RunConfig()
     skip = config.skip
     seed = config.seed
-    # (id, group, call) for single checks; (None, None, call) for suites.
+    # (id, group, call) for single checks; (id, None, call) for suites.
     calls = (
         ("first_n1", "core", lambda: first_formula(
             1, parse_expr("exp(x)+x^2", 1), (0.3 + 0.1j,), 0.7,
@@ -843,17 +845,25 @@ def full_report(config: RunConfig | None = None) -> list[CheckReport]:
         ("necessary_D_eps_invariance", "D", necessary_condition_eps_invariance),
         ("necessary_E", "E",
          lambda: necessary_condition_case("E", radii=(0.5, 0.5))),
-        (None, None, lambda: identity_suite(seed=seed)),
+        ("identity_suite", None, lambda: identity_suite(seed=seed)),
         ("fibration_C2", "C",
          lambda: fibration_check_C2(seed=_subseed(seed, "fibration"))),
-        (None, None, lambda: transversality_suite(seed=seed)),
+        ("transversality_suite", None, lambda: transversality_suite(seed=seed)),
     )
     checks: list[CheckReport] = []
     for check_id, group, call in calls:
-        if check_id is None:
-            checks.extend(c for c in call() if not _skipped(c.id, c.group, skip))
-        elif not _skipped(check_id, group, skip):
-            checks.append(call())
+        if group is not None and _skipped(check_id, group, skip):
+            continue
+        t0 = time.perf_counter()
+        try:
+            if group is None:
+                checks.extend(c for c in call() if not _skipped(c.id, c.group, skip))
+            else:
+                checks.append(call())
+        except CflabError as exc:
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            checks.append(_predicate_report(check_id, group or "core", error,
+                                            0j, 0j, False, (), t0))
     return checks
 
 

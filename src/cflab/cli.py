@@ -7,6 +7,7 @@ parse errors.  Diagnostics go to stderr; reports go to stdout or ``--out``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -57,7 +58,13 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process-wide parser, built on first use and shared afterwards.
+
+    Parsing never mutates it: argparse copies an ``append`` default before
+    appending, and the namespaces it returns are fresh.
+    """
     parser = argparse.ArgumentParser(
         prog="cflab",
         description="Verify the Cauchy-Fantappie representation formulas "

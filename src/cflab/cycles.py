@@ -9,6 +9,7 @@ real and imaginary part makes the result independent of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -23,6 +24,9 @@ Point = tuple[complex, ...]
 Param = tuple[float, ...]
 
 BLOCK_POINTS = 4096  # grid points per vectorized evaluation pass
+MAX_GRID_POINTS = 2 ** 22  # budget of one integrate call, checked up front
+MAX_GAUSS_NODES = 1024  # per Gauss-Legendre factor: leggauss is O(n^2) memory
+RULE_CACHE_SIZE = 64  # (factor, node count) rules kept by _factor_rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -348,14 +352,19 @@ def orientation_sign(cycle: Cycle, interior_point: Sequence[complex]) -> int:
 
 # -------------------------------------------------------------- quadrature
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _factor_rule(factor, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of one factor; cached, so both are read-only."""
     if isinstance(factor, Circle):
         h = TWO_PI / n
-        return h * np.arange(n), np.full(n, h)
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (factor.a + factor.b)
-    half = 0.5 * (factor.b - factor.a)
-    return mid + half * nodes, half * weights
+        nodes, weights = h * np.arange(n), np.full(n, h)
+    else:
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        mid = 0.5 * (factor.a + factor.b)
+        half = 0.5 * (factor.b - factor.a)
+        nodes, weights = mid + half * nodes, half * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _as_grid(out, m: int) -> np.ndarray:
@@ -436,8 +445,10 @@ def integrate(form: forms.KForm, cycle: Cycle,
     block.  The weighted real and imaginary parts of the whole grid are each
     reduced by one ``math.fsum`` (correctly rounded, so order-independent).
     A pole or a non-finite map, frame or value raises :class:`PoleError`
-    carrying the first offending param in grid order.  ``workers`` is
-    accepted and changes nothing.
+    carrying the first offending param in grid order.  A grid above
+    :data:`MAX_GRID_POINTS` points, or a Gauss-Legendre factor above
+    :data:`MAX_GAUSS_NODES` nodes, raises :class:`InputError` before any
+    allocation.  ``workers`` is accepted and changes nothing.
     """
     if form.degree != cycle.dim:
         raise InputError(
@@ -445,8 +456,16 @@ def integrate(form: forms.KForm, cycle: Cycle,
     quad = quad if isinstance(quad, QuadratureSpec) else QuadratureSpec.of(quad, cycle.dim)
     if len(quad.sizes) != cycle.dim:
         raise InputError("quadrature spec does not match the cycle dimension")
-    rules = [_factor_rule(f, n) for f, n in zip(cycle.domain.factors, quad.sizes)]
     total = math.prod(quad.sizes)
+    if total > MAX_GRID_POINTS:
+        raise InputError(f"quadrature grid of {total} points exceeds the "
+                         f"budget of {MAX_GRID_POINTS}")
+    factors = cycle.domain.factors
+    if any(n > MAX_GAUSS_NODES for f, n in zip(factors, quad.sizes)
+           if not isinstance(f, Circle)):
+        raise InputError(f"a Gauss-Legendre factor needs at most "
+                         f"{MAX_GAUSS_NODES} nodes, got {quad.sizes}")
+    rules = [_factor_rule(f, n) for f, n in zip(factors, quad.sizes)]
     re, im = np.empty(total), np.empty(total)
     for lo in range(0, total, BLOCK_POINTS):
         hi = min(lo + BLOCK_POINTS, total)

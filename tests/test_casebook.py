@@ -11,7 +11,7 @@ from cflab.casebook import (RunConfig, fibration_check_C2, first_formula,
                             residue_oracle_D, residue_oracle_E,
                             second_formula_n1, third_formula_case,
                             transversality_suite)
-from cflab.errors import InputError
+from cflab.errors import InputError, PoleError
 from cflab.exprlang import eval_expr, parse_expr
 
 MINUS_FOUR_PI_SQ = -4 * math.pi ** 2
@@ -302,3 +302,31 @@ def test_full_report_never_runs_a_skipped_check(monkeypatch):
     called.clear()
     full_report(RunConfig(skip=("core",)))
     assert called == []
+
+
+@pytest.mark.parametrize("suite", ["identity_suite", "transversality_suite"])
+def test_full_report_isolates_a_raising_suite(suite, monkeypatch):
+    def raising(*args, **kwargs):
+        raise InputError("sampler gave up")
+
+    monkeypatch.setattr(casebook, suite, raising)
+    checks = full_report(RunConfig(skip=("core", "D", "E")))
+    failed = [c for c in checks if not c.passed]
+    assert [(c.id, c.group) for c in failed] == [(suite, "core")]
+    assert failed[0].params == {"error": "InputError: sampler gave up"}
+    assert (failed[0].computed, failed[0].expected) == (0j, 0j)
+    assert (failed[0].abs_error, failed[0].tol, failed[0].quad_sizes) == \
+        (0.0, 0.0, ())
+    assert "fibration_C2" in [c.id for c in checks]
+
+
+def test_full_report_keeps_the_group_of_a_raising_check(monkeypatch):
+    def raising(*args, **kwargs):
+        raise PoleError("pole", param=(0.5,))
+
+    monkeypatch.setattr(casebook, "third_formula_case", raising)
+    checks = full_report(RunConfig(skip=("core", "C", "D", "E")))
+    rows = [(c.id, c.group, c.passed) for c in checks
+            if c.id.startswith("third_")]
+    assert rows == [("third_A_a0", "A", False), ("third_A_a2", "A", False),
+                    ("third_A_a1", "A", False), ("third_B", "B", False)]

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from cflab import report
-from cflab.cli import run_cli
+from cflab import casebook, report
+from cflab.cli import build_parser, run_cli
+from cflab.errors import PoleError
 
 JSON_CHECK_FIELDS = {"id", "params", "computed_re", "computed_im",
                      "expected_re", "expected_im", "abs_error", "tol",
@@ -156,3 +158,65 @@ def test_non_finite_float_input_exits_2_with_one_line(argv, capsys):
 def test_malformed_node_count_exits_2(capsys):
     assert run_cli(["verify", "first", "--nodes", "abc"]) == 2
     assert "bad --nodes" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- the cached parser
+
+def test_build_parser_is_cached():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_does_not_share_the_skip_default(capsys):
+    rc = run_cli(["suite", "--skip", "core", "--skip", "D", "--skip", "E",
+                  "--format", "csv"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("id,params,")
+    assert run_cli(["verify", "third", "B"]) == 0
+    assert capsys.readouterr().out.startswith("check ")
+    args = build_parser().parse_args(["suite"])
+    assert args.skip == []
+    assert args.format == "table"
+
+
+def test_usage_error_then_success_with_cached_parser(capsys):
+    assert run_cli(["verify", "third", "Z"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(["verify", "third", "A", "--a", "0"]) == 0
+    captured = capsys.readouterr()
+    assert "PASS" in captured.out and captured.err == ""
+
+
+def test_oversized_node_count_exits_2_before_allocating(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("allocated for an oversized grid")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", boom)
+    monkeypatch.setattr(np, "empty", boom)
+    assert run_cli(["verify", "third", "A", "--a", "0", "--f", "1",
+                    "--nodes", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("cflab: error: quadrature grid")
+
+
+# ---------------------------------------------------------- fault isolation
+
+def test_suite_turns_a_raising_check_into_one_fail_row(monkeypatch, capsys):
+    def raising(*args, **kwargs):
+        raise PoleError("coefficient hit a pole", point=(0j,))
+
+    monkeypatch.setattr(casebook, "fibration_check_C2", raising)
+    rc = run_cli(["suite", "--skip", "core", "--skip", "D", "--skip", "E",
+                  "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert payload["all_pass"] is False
+    rows = {c["id"]: c for c in payload["checks"]}
+    failed = [i for i, c in rows.items() if not c["pass"]]
+    assert failed == ["fibration_C2"]
+    row = rows["fibration_C2"]
+    assert row["params"] == {"error": "PoleError: coefficient hit a pole"}
+    assert (row["computed_re"], row["computed_im"], row["expected_re"],
+            row["expected_im"], row["abs_error"], row["tol"]) == (0.0,) * 6
+    assert row["quad_sizes"] == []
+    assert {"third_A_a0", "third_B", "transv_C2_P_Q_S"} <= set(rows)

@@ -366,3 +366,71 @@ def test_non_finite_value_raises_instead_of_returning_nan():
     with pytest.raises(CflabError) as err:
         integrate(form, _identity_torus(), sizes)
     assert err.value.param == bad
+
+
+# ------------------------------------------- cached rules, resource bounds
+
+_RULE_FACTORS = [cycles.Circle(), cycles.Interval(0.0, 1.0),
+                 cycles.Interval(0.0, math.pi / 2)]
+
+
+def _fresh_rule(factor, n):
+    if isinstance(factor, cycles.Circle):
+        h = 2.0 * math.pi / n
+        return h * np.arange(n), np.full(n, h)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (factor.a + factor.b), 0.5 * (factor.b - factor.a)
+    return mid + half * nodes, half * weights
+
+
+@pytest.mark.parametrize("factor", _RULE_FACTORS, ids=repr)
+def test_factor_rules_are_read_only(factor):
+    for array in cycles._factor_rule(factor, 16):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("factor", _RULE_FACTORS, ids=repr)
+@pytest.mark.parametrize("n", [4, 16, 37, 128])
+def test_factor_rules_equal_fresh_rules_bit_for_bit(factor, n):
+    for _ in range(2):  # a miss, then a hit
+        cached = cycles._factor_rule(factor, n)
+        for got, want in zip(cached, _fresh_rule(factor, n)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_factor_rule_hit_does_not_recompute(monkeypatch):
+    first = cycles._factor_rule(cycles.Interval(0.25, 0.75), 24)
+
+    def boom(n):
+        raise AssertionError("leggauss called on a cache hit")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", boom)
+    again = cycles._factor_rule(cycles.Interval(0.25, 0.75), 24)
+    assert again[0] is first[0] and again[1] is first[1]
+
+
+def test_integrate_interval_cycle_repeats_exactly():
+    seg = make_cycle("segment", start=1 + 0j, end=0.3j)
+    form = KForm.basis(1, 0, coeff=lambda p: 1 / (p[0] + 2) + p[0] ** 3)
+    values = [integrate(form, seg, (33,)) for _ in range(3)]
+    assert values[0] == values[1] == values[2]
+    assert values[0] == _reference_integral(form, seg, (33,))
+
+
+@pytest.mark.parametrize("kind,params,sizes,message", [
+    ("segment", {"start": 1 + 0j, "end": 0j}, (10 ** 6,), "Gauss-Legendre"),
+    ("torus_E", {"r1": 0.5, "r2": 0.5}, (2 ** 12, 2 ** 12), "budget"),
+], ids=["gauss_cap", "grid_budget"])
+def test_oversized_grid_rejected_before_allocating(kind, params, sizes,
+                                                   message, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("allocated for an oversized grid")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", boom)
+    monkeypatch.setattr(np, "empty", boom)
+    cycle = make_cycle(kind, **params)
+    form = KForm.basis(cycle.ambient_dim, *range(cycle.dim))
+    with pytest.raises(InputError, match=message):
+        integrate(form, cycle, sizes)
