@@ -367,10 +367,16 @@ def _factor_rule(factor, n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _as_grid(out, m: int) -> np.ndarray:
-    if isinstance(out, (tuple, list)):
-        return np.stack([_as_grid(o, m) for o in out])
-    return np.broadcast_to(np.asarray(out, dtype=complex), (m,))
+def _fill(grid: np.ndarray, out) -> bool:
+    """Write a cycle callable's nested output (tuples of scalars or length-m
+    arrays) into ``grid``; False when its nesting is not ``grid``'s."""
+    if grid.ndim == 1:
+        if isinstance(out, (tuple, list)):
+            return False
+        grid[...] = out
+        return True
+    return (isinstance(out, (tuple, list)) and len(out) == len(grid)
+            and all(_fill(g, o) for g, o in zip(grid, out)))
 
 
 def _on_block(fn, params: tuple[np.ndarray, ...],
@@ -381,9 +387,10 @@ def _on_block(fn, params: tuple[np.ndarray, ...],
     ``ZeroDivisionError`` there leaves NaN: a non-finite value at its param.
     """
     m = len(params[0])
+    out = np.empty(shape + (m,), dtype=complex)
     try:
         with np.errstate(all="ignore"):
-            out = _as_grid(fn(params), m)
+            fits = _fill(out, fn(params))
     except (TypeError, ValueError):
         rows = []
         for param in zip(*(a.tolist() for a in params)):
@@ -392,38 +399,33 @@ def _on_block(fn, params: tuple[np.ndarray, ...],
             except ZeroDivisionError:
                 rows.append(np.full(shape, np.nan))
         out = np.moveaxis(np.array(rows, dtype=complex), 0, -1)
-    if out.shape != shape + (m,):
-        raise DimensionMismatchError(f"cycle gave {out.shape[:-1]}, expected {shape}")
+        fits = out.shape == shape + (m,)
+    if not fits:
+        raise DimensionMismatchError(f"cycle output does not have shape {shape}")
     return out
 
 
 def _weighted_block(form: forms.KForm, cycle: Cycle,
                     params: tuple[np.ndarray, ...],
                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted real and imaginary integrand parts on one block of the grid.
-
-    Coefficients are called per point and term, in grid order; frame minors
-    are taken on whole arrays.
+    """Weighted real and imaginary integrand parts on one block of the grid,
+    by one :meth:`KForm.evaluate_many` call on the block's points and frames.
     """
     m = len(weights)
     point = _on_block(cycle.map, params, (form.dim,))
     frame = _on_block(cycle.tangent, params, (form.degree, form.dim))
     finite = np.isfinite(point).all(axis=0) & np.isfinite(frame).all(axis=(0, 1))
     stop = m if finite.all() else int(finite.argmin())
-    coeffs = tuple(form.terms.values())
-    flat, n, pole = [], stop, None
+    points, frames = point.T, frame.transpose(2, 0, 1)
+    n, pole = stop, None
     try:
-        for j, p in enumerate(zip(*point[:, :stop].tolist())):
-            for c in coeffs:
-                flat.append(c(p))
-    except (PoleError, ZeroDivisionError) as exc:
-        n, pole = j, exc.point if isinstance(exc, PoleError) else p
-    coeff = np.array(flat[:n * len(coeffs)], dtype=complex).reshape(n, len(coeffs))
-    vectors = tuple(frame[..., :n])
+        value = form.evaluate_many(points[:stop], frames[:stop])
+    except PoleError as exc:
+        # A value before the pole that is not finite comes first in grid order.
+        n, pole = exc.row, exc.point
+        value = form.evaluate_many(points[:n], frames[:n])
     with np.errstate(all="ignore"):
-        value = cycle.orientation * sum(
-            coeff[:, t] * forms._minor(key, vectors)
-            for t, key in enumerate(form.terms))
+        value = cycle.orientation * value
         re, im = weights[:n] * value.real, weights[:n] * value.imag
     bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
     if len(bad) or n < m:
@@ -445,7 +447,8 @@ def integrate(form: forms.KForm, cycle: Cycle,
     block.  The weighted real and imaginary parts of the whole grid are each
     reduced by one ``math.fsum`` (correctly rounded, so order-independent).
     A pole or a non-finite map, frame or value raises :class:`PoleError`
-    carrying the first offending param in grid order.  A grid above
+    carrying the first offending param in grid order, and so does a sum that
+    overflows (without a param).  A grid above
     :data:`MAX_GRID_POINTS` points, or a Gauss-Legendre factor above
     :data:`MAX_GAUSS_NODES` nodes, raises :class:`InputError` before any
     allocation.  ``workers`` is accepted and changes nothing.
@@ -473,7 +476,10 @@ def integrate(form: forms.KForm, cycle: Cycle,
         params = tuple(nodes[i] for (nodes, _), i in zip(rules, index))
         weights = math.prod(w[i] for (_, w), i in zip(rules, index))
         re[lo:hi], im[lo:hi] = _weighted_block(form, cycle, params, weights)
-    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+    try:
+        return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+    except OverflowError:  # finite weighted values whose sum is not
+        raise PoleError("integral is not finite: its sum overflows") from None
 
 
 def refine_until(form: forms.KForm, cycle: Cycle,

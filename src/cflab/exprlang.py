@@ -5,18 +5,23 @@ juxtaposition multiplication), variables ``x1 .. xn`` (``x`` allowed as an
 alias for ``x1`` when n = 1), operators ``+ - * /``, integer ``^``
 (right-associative, binding tighter than unary minus), ``exp(...)`` and
 parentheses.  Expressions are parsed to immutable trees that support exact
-symbolic differentiation.
+symbolic differentiation.  A tree is at most :data:`MAX_EXPR_DEPTH` levels
+deep and has at most :data:`MAX_EXPR_NODES` nodes, checked while parsing.
 """
 
 from __future__ import annotations
 
 import cmath
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import DimensionMismatchError, InputError, PoleError
+
+MAX_EXPR_DEPTH = 100  # nesting of the text and depth of the tree
+MAX_EXPR_NODES = 1000  # nodes of one parsed tree
 
 
 # ----------------------------------------------------------------- AST
@@ -137,6 +142,18 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.n = n
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """One nested parse (parenthesis, call, sign or exponent), bounded
+        well before Python's recursion limit."""
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than "
+                                  f"{MAX_EXPR_DEPTH} levels", self.peek()[2])
+        expr = parse()
+        self.depth -= 1
+        return expr
 
     def peek(self):
         return self.tokens[self.pos]
@@ -185,10 +202,10 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         if kind == "op" and val == "+":
             self.advance()
-            return self.unary()
+            return self.nested(self.unary)
         return self.power()
 
     def power(self) -> HolomorphicExpr:
@@ -212,10 +229,12 @@ class _Parser:
             raise ExprSyntaxError("exponent must be an integer", where)
         self.advance()
         k = int(val)
+        if k > sys.float_info.max:  # differentiation takes k as a complex
+            raise ExprSyntaxError("exponent too large", where)
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            inner = self.exponent()
+            inner = self.nested(self.exponent)
             if inner < 0 or k ** inner > 10 ** 9:
                 raise ExprSyntaxError("exponent tower too large", self.peek()[2])
             k = k ** inner
@@ -224,7 +243,7 @@ class _Parser:
     def atom(self) -> HolomorphicExpr:
         kind, val, where = self.advance()
         if kind == "op" and val == "(":
-            inner = self.sum_()
+            inner = self.nested(self.sum_)
             self.expect_op(")")
             return inner
         if kind == "num":
@@ -237,7 +256,7 @@ class _Parser:
                 return Num(1j)
             if val == "exp":
                 self.expect_op("(")
-                inner = self.sum_()
+                inner = self.nested(self.sum_)
                 self.expect_op(")")
                 return Exp(inner)
             if val == "x" and self.n == 1:
@@ -254,8 +273,24 @@ class _Parser:
 
 
 def parse_expr(text: str, n: int = 1) -> HolomorphicExpr:
-    """Parse ``text`` as a holomorphic expression in n complex variables."""
-    return _Parser(text, n).parse()
+    """Parse ``text`` as a holomorphic expression in n complex variables.
+
+    Text nested deeper than :data:`MAX_EXPR_DEPTH` levels, or a tree deeper
+    than that or with more than :data:`MAX_EXPR_NODES` nodes (a long sum
+    parses to a deep chain), raises :class:`InputError`.
+    """
+    expr = _Parser(text, n).parse()
+    nodes, stack = 0, [(expr, 1)]
+    while stack:  # iterative: the tree may be too deep to recurse into
+        node, depth = stack.pop()
+        nodes += 1
+        if depth > MAX_EXPR_DEPTH:
+            raise InputError(f"expression tree deeper than {MAX_EXPR_DEPTH} levels")
+        if nodes > MAX_EXPR_NODES:
+            raise InputError(f"expression has more than {MAX_EXPR_NODES} nodes")
+        stack.extend((child, depth + 1) for child in vars(node).values()
+                     if isinstance(child, _Node))
+    return expr
 
 
 # ----------------------------------------------------------------- eval
@@ -263,36 +298,20 @@ def parse_expr(text: str, n: int = 1) -> HolomorphicExpr:
 def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
     """Evaluate the expression at a point of C^n.
 
-    Division by an exact zero raises :class:`PoleError` carrying the point.
-    The tree is compiled once, on its first evaluation.
+    Division by an exact zero, and a result beyond the floats (Python's
+    ``OverflowError``, ``ValueError`` from ``exp`` of an infinite argument,
+    ``ZeroDivisionError`` from a negative power that underflows), raise
+    :class:`PoleError` carrying the point.  The tree is compiled once, on
+    its first evaluation.
     """
     point = tuple(map(complex, point))
     fn = expr._fn if isinstance(expr, _Node) else _compile(expr)
     try:
         return fn(point)
-    except IndexError:
-        # Only a variable beyond the point's width indexes out of range; the
-        # first such variable in evaluation order is the one that raised.
-        index = next(i for i in _var_order(expr) if i >= len(point))
-        raise DimensionMismatchError(
-            f"expression uses x{index + 1} but the point has "
-            f"{len(point)} coordinates") from None
-
-
-def _var_order(expr):
-    """Variable indices in the order evaluation reaches them."""
-    if isinstance(expr, Var):
-        yield expr.index
-    elif isinstance(expr, (Neg, Exp)):
-        yield from _var_order(expr.arg)
-    elif isinstance(expr, Pow):
-        yield from _var_order(expr.base)
-    elif isinstance(expr, Div):
-        yield from _var_order(expr.right)
-        yield from _var_order(expr.left)
-    elif isinstance(expr, (Add, Sub, Mul)):
-        yield from _var_order(expr.left)
-        yield from _var_order(expr.right)
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        if isinstance(exc, InputError):
+            raise
+        raise PoleError(f"expression overflows: {exc}", point=point) from None
 
 
 def _compile(expr):
@@ -307,7 +326,16 @@ def _compile(expr):
         return lambda p: value
     if isinstance(expr, Var):
         index = expr.index
-        return lambda p: p[index]
+
+        def var(p):
+            try:
+                return p[index]
+            except IndexError:
+                raise DimensionMismatchError(
+                    f"expression uses x{index + 1} but the point has "
+                    f"{len(p)} coordinates") from None
+
+        return var
     if isinstance(expr, Neg):
         arg = _compile(expr.arg)
         return lambda p: -arg(p)

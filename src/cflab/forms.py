@@ -5,24 +5,23 @@ A form is a linear combination of coordinate wedge monomials
 tuples to coefficient callables.  Wedge, sum, scaling and chart sections
 all build new term dicts, so every form is evaluated the same way.
 
-Evaluation canonicalizes the tangent-vector order (sort by coordinates,
-multiply by the permutation sign) so that swapping two vectors flips the
-sign exactly, not just up to rounding.
+Evaluation is batched (:meth:`KForm.evaluate_many`): each frame is
+canonicalized (vectors sorted by coordinates, the value multiplied by the
+permutation sign), so that swapping two vectors flips the sign exactly, not
+just up to rounding, and the frame minors are taken on whole arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatchError, InputError, PoleError
 
 Point = tuple[complex, ...]
-Vector = tuple[complex, ...]
 CoeffFn = Callable[[Point], complex]
-
-
-def _as_point(seq) -> Point:
-    return tuple(complex(c) for c in seq)
 
 
 def _const_fn(value: complex) -> CoeffFn:
@@ -30,53 +29,76 @@ def _const_fn(value: complex) -> CoeffFn:
     return lambda p: value
 
 
-# ------------------------------------------------------------ determinants
+# ------------------------------------------------------- array arithmetic
 
-def _minor(indices: tuple[int, ...], vectors: Sequence[Vector]) -> complex:
-    """Determinant of the rows ``indices`` of the column matrix ``vectors``."""
-    k = len(indices)
+def _mul(x, y):
+    """Product of complex arrays given as (re, im) pairs, with the arithmetic
+    of Python's complex product (numpy's may fuse a multiply-add)."""
+    (xr, xi), (yr, yi) = x, y
+    re, im = xr * yr, xr * yi
+    re -= xi * yi
+    im += xi * yr
+    return re, im
+
+
+def modulus(values) -> np.ndarray:
+    """``abs`` of complex values, rounded as Python's ``abs`` rounds it
+    (numpy's complex absolute value differs in the last bit)."""
+    values = np.asarray(values, dtype=complex)
+    return np.hypot(values.real, values.imag)
+
+
+def _frame_order(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order, shape (vector, point), that sorts each frame's
+    vectors (``frames`` is (vector, coordinate, point)) lexicographically by
+    the (re, im) parts of their coordinates, and whether it is odd.  The
+    leading real parts settle almost every frame; ties are sorted on all."""
+    k, _, m = frames.shape
+    lead = frames[:, 0].real
+    order = np.argsort(lead, axis=0, kind="stable")
+    lead = lead[order, np.arange(m)]
+    tied = ~(lead[1:] > lead[:-1]).all(axis=0)
+    if tied.any():
+        parts = frames[:, :, tied]
+        keys = np.stack([parts.real, parts.imag], axis=2).reshape(k, -1, len(parts[0, 0]))
+        order[:, tied] = np.lexsort(keys.transpose(1, 0, 2)[::-1], axis=0)
+    lo, hi = np.array(list(itertools.combinations(range(k), 2))).T
+    return order, (order[lo] > order[hi]).sum(axis=0) % 2 == 1
+
+
+def _minors(keys: Sequence[tuple[int, ...]], re: np.ndarray,
+            im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minor of every term on every frame, as (re, im) arrays (term, point).
+
+    ``re`` and ``im`` hold the frames as (vector, coordinate, point).  Minor
+    t is the determinant of the rows ``keys[t]`` of the column vectors,
+    expanded along its first row (the cofactor sum with alternating signs,
+    accumulated left to right).  The sub-minors of one size are computed
+    together, once per subset of vectors and trailing rows of some key.
+    """
+    k, dim, m = re.shape
     if k == 0:
-        return 1 + 0j
-    if k == 1:
-        return vectors[0][indices[0]]
-    if k == 2:
-        i, j = indices
-        a, b = vectors
-        return a[i] * b[j] - a[j] * b[i]
-    if k == 3:
-        i, j, l = indices
-        a, b, c = vectors
-        return (a[i] * (b[j] * c[l] - b[l] * c[j])
-                - b[i] * (a[j] * c[l] - a[l] * c[j])
-                + c[i] * (a[j] * b[l] - a[l] * b[j]))
-    # Laplace expansion along the first row for k >= 4 (the degree-4
-    # derivative kernel at n = 2, degree-5 chart identity at n = 3).
-    total = 0j
-    rest = indices[1:]
-    for col in range(k):
-        sub = vectors[:col] + tuple(vectors[col + 1:])
-        term = vectors[col][indices[0]] * _minor(rest, sub)
-        total = total + term if col % 2 == 0 else total - term
-    return total
-
-
-def _sort_parity(vectors: Sequence[Vector]) -> tuple[tuple[Vector, ...], int]:
-    keys = [tuple((c.real, c.imag) for c in v) for v in vectors]
-    order = sorted(range(len(vectors)), key=keys.__getitem__)
-    parity = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return tuple(vectors[i] for i in order), parity
+        return np.ones((len(keys), m)), np.zeros((len(keys), m))
+    # minor[.][i, j] is the minor of vector subset i on trailing rows j
+    minor, subset_at, rows_at = (re, im), {(c,): c for c in range(k)}, \
+        {(r,): r for r in range(dim)}
+    for size in range(2, k + 1):
+        rows = sorted({key[-size:] for key in keys})
+        subsets = list(itertools.combinations(range(k), size))
+        at = np.array(subsets)[:, :, None]
+        sub = np.array([[subset_at[S[:p] + S[p + 1:]] for p in range(size)]
+                        for S in subsets])[:, :, None]
+        first, rest = [r[0] for r in rows], [rows_at[r[1:]] for r in rows]
+        term = _mul((re[at, first], im[at, first]), (minor[0][sub, rest], minor[1][sub, rest]))
+        minor = (term[0][:, 0], term[1][:, 0])
+        for pos in range(1, size):
+            op = np.subtract if pos % 2 else np.add
+            op(minor[0], term[0][:, pos], out=minor[0])
+            op(minor[1], term[1][:, pos], out=minor[1])
+        subset_at = {S: i for i, S in enumerate(subsets)}
+        rows_at = {r: j for j, r in enumerate(rows)}
+    pick = [rows_at[key] for key in keys]
+    return minor[0][0][pick], minor[1][0][pick]
 
 
 # ------------------------------------------------------------------ KForm
@@ -95,10 +117,6 @@ class KForm:
         self.terms = terms
 
     # -- construction helpers ------------------------------------------
-
-    @staticmethod
-    def constant(dim: int, value: complex) -> "KForm":
-        return KForm(0, dim, terms={(): _const_fn(value)})
 
     @staticmethod
     def scalar(dim: int, fn: CoeffFn) -> "KForm":
@@ -126,39 +144,77 @@ class KForm:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, point, vectors: Sequence[Sequence[complex]]) -> complex:
-        point = _as_point(point)
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point has {len(point)} coordinates, form lives on C^{self.dim}")
-        if len(vectors) != self.degree:
-            raise InputError(
-                f"degree-{self.degree} form needs {self.degree} vectors, "
-                f"got {len(vectors)}")
-        vecs = tuple(_as_point(v) for v in vectors)
-        for v in vecs:
-            if len(v) != self.dim:
-                raise DimensionMismatchError(
-                    f"tangent vector has {len(v)} components, expected {self.dim}")
-        parity = 1
-        if self.degree >= 2:
-            vecs, parity = _sort_parity(vecs)
-        try:
-            value = self._eval_inner(point, vecs)
-        except ZeroDivisionError:
-            raise PoleError("form coefficient has a pole", point=point) from None
-        return value if parity == 1 else -value
+        """The form at one point on one frame: a one-row :meth:`evaluate_many`."""
+        return complex(self.evaluate_many((point,), (vectors,))[0])
 
-    def _eval_inner(self, point: Point, vecs: tuple[Vector, ...]) -> complex:
-        total = 0j
-        for key, coeff in self.terms.items():
-            c = coeff(point)
-            if c != 0:
-                total += c * _minor(key, vecs)
-        return total
+    def evaluate_many(self, points, frames) -> np.ndarray:
+        """The form at m points, each on its own frame of ``degree`` vectors.
+
+        ``points`` has shape (m, dim) and ``frames`` shape (m, degree, dim);
+        the result is m complex values.  Each frame is sorted (see
+        :func:`_frame_order`) and its value negated for an odd permutation.
+        Term coefficients are called once per point, in point order and term
+        order.  A coefficient that raises :class:`PoleError`,
+        ``ZeroDivisionError`` or ``OverflowError`` raises :class:`PoleError`
+        for that first offending point, with its index in ``row``.  The
+        arithmetic is that of Python complex numbers, so each row equals a
+        one-point evaluation bit for bit.
+        """
+        points = np.asarray(points, dtype=complex)
+        frames = np.asarray(frames, dtype=complex)
+        if frames.ndim < 3 and frames.size == 0:  # frames of no vectors
+            frames = frames.reshape(len(frames), 0, self.dim)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise DimensionMismatchError(f"point has {points.shape[-1]} "
+                                         f"coordinates, form lives on C^{self.dim}")
+        if frames.ndim != 3 or frames.shape[1] != self.degree:
+            raise InputError(f"degree-{self.degree} form needs {self.degree} "
+                             f"vectors, got {frames.shape[1]}")
+        if self.degree and frames.shape[2] != self.dim:
+            raise DimensionMismatchError(f"tangent vector has {frames.shape[2]} "
+                                         f"components, expected {self.dim}")
+        if len(frames) != len(points):
+            raise DimensionMismatchError(
+                f"{len(points)} points but {len(frames)} frames")
+
+        coeffs = tuple(self.terms.values())
+        flat: list = []
+        append = flat.append
+        try:
+            for p in zip(*points.T.tolist()):
+                for c in coeffs:
+                    append(c(p))
+        except PoleError as exc:
+            exc.row = len(flat) // len(coeffs)
+            raise
+        except (ZeroDivisionError, OverflowError) as exc:
+            what = "has a pole" if isinstance(exc, ZeroDivisionError) else "overflows"
+            pole = PoleError(f"form coefficient {what}", point=p)
+            pole.row = len(flat) // len(coeffs)
+            raise pole from None
+        coeff = np.array(flat, dtype=complex).reshape(len(points), len(coeffs)).T
+        del flat, append
+
+        frames = frames.transpose(1, 2, 0)  # (vector, coordinate, point)
+        odd = None
+        if self.degree >= 2:
+            order, odd = _frame_order(frames)
+            frames = frames[order[:, None, :], np.arange(self.dim)[:, None],
+                            np.arange(len(points))]
+        with np.errstate(all="ignore"):
+            minors = _minors(tuple(self.terms), frames.real, frames.imag)
+            re, im = _mul((coeff.real, coeff.imag), minors)
+            value = np.zeros(len(points), dtype=complex)
+            for t in range(len(coeffs)):
+                value.real += re[t]
+                value.imag += im[t]
+        if odd is not None:
+            np.negative(value, out=value, where=odd)
+        return value
 
     def coefficient_scale(self, point) -> float:
         """Sup norm of the coefficients at ``point`` (frame-insensitive size)."""
-        point = _as_point(point)
+        point = tuple(map(complex, point))
         best = 0.0
         for coeff in self.terms.values():
             best = max(best, abs(coeff(point)))
@@ -251,30 +307,52 @@ def differential(dim: int, gradient: Callable[[Point], Sequence[complex]]) -> KF
 
 # -------------------------------------------------- numeric exterior derivative
 
-def default_step(point: Point) -> float:
-    return 1e-5 * (1.0 + max((abs(c) for c in point), default=0.0))
-
-
 def d_numeric(form: KForm, point, vectors, step: float | None = None) -> complex:
-    """Exterior derivative of ``form`` evaluated on k+1 constant vectors.
+    """Exterior derivative of ``form`` at one point on k+1 constant vectors:
+    a one-sample :func:`d_numeric_many`."""
+    return complex(d_numeric_many(form, (point,), (vectors,), step)[0])
 
-    Uses the alternating sum of directional derivatives
-    ``sum_i (-1)^i D_{v_i} [form(.; v_0 .. v_i-hat .. v_k)]`` with central
-    differences of the given step.
+
+def d_numeric_many(form: KForm, points, frames,
+                   step: float | None = None) -> np.ndarray:
+    """Exterior derivative of ``form`` at m points, each on its own k+1
+    constant vectors (``frames`` has shape (m, k+1, dim)).
+
+    The alternating sum of directional derivatives
+    ``sum_i (-1)^i D_{v_i} [form(.; v_0 .. v_i-hat .. v_k)]`` by central
+    differences, of the given step or else ``1e-5 * (1 + max_j |p_j|)`` at
+    each point.  The stencil of every sample is one :meth:`KForm.evaluate_many`
+    call.
     """
-    point = _as_point(point)
-    if len(vectors) != form.degree + 1:
-        raise InputError(
-            f"d of a degree-{form.degree} form needs {form.degree + 1} vectors")
-    vecs = tuple(_as_point(v) for v in vectors)
-    h = step if step is not None else default_step(point)
-    total = 0j
-    for i, v in enumerate(vecs):
-        rest = vecs[:i] + vecs[i + 1:]
-        plus = tuple(p + h * c for p, c in zip(point, v))
-        minus = tuple(p - h * c for p, c in zip(point, v))
-        deriv = (form.evaluate(plus, rest) - form.evaluate(minus, rest)) / (2 * h)
-        total += deriv if i % 2 == 0 else -deriv
+    points = np.asarray(points, dtype=complex)
+    frames = np.asarray(frames, dtype=complex)
+    m, k = len(points), form.degree + 1
+    if frames.ndim != 3 or frames.shape[1] != k:
+        raise InputError(f"d of a degree-{form.degree} form needs {k} vectors")
+    if points.shape != (m, form.dim) or frames.shape != (m, k, form.dim):
+        raise DimensionMismatchError(f"need points (m, {form.dim}) and frames "
+                                     f"(m, {k}, {form.dim}), got {points.shape} "
+                                     f"and {frames.shape}")
+    if step is None:
+        h = 1e-5 * (1.0 + modulus(points).max(axis=1, initial=0.0))
+    else:
+        h = np.full(m, float(step))
+    shift = h[:, None, None] * frames
+    stencil = np.stack([points[:, None] + shift, points[:, None] - shift], axis=2)
+    drop = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
+    rest = frames[:, drop.reshape(k, k - 1)]
+    rest = np.broadcast_to(rest[:, :, None], (m, k, 2, k - 1, form.dim))
+    values = form.evaluate_many(stencil.reshape(2 * m * k, form.dim),
+                                rest.reshape(2 * m * k, k - 1, form.dim))
+    values = values.reshape(m, k, 2)
+    diff = values[..., 0] - values[..., 1]
+    twice = (2 * h)[:, None]
+    deriv_re, deriv_im = diff.real / twice, diff.imag / twice
+    total = np.zeros(m, dtype=complex)
+    for i in range(k):
+        sign = -1 if i % 2 else 1
+        total.real += sign * deriv_re[:, i]
+        total.imag += sign * deriv_im[:, i]
     return total
 
 

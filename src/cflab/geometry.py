@@ -384,17 +384,3 @@ def transversality_margin(specs: Sequence[SurfaceSpec], point) -> float:
                 f"point is not on {s.name} (|value| = {abs(s.value(point)):.3e})")
     rows = np.array([s.gradient(point) for s in specs], dtype=complex)
     return float(np.linalg.svd(rows, compute_uv=False)[-1])
-
-
-def gradient_fd_gap(spec: SurfaceSpec, point, step: float = 1e-6) -> float:
-    """Relative disagreement between the analytic gradient and central FDs."""
-    point = tuple(complex(c) for c in point)
-    grad = spec.gradient(point)
-    worst = 0.0
-    scale = max(1.0, max(abs(g) for g in grad))
-    for i in range(len(point)):
-        plus = tuple(c + (step if j == i else 0) for j, c in enumerate(point))
-        minus = tuple(c - (step if j == i else 0) for j, c in enumerate(point))
-        fd = (spec.value(plus) - spec.value(minus)) / (2 * step)
-        worst = max(worst, abs(fd - grad[i]) / scale)
-    return worst

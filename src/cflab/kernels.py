@@ -9,8 +9,9 @@ unnormalized xi) and the affine-chart computations.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import exprlang, forms
 from .errors import ChartDomainError, InputError, PoleError
 from .exprlang import HolomorphicExpr
 from .forms import KForm
-from .geometry import SurfaceSpec, sample_on_surface
+from .geometry import SurfaceSpec, sample_on_surface, surface_catalog
 
 Point = tuple[complex, ...]
 
@@ -142,15 +143,21 @@ def phi_chart_formula(n: int) -> KForm:
     return forms.scale(forms.wedge_all(factors), prefactor)
 
 
+def phi_chart_identity_gaps(n: int, points, frames) -> np.ndarray:
+    """Relative gaps between phi (z = 0) and its y-chart product formula at
+    m points, each on its own frame: one batch per form."""
+    points = np.asarray(points, dtype=complex)
+    if points.ndim == 2 and (points[:, :2] == 0).any():
+        raise ChartDomainError("chart identity needs xi_0 != 0 and xi_1 != 0")
+    lhs = phi(n, (0j,) * n).evaluate_many(points, frames)
+    rhs = phi_chart_formula(n).evaluate_many(points, frames)
+    scale = np.maximum(np.maximum(forms.modulus(lhs), forms.modulus(rhs)), 1e-30)
+    return forms.modulus(lhs - rhs) / scale
+
+
 def phi_chart_identity_gap(n: int, point, vectors) -> float:
     """Relative gap between phi (z = 0) and its y-chart product formula."""
-    point = tuple(complex(c) for c in point)
-    if point[0] == 0 or point[1] == 0:
-        raise ChartDomainError("chart identity needs xi_0 != 0 and xi_1 != 0")
-    lhs = phi(n, (0j,) * n).evaluate(point, vectors)
-    rhs = phi_chart_formula(n).evaluate(point, vectors)
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    return abs(lhs - rhs) / scale
+    return float(phi_chart_identity_gaps(n, (point,), (vectors,))[0])
 
 
 # ------------------------------------------------------------ chart lifts
@@ -173,19 +180,9 @@ def kernel_on_chart(kernel: KForm, chart: str) -> KForm:
 
 # ---------------------------------------------------------- casebook forms
 
-CASEBOOK_IDS = ("sigma_A", "sigma_B", "tau_D", "tau_E",
-                "residue_A", "residue_B", "theta_D", "integrand_E")
-
-
-def _expr_times(f: HolomorphicExpr | None, g: HolomorphicExpr) -> HolomorphicExpr:
-    if f is None:
-        return g
-    return exprlang.Mul(f, g)
-
-
 def _d_of_product(f: HolomorphicExpr | None, g: HolomorphicExpr) -> KForm:
     """d(f(x) * g(x)) on C^1, expanded by symbolic differentiation."""
-    product = _expr_times(f, g)
+    product = g if f is None else exprlang.Mul(f, g)
     derivative = exprlang.differentiate(product, 0)
     return KForm.basis(1, 0, coeff=lambda p: exprlang.eval_expr(derivative, p))
 
@@ -234,19 +231,16 @@ def _feval(f: HolomorphicExpr | None, x: complex) -> complex:
 def _sigma_A(a: complex, f: HolomorphicExpr | None) -> KForm:
     # (f/eta) * [ (a eta + x - 1)(d eta + dx) - (eta + x)(a d eta + dx) ];
     # vanishes on Q and on S_A by construction.
-    def c_eta(p):
-        eta, x = p
-        if eta == 0:
-            raise PoleError("sigma_A pole at eta = 0", point=p)
-        return _feval(f, x) * ((a * eta + x - 1) - a * (eta + x)) / eta
+    def term(w):  # the coefficient of d eta (w = a) or of dx (w = 1)
+        def coeff(p):
+            eta, x = p
+            if eta == 0:
+                raise PoleError("sigma_A pole at eta = 0", point=p)
+            return _feval(f, x) * ((a * eta + x - 1) - w * (eta + x)) / eta
 
-    def c_x(p):
-        eta, x = p
-        if eta == 0:
-            raise PoleError("sigma_A pole at eta = 0", point=p)
-        return _feval(f, x) * ((a * eta + x - 1) - (eta + x)) / eta
+        return coeff
 
-    return KForm(1, 2, terms={(0,): c_eta, (1,): c_x})
+    return KForm(1, 2, terms={(0,): term(a), (1,): term(1)})
 
 
 def _sigma_B(f: HolomorphicExpr | None) -> KForm:
@@ -282,110 +276,52 @@ def _inv_y0_sq(name: str, denom_factor: float):
     return inv
 
 
+def _tau(example: str, denom: float, bracket: dict) -> KForm:
+    """s/y0^2 dy1^dx1^dx2 + [sum_J b_J dz_J]/(denom y0^2) ^ ds on S_example."""
+    surface = surface_catalog(f"S_{example}")
+    inv1 = _inv_y0_sq(f"tau_{example}", 1.0)
+    inv = _inv_y0_sq(f"tau_{example}", denom)
+    lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: surface.value(p) * inv1(p))
+    parts = [KForm.basis(4, *key, coeff=lambda p, b=b: b(p) * inv(p))
+             for key, b in bracket.items()]
+    return forms.add(lead, forms.wedge(functools.reduce(forms.add, parts),
+                                       forms.differential(4, surface.gradient)))
+
+
 def _tau_D() -> KForm:
     # s/y0^2 dy1^dx1^dx2 + [(x1-1)dy1^dx2 - x2 dy1^dx1]/(2 y0^2) ^ ds
-    surface = _surface("S_D")
-    inv1 = _inv_y0_sq("tau_D", 1.0)
-    inv2 = _inv_y0_sq("tau_D", 2.0)
-    lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: surface.value(p) * inv1(p))
-    ds = forms.differential(4, surface.gradient)
-    bracket = forms.add(
-        KForm.basis(4, 1, 3, coeff=lambda p: (p[2] - 1) * inv2(p)),
-        KForm.basis(4, 1, 2, coeff=lambda p: -p[3] * inv2(p)))
-    return forms.add(lead, forms.wedge(bracket, ds))
+    return _tau("D", 2.0, {(1, 3): lambda p: p[2] - 1, (1, 2): lambda p: -p[3]})
 
 
 def _tau_E() -> KForm:
     # s/y0^2 dy1^dx1^dx2
     #   - [y1 dx1^dx2 - (x1-1) dy1^dx2 + x2 dy1^dx1]/(3 y0^2) ^ ds
-    surface = _surface("S_E")
-    inv1 = _inv_y0_sq("tau_E", 1.0)
-    inv3 = _inv_y0_sq("tau_E", 3.0)
-    lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: surface.value(p) * inv1(p))
-    ds = forms.differential(4, surface.gradient)
-    bracket = forms.add(
-        forms.add(
-            KForm.basis(4, 2, 3, coeff=lambda p: -p[1] * inv3(p)),
-            KForm.basis(4, 1, 3, coeff=lambda p: (p[2] - 1) * inv3(p))),
-        KForm.basis(4, 1, 2, coeff=lambda p: -p[3] * inv3(p)))
-    return forms.add(lead, forms.wedge(bracket, ds))
-
-
-def _surface(name: str) -> SurfaceSpec:
-    from . import geometry
-
-    return geometry.surface_catalog(name)
+    return _tau("E", 3.0, {(2, 3): lambda p: -p[1], (1, 3): lambda p: p[2] - 1,
+                           (1, 2): lambda p: -p[3]})
 
 
 # -------------------------------------------------------------- vanishing
 
-def tangent_basis(spec: SurfaceSpec, point) -> list[Point]:
-    """Orthonormal basis of the complex tangent space (gradient nullspace)."""
-    grad = np.array([spec.gradient(point)], dtype=complex)
-    _, _, vh = np.linalg.svd(grad)
-    null = vh[1:].conj()
-    return [tuple(row) for row in null]
+def vanishing_max_and_scale(form: KForm, spec: SurfaceSpec, seed: int,
+                            count: int) -> tuple[float, float]:
+    """Max |form| over unit tangent frames at sampled on-surface points, and
+    the coefficient sup-norm over the same points: one draw, and every frame
+    of every point in one :meth:`KForm.evaluate_many` batch."""
+    if form.dim != spec.dim:
+        raise InputError("form and surface live on different charts")
+    points = sample_on_surface(spec, seed, count)
+    # orthonormal tangent bases: the nullspaces of the gradients
+    grads = np.array([[spec.gradient(p)] for p in points], dtype=complex)
+    bases = np.linalg.svd(grads)[2][:, 1:].conj()
+    if form.degree > bases.shape[1]:
+        raise InputError("form degree exceeds the surface dimension")
+    combos = list(itertools.combinations(range(bases.shape[1]), form.degree))
+    frames = bases[:, combos].reshape(-1, form.degree, form.dim)
+    values = form.evaluate_many(np.repeat(points, len(combos), axis=0), frames)
+    scale = max(form.coefficient_scale(point) for point in points)
+    return float(forms.modulus(values).max()), scale
 
 
 def vanishing_max(form: KForm, spec: SurfaceSpec, seed: int, count: int) -> float:
     """Max |form| over unit tangent frames at sampled on-surface points."""
-    import itertools as it
-
-    if form.dim != spec.dim:
-        raise InputError("form and surface live on different charts")
-    worst = 0.0
-    for point in sample_on_surface(spec, seed, count):
-        basis = tangent_basis(spec, point)
-        if form.degree > len(basis):
-            raise InputError("form degree exceeds the surface dimension")
-        for frame in it.combinations(basis, form.degree):
-            worst = max(worst, abs(form.evaluate(point, frame)))
-    return worst
-
-
-def vanishing_scale(form: KForm, spec: SurfaceSpec, seed: int, count: int) -> float:
-    """Coefficient sup-norm of the form over the same sampled points."""
-    best = 0.0
-    for point in sample_on_surface(spec, seed, count):
-        best = max(best, form.coefficient_scale(point))
-    return best
-
-
-# ------------------------------------------------------------- catalogue
-
-@dataclass(frozen=True)
-class KernelCatalogEntry:
-    id: str
-    n: int
-    chart: str
-    degree: int
-    form: KForm
-
-
-def catalog_entries() -> list[KernelCatalogEntry]:
-    """Every named form, instantiated at generic parameters (tests sweep it)."""
-    z1 = (0.3 + 0.1j,)
-    z2 = (0.2 - 0.1j, 0.1 + 0.05j)
-    f = exprlang.parse_expr("exp(x)+x^2", 1)
-    entries = [
-        KernelCatalogEntry("omega_n2", 2, "joint", 2, kernel_basis_form("omega", 2)),
-        KernelCatalogEntry("omega_prime_n2", 2, "joint", 1,
-                           kernel_basis_form("omega_prime", 2)),
-        KernelCatalogEntry("omega_star_n2", 2, "joint", 2,
-                           kernel_basis_form("omega_star", 2)),
-        KernelCatalogEntry("phi_n1", 1, "joint", 1, phi(1, z1, f)),
-        KernelCatalogEntry("phi_n2", 2, "joint", 3, phi(2, z2)),
-        KernelCatalogEntry("psi_n1", 1, "joint", 2, psi(1, z1, f)),
-        KernelCatalogEntry("psi_n2", 2, "joint", 4, psi(2, z2)),
-        KernelCatalogEntry("sigma_A", 1, "eta", 1,
-                           casebook_form("sigma_A", {"a": 2 + 0.5j}, f)),
-        KernelCatalogEntry("sigma_B", 1, "eta", 1, casebook_form("sigma_B", f=f)),
-        KernelCatalogEntry("tau_D", 2, "U2", 3, casebook_form("tau_D")),
-        KernelCatalogEntry("tau_E", 2, "U2", 3, casebook_form("tau_E")),
-        KernelCatalogEntry("theta_D", 2, "torus", 2, casebook_form("theta_D")),
-        KernelCatalogEntry("integrand_E", 2, "uv", 2, casebook_form("integrand_E")),
-        KernelCatalogEntry("residue_A", 1, "x", 1,
-                           casebook_form("residue_A", {"a": 2}, f)),
-        KernelCatalogEntry("residue_B", 1, "x", 1, casebook_form("residue_B", f=f)),
-    ]
-    return entries
+    return vanishing_max_and_scale(form, spec, seed, count)[0]

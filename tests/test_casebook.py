@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import pytest
 
@@ -330,3 +331,24 @@ def test_full_report_keeps_the_group_of_a_raising_check(monkeypatch):
             if c.id.startswith("third_")]
     assert rows == [("third_A_a0", "A", False), ("third_A_a2", "A", False),
                     ("third_A_a1", "A", False), ("third_B", "B", False)]
+
+
+def test_vanishing_checks_draw_each_sample_once(monkeypatch):
+    draws = []
+    real = kernels.sample_on_surface
+
+    def counting(spec, seed, count):
+        draws.append((spec.name, seed))
+        return real(spec, seed, count)
+
+    monkeypatch.setattr(kernels, "sample_on_surface", counting)
+    rows = casebook.identity_suite("vanish_all", seed=3)
+    assert len(rows) == len(draws) == len(casebook.VANISH_PAIRS)
+    assert all(r.passed for r in rows)
+
+
+def test_oracle_with_overflowing_radii_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = casebook.residue_oracle_E(3e200, 0.3)
+    assert not cmath.isfinite(value)

@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cflab import casebook, report
 from cflab.cli import build_parser, run_cli
@@ -220,3 +224,126 @@ def test_suite_turns_a_raising_check_into_one_fail_row(monkeypatch, capsys):
             row["expected_im"], row["abs_error"], row["tol"]) == (0.0,) * 6
     assert row["quad_sizes"] == []
     assert {"third_A_a0", "third_B", "transv_C2_P_Q_S"} <= set(rows)
+
+
+# ------------------------------------------------ expression bounds, fuzzing
+
+@pytest.mark.parametrize("f, message", [
+    ("(" * 200 + "x" + ")" * 200, "nested deeper"),
+    ("+".join(["x"] * 5001), "deeper than"),
+    ("x^99999999999999999999", "at param"),
+    ("exp(exp(exp(exp(x))))*1e308", "at param"),
+    ("1e308", "sum overflows"),
+], ids=["parens", "long_sum", "power_overflow", "exp_overflow", "sum_overflow"])
+def test_expression_limits_and_overflow_exit_2_with_one_line(f, message, capsys):
+    which = ["second", "--radii=0.7"] if "sum" in message else ["first"]
+    assert run_cli(["verify", *which, f"--f={f}", "--nodes=32"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("cflab: error: ")
+    assert message in err
+
+
+def _mostly(valid, invalid):
+    """Seven draws in eight from ``valid``, so most commands reach a grid."""
+    return st.integers(0, 7).flatmap(lambda i: invalid if i == 7 else valid)
+
+
+_FINITE = st.sampled_from(["0", "1", "-1", "0.5", "2", "-0.25", "0.3",
+                           "1e-300", "1e8", "3e200"])
+_BAD = st.sampled_from(["nan", "inf", "x", "", "1e999"])
+
+
+def _numbers(count):
+    valid = st.lists(_FINITE, min_size=count, max_size=count)
+    invalid = st.lists(st.one_of(_FINITE, _BAD), min_size=1, max_size=5)
+    return _mostly(valid, invalid).map(",".join)
+
+
+def _nodes(count, values=("4", "5", "8", "16", "31", "32")):
+    valid = st.lists(st.sampled_from(values), min_size=count, max_size=count)
+    invalid = st.lists(st.sampled_from(["-4", "0", "3", "1.5", "x", "4"]),
+                       min_size=1, max_size=3)
+    return _mostly(valid, invalid).map(",".join)
+
+
+def _expressions(variables):
+    return st.recursive(
+        st.sampled_from(variables + ["2", "0", "0.5", "i", "1e308", "1e-300"]),
+        lambda kids: st.one_of(
+            st.tuples(kids, st.sampled_from("+-*/"), kids).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(kids, st.sampled_from(["-3", "-1", "2", "9", "400",
+                                             "99999999999999999999"])).map(
+                lambda t: f"{t[0]}^{t[1]}"),
+            kids.map(lambda e: f"exp({e})"),
+            kids.map(lambda e: f"-{e}")),
+        max_leaves=6)
+
+
+_TEXT = st.text(alphabet="x12.+-*/^()ie ", max_size=12)
+_POSITIVE = _mostly(st.sampled_from(["0.1", "0.3", "0.5", "0.7", "0.999999",
+                                     "1e-300", "2"]),
+                    st.sampled_from(["0", "-1", "1", "nan", "inf", "1e308"]))
+
+
+@st.composite
+def _verify_argv(draw):
+    which = draw(st.sampled_from(["first", "second", "third", "necessary",
+                                  "identities", "fibration"]))
+    argv = ["verify", which]
+    options = {}
+    if which == "first":
+        n = draw(st.sampled_from([1, 2]))
+        options["n"] = str(n)
+        options["f"] = draw(_mostly(
+            _expressions(["x"] if n == 1 else ["x1", "x2"]), _TEXT))
+        options["z"] = draw(_numbers(2 * n))
+        options["eps"] = draw(_POSITIVE)
+        options["nodes"] = draw(_nodes(1) if n == 1 else st.one_of(
+            _nodes(1, ("8", "16", "32")), _nodes(3)))
+    elif which == "second":
+        options["f"] = draw(_mostly(_expressions(["x"]), _TEXT))
+        options["z"] = draw(_numbers(2))
+        options["radii"] = draw(_POSITIVE)
+        options["nodes"] = draw(_nodes(1))
+    elif which == "third":
+        argv.append(draw(st.sampled_from(["A", "B"])))
+        options["f"] = draw(_mostly(_expressions(["x"]), _TEXT))
+        options["a"] = draw(_numbers(2))
+        options["nodes"] = draw(_nodes(1))
+    elif which == "necessary":
+        argv.append(draw(st.sampled_from(["D", "E"])))
+        options["eps"] = draw(_POSITIVE)
+        options["radii"] = draw(st.one_of(_POSITIVE, _numbers(2)))
+        options["nodes"] = draw(st.one_of(_nodes(1), _nodes(2)))
+    elif which == "identities":
+        argv.extend(draw(st.lists(st.sampled_from(
+            ["chart_phi", "exact_A", "extend_B", "vanish_all", "nope"]),
+            max_size=2)))
+    else:
+        options["count"] = str(draw(st.integers(-2, 30)))
+    if which in ("first", "second", "third", "necessary") and draw(st.booleans()):
+        options["tol"] = draw(st.one_of(_POSITIVE, st.sampled_from(["1e-6"])))
+    options["seed"] = str(draw(st.integers(-5, 10 ** 6)))
+    options["format"] = draw(st.sampled_from(["json", "table", "csv"]))
+    # --name=value keeps a value that starts with '-' from reading as a flag
+    return argv + [f"--{name}={value}" for name, value in options.items()]
+
+
+@settings(settings.get_profile("cflab"), max_examples=150)
+@given(_verify_argv())
+def test_verify_fuzz_ends_in_a_row_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    # a warning would print to a real process's stderr
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 2:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().startswith("cflab: error: ")
+    else:
+        assert out.getvalue() and not err.getvalue(), argv

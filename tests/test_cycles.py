@@ -6,11 +6,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cflab import cycles, exprlang, forms, kernels
 from cflab.cycles import QuadratureSpec, integrate, make_cycle, refine_until
-from cflab.errors import (CflabError, ConvergenceError, InputError, PoleError,
-                          UnsupportedKindError)
+from cflab.errors import (CflabError, ConvergenceError, DimensionMismatchError,
+                          InputError, PoleError, UnsupportedKindError)
 from cflab.forms import KForm
 
 TWO_PI_I = 2j * math.pi
@@ -87,6 +89,31 @@ def test_orientation_sign_sphere_m_n2():
     sphere = make_cycle("sphere_M", z=(0j, 0j), eps=1.0)
     # The (psi, phi1, phi2) order parametrizes the 3-sphere inward.
     assert cycles.orientation_sign(sphere, (0j, 0j)) == -1
+
+
+_CENTERS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _boundary_spheres(draw):
+    """A circle or a residue sphere (n = 1, 2) with an interior point."""
+    kind = draw(st.sampled_from(["circle", "sphere_M_n1", "sphere_M_n2"]))
+    if kind == "circle":
+        center = draw(_CENTERS)
+        cycle = make_cycle("circle", center=center,
+                           radius=draw(st.floats(0.1, 3.0)))
+        return cycle, (center,)
+    z = tuple(draw(_CENTERS) for _ in range(1 if kind == "sphere_M_n1" else 2))
+    return make_cycle("sphere_M", z=z, eps=draw(st.floats(0.1, 1.0))), z
+
+
+@settings(settings.get_profile("cflab"), max_examples=80)
+@given(_boundary_spheres(), st.data())
+def test_orientation_sign_flips_under_reversed_factor(sphere, data):
+    cycle, interior = sphere
+    k = data.draw(st.integers(0, cycle.dim - 1))
+    sign = cycles.orientation_sign(cycle, interior)
+    assert cycles.orientation_sign(cycle.reversed_factor(k), interior) == -sign
 
 
 def test_orientation_sign_rejects_torus():
@@ -434,3 +461,24 @@ def test_oversized_grid_rejected_before_allocating(kind, params, sizes,
     form = KForm.basis(cycle.ambient_dim, *range(cycle.dim))
     with pytest.raises(InputError, match=message):
         integrate(form, cycle, sizes)
+
+
+def test_integral_whose_sum_overflows_raises_pole_error():
+    # Every weighted value is finite (about 1e308 * 2 pi / 16), their sum
+    # (about 2 pi * 1e308) is not.
+    circle = make_cycle("circle", center=0j, radius=1.0)
+    form = KForm.basis(1, 0, coeff=lambda p: 1e308 / (1j * p[0]))
+    with pytest.raises(PoleError, match="overflows"):
+        integrate(form, circle, 16)
+
+
+@pytest.mark.parametrize("tangent", [
+    lambda t: ((1 + 0j, 0j),), lambda t: (), lambda t: (((1 + 0j,),),),
+], ids=["too_wide", "empty", "too_deep"])
+def test_cycle_output_of_the_wrong_shape_raises(tangent):
+    seg = cycles.Cycle(
+        kind="segment", domain=cycles.ParamDomain((cycles.Interval(0.0, 1.0),)),
+        map=lambda t: (t[0] + 0j,), tangent=tangent,
+        ambient_dim=1, x_indices=(0,), reference_param=(0.5,))
+    with pytest.raises(DimensionMismatchError):
+        integrate(KForm.basis(1, 0), seg, 4)

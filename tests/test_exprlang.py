@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cflab.errors import DimensionMismatchError, InputError, PoleError
-from cflab.exprlang import (Add, Div, Exp, ExprSyntaxError, Mul, Neg, Num,
-                            Pow, Sub, Var, differentiate, eval_expr,
-                            parse_expr, to_str)
+from cflab.exprlang import (MAX_EXPR_DEPTH, MAX_EXPR_NODES, Add, Div, Exp,
+                            ExprSyntaxError, Mul, Neg, Num, Pow, Sub, Var,
+                            differentiate, eval_expr, parse_expr, to_str)
 
 
 def test_parse_polynomial_two_vars():
@@ -195,6 +195,17 @@ def _reference_eval(expr, point):
     raise InputError(f"not an expression node: {expr!r}")
 
 
+def _reference(expr, point):
+    """The reference walk with eval_expr's mapping of a result beyond the
+    floats onto PoleError."""
+    try:
+        return _reference_eval(expr, point)
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        if isinstance(exc, InputError):
+            raise
+        raise PoleError(f"expression overflows: {exc}", point=point) from None
+
+
 def _outcome(call):
     """The value's repr (signed zeros and NaN included) or the error raised."""
     try:
@@ -221,7 +232,7 @@ _points = st.lists(st.one_of(_complexes, _floats, st.integers(-3, 3)),
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_trees, _points)
 def test_compiled_eval_matches_reference_walk_and_text_roundtrips(expr, point):
-    want = _outcome(lambda: _reference_eval(expr, tuple(complex(c) for c in point)))
+    want = _outcome(lambda: _reference(expr, tuple(complex(c) for c in point)))
     assert _outcome(lambda: eval_expr(expr, point)) == want
     # A second evaluation runs the cached closures.
     assert _outcome(lambda: eval_expr(expr, point)) == want
@@ -251,3 +262,55 @@ def test_compiled_expressions_keep_equality_hash_and_repr():
     assert to_str(a) == "x1^2*x2+3"
     back = pickle.loads(pickle.dumps(a))
     assert back == a and eval_expr(back, (1, 2)) == eval_expr(a, (1, 2))
+
+
+# --------------------------------------------------- size bounds, overflow
+
+def _balanced_sum(levels):
+    """2**levels copies of x summed as a balanced tree: 2**(levels+1) - 1
+    nodes, levels + 1 deep."""
+    if levels == 0:
+        return "x"
+    half = _balanced_sum(levels - 1)
+    return f"({half}+{half})"
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 200 + "x" + ")" * 200,
+    "-" * 200 + "x",
+    "exp(" * 200 + "x" + ")" * 200,
+    "2" + "^1" * 200,
+    "+".join(["x"] * 5001),
+    "*".join(["x"] * (MAX_EXPR_DEPTH + 1)),
+    _balanced_sum(9),
+], ids=["parens", "signs", "exp", "tower", "long_sum", "long_product",
+        "many_nodes"])
+def test_oversized_expressions_raise_input_error(text):
+    with pytest.raises(InputError):
+        parse_expr(text, 1)
+
+
+def test_expressions_at_the_size_bounds_parse():
+    depth = MAX_EXPR_DEPTH - 1
+    assert eval_expr(parse_expr("(" * depth + "x" + ")" * depth, 1), (2,)) == 2
+    chain = parse_expr("+".join(["x"] * (MAX_EXPR_DEPTH - 1)), 1)
+    assert eval_expr(chain, (1,)) == MAX_EXPR_DEPTH - 1
+    assert 2 ** 9 - 1 <= MAX_EXPR_NODES < 2 ** 10 - 1
+    assert eval_expr(parse_expr(_balanced_sum(8), 1), (1,)) == 256
+
+
+@pytest.mark.parametrize("text, point", [
+    ("x^99999999999999999999", (2,)),
+    ("exp(exp(exp(exp(x))))*1e308", (1,)),
+    ("exp(x*1e308*1e308i)", (1,)),
+    ("x^-3", (1e-300j,)),
+])
+def test_overflow_becomes_a_pole_error_with_the_point(text, point):
+    with pytest.raises(PoleError, match="overflows") as err:
+        eval_expr(parse_expr(text, 1), point)
+    assert err.value.point == tuple(complex(c) for c in point)
+
+
+def test_exponent_beyond_the_floats_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("x^1" + "0" * 400, 1)

@@ -1,9 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cflab import forms
+from cflab import exprlang, forms, kernels
 from cflab.errors import DimensionMismatchError, InputError, PoleError
 from cflab.forms import KForm
 
@@ -214,3 +217,192 @@ def test_coefficient_scale_terms():
     f = forms.add(KForm.basis(2, 0, coeff=lambda p: 3 * p[1]),
                   KForm.basis(2, 1, coeff=lambda p: p[0]))
     assert f.coefficient_scale((2, 5)) == pytest.approx(15.0)
+
+
+# ------------------------------------------------ batched evaluation, properties
+
+_PROFILE = settings.get_profile("cflab")
+_FLOATS = st.floats(-1.0, 1.0)
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+# Real parts of xi_0 and xi_1 in [1, 2] keep xi.z (|z_k| <= 0.3) and the
+# chart formula's xi_0, xi_1 away from zero.
+_LEAD = st.builds(complex, st.floats(1.0, 2.0), _FLOATS)
+
+_SWAP_FORMS = {
+    "psi_n1": kernels.psi(1, (0.3 + 0.1j,)),
+    "psi_n1_f": kernels.psi(1, (0.3 + 0.1j,),
+                            exprlang.parse_expr("exp(x)+x^2", 1)),
+    "phi_n2": kernels.phi(2, (0.2 + 0j, -0.1 + 0j)),
+    "psi_n2": kernels.psi(2, (0.2 + 0j, -0.1 + 0j)),
+    "chart_formula_n3": kernels.phi_chart_formula(3),
+}
+_BATCH_FORMS = dict(_SWAP_FORMS, **{
+    "phi_n1": kernels.phi(1, (0.3 + 0.1j,)),
+    "scalar": KForm.scalar(2, lambda p: p[0] * p[1] - 1j),
+    "tau_D": kernels.casebook_form("tau_D"),
+    "one_form_unsorted_terms": KForm(1, 3, terms={
+        (2,): lambda p: p[0] + 2, (0,): lambda p: p[1] * p[2]}),
+})
+
+
+@st.composite
+def _point_and_frame(draw, form):
+    point = tuple(draw(_LEAD if i < 2 else _COMPLEX) for i in range(form.dim))
+    frame = [tuple(draw(_COMPLEX) for _ in range(form.dim))
+             for _ in range(form.degree)]
+    return point, frame
+
+
+@pytest.mark.parametrize("name", sorted(_SWAP_FORMS))
+@settings(_PROFILE, max_examples=60)
+@given(data=st.data())
+def test_swapping_two_vectors_flips_the_sign_exactly(name, data):
+    form = _SWAP_FORMS[name]
+    point, frame = data.draw(_point_and_frame(form))
+    i, j = data.draw(st.lists(st.integers(0, form.degree - 1), min_size=2,
+                              max_size=2, unique=True))
+    swapped = list(frame)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert form.evaluate(point, swapped) == -form.evaluate(point, frame)
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_FORMS))
+@settings(_PROFILE, max_examples=30)
+@given(data=st.data())
+def test_every_batch_row_matches_a_one_point_evaluation(name, data):
+    form = _BATCH_FORMS[name]
+    rows = data.draw(st.lists(_point_and_frame(form), min_size=1, max_size=6))
+    points = [p for p, _ in rows]
+    frames = [f for _, f in rows]
+    values = form.evaluate_many(points, frames)
+    assert values.shape == (len(rows),)
+    for value, (point, frame) in zip(values, rows):
+        one = form.evaluate(point, frame)
+        assert abs(value - one) <= 1e-13 * abs(one)
+
+
+def test_evaluate_many_validates_shapes_once():
+    form = KForm.basis(3, 0, 2)
+    with pytest.raises(DimensionMismatchError, match="point has 2 coordinates"):
+        form.evaluate_many(np.zeros((4, 2)), np.zeros((4, 2, 3)))
+    with pytest.raises(InputError, match="needs 2 vectors, got 1"):
+        form.evaluate_many(np.zeros((4, 3)), np.zeros((4, 1, 3)))
+    with pytest.raises(DimensionMismatchError, match="4 components, expected 3"):
+        form.evaluate_many(np.zeros((4, 3)), np.zeros((4, 2, 4)))
+    with pytest.raises(DimensionMismatchError):
+        form.evaluate_many(np.zeros((4, 3)), np.zeros((5, 2, 3)))
+    assert form.evaluate_many(np.zeros((0, 3)), np.zeros((0, 2, 3))).shape == (0,)
+
+
+def test_evaluate_many_raises_for_the_first_pole_with_its_row():
+    calls = []
+
+    def coeff(p):
+        calls.append(p)
+        return 1 / (p[0] - 2)
+
+    form = KForm.basis(1, 0, coeff=coeff)
+    points = [(0j,), (1 + 0j,), (2 + 0j,), (3 + 0j,), (2 + 0j,)]
+    with pytest.raises(PoleError) as err:
+        form.evaluate_many(points, [[(1,)]] * 5)
+    assert err.value.row == 2 and err.value.point == (2 + 0j,)
+    assert calls == points[:3]  # point order, and nothing after the pole
+
+
+def test_d_numeric_many_equals_one_sample_calls_exactly():
+    rng = random.Random(31)
+    form = kernels.phi(2, (0.2 + 0j, -0.1 + 0j))
+    points = [tuple(_rand_c(rng) + (1 if i < 2 else 0) for i in range(5))
+              for _ in range(7)]
+    frames = [[_rand_vec(rng, 5) for _ in range(4)] for _ in range(7)]
+    batch = forms.d_numeric_many(form, points, frames)
+    for value, point, frame in zip(batch, points, frames):
+        assert value == forms.d_numeric(form, point, frame)
+    fixed = forms.d_numeric_many(form, points, frames, step=1e-4)
+    assert fixed[3] == forms.d_numeric(form, points[3], frames[3], step=1e-4)
+    with pytest.raises(InputError):
+        forms.d_numeric_many(form, points, [f[:3] for f in frames])
+
+
+def test_frame_order_is_a_stable_lexicographic_sort_with_its_parity():
+    # Few distinct parts, so most frames tie on a leading coordinate.
+    rng = random.Random(41)
+    parts = [0.0, -0.0, 1.0, -1.0, 0.5]
+    k, dim = 4, 3
+    frames = [[tuple(complex(rng.choice(parts), rng.choice(parts))
+                     for _ in range(dim)) for _ in range(k)]
+              for _ in range(400)]
+    order, odd = forms._frame_order(np.array(frames).transpose(1, 2, 0))
+    for j, frame in enumerate(frames):
+        keys = [tuple((c.real, c.imag) for c in v) for v in frame]
+        want = sorted(range(k), key=keys.__getitem__)
+        assert list(order[:, j]) == want
+        inversions = sum(want[a] > want[b]
+                         for a in range(k) for b in range(a + 1, k))
+        assert odd[j] == (inversions % 2 == 1)
+
+
+# ------------------------------------------- scalar reference, exact equality
+
+def _reference_minor(indices, vectors):
+    """Cofactor expansion along the first row, in Python complex numbers."""
+    if not indices:
+        return 1 + 0j
+    if len(indices) == 1:
+        return vectors[0][indices[0]]
+    total = 0j
+    for col in range(len(indices)):
+        rest = vectors[:col] + vectors[col + 1:]
+        term = vectors[col][indices[0]] * _reference_minor(indices[1:], rest)
+        total = total + term if col % 2 == 0 else total - term
+    return total
+
+
+def _reference_evaluate(form, point, vectors):
+    """One point, one frame: stable sort of the vectors by (re, im) parts,
+    the permutation's sign, then the coefficient-minor sum in term order."""
+    point = tuple(complex(c) for c in point)
+    vectors = [tuple(complex(c) for c in v) for v in vectors]
+    keys = [tuple((c.real, c.imag) for c in v) for v in vectors]
+    order = sorted(range(len(vectors)), key=keys.__getitem__)
+    inversions = sum(order[a] > order[b] for a in range(len(order))
+                     for b in range(a + 1, len(order)))
+    ordered = tuple(vectors[i] for i in order)
+    total = 0j
+    for key, coeff in form.terms.items():
+        total += coeff(point) * _reference_minor(key, ordered)
+    return -total if inversions % 2 else total
+
+
+def _reference_d(form, point, vectors, step=None):
+    point = tuple(complex(c) for c in point)
+    h = step if step is not None else 1e-5 * (1.0 + max(abs(c) for c in point))
+    total = 0j
+    for i, v in enumerate(vectors):
+        rest = vectors[:i] + vectors[i + 1:]
+        plus = tuple(p + h * c for p, c in zip(point, v))
+        minus = tuple(p - h * c for p, c in zip(point, v))
+        deriv = (_reference_evaluate(form, plus, rest)
+                 - _reference_evaluate(form, minus, rest)) / (2 * h)
+        total += deriv if i % 2 == 0 else -deriv
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_FORMS))
+@settings(_PROFILE, max_examples=25)
+@given(data=st.data())
+def test_evaluate_and_d_numeric_equal_the_scalar_reference_exactly(name, data):
+    form = _BATCH_FORMS[name]
+    point, frame = data.draw(_point_and_frame(form))
+    assert form.evaluate(point, frame) == _reference_evaluate(form, point, frame)
+    extra = [tuple(data.draw(_COMPLEX) for _ in range(form.dim))]
+    for step in (None, 1e-4):
+        assert forms.d_numeric(form, point, frame + extra, step) == \
+            _reference_d(form, point, frame + extra, step)
+
+
+def test_coefficient_overflow_is_a_pole_error():
+    form = KForm.basis(1, 0, coeff=lambda p: p[0] ** 2)
+    with pytest.raises(PoleError, match="overflows") as err:
+        form.evaluate_many([(1 + 0j,), (1e200 + 0j,)], [[(1,)], [(1,)]])
+    assert err.value.row == 1 and err.value.point == (1e200 + 0j,)

@@ -7,9 +7,9 @@ from cflab import exprlang, forms, geometry, kernels
 from cflab.errors import (ChartDomainError, DimensionMismatchError, InputError,
                           PoleError)
 from cflab.forms import KForm
-from cflab.kernels import (casebook_form, catalog_entries, kernel_basis_form,
+from cflab.kernels import (casebook_form, kernel_basis_form,
                            kernel_on_chart, phi, phi_chart_identity_gap, psi,
-                           vanishing_max, vanishing_scale)
+                           vanishing_max, vanishing_max_and_scale)
 
 
 def _rand_c(rng, r=1.0):
@@ -289,8 +289,7 @@ def test_sigma_a_vanishes_on_q_and_s():
     sigma = casebook_form("sigma_A", {"a": a}, f)
     for spec in (geometry.surface_catalog("Q", chart="eta"),
                  geometry.surface_catalog("S_A", (a,))):
-        worst = vanishing_max(sigma, spec, seed=21, count=25)
-        scale = vanishing_scale(sigma, spec, seed=21, count=25)
+        worst, scale = vanishing_max_and_scale(sigma, spec, seed=21, count=25)
         assert worst < 1e-9 * scale
 
 
@@ -299,24 +298,21 @@ def test_sigma_b_vanishes_on_q_and_s():
     sigma = casebook_form("sigma_B", f=f)
     for spec in (geometry.surface_catalog("Q", chart="eta"),
                  geometry.surface_catalog("S_B")):
-        worst = vanishing_max(sigma, spec, seed=22, count=25)
-        scale = vanishing_scale(sigma, spec, seed=22, count=25)
+        worst, scale = vanishing_max_and_scale(sigma, spec, seed=22, count=25)
         assert worst < 1e-9 * scale
 
 
 def test_tau_d_vanishes_on_s_d():
     tau = casebook_form("tau_D")
     spec = geometry.surface_catalog("S_D")
-    worst = vanishing_max(tau, spec, seed=23, count=25)
-    scale = vanishing_scale(tau, spec, seed=23, count=25)
+    worst, scale = vanishing_max_and_scale(tau, spec, seed=23, count=25)
     assert worst < 1e-9 * scale
 
 
 def test_tau_e_vanishes_on_s_e():
     tau = casebook_form("tau_E")
     spec = geometry.surface_catalog("S_E")
-    worst = vanishing_max(tau, spec, seed=24, count=25)
-    scale = vanishing_scale(tau, spec, seed=24, count=25)
+    worst, scale = vanishing_max_and_scale(tau, spec, seed=24, count=25)
     assert worst < 1e-9 * scale
 
 
@@ -400,12 +396,24 @@ def test_s_e_incidence_substitution():
 
 # ------------------------------------------------------ catalog antisymmetry
 
+def _catalog():
+    """Every named form of degree >= 2, at generic parameters."""
+    f = exprlang.parse_expr("exp(x)+x^2", 1)
+    z2 = (0.2 - 0.1j, 0.1 + 0.05j)
+    return {
+        "omega_n2": kernel_basis_form("omega", 2),
+        "omega_star_n2": kernel_basis_form("omega_star", 2),
+        "psi_n1": psi(1, (0.3 + 0.1j,), f),
+        "phi_n2": phi(2, z2),
+        "psi_n2": psi(2, z2),
+        **{name: casebook_form(name)
+           for name in ("tau_D", "tau_E", "theta_D", "integrand_E")},
+    }
+
+
 def test_catalog_forms_antisymmetric_and_multilinear():
     rng = random.Random(99)
-    for entry in catalog_entries():
-        form = entry.form
-        if form.degree < 2:
-            continue
+    for name, form in _catalog().items():
         for _ in range(100):
             p = tuple(_rand_c(rng) + (1.1 if i <= 1 else 0)
                       for i in range(form.dim))
@@ -414,9 +422,9 @@ def test_catalog_forms_antisymmetric_and_multilinear():
             swapped = list(vecs)
             swapped[i], swapped[j] = swapped[j], swapped[i]
             base = form.evaluate(p, vecs)
-            assert form.evaluate(p, swapped) == -base, entry.id
+            assert form.evaluate(p, swapped) == -base, name
             c = _rand_c(rng)
             scaled = list(vecs)
             scaled[i] = tuple(c * comp for comp in scaled[i])
             assert abs(form.evaluate(p, scaled) - c * base) \
-                <= 1e-12 * max(1.0, abs(base)), entry.id
+                <= 1e-12 * max(1.0, abs(base)), name
