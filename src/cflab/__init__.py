@@ -16,23 +16,23 @@ from .casebook import (CheckReport, RunConfig, first_formula, full_report,
                        identity_suite, fibration_check_C2,
                        necessary_condition_case, second_formula_n1,
                        third_formula_case, transversality_suite)
-from .errors import (CflabError, ChartDomainError, ConvergenceError,
-                     DimensionMismatchError, InputError, PoleError,
-                     PreconditionError, UnsupportedKindError)
+from .errors import (CflabError, ChartDomainError, DimensionMismatchError,
+                     InputError, PoleError, PreconditionError,
+                     UnsupportedKindError)
 from .exprlang import HolomorphicExpr, differentiate, eval_expr, parse_expr
 from .forms import KForm, d_numeric, pullback_integrand, wedge
 from .geometry import (SurfaceSpec, affine_chart, dual_pairing,
                        sample_on_surface, surface_catalog,
                        transversality_margin)
 from .cycles import (Cycle, ParamDomain, QuadratureSpec, integrate,
-                     make_cycle, orientation_sign, refine_until)
+                     make_cycle, orientation_sign)
 from .kernels import (casebook_form, kernel_basis_form, phi,
                       phi_chart_identity_gap, psi, vanishing_max)
 
 __all__ = [
     "__version__",
     "CheckReport", "RunConfig", "CflabError", "ChartDomainError",
-    "ConvergenceError", "DimensionMismatchError", "InputError", "PoleError",
+    "DimensionMismatchError", "InputError", "PoleError",
     "PreconditionError", "UnsupportedKindError",
     "HolomorphicExpr", "KForm", "SurfaceSpec", "Cycle", "ParamDomain",
     "QuadratureSpec",
@@ -41,7 +41,7 @@ __all__ = [
     "full_report", "identity_suite", "integrate", "kernel_basis_form",
     "make_cycle", "necessary_condition_case", "orientation_sign",
     "parse_expr", "phi", "phi_chart_identity_gap", "psi",
-    "pullback_integrand", "refine_until", "sample_on_surface",
+    "pullback_integrand", "sample_on_surface",
     "second_formula_n1", "surface_catalog", "third_formula_case",
     "transversality_margin", "transversality_suite", "vanishing_max",
     "wedge",

@@ -356,8 +356,8 @@ def _identity_exact_A(seed, a=2 + 0.5j, count=40):
                      exprlang.ONE)
     dfg = exprlang.differentiate(exprlang.Mul(f, g), 0)
     rhs = forms.wedge(
-        KForm.basis(2, 0, coeff=lambda p: 1 / p[0]),
-        KForm.basis(2, 1, coeff=lambda p: eval_expr(dfg, (p[1],))))
+        KForm.basis(2, 0, coeff=lambda p: forms.div(1, p[0])),
+        KForm.basis(2, 1, coeff=forms.pointwise(lambda p: eval_expr(dfg, (p[1],)))))
     return _exactness_gap(
         seed, count, kernels.kernel_on_chart(kernels.psi(1, (0j,), f), "eta"),
         kernels.casebook_form("sigma_A", {"a": a}, f), 1.0, rhs)
@@ -367,7 +367,7 @@ def _identity_exact_D(seed, count=30):
     return _exactness_gap(
         seed, count, kernels.kernel_on_chart(kernels.psi(2, (0j, 0j)), "U2"),
         kernels.casebook_form("tau_D"), 0.5,
-        KForm.basis(4, 0, 1, 2, 3, coeff=lambda p: 1 / p[0]))
+        KForm.basis(4, 0, 1, 2, 3, coeff=lambda p: forms.div(1, p[0])))
 
 
 def _identity_extend_B(seed, count=50):

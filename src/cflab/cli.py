@@ -58,6 +58,11 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+class _Parser(argparse.ArgumentParser):  # subcommand parsers share the class
+    def error(self, message):  # a usage error is one line, exit 2
+        self.exit(EXIT_USAGE, f"cflab: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process-wide parser, built on first use and shared afterwards.
@@ -65,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing never mutates it: argparse copies an ``append`` default before
     appending, and the namespaces it returns are fresh.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cflab",
         description="Verify the Cauchy-Fantappie representation formulas "
                     "and their example casebook numerically.")

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import forms
-from .errors import (ConvergenceError, DimensionMismatchError, InputError,
-                     PoleError, UnsupportedKindError)
+from .errors import (DimensionMismatchError, InputError, PoleError,
+                     UnsupportedKindError)
 
 Point = tuple[complex, ...]
 Param = tuple[float, ...]
@@ -80,9 +80,6 @@ class QuadratureSpec:
             raise InputError(f"need {dim} quadrature sizes, got {len(sizes)}")
         return QuadratureSpec(sizes)
 
-    def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(tuple(2 * n for n in self.sizes))
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -140,8 +137,7 @@ def make_cycle(kind: str, **params) -> Cycle:
     """Construct one of the catalog cycles.
 
     Kinds: ``circle`` (center, radius), ``segment`` (start, end),
-    ``sphere_M`` (z, eps), ``torus_D`` (eps), ``torus_E`` (r1, r2),
-    ``torus_generic`` (centers, radii).
+    ``sphere_M`` (z, eps), ``torus_D`` (eps), ``torus_E`` (r1, r2).
     """
     builder = _CYCLE_BUILDERS.get(kind)
     if builder is None:
@@ -285,38 +281,12 @@ def _torus_E(r1: float, r2: float) -> Cycle:
                  x_indices=(0, 1), reference_param=(0.4, 1.1))
 
 
-def _torus_generic(centers: Sequence[complex], radii: Sequence[float]) -> Cycle:
-    centers = tuple(complex(c) for c in centers)
-    radii = tuple(float(r) for r in radii)
-    if len(centers) != len(radii) or not centers:
-        raise InputError("torus_generic needs matching centers and radii")
-    if any(r <= 0 for r in radii):
-        raise InputError("torus_generic radii must be positive")
-    k = len(centers)
-
-    def gmap(param):
-        return tuple(c + r * np.exp(1j * t)
-                     for c, r, t in zip(centers, radii, param))
-
-    def gtan(param):
-        d = [1j * r * np.exp(1j * t) for r, t in zip(radii, param)]
-        return tuple(tuple(d[j] if i == j else 0j for i in range(k))
-                     for j in range(k))
-
-    return Cycle(kind="torus_generic",
-                 domain=ParamDomain(tuple(Circle() for _ in range(k))),
-                 map=gmap, tangent=gtan, ambient_dim=k,
-                 x_indices=tuple(range(k)),
-                 reference_param=tuple(0.3 + 0.4 * j for j in range(k)))
-
-
 _CYCLE_BUILDERS = {
     "circle": _circle,
     "segment": _segment,
     "sphere_M": _sphere_M,
     "torus_D": _torus_D,
     "torus_E": _torus_E,
-    "torus_generic": _torus_generic,
 }
 
 
@@ -480,26 +450,3 @@ def integrate(form: forms.KForm, cycle: Cycle,
         return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
     except OverflowError:  # finite weighted values whose sum is not
         raise PoleError("integral is not finite: its sum overflows") from None
-
-
-def refine_until(form: forms.KForm, cycle: Cycle,
-                 base_quad: QuadratureSpec | int | Sequence[int],
-                 tol: float, max_doublings: int = 6) -> tuple[complex, float]:
-    """Double every node count until successive values differ by < tol."""
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
-    if max_doublings < 1:
-        raise InputError("max_doublings must be >= 1")
-    quad = base_quad if isinstance(base_quad, QuadratureSpec) \
-        else QuadratureSpec.of(base_quad, cycle.dim)
-    value = previous = integrate(form, cycle, quad)
-    for _ in range(max_doublings):
-        quad = quad.doubled()
-        nxt = integrate(form, cycle, quad)
-        delta = abs(nxt - value)
-        if delta < tol:
-            return nxt, delta
-        previous, value = value, nxt
-    raise ConvergenceError(
-        f"no convergence below {tol} after {max_doublings} doublings",
-        last=value, previous=previous, delta=abs(value - previous))

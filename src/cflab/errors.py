@@ -41,13 +41,3 @@ class PoleError(CflabError, ArithmeticError):
         self.point = point
         self.param = param
         self.row = None
-
-
-class ConvergenceError(CflabError, RuntimeError):
-    """Quadrature refinement did not converge; carries the last two values."""
-
-    def __init__(self, message: str, last=None, previous=None, delta=None):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous
-        self.delta = delta

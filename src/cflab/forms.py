@@ -5,14 +5,15 @@ A form is a linear combination of coordinate wedge monomials
 tuples to coefficient callables.  Wedge, sum, scaling and chart sections
 all build new term dicts, so every form is evaluated the same way.
 
-Evaluation is batched (:meth:`KForm.evaluate_many`): each frame is
-canonicalized (vectors sorted by coordinates, the value multiplied by the
-permutation sign), so that swapping two vectors flips the sign exactly, not
-just up to rounding, and the frame minors are taken on whole arrays.
+Evaluation is batched (:meth:`KForm.evaluate_many`): coefficients take a
+batch's coordinate columns, each frame is canonicalized (vectors sorted, the
+value multiplied by the permutation sign), so that swapping two vectors
+flips the sign exactly, and the frame minors are taken on whole arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -21,24 +22,92 @@ import numpy as np
 from .errors import DimensionMismatchError, InputError, PoleError
 
 Point = tuple[complex, ...]
-CoeffFn = Callable[[Point], complex]
+# dim coordinate columns (complex, length m) -> m values, or one for all rows
+CoeffFn = Callable[[tuple[np.ndarray, ...]], "np.ndarray | complex"]
+PLAN_CACHE_SIZE = 256  # entries kept by each of _minor_plan and _pairs
 
 
 def _const_fn(value: complex) -> CoeffFn:
     value = complex(value)
-    return lambda p: value
+    return lambda cols: value
 
 
-# ------------------------------------------------------- array arithmetic
+# ------------------------------------------------------- batch arithmetic
 
-def _mul(x, y):
-    """Product of complex arrays given as (re, im) pairs, with the arithmetic
-    of Python's complex product (numpy's may fuse a multiply-add)."""
+def fault(bad, error) -> None:
+    """Raise ``error(row)``, ``row`` set, at the first row where ``bad`` holds."""
+    if bad.any():
+        exc = error(row := int(bad.argmax()))
+        exc.row = row
+        raise exc
+
+
+def pole_at(cols, bad, message: str) -> None:
+    """:func:`fault` with a :class:`PoleError` carrying the row's point."""
+    fault(bad, lambda row: PoleError(message, point=tuple(complex(c[row]) for c in cols)))
+
+
+def pointwise(fn: Callable[[Point], complex]) -> CoeffFn:
+    """A coefficient that calls ``fn`` on each point of the batch (a tuple
+    of Python complex numbers) in row order; an error gets its row."""
+    def coeff(cols):
+        values: list = []
+        try:  # extend keeps the values before an error
+            values.extend(map(fn, zip(*(c.tolist() for c in cols))))
+        except Exception as exc:
+            exc.row = len(values)
+            raise
+        return np.array(values, dtype=complex)
+
+    return coeff
+
+
+def _join(re, im) -> np.ndarray:
+    out = np.asarray(re, dtype=complex)  # a new array: re is real
+    out.imag = im
+    return out
+
+
+# Products, quotients and int powers of complex arrays or scalars, rounded as
+# Python's complex arithmetic rounds them (numpy's complex product may fuse a
+# multiply-add).  numpy's sums and negation are exact already.
+def _mul(x, y):  # on (re, im) pairs
     (xr, xi), (yr, yi) = x, y
-    re, im = xr * yr, xr * yi
-    re -= xi * yi
-    im += xi * yr
-    return re, im
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def mul(a, b) -> np.ndarray:
+    return _join(*_mul((a.real, a.imag), (b.real, b.imag)))
+
+
+def div(a, b) -> np.ndarray:
+    """CPython's ``_Py_c_quot``: scaled by the divisor part of larger modulus
+    (real on ties); a NaN part fails that test and gives NaN through the other
+    branch, as CPython's NaN case; a zero divisor raises for its first row."""
+    (xr, xi), (yr, yi) = (a.real, a.imag), (b.real, b.imag)
+    by_re = np.abs(yr) >= np.abs(yi)
+    big, small = np.where(by_re, yr, yi), np.where(by_re, yi, yr)
+    fault(by_re & (big == 0), lambda row: ZeroDivisionError("complex division by zero"))
+    ratio = small / big
+    den = big + small * ratio
+    # (p, q) is (xr, xi) on the real branch, (xi, xr) on the other: re is
+    # xr + xi*ratio | xr*ratio + xi, im is xi - xr*ratio | xi*ratio - xr
+    p, q = np.where(by_re, xr, xi), np.where(by_re, xi, xr)
+    pt = p * ratio
+    return _join((p + q * ratio) / den, np.where(by_re, q - pt, pt - q) / den)
+
+
+def power(a, n: int) -> np.ndarray:
+    """``a ** n``, int n >= 0, by binary squaring as CPython's ``c_powu``; an
+    infinite part raises ``OverflowError`` for its first row, as ``**`` does."""
+    r, bit = 1 + 0j, 1
+    while bit <= n:
+        if n & bit:
+            r = mul(r, a)
+        bit <<= 1
+        a = mul(a, a) if bit <= n else a
+    fault(np.isinf(r.real) | np.isinf(r.imag), lambda row: OverflowError("complex exponentiation"))
+    return r
 
 
 def modulus(values) -> np.ndarray:
@@ -62,43 +131,58 @@ def _frame_order(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         parts = frames[:, :, tied]
         keys = np.stack([parts.real, parts.imag], axis=2).reshape(k, -1, len(parts[0, 0]))
         order[:, tied] = np.lexsort(keys.transpose(1, 0, 2)[::-1], axis=0)
-    lo, hi = np.array(list(itertools.combinations(range(k), 2))).T
+    lo, hi = _pairs(k)
     return order, (order[lo] > order[hi]).sum(axis=0) % 2 == 1
 
 
-def _minors(keys: Sequence[tuple[int, ...]], re: np.ndarray,
-            im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The minor of every term on every frame, as (re, im) arrays (term, point).
+def _index(values) -> np.ndarray:
+    """A read-only index array, for the cached plans below."""
+    values = np.array(values, dtype=np.intp)
+    values.flags.writeable = False
+    return values
 
-    ``re`` and ``im`` hold the frames as (vector, coordinate, point).  Minor
-    t is the determinant of the rows ``keys[t]`` of the column vectors,
-    expanded along its first row (the cofactor sum with alternating signs,
-    accumulated left to right).  The sub-minors of one size are computed
-    together, once per subset of vectors and trailing rows of some key.
-    """
-    k, dim, m = re.shape
-    if k == 0:
-        return np.ones((len(keys), m)), np.zeros((len(keys), m))
-    # minor[.][i, j] is the minor of vector subset i on trailing rows j
-    minor, subset_at, rows_at = (re, im), {(c,): c for c in range(k)}, \
-        {(r,): r for r in range(dim)}
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pairs(k: int) -> np.ndarray:
+    """The index pairs (lo, hi), lo < hi, of k vectors."""
+    return _index(list(itertools.combinations(range(k), 2))).reshape(-1, 2).T
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _minor_plan(keys: tuple[tuple[int, ...], ...], k: int):
+    """The index arrays of :func:`_minors` (they do not depend on the dim)."""
+    steps, subset_at, rows_at = [], {(c,): c for c in range(k)}, \
+        {key[-1:]: key[-1] for key in keys}
     for size in range(2, k + 1):
         rows = sorted({key[-size:] for key in keys})
         subsets = list(itertools.combinations(range(k), size))
-        at = np.array(subsets)[:, :, None]
-        sub = np.array([[subset_at[S[:p] + S[p + 1:]] for p in range(size)]
-                        for S in subsets])[:, :, None]
-        first, rest = [r[0] for r in rows], [rows_at[r[1:]] for r in rows]
+        sub = [[subset_at[S[:p] + S[p + 1:]] for p in range(size)] for S in subsets]
+        steps.append((_index(subsets)[:, :, None], _index(sub)[:, :, None],
+                      _index([r[0] for r in rows]), _index([rows_at[r[1:]] for r in rows])))
+        subset_at = {S: i for i, S in enumerate(subsets)}
+        rows_at = {r: j for j, r in enumerate(rows)}
+    return tuple(steps), _index([rows_at[key] for key in keys])
+
+
+def _minors(keys: tuple[tuple[int, ...], ...], frames: np.ndarray) -> np.ndarray:
+    """The minor of every term on every frame (vector, coordinate, point),
+    complex (term, point): the determinant of the rows ``keys[t]``, expanded
+    along its first row (alternating cofactor sum, left to right).  The
+    sub-minors of one size are computed together, once per subset of vectors
+    and trailing rows of some key."""
+    k, _, m = frames.shape
+    if k == 0:
+        return np.ones((len(keys), m), dtype=complex)
+    steps, pick = _minor_plan(keys, k)
+    re, im = frames.real, frames.imag
+    minor = (re, im)  # minor[.][i, j]: the minor of vector subset i on trailing rows j
+    for size, (at, sub, first, rest) in enumerate(steps, start=2):
         term = _mul((re[at, first], im[at, first]), (minor[0][sub, rest], minor[1][sub, rest]))
         minor = (term[0][:, 0], term[1][:, 0])
         for pos in range(1, size):
-            op = np.subtract if pos % 2 else np.add
-            op(minor[0], term[0][:, pos], out=minor[0])
-            op(minor[1], term[1][:, pos], out=minor[1])
-        subset_at = {S: i for i, S in enumerate(subsets)}
-        rows_at = {r: j for j, r in enumerate(rows)}
-    pick = [rows_at[key] for key in keys]
-    return minor[0][0][pick], minor[1][0][pick]
+            for part, t in zip(minor, term):
+                (np.subtract if pos % 2 else np.add)(part, t[:, pos], out=part)
+    return _join(minor[0][0][pick], minor[1][0][pick])
 
 
 # ------------------------------------------------------------------ KForm
@@ -138,7 +222,7 @@ class KForm:
         fn = coeff if callable(coeff) else _const_fn(coeff)
         if sign < 0:
             inner = fn
-            fn = lambda p: -inner(p)
+            fn = lambda cols: -inner(cols)
         return KForm(len(indices), dim, terms={key: fn})
 
     # -- evaluation -----------------------------------------------------
@@ -153,12 +237,14 @@ class KForm:
         ``points`` has shape (m, dim) and ``frames`` shape (m, degree, dim);
         the result is m complex values.  Each frame is sorted (see
         :func:`_frame_order`) and its value negated for an odd permutation.
-        Term coefficients are called once per point, in point order and term
-        order.  A coefficient that raises :class:`PoleError`,
-        ``ZeroDivisionError`` or ``OverflowError`` raises :class:`PoleError`
-        for that first offending point, with its index in ``row``.  The
-        arithmetic is that of Python complex numbers, so each row equals a
-        one-point evaluation bit for bit.
+        Each term coefficient is called on the batch's coordinate columns; one
+        that fails raises with its first failing row in ``row`` (:func:`fault`),
+        and the batch is cut before that row and evaluated again until none
+        fails, so the error raised is the one point-by-point evaluation (point,
+        then term order) meets first.  ``ZeroDivisionError`` and
+        ``OverflowError`` become a :class:`PoleError` with the point and row.
+        The arithmetic is Python's, so each row equals a one-point evaluation
+        bit for bit.
         """
         points = np.asarray(points, dtype=complex)
         frames = np.asarray(frames, dtype=complex)
@@ -177,23 +263,27 @@ class KForm:
             raise DimensionMismatchError(
                 f"{len(points)} points but {len(frames)} frames")
 
-        coeffs = tuple(self.terms.values())
-        flat: list = []
-        append = flat.append
-        try:
-            for p in zip(*points.T.tolist()):
-                for c in coeffs:
-                    append(c(p))
-        except PoleError as exc:
-            exc.row = len(flat) // len(coeffs)
-            raise
-        except (ZeroDivisionError, OverflowError) as exc:
-            what = "has a pole" if isinstance(exc, ZeroDivisionError) else "overflows"
-            pole = PoleError(f"form coefficient {what}", point=p)
-            pole.row = len(flat) // len(coeffs)
-            raise pole from None
-        coeff = np.array(flat, dtype=complex).reshape(len(points), len(coeffs)).T
-        del flat, append
+        coeff = np.empty((len(self.terms), len(points)), dtype=complex)
+        n, error = len(points), None
+        with np.errstate(all="ignore"):
+            while True:
+                try:
+                    cols = tuple(points[:n].T)
+                    for t, c in enumerate(self.terms.values()):
+                        coeff[t, :n] = c(cols)
+                    break
+                except Exception as exc:
+                    row = getattr(exc, "row", None)
+                    if row is None or not 0 <= row < n:
+                        raise
+                    n, error = row, exc
+        if isinstance(error, (ZeroDivisionError, OverflowError)):
+            what = "has a pole" if isinstance(error, ZeroDivisionError) else "overflows"
+            error = PoleError(f"form coefficient {what}", point=tuple(points[n].tolist()))
+            error.row = n
+            raise error from None
+        if error is not None:
+            raise error
 
         frames = frames.transpose(1, 2, 0)  # (vector, coordinate, point)
         odd = None
@@ -201,24 +291,22 @@ class KForm:
             order, odd = _frame_order(frames)
             frames = frames[order[:, None, :], np.arange(self.dim)[:, None],
                             np.arange(len(points))]
+        value = np.zeros(len(points), dtype=complex)
         with np.errstate(all="ignore"):
-            minors = _minors(tuple(self.terms), frames.real, frames.imag)
-            re, im = _mul((coeff.real, coeff.imag), minors)
-            value = np.zeros(len(points), dtype=complex)
-            for t in range(len(coeffs)):
-                value.real += re[t]
-                value.imag += im[t]
+            for term in mul(coeff, _minors(tuple(self.terms), frames)):
+                value += term
         if odd is not None:
             np.negative(value, out=value, where=odd)
         return value
 
-    def coefficient_scale(self, point) -> float:
-        """Sup norm of the coefficients at ``point`` (frame-insensitive size)."""
-        point = tuple(map(complex, point))
-        best = 0.0
-        for coeff in self.terms.values():
-            best = max(best, abs(coeff(point)))
-        return best
+    def coefficient_scale(self, points) -> float:
+        """Sup norm of the coefficients over ``points`` (m, dim), at least 0.0
+        and passing over NaN: a frame-insensitive size."""
+        points = np.asarray(points, dtype=complex)
+        with np.errstate(all="ignore"):
+            values = [np.broadcast_to(c(tuple(points.T)), len(points))
+                      for c in self.terms.values()]
+        return max([0.0, *modulus(values).ravel().tolist()])
 
 
 def _sorted_key(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -259,10 +347,10 @@ def wedge(f1: KForm, f2: KForm) -> KForm:
             terms.setdefault(key, []).append((sign, c1, c2))
     merged: dict[tuple[int, ...], CoeffFn] = {}
     for key, parts in terms.items():
-        def coeff(p, parts=tuple(parts)):
+        def coeff(cols, parts=tuple(parts)):
             total = 0j
             for sign, c1, c2 in parts:
-                total += sign * c1(p) * c2(p)
+                total = total + mul(mul(sign, c1(cols)), c2(cols))
             return total
         merged[key] = coeff
     return KForm(degree, f1.dim, terms=merged)
@@ -282,7 +370,7 @@ def add(f1: KForm, f2: KForm) -> KForm:
     for key, c2 in f2.terms.items():
         if key in terms:
             c1 = terms[key]
-            terms[key] = lambda p, c1=c1, c2=c2: c1(p) + c2(p)
+            terms[key] = lambda cols, c1=c1, c2=c2: c1(cols) + c2(cols)
         else:
             terms[key] = c2
     return KForm(f1.degree, f1.dim, terms=terms)
@@ -291,17 +379,18 @@ def add(f1: KForm, f2: KForm) -> KForm:
 def scale(form: KForm, factor: complex | CoeffFn) -> KForm:
     fn = factor if callable(factor) else _const_fn(factor)
     terms = {
-        key: (lambda p, c=c, fn=fn: fn(p) * c(p))
+        key: (lambda cols, c=c, fn=fn: mul(fn(cols), c(cols)))
         for key, c in form.terms.items()
     }
     return KForm(form.degree, form.dim, terms=terms)
 
 
 def differential(dim: int, gradient: Callable[[Point], Sequence[complex]]) -> KForm:
-    """The 1-form ``sum_i g_i(p) dz_i`` from an analytic gradient."""
+    """The 1-form ``sum_i g_i(p) dz_i`` from an analytic gradient of one
+    point, called point by point."""
     terms: dict[tuple[int, ...], CoeffFn] = {}
     for i in range(dim):
-        terms[(i,)] = lambda p, i=i: complex(gradient(p)[i])
+        terms[(i,)] = pointwise(lambda p, i=i: complex(gradient(p)[i]))
     return KForm(1, dim, terms=terms)
 
 
@@ -374,9 +463,8 @@ def chart_section(form: KForm, layout: Sequence[int | complex]) -> KForm:
     chart_dim = sum(1 for entry in layout if isinstance(entry, int))
 
     def lift(q):
-        return tuple(
-            q[entry] if isinstance(entry, int) else complex(entry)
-            for entry in layout)
+        return tuple(q[entry] if isinstance(entry, int)
+                     else np.full(len(q[0]), complex(entry)) for entry in layout)
 
     terms: dict[tuple[int, ...], CoeffFn] = {}
     for key, coeff in form.terms.items():

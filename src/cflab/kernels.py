@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Sequence
 
 import numpy as np
 
 from . import exprlang, forms
-from .errors import ChartDomainError, InputError, PoleError
+from .errors import ChartDomainError, InputError
 from .exprlang import HolomorphicExpr
 from .forms import KForm
 from .geometry import SurfaceSpec, sample_on_surface, surface_catalog
-
-Point = tuple[complex, ...]
 
 
 def joint_dim(n: int) -> int:
@@ -52,14 +49,14 @@ def kernel_basis_form(kind: str, n: int) -> KForm:
         for k in range(1, n + 1):
             key = tuple(j for j in range(1, n + 1) if j != k)
             sign = (-1) ** (k - 1)
-            terms[key] = lambda p, k=k, s=sign: s * p[k]
+            terms[key] = lambda cols, k=k, s=sign: forms.mul(s, cols[k])
         return KForm(n - 1, dim, terms=terms)
     if kind == "omega_star":
         terms = {}
         for k in range(0, n + 1):
             key = tuple(j for j in range(0, n + 1) if j != k)
             sign = (-1) ** k
-            terms[key] = lambda p, k=k, s=sign: s * p[k]
+            terms[key] = lambda cols, k=k, s=sign: forms.mul(s, cols[k])
         return KForm(n, dim, terms=terms)
     raise InputError(f"unknown kernel basis form {kind!r}")
 
@@ -72,7 +69,11 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     over k >= first of (-1)^(k-first) xi_k times the dxi_j, j >= first,
     without dxi_k.  Term keys, signs and order are those of
     ``wedge(basis, omega)``, whose merge signs are all +1; the ``0j +``
-    keeps the signed zeros of that wedge's accumulation.
+    keeps the signed zeros of that wedge's accumulation.  The pairing, its
+    power and ``s_k xi_k`` are taken on whole arrays, as Python's complex
+    arithmetic rounds them; ``f`` is evaluated once per point per term (one
+    shared ``f(x)`` per point waits for ROADMAP item 1: the benchmark
+    counts expression calls).
     """
     _check_n(n)
     z = tuple(complex(c) for c in z)
@@ -80,14 +81,15 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
         raise InputError(f"base point z must have {n} coordinates")
     xi, x = slice(1, n + 1), slice(n + 1, None)
     message = f"{name} evaluated on xi.z = 0"
+    fx = forms.pointwise(lambda p: exprlang.eval_expr(f, p))
 
     def term(k: int, s: int) -> forms.CoeffFn:
-        def coeff(p: Point) -> complex:
-            den = p[0] + sum(map(operator.mul, p[xi], z))
-            if den == 0:
-                raise PoleError(message, point=p)
-            fx = 1 + 0j if f is None else exprlang.eval_expr(f, p[x])
-            return fx / den ** power * (0j + s * p[k])
+        def coeff(cols):
+            den = cols[0] + sum(map(forms.mul, cols[xi], z))
+            forms.pole_at(cols, den == 0, message)
+            top = 1 + 0j if f is None else fx(cols[x])
+            return forms.mul(forms.div(top, forms.power(den, power)),
+                             0j + forms.mul(s, cols[k]))
 
         return coeff
 
@@ -124,19 +126,18 @@ def phi_chart_formula(n: int) -> KForm:
         raise InputError("the chart formula needs n >= 2")
     dim = joint_dim(n)
 
-    def prefactor(p: Point) -> complex:
-        if p[0] == 0:
-            raise ChartDomainError("chart formula needs xi_0 != 0")
-        if p[1] == 0:
-            raise ChartDomainError("chart formula needs y_1 != 0")
-        return (p[1] / p[0]) ** n
+    def prefactor(p):
+        for i, what in ((0, "xi_0"), (1, "y_1")):
+            forms.fault(p[i] == 0, lambda row: ChartDomainError(
+                f"chart formula needs {what} != 0"))
+        return forms.power(forms.div(p[1], p[0]), n)
 
     factors = []
     for j in range(2, n + 1):
         # d(y_j/y_1) = d(xi_j/xi_1) = (xi_1 dxi_j - xi_j dxi_1)/xi_1^2
         terms = {
-            (j,): (lambda p, j=j: p[1] / p[1] ** 2),
-            (1,): (lambda p, j=j: -p[j] / p[1] ** 2),
+            (j,): (lambda p, j=j: forms.div(p[1], forms.power(p[1], 2))),
+            (1,): (lambda p, j=j: forms.div(-p[j], forms.power(p[1], 2))),
         }
         factors.append(KForm(1, dim, terms=terms))
     factors.append(kernel_basis_form("omega", n))
@@ -184,7 +185,8 @@ def _d_of_product(f: HolomorphicExpr | None, g: HolomorphicExpr) -> KForm:
     """d(f(x) * g(x)) on C^1, expanded by symbolic differentiation."""
     product = g if f is None else exprlang.Mul(f, g)
     derivative = exprlang.differentiate(product, 0)
-    return KForm.basis(1, 0, coeff=lambda p: exprlang.eval_expr(derivative, p))
+    return KForm.basis(1, 0, coeff=forms.pointwise(
+        lambda p: exprlang.eval_expr(derivative, p)))
 
 
 def casebook_form(form_id: str, params: dict | None = None,
@@ -216,27 +218,30 @@ def casebook_form(form_id: str, params: dict | None = None,
         return KForm.basis(3, 0, 1, coeff=lambda p: 1 - p[2])
     if form_id == "integrand_E":
         def coeff(p):
-            den = p[0] * p[1]
-            if den == 0:
-                raise PoleError("integrand pole at uv = 0", point=p)
-            return ((p[1] - p[0]) ** 3 + 1) / den
+            den = forms.mul(p[0], p[1])
+            forms.pole_at(p, den == 0, "integrand pole at uv = 0")
+            return forms.div(forms.power(p[1] - p[0], 3) + 1, den)
         return KForm.basis(2, 0, 1, coeff=coeff)
     raise InputError(f"unknown casebook form {form_id!r}")
 
 
-def _feval(f: HolomorphicExpr | None, x: complex) -> complex:
-    return 1 + 0j if f is None else exprlang.eval_expr(f, (x,))
+def _feval(f: HolomorphicExpr | None):
+    """f at the x column of an (eta, x) batch, point by point (1 without f)."""
+    fx = forms.pointwise(lambda p: exprlang.eval_expr(f, p))
+    return lambda x: 1 + 0j if f is None else fx((x,))
 
 
 def _sigma_A(a: complex, f: HolomorphicExpr | None) -> KForm:
     # (f/eta) * [ (a eta + x - 1)(d eta + dx) - (eta + x)(a d eta + dx) ];
     # vanishes on Q and on S_A by construction.
+    feval = _feval(f)
+
     def term(w):  # the coefficient of d eta (w = a) or of dx (w = 1)
         def coeff(p):
             eta, x = p
-            if eta == 0:
-                raise PoleError("sigma_A pole at eta = 0", point=p)
-            return _feval(f, x) * ((a * eta + x - 1) - w * (eta + x)) / eta
+            forms.pole_at(p, eta == 0, "sigma_A pole at eta = 0")
+            bracket = forms.mul(a, eta) + x - 1 - forms.mul(w, eta + x)
+            return forms.div(forms.mul(feval(x), bracket), eta)
 
         return coeff
 
@@ -245,33 +250,26 @@ def _sigma_A(a: complex, f: HolomorphicExpr | None) -> KForm:
 
 def _sigma_B(f: HolomorphicExpr | None) -> KForm:
     # (f/eta) * (s dq - q ds) for s = eta^2 + (eta+1)(x-1), q = eta + x.
-    def pieces(p):
-        eta, x = p
-        if eta == 0:
-            raise PoleError("sigma_B pole at eta = 0", point=p)
-        s = eta ** 2 + (eta + 1) * (x - 1)
-        q = eta + x
-        ds = (2 * eta + x - 1, eta + 1)
-        dq = (1 + 0j, 1 + 0j)
-        fac = _feval(f, x) / eta
-        return s, q, ds, dq, fac
+    feval = _feval(f)
 
-    def c_eta(p):
-        s, q, ds, dq, fac = pieces(p)
-        return fac * (s * dq[0] - q * ds[0])
+    def term(i):  # the coefficient of d eta (i = 0) or of dx (i = 1)
+        def coeff(p):
+            eta, x = p
+            forms.pole_at(p, eta == 0, "sigma_B pole at eta = 0")
+            s = forms.power(eta, 2) + forms.mul(eta + 1, x - 1)
+            ds = forms.mul(2, eta) + x - 1 if i == 0 else eta + 1
+            fac = forms.div(feval(x), eta)
+            return forms.mul(fac, forms.mul(s, 1 + 0j) - forms.mul(eta + x, ds))
 
-    def c_x(p):
-        s, q, ds, dq, fac = pieces(p)
-        return fac * (s * dq[1] - q * ds[1])
+        return coeff
 
-    return KForm(1, 2, terms={(0,): c_eta, (1,): c_x})
+    return KForm(1, 2, terms={(0,): term(0), (1,): term(1)})
 
 
 def _inv_y0_sq(name: str, denom_factor: float):
     def inv(p):
-        if p[0] == 0:
-            raise PoleError(f"{name} pole at y0 = 0", point=p)
-        return 1 / (denom_factor * p[0] ** 2)
+        forms.pole_at(p, p[0] == 0, f"{name} pole at y0 = 0")
+        return forms.div(1, forms.mul(denom_factor, forms.power(p[0], 2)))
 
     return inv
 
@@ -281,8 +279,9 @@ def _tau(example: str, denom: float, bracket: dict) -> KForm:
     surface = surface_catalog(f"S_{example}")
     inv1 = _inv_y0_sq(f"tau_{example}", 1.0)
     inv = _inv_y0_sq(f"tau_{example}", denom)
-    lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: surface.value(p) * inv1(p))
-    parts = [KForm.basis(4, *key, coeff=lambda p, b=b: b(p) * inv(p))
+    value = forms.pointwise(surface.value)
+    lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: forms.mul(value(p), inv1(p)))
+    parts = [KForm.basis(4, *key, coeff=lambda p, b=b: forms.mul(b(p), inv(p)))
              for key, b in bracket.items()]
     return forms.add(lead, forms.wedge(functools.reduce(forms.add, parts),
                                        forms.differential(4, surface.gradient)))
@@ -318,8 +317,7 @@ def vanishing_max_and_scale(form: KForm, spec: SurfaceSpec, seed: int,
     combos = list(itertools.combinations(range(bases.shape[1]), form.degree))
     frames = bases[:, combos].reshape(-1, form.degree, form.dim)
     values = form.evaluate_many(np.repeat(points, len(combos), axis=0), frames)
-    scale = max(form.coefficient_scale(point) for point in points)
-    return float(forms.modulus(values).max()), scale
+    return float(forms.modulus(values).max()), form.coefficient_scale(points)
 
 
 def vanishing_max(form: KForm, spec: SurfaceSpec, seed: int, count: int) -> float:

@@ -182,6 +182,29 @@ def test_cached_parser_does_not_share_the_skip_default(capsys):
     assert args.format == "table"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "first", "--n", "3"], "argument --n: invalid choice: 3"),
+    (["verify", "first", "--f"], "argument --f: expected one argument"),
+    (["verify", "first", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["verify"], "the following arguments are required: which"),
+], ids=["invalid_choice", "missing_value", "unknown_option",
+        "unknown_subcommand", "missing_subcommand"])
+def test_usage_error_prints_one_line(argv, message, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"cflab: error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "first", "--help"]])
+def test_help_prints_usage_to_stdout_and_exits_0(argv, capsys):
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cflab") and captured.err == ""
+
+
 def test_usage_error_then_success_with_cached_parser(capsys):
     assert run_cli(["verify", "third", "Z"]) == 2
     assert "invalid choice" in capsys.readouterr().err

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cflab import cycles, exprlang, forms, kernels
-from cflab.cycles import QuadratureSpec, integrate, make_cycle, refine_until
-from cflab.errors import (CflabError, ConvergenceError, DimensionMismatchError,
-                          InputError, PoleError, UnsupportedKindError)
+from cflab.cycles import QuadratureSpec, integrate, make_cycle
+from cflab.errors import (CflabError, DimensionMismatchError, InputError,
+                          PoleError, UnsupportedKindError)
 from cflab.forms import KForm
 
 TWO_PI_I = 2j * math.pi
@@ -43,6 +43,24 @@ def test_torus_d_point_value():
     assert x1 == pytest.approx(-7.0 / 3.0)
 
 
+def _generic_torus(centers, radii):
+    """A product of circles about ``centers`` with ``radii``, in C^k."""
+    k = len(centers)
+
+    def gmap(param):
+        return tuple(c + r * np.exp(1j * t) for c, r, t in zip(centers, radii, param))
+
+    def gtan(param):
+        d = [1j * r * np.exp(1j * t) for r, t in zip(radii, param)]
+        return tuple(tuple(d[j] if i == j else 0j for i in range(k)) for j in range(k))
+
+    return cycles.Cycle(kind="torus_generic",
+                        domain=cycles.ParamDomain((cycles.Circle(),) * k),
+                        map=gmap, tangent=gtan, ambient_dim=k,
+                        x_indices=tuple(range(k)),
+                        reference_param=tuple(0.3 + 0.4 * j for j in range(k)))
+
+
 def test_tangent_frames_match_finite_differences():
     specs = [
         make_cycle("circle", center=0.2 + 0.1j, radius=0.8),
@@ -51,7 +69,7 @@ def test_tangent_frames_match_finite_differences():
         make_cycle("sphere_M", z=(0.2 + 0j, -0.1 + 0j), eps=0.5),
         make_cycle("torus_D", eps=0.5),
         make_cycle("torus_E", r1=0.5, r2=0.4),
-        make_cycle("torus_generic", centers=(0j, 1j), radii=(0.5, 0.25)),
+        _generic_torus(centers=(0j, 1j), radii=(0.5, 0.25)),
     ]
     h = 1e-6
     for cyc in specs:
@@ -197,43 +215,6 @@ def test_pole_on_grid_raises_pole_error():
     assert err.value.param is not None
 
 
-def test_refine_until_converges_quickly():
-    c = make_cycle("circle", center=0j, radius=1.0)
-    form = KForm.basis(1, 0, coeff=lambda p: 1 / p[0])
-    value, delta = refine_until(form, c, 64, tol=1e-12)
-    assert abs(value - TWO_PI_I) < 1e-12
-    assert delta < 1e-12
-
-
-def test_refine_until_polynomial_converges_first_doubling():
-    seg = make_cycle("segment", start=0j, end=1 + 0j)
-    form = KForm.basis(1, 0, coeff=lambda p: 3 * p[0] ** 2)
-    value, delta = refine_until(form, seg, 8, tol=1e-13)
-    assert value == pytest.approx(1.0, abs=1e-13)
-
-
-def test_refine_until_nonconvergence_error():
-    c = make_cycle("circle", center=0j, radius=1.0)
-    rng = random.Random(0)
-
-    def noisy(p):
-        return rng.random()
-
-    form = KForm.basis(1, 0, coeff=noisy)
-    with pytest.raises(ConvergenceError) as err:
-        refine_until(form, c, 4, tol=1e-15, max_doublings=2)
-    assert err.value.last is not None
-    assert err.value.previous is not None
-
-
-def test_refine_until_propagates_pole_error():
-    t = make_cycle("torus_generic", centers=(-0.5 + 0j, 1 + 0j),
-                   radii=(0.5, 0.5))
-    form = kernels.casebook_form("integrand_E")
-    with pytest.raises(PoleError):
-        refine_until(form, t, (8, 8), tol=1e-10)
-
-
 def test_torus_integral_worker_counts_agree_bitwise():
     t = make_cycle("torus_D", eps=0.5)
     form = kernels.casebook_form("theta_D")
@@ -245,8 +226,7 @@ def test_torus_integral_worker_counts_agree_bitwise():
 def test_integrand_e_pole_on_grid_raises():
     # The theta = 0 node maps u to exactly -0.5 + 0.5 = 0; the evaluation
     # must raise, not return garbage.
-    t = make_cycle("torus_generic", centers=(-0.5 + 0j, 1 + 0j),
-                   radii=(0.5, 0.5))
+    t = _generic_torus(centers=(-0.5 + 0j, 1 + 0j), radii=(0.5, 0.5))
     form = kernels.casebook_form("integrand_E")
     with pytest.raises(PoleError):
         integrate(form, t, (8, 8))
@@ -303,8 +283,8 @@ AGREEMENT_CASES = {
                 make_cycle("torus_D", eps=0.4), (32, 32)),
     "torus_E": (kernels.casebook_form("integrand_E"), _TORUS_E, (32, 32)),
     "torus_generic": (kernels.casebook_form("integrand_E"),
-                      make_cycle("torus_generic", centers=(0.1j, 0.2 + 0j),
-                                 radii=(0.5, 0.4)), (16, 24)),
+                      _generic_torus(centers=(0.1j, 0.2 + 0j), radii=(0.5, 0.4)),
+                      (16, 24)),
     "reversed_circle_factor": (kernels.casebook_form("integrand_E"),
                                _TORUS_E.reversed_factor(1), (32, 32)),
     "reversed_interval_factor": (kernels.phi(2, (0.2 + 0j, -0.1 + 0.3j)),
@@ -351,7 +331,7 @@ def test_pole_error_names_first_param_in_grid_order(raised):
             raise (raised or ZeroDivisionError)("pole")
         return p[0] * p[1]
 
-    form = KForm.basis(2, 0, 1, coeff=coeff)
+    form = KForm.basis(2, 0, 1, coeff=forms.pointwise(coeff))
     with pytest.raises(PoleError) as err:
         integrate(form, _identity_torus(), sizes)
     assert err.value.param == first
@@ -389,7 +369,7 @@ def test_non_finite_value_raises_instead_of_returning_nan():
     def coeff(p):
         return complex("nan") if (p[0].real, p[1].real) == bad else 1 + 0j
 
-    form = KForm.basis(2, 0, 1, coeff=coeff)
+    form = KForm.basis(2, 0, 1, coeff=forms.pointwise(coeff))
     with pytest.raises(CflabError) as err:
         integrate(form, _identity_torus(), sizes)
     assert err.value.param == bad

@@ -153,8 +153,8 @@ def _d_form(form):
         return tuple(1 if j == i else 0 for j in range(form.dim))
 
     terms = {
-        key: (lambda p, frame=tuple(unit(i) for i in key):
-              forms.d_numeric(form, p, frame))
+        key: forms.pointwise(lambda p, frame=tuple(unit(i) for i in key):
+                             forms.d_numeric(form, p, frame))
         for key in itertools.combinations(range(form.dim), form.degree + 1)
     }
     return KForm(form.degree + 1, form.dim, terms=terms)
@@ -208,15 +208,19 @@ def test_pullback_integrand_degree_zero():
 
 
 def test_pole_error_carries_point():
-    form = KForm.basis(1, 0, coeff=lambda p: 1 / p[0])
-    with pytest.raises(PoleError):
+    form = KForm.basis(1, 0, coeff=lambda p: forms.div(1, p[0]))
+    with pytest.raises(PoleError) as err:
         form.evaluate((0j,), [(1,)])
+    assert err.value.point == (0j,) and err.value.row == 0
 
 
 def test_coefficient_scale_terms():
     f = forms.add(KForm.basis(2, 0, coeff=lambda p: 3 * p[1]),
                   KForm.basis(2, 1, coeff=lambda p: p[0]))
-    assert f.coefficient_scale((2, 5)) == pytest.approx(15.0)
+    assert f.coefficient_scale([(2, 5)]) == pytest.approx(15.0)
+    assert f.coefficient_scale([(2, 5), (7, 1), (1, 0)]) == pytest.approx(15.0)
+    nan = KForm.basis(2, 0, coeff=lambda p: np.where(p[0] == 1, np.nan, p[0]))
+    assert nan.coefficient_scale([(1, 0), (-2, 0)]) == 2.0  # NaN passed over
 
 
 # ------------------------------------------------ batched evaluation, properties
@@ -297,16 +301,68 @@ def test_evaluate_many_validates_shapes_once():
 def test_evaluate_many_raises_for_the_first_pole_with_its_row():
     calls = []
 
-    def coeff(p):
-        calls.append(p)
-        return 1 / (p[0] - 2)
+    def coeff(cols):
+        calls.append(cols[0].tolist())
+        return forms.div(1, cols[0] - 2)
 
     form = KForm.basis(1, 0, coeff=coeff)
     points = [(0j,), (1 + 0j,), (2 + 0j,), (3 + 0j,), (2 + 0j,)]
-    with pytest.raises(PoleError) as err:
+    with pytest.raises(PoleError, match="has a pole") as err:
         form.evaluate_many(points, [[(1,)]] * 5)
     assert err.value.row == 2 and err.value.point == (2 + 0j,)
-    assert calls == points[:3]  # point order, and nothing after the pole
+    # once on the batch, then once on the rows before the pole
+    assert calls == [[p for p, in points], [0j, 1 + 0j]]
+
+
+def test_evaluate_many_raises_what_point_by_point_evaluation_meets_first():
+    # Term (0,) fails at row 3, term (1,) at row 1 with a later check of its
+    # own, and both again at row 1 for the other two: in point then term
+    # order, row 1's first failing step wins.
+    def first(cols):
+        forms.fault(cols[0] == 3, lambda row: InputError(f"first at {row}"))
+        return cols[0]
+
+    def second(cols):
+        forms.fault(cols[1] == 5, lambda row: InputError(f"second-a at {row}"))
+        forms.fault(cols[1] == 7, lambda row: InputError(f"second-b at {row}"))
+        return cols[1]
+
+    form = forms.add(KForm.basis(2, 0, coeff=first), KForm.basis(2, 1, coeff=second))
+    frames = [[(1, 0)]] * 5
+    with pytest.raises(InputError, match="second-b at 1"):
+        form.evaluate_many([(0, 0), (0, 7), (0, 5), (3, 0), (0, 0)], frames)
+    with pytest.raises(InputError, match="first at 1"):
+        form.evaluate_many([(0, 0), (3, 7), (0, 5), (3, 0), (0, 0)], frames)
+    with pytest.raises(InputError, match="second-a at 2"):
+        form.evaluate_many([(0, 0), (0, 0), (0, 5), (3, 7), (0, 0)], frames)
+
+
+def test_a_coefficient_error_without_a_row_propagates_as_raised():
+    def coeff(cols):
+        raise PoleError("no row", point=None)
+
+    with pytest.raises(PoleError, match="no row") as err:
+        KForm.basis(1, 0, coeff=coeff).evaluate_many([(0j,), (1j,)], [[(1,)]] * 2)
+    assert err.value.row is None
+
+
+def test_pointwise_calls_in_row_order_and_tags_the_failing_row():
+    seen = []
+
+    def fn(p):
+        seen.append(p)
+        if p == (2 + 0j, 4 + 0j):
+            raise ZeroDivisionError("scalar pole")
+        return p[0] * p[1]
+
+    coeff = forms.pointwise(fn)
+    cols = (np.array([1, 3, 2, 2], dtype=complex), np.array([1, 1, 4, 4], dtype=complex))
+    with pytest.raises(ZeroDivisionError) as err:
+        coeff(cols)
+    assert err.value.row == 2 and seen == [(1, 1), (3, 1), (2, 4)]
+    assert coeff(tuple(c[:2] for c in cols)).tolist() == [1, 3]
+    assert all(type(c) is complex for p in seen for c in p)
+    assert coeff((np.array([], dtype=complex),)).shape == (0,)
 
 
 def test_d_numeric_many_equals_one_sample_calls_exactly():
@@ -370,7 +426,9 @@ def _reference_evaluate(form, point, vectors):
     ordered = tuple(vectors[i] for i in order)
     total = 0j
     for key, coeff in form.terms.items():
-        total += coeff(point) * _reference_minor(key, ordered)
+        # the coefficient's value, read from its own one-row batch call
+        value = np.broadcast_to(coeff(tuple(np.array([c]) for c in point)), 1)
+        total += complex(value[0]) * _reference_minor(key, ordered)
     return -total if inversions % 2 else total
 
 
@@ -402,7 +460,79 @@ def test_evaluate_and_d_numeric_equal_the_scalar_reference_exactly(name, data):
 
 
 def test_coefficient_overflow_is_a_pole_error():
-    form = KForm.basis(1, 0, coeff=lambda p: p[0] ** 2)
+    form = KForm.basis(1, 0, coeff=lambda p: forms.power(p[0], 2))
     with pytest.raises(PoleError, match="overflows") as err:
         form.evaluate_many([(1 + 0j,), (1e200 + 0j,)], [[(1,)], [(1,)]])
     assert err.value.row == 1 and err.value.point == (1e200 + 0j,)
+
+
+# ----------------------------------- batch arithmetic, rounded as Python's
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-200, 1e154,
+                            1e200, 1.7976931348623157e308, float("inf"),
+                            -float("inf"), float("nan")])
+_PART = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True),
+                  st.floats(-2.0, 2.0))
+_ANY_C = st.builds(complex, _PART, _PART)
+
+
+def _python_rows(op, xs, ys):
+    """repr of ``op`` on each pair in Python complex arithmetic, or the type
+    and row of the first error."""
+    out = []
+    for row, (x, y) in enumerate(zip(xs, ys)):
+        try:
+            out.append(repr(op(x, y)))
+        except (ZeroDivisionError, OverflowError) as exc:
+            return type(exc), row
+    return out
+
+
+def _batch_rows(fn, xs, ys):
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(np.array(xs, dtype=complex), ys)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc), exc.row
+    return [repr(v) for v in np.broadcast_to(value, len(xs)).tolist()]
+
+
+@settings(_PROFILE, max_examples=300)
+@given(xs=st.lists(_ANY_C, min_size=1, max_size=6), data=st.data())
+def test_mul_div_power_round_as_python_complex_arithmetic(xs, data):
+    ys = data.draw(st.lists(_ANY_C, min_size=len(xs), max_size=len(xs)))
+    y = data.draw(_ANY_C)
+    n = data.draw(st.integers(0, 9))
+    # array by array, array by scalar (as a coefficient's constants), powers
+    cases = [
+        (lambda a, b: a * b, lambda a, b: forms.mul(a, np.array(b)), ys),
+        (lambda a, b: a / b, lambda a, b: forms.div(a, np.array(b)), ys),
+        (lambda a, b: a * b, forms.mul, [y] * len(xs)),
+        (lambda a, b: b / a, lambda a, b: forms.div(b[0], a), [y] * len(xs)),
+        (lambda a, b: a ** b, lambda a, b: forms.power(a, n), [n] * len(xs)),
+    ]
+    for op, fn, second in cases:
+        arg = second if fn is not forms.mul else y
+        assert _batch_rows(fn, xs, arg) == _python_rows(op, xs, second)
+
+
+def test_int_and_float_scalars_multiply_and_divide_as_python():
+    xs = [0j, -0j, complex(-0.0, 0.0), 1 + 2j, complex("inf-1j"), complex("nan+1j")]
+    for s in (1, -1, 2, 0.5):
+        assert _batch_rows(lambda a, b: forms.mul(s, a), xs, None) == \
+            [repr(s * x) for x in xs]
+    assert _batch_rows(lambda a, b: forms.div(1, a), xs[3:], None) == \
+        [repr(1 / x) for x in xs[3:]]
+    with pytest.raises(ZeroDivisionError) as err:
+        forms.div(1, np.array(xs))
+    assert err.value.row == 0
+
+
+def test_index_plans_are_cached_and_read_only():
+    keys = ((1, 2, 3), (2, 3, 4))
+    steps, pick = forms._minor_plan(keys, 3)
+    assert forms._minor_plan(keys, 3)[0] is steps
+    assert forms._pairs(3) is forms._pairs(3)
+    for array in [pick, forms._pairs(3), *(a for step in steps for a in step)]:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0

@@ -1,7 +1,11 @@
 import math
+import operator
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cflab import exprlang, forms, geometry, kernels
 from cflab.errors import (ChartDomainError, DimensionMismatchError, InputError,
@@ -123,8 +127,55 @@ def test_kernel_on_chart_rejects_wrong_ambient():
         kernel_on_chart(phi(1, (0j,)), "U2")
 
 
+def _per_point_term(name, n, z, f, power, k, s):
+    """One phi/psi term coefficient as the per-point Python expression it
+    was before coefficients took batches."""
+    def coeff(p):
+        den = p[0] + sum(map(operator.mul, p[1:n + 1], z))
+        if den == 0:
+            raise PoleError(f"{name} evaluated on xi.z = 0", point=p)
+        fx = 1 + 0j if f is None else exprlang.eval_expr(f, p[n + 1:])
+        return fx / den ** power * (0j + s * p[k])
+
+    return coeff
+
+
+def _per_point_terms(kernel, n, z, f):
+    """The per-point references of the terms of ``kernel(n, z, f)``, in term
+    order."""
+    first, power = (1, n) if kernel is phi else (0, n + 1)
+    return [_per_point_term(kernel.__name__, n, tuple(map(complex, z)), f,
+                            power, k, (-1) ** (k - first))
+            for k in range(first, n + 1)]
+
+
+def _per_point_error(coeffs, rows):
+    """(type, message, point, row) of the error that point-by-point
+    evaluation, in point order and term order, raised first, mapped as
+    ``evaluate_many`` maps it; None when every row evaluates."""
+    for row, p in enumerate(rows):
+        for coeff in coeffs:
+            try:
+                coeff(p)
+            except PoleError as exc:
+                return PoleError, str(exc), exc.point, row
+            except (ZeroDivisionError, OverflowError) as exc:
+                what = "has a pole" if isinstance(exc, ZeroDivisionError) else "overflows"
+                return PoleError, f"form coefficient {what}", p, row
+    return None
+
+
+def _batch(coeff, rows):
+    """A coefficient's values on the batch of ``rows``, as Python complex;
+    overflow gives inf as in ``evaluate_many``, without a warning."""
+    cols = tuple(np.array(rows, dtype=complex).reshape(len(rows), -1).T)
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(coeff(cols), len(rows)).tolist()
+
+
 def _reference_kernel(name, basis, power, n, z, f):
-    """f / (xi.z)^power scaling wedge(basis, omega), built from the algebra."""
+    """f / (xi.z)^power scaling wedge(basis, omega), built from the algebra,
+    with the scale factor computed point by point in Python."""
     z = tuple(complex(c) for c in z)
 
     def coeff(p):
@@ -135,7 +186,7 @@ def _reference_kernel(name, basis, power, n, z, f):
         return fx / den ** power
 
     body = forms.wedge(kernel_basis_form(basis, n), kernel_basis_form("omega", n))
-    return forms.scale(body, coeff)
+    return forms.scale(body, forms.pointwise(coeff))
 
 
 def _signed_zero_c(rng):
@@ -161,13 +212,16 @@ def test_fused_kernel_equals_wedge_and_scale_reference(kernel, name, basis,
         ref = _reference_kernel(name, basis, n + extra, n, z, f)
         assert (fused.degree, fused.dim) == (ref.degree, ref.dim)
         assert list(fused.terms) == list(ref.terms)
+        rows = []
         for _ in range(40):
             p = tuple(_signed_zero_c(rng) for _ in range(dim))
-            p = (p[0] + 2,) + p[1:]
-            for key in ref.terms:
-                assert repr(fused.terms[key](p)) == repr(ref.terms[key](p))
-            vecs = [_rand_vec(rng, dim) for _ in range(fused.degree)]
-            assert fused.evaluate(p, vecs) == ref.evaluate(p, vecs)
+            rows.append((p[0] + 2,) + p[1:])
+        for key in ref.terms:
+            assert list(map(repr, _batch(fused.terms[key], rows))) == \
+                list(map(repr, _batch(ref.terms[key], rows)))
+        frames = [[_rand_vec(rng, dim) for _ in range(fused.degree)] for _ in rows]
+        assert fused.evaluate_many(rows, frames).tolist() == \
+            ref.evaluate_many(rows, frames).tolist()
         # A point on xi.z = 0: the same error, message and point.
         xi = tuple(_rand_c(rng) for _ in range(n))
         s = sum(c * w for c, w in zip(xi, z))
@@ -179,6 +233,70 @@ def test_fused_kernel_equals_wedge_and_scale_reference(kernel, name, basis,
                                   for _ in range(form.degree)])
             errors.append((str(info.value), info.value.point))
         assert errors[0] == errors[1]
+
+
+_PROFILE = settings.get_profile("cflab")
+_SIGNED = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1.0, 1.0))
+_SIGNED_C = st.builds(complex, _SIGNED, _SIGNED)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [phi, psi])
+@pytest.mark.parametrize("with_f", [False, True], ids=["no_f", "f"])
+@settings(_PROFILE, max_examples=40)
+@given(data=st.data())
+def test_batch_coefficients_equal_the_per_point_expression_bit_for_bit(
+        kernel, n, with_f, data):
+    f = exprlang.parse_expr(_F_BY_N[n], n) if with_f else None
+    z = tuple(data.draw(_SIGNED_C) * 0.3 for _ in range(n))
+    rows = data.draw(st.lists(st.tuples(*[_SIGNED_C] * (2 * n + 1)),
+                              min_size=1, max_size=8))
+    form, refs = kernel(n, z, f), _per_point_terms(kernel, n, z, f)
+    expected = _per_point_error(refs, rows)
+    good = rows if expected is None else rows[:expected[3]]
+    for coeff, ref in zip(form.terms.values(), refs):
+        if good:
+            assert list(map(repr, _batch(coeff, good))) == \
+                [repr(ref(p)) for p in good]
+    frames = [[(1 + 0j,) * form.dim] * form.degree] * len(rows)
+    if expected is None:
+        form.evaluate_many(rows, frames)
+    else:
+        with pytest.raises(PoleError) as err:
+            form.evaluate_many(rows, frames)
+        assert (type(err.value), str(err.value), err.value.point,
+                err.value.row) == expected
+
+
+_EXP = exprlang.parse_expr("exp(x)", 1)
+
+
+@pytest.mark.parametrize("name, kernel, n, z, f, rows", [
+    # f overflows at row 0, xi.z = 0 at row 1: row 0's error
+    ("f_overflow_first", phi, 1, (0.5 + 0j,), _EXP,
+     [(1 + 0j, 1 + 0j, 1000 + 0j), (-0.5 + 0j, 1 + 0j, 0j)]),
+    # the other way round: the pole row comes first
+    ("pole_first", phi, 1, (0.5 + 0j,), _EXP,
+     [(-0.5 + 0j, 1 + 0j, 0j), (1 + 0j, 1 + 0j, 1000 + 0j)]),
+    # one row with both: the xi.z = 0 test comes before f
+    ("pole_and_overflow_in_one_row", psi, 1, (0.5 + 0j,), _EXP,
+     [(1 + 0j, 1 + 0j, 0.3 + 0j), (-0.5 + 0j, 1 + 0j, 1000 + 0j)]),
+    # (xi.z)^2 underflows to zero: a pole
+    ("power_underflow", phi, 2, (0j, 0j), None,
+     [(1 + 0j,) * 5, (1e-200 + 0j, 1 + 0j, 1 + 0j, 0j, 0j), (0j,) * 5]),
+    # (xi.z)^3 overflows
+    ("power_overflow", psi, 2, (0j, 0j), None,
+     [(1 + 0j,) * 5, (1 + 0j,) * 5, (1e120j, 1 + 0j, 1 + 0j, 0j, 0j)]),
+])
+def test_pole_rows_match_point_by_point_evaluation(name, kernel, n, z, f, rows):
+    form = kernel(n, z, f)
+    expected = _per_point_error(_per_point_terms(kernel, n, z, f), rows)
+    assert expected is not None
+    frames = [[(1 + 0j,) * form.dim] * form.degree] * len(rows)
+    with pytest.raises(PoleError) as err:
+        form.evaluate_many(rows, frames)
+    assert (type(err.value), str(err.value), err.value.point,
+            err.value.row) == expected
 
 
 def test_phi_pole_on_incidence_hyperplane():
@@ -343,6 +461,7 @@ def test_sigma_b_exactness_identity():
     psi_chart = kernel_on_chart(psi(1, (0j,), f), "eta")
     sigma = casebook_form("sigma_B", f=f)
 
+    @forms.pointwise
     def rhs_coeff(p):
         eta, x = p
         lead = exprlang.eval_expr(dfg, (x,)) / eta
