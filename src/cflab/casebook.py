@@ -20,7 +20,6 @@ from . import cycles, exprlang, forms, geometry, kernels
 from .errors import CflabError, InputError
 from .exprlang import HolomorphicExpr, eval_expr, parse_expr
 from .forms import KForm
-from .geometry import _rand_c
 
 TWO_PI_I = 2j * math.pi
 MINUS_FOUR_PI_SQ = -4.0 * math.pi ** 2
@@ -283,19 +282,6 @@ _Z1 = (0.3 + 0.1j,)
 _Z2 = (0.2 + 0j, -0.1 + 0j)
 
 
-def _samples(rng, count, dim, degree, accept):
-    """``count`` seeded points of C^dim, each drawn until ``accept`` holds,
-    and after each point its frame of ``degree`` vectors."""
-    points, frames = [], []
-    while len(points) < count:
-        p = tuple(_rand_c(rng) for _ in range(dim))
-        if accept(p):
-            points.append(p)
-            frames.append([tuple(_rand_c(rng) for _ in range(dim))
-                           for _ in range(degree)])
-    return points, frames
-
-
 def _off_pole(n, z):
     """Accept joint points with |xi.z| >= 0.4."""
     return lambda p: abs(p[0] + sum(p[1 + k] * z[k] for k in range(n))) >= 0.4
@@ -308,8 +294,8 @@ def _worst_gap(lhs, rhs) -> float:
 
 
 def _identity_dphi_npsi(n, z, seed, count=100):
-    points, frames = _samples(random.Random(seed), count, 2 * n + 1, 2 * n,
-                              _off_pole(n, z))
+    points, frames, _ = geometry.sample_points(
+        random.Random(seed), count, 2 * n + 1, 2 * n, _off_pole(n, z))
     lhs = forms.d_numeric_many(kernels.phi(n, z), points, frames)
     return _worst_gap(lhs, n * kernels.psi(n, z).evaluate_many(points, frames))
 
@@ -319,11 +305,11 @@ def _identity_scale(seed, count=100):
     worst = 0.0
     for n, z in ((1, _Z1), (2, _Z2)):
         for kernel in (kernels.phi(n, z), kernels.psi(n, z)):
+            drawn = geometry.sample_points(rng, count // 2, 2 * n + 1,
+                                           kernel.degree, _off_pole(n, z), extra=1)
             points, frames = [], []
-            for _ in range(count // 2):
-                (p,), (vecs,) = _samples(rng, 1, 2 * n + 1, kernel.degree,
-                                         _off_pole(n, z))
-                lam = _rand_c(rng, 1.0) + (1.5 + 0.5j)
+            for p, vecs, (lam,) in zip(*drawn):
+                lam += 1.5 + 0.5j
                 points += [p, tuple(lam * c for c in p[:n + 1]) + p[n + 1:]]
                 frames += [vecs, [tuple(lam * c for c in v[:n + 1]) + v[n + 1:]
                                   for v in vecs]]
@@ -335,16 +321,18 @@ def _identity_scale(seed, count=100):
 
 
 def _identity_chart(n, seed, count=20):
-    points, frames = _samples(random.Random(seed), count, 2 * n + 1, 2 * n - 1,
-                              lambda p: abs(p[0]) >= 0.3 and abs(p[1]) >= 0.3)
+    points, frames, _ = geometry.sample_points(
+        random.Random(seed), count, 2 * n + 1, 2 * n - 1,
+        lambda p: abs(p[0]) >= 0.3 and abs(p[1]) >= 0.3)
     return float(kernels.phi_chart_identity_gaps(n, points, frames).max())
 
 
 def _exactness_gap(seed, count, psi_chart, potential, factor, rhs):
     """Worst relative gap of ``psi_chart + factor * d(potential) = rhs`` at
     seeded chart points with |p_0| >= 0.3."""
-    points, frames = _samples(random.Random(seed), count, psi_chart.dim,
-                              psi_chart.degree, lambda p: abs(p[0]) >= 0.3)
+    points, frames, _ = geometry.sample_points(
+        random.Random(seed), count, psi_chart.dim, psi_chart.degree,
+        lambda p: abs(p[0]) >= 0.3)
     lhs = (psi_chart.evaluate_many(points, frames)
            + factor * forms.d_numeric_many(potential, points, frames))
     return _worst_gap(lhs, rhs.evaluate_many(points, frames))
@@ -373,8 +361,9 @@ def _identity_exact_D(seed, count=30):
 def _identity_extend_B(seed, count=50):
     """|pullback of phi to S_B - the extended coefficient| at eta = 1e-6 and
     count - 1 random eta."""
-    drawn, _ = _samples(random.Random(seed), count - 1, 1, 0,
-                        lambda p: abs(p[0]) >= 0.05 and abs(p[0] + 1) >= 0.2)
+    drawn, _, _ = geometry.sample_points(
+        random.Random(seed), count - 1, 1, 0,
+        lambda p: abs(p[0]) >= 0.05 and abs(p[0] + 1) >= 0.2)
     etas = [1e-6 + 0j] + [eta for eta, in drawn]
     points = [(eta, 1 - eta ** 2 / (eta + 1)) for eta in etas]
     frames = [[(1 + 0j, -eta * (eta + 2) / (eta + 1) ** 2)] for eta in etas]
@@ -394,8 +383,8 @@ def _identity_extend_C(seed, count=50):
         return [tuple(sum(w[j] * cols[j][i] for j in range(3))
                       for i in range(4)) for w in vecs]
 
-    qs, vecs = _samples(random.Random(seed), count, 3, 3,
-                        lambda q: abs(q[0]) >= 0.05)
+    qs, vecs, _ = geometry.sample_points(random.Random(seed), count, 3, 3,
+                                         lambda q: abs(q[0]) >= 0.05)
     frame = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
     # per q: phi on the parameter frame (expected exactly 3), then on vecs
     pulled = kernels.kernel_on_chart(kernels.phi(2, (0j, 0j)), "U2").evaluate_many(
@@ -530,7 +519,7 @@ def fibration_check_C2(seed: int = 7, count: int = 20) -> CheckReport:
     trip_worst = 0.0
     nofibre_min = math.inf
     for _ in range(count):
-        xi1, xi2 = _rand_c(rng), _rand_c(rng)
+        xi1, xi2 = geometry.rand_c(rng), geometry.rand_c(rng)
         num = xi1 ** 3 + 2 * xi2 ** 3 - 2 * xi1 ** 2 * xi2
         # Over {xi1 != 0}: the surjectivity witness x1 (with x2 = 0) lies on
         # the surface; the trivialization's inverse map applied to the
@@ -540,7 +529,7 @@ def fibration_check_C2(seed: int = 7, count: int = 20) -> CheckReport:
             witness = num / xi1 ** 3
             surj_worst = max(surj_worst,
                              abs(_s_C2_homogeneous(0j, xi1, xi2, witness, 0j)))
-            x2 = _rand_c(rng)
+            x2 = geometry.rand_c(rng)
             x1 = 1 - (xi2 ** 3 * (x2 - 2) + 2 * xi1 ** 2 * xi2) / xi1 ** 3
             trip_worst = max(trip_worst,
                              abs(_s_C2_homogeneous(0j, xi1, xi2, x1, x2)))
@@ -551,14 +540,14 @@ def fibration_check_C2(seed: int = 7, count: int = 20) -> CheckReport:
             witness = num / xi2 ** 3
             surj_worst = max(surj_worst,
                              abs(_s_C2_homogeneous(0j, xi1, xi2, 0j, witness)))
-            x1 = _rand_c(rng)
+            x1 = geometry.rand_c(rng)
             x2 = 2 - (xi1 ** 3 * (x1 - 1) + 2 * xi1 ** 2 * xi2) / xi2 ** 3
             trip_worst = max(trip_worst,
                              abs(_s_C2_homogeneous(0j, xi1, xi2, x1, x2)))
             inverse_at_0 = 2 - (xi1 ** 3 * (0 - 1) + 2 * xi1 ** 2 * xi2) / xi2 ** 3
             trip_worst = max(trip_worst, abs(inverse_at_0 - witness))
         # no P-fibre is contained in the surface
-        x1, x2 = _rand_c(rng, 2.0), _rand_c(rng, 2.0)
+        x1, x2 = geometry.rand_c(rng, 2.0), geometry.rand_c(rng, 2.0)
         best = max(abs(_s_C2_homogeneous(0j, 1 + 0j, 0j, x1, x2)),
                    abs(_s_C2_homogeneous(0j, 0j, 1 + 0j, x1, x2)),
                    abs(_s_C2_homogeneous(0j, 1 + 0j, 1 + 0j, x1, x2)))
@@ -579,114 +568,6 @@ def fibration_check_C2(seed: int = 7, count: int = 20) -> CheckReport:
 
 
 # ------------------------------------------------------- transversality
-
-def _roots(coeffs) -> list[complex]:
-    arr = np.roots(np.array(coeffs, dtype=complex))
-    return sorted((complex(r) for r in arr), key=lambda c: (c.real, c.imag))
-
-
-def _intersection_points(example: str, which: str, seed: int,
-                         count: int = 5) -> tuple[str, list]:
-    """Closed-form samples on pairwise/triple intersections (chart points)."""
-    rng = random.Random(seed)
-    pts = []
-    if example == "B":
-        if which == "P_Q":
-            return "eta", [(0j, 0j)]
-        if which == "P_S":
-            return "eta", [(0j, 1 + 0j)]
-        if which == "Q_S":
-            return "eta", [(-0.5 + 0j, 0.5 + 0j)]
-        raise InputError(which)
-    while len(pts) < count:
-        if which == "P_Q":
-            y1, x1 = _rand_c(rng), _rand_c(rng)
-            pts.append((0j, y1, x1, -y1 * x1))
-        elif which == "P_S":
-            pts.extend(_p_cap_s(example, rng))
-        elif which == "Q_S":
-            pts.extend(_q_cap_s(example, rng))
-        elif which == "P_Q_S":
-            pts.extend(_p_q_s(example, rng))
-        else:
-            raise InputError(which)
-    return "U2", pts[:count]
-
-
-def _p_cap_s(example, rng):
-    y1 = _rand_c(rng)
-    if example == "C1":
-        x1 = _rand_c(rng)
-        return [(0j, y1, x1, 2 - y1 ** 3 * (x1 - 1))]
-    if example == "C2":
-        x1 = _rand_c(rng)
-        return [(0j, y1, x1, 2 - y1 ** 3 * (x1 - 1) - 2 * y1 ** 2)]
-    if example == "D":
-        x2 = _rand_c(rng)
-        den = y1 * (y1 + 1) * x2
-        if abs(den) < 0.1:
-            return []
-        return [(0j, y1, 1 - (x2 ** 2 + 1) / den, x2)]
-    if example == "E":
-        x2 = _rand_c(rng)
-        den = (y1 + x2) * (y1 + 2 * x2)
-        if abs(den) < 0.1:
-            return []
-        return [(0j, y1, 1 - (x2 ** 3 + 1) / den, x2)]
-    raise InputError(example)
-
-
-def _q_cap_s(example, rng):
-    if example in ("C1", "C2"):
-        y0, y1 = _rand_c(rng), _rand_c(rng)
-        den = y1 ** 3 - y1
-        if abs(den) < 0.1:
-            return []
-        extra = 2 * y1 ** 2 if example == "C2" else 0j
-        # substitute x2 = -y0 - y1 x1 into the chart equation and solve for x1
-        x1 = (y1 ** 3 + y0 + 2 - y0 ** 3 - extra) / den
-        x2 = -y0 - y1 * x1
-        return [(y0, y1, x1, x2)]
-    if example == "D":
-        y1, x2 = _rand_c(rng), _rand_c(rng)
-        if abs(y1) < 0.3:
-            return []
-        # (y1 x1 + x2)^2 + y1(y1+1)(x1-1)x2 + x2^2 + 1 = 0, quadratic in x1
-        a = y1 ** 2
-        b = 2 * y1 * x2 + y1 * (y1 + 1) * x2
-        c = x2 ** 2 - y1 * (y1 + 1) * x2 + x2 ** 2 + 1
-        return [(-(y1 * x1 + x2), y1, x1, x2) for x1 in _roots([a, b, c])]
-    if example == "E":
-        y1, x2 = _rand_c(rng), _rand_c(rng)
-        if abs(y1) < 0.3:
-            return []
-        quad = (y1 + x2) * (y1 + 2 * x2)
-        a = y1 ** 2
-        b = 2 * y1 * x2 + quad
-        c = x2 ** 2 - quad + x2 ** 3 + 1
-        return [(-(y1 * x1 + x2), y1, x1, x2) for x1 in _roots([a, b, c])]
-    raise InputError(example)
-
-
-def _p_q_s(example, rng):
-    y1 = _rand_c(rng)
-    if abs(y1) < 0.3 or abs(y1 ** 3 - y1) < 0.1:
-        return []
-    if example == "C1":
-        x1 = (y1 ** 3 + 2) / (y1 ** 3 - y1)
-        return [(0j, y1, x1, -y1 * x1)]
-    if example == "C2":
-        x1 = (y1 ** 3 - 2 * y1 ** 2 + 2) / (y1 ** 3 - y1)
-        return [(0j, y1, x1, -y1 * x1)]
-    if example == "D":
-        roots = _roots([-y1 ** 3, y1 ** 2 * (y1 + 1), 1 + 0j])
-        return [(0j, y1, x1, -y1 * x1) for x1 in roots]
-    if example == "E":
-        roots = _roots([2 * y1 ** 2 - y1 ** 3, -5 * y1 ** 2,
-                        4 * y1 ** 2, 1 - y1 ** 2])
-        return [(0j, y1, x1, -y1 * x1) for x1 in roots]
-    raise InputError(example)
-
 
 _EXAMPLE_SURFACE = {"B": "S_B", "C1": "S_C1", "C2": "S_C2",
                     "D": "S_D", "E": "S_E"}
@@ -720,7 +601,7 @@ def transversality_suite(seed: int = 7) -> list[CheckReport]:
         for which in whichs:
             t0 = time.perf_counter()
             check_id = f"transv_{example}_{which}"
-            chart, points = _intersection_points(
+            chart, points = geometry.intersection_points(
                 example, which, _subseed(seed, check_id))
             specs = _margin_specs(example, which, chart)
             margin = min(geometry.transversality_margin(specs, p)

@@ -239,8 +239,63 @@ _BUILDERS = {
 
 # ----------------------------------------------------------------- sampling
 
-def _rand_c(rng: random.Random, radius: float = 1.0) -> complex:
+def rand_c(rng: random.Random, radius: float = 1.0) -> complex:
+    """One point of the square [-radius, radius]^2, real part drawn first."""
     return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+
+
+def _rand_c_many(rng: random.Random, count: int,
+                 radius: float = 1.0) -> list[complex]:
+    """``count`` successive ``rand_c(rng, radius)`` draws, bit for bit, from
+    one ``getrandbits`` call that leaves ``rng`` in the same state.
+
+    ``random()`` makes each double from two 32-bit Mersenne Twister outputs
+    as ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, and ``uniform(a, b)`` is
+    a + (b - a) * random(); ``getrandbits`` returns the same outputs in
+    order, least significant word first.
+    """
+    words = np.frombuffer(rng.getrandbits(128 * count).to_bytes(16 * count, "little"),
+                          dtype="<u4")
+    u = (((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6))
+         * (1.0 / 9007199254740992.0))
+    return (-radius + (radius - -radius) * u).view(complex).tolist()
+
+
+def sample_points(rng: random.Random, count: int, dim: int, degree: int,
+                  accept: Callable[[Point], bool], extra: int = 0
+                  ) -> tuple[list[Point], list[list[Point]], list[Point]]:
+    """``count`` seeded points of C^dim, each drawn until ``accept`` holds,
+    and after each point its frame of ``degree`` vectors and ``extra`` more
+    draws: ``(points, frames, extras)``.
+
+    The values and the final state of ``rng`` are those of drawing every
+    coordinate with ``rand_c`` in that order.  The draws come in bulk, and a
+    top-up only ever fills the buffer to the fewest draws the records still
+    missing need, so nothing past the last accepted record is drawn.
+    """
+    width = degree * dim
+    record = dim + width + extra
+    points, frames, extras = [], [], []
+    buf, pos = [], 0
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts > 200 * count:
+            raise PreconditionError("sampler found too few acceptable points")
+        if len(buf) - pos < record:
+            buf = buf[pos:] + _rand_c_many(
+                rng, (count - len(points)) * record - (len(buf) - pos))
+            pos = 0
+        point = tuple(buf[pos:pos + dim])
+        pos += dim
+        if accept(point):
+            points.append(point)
+            vectors = iter(buf[pos:pos + width])
+            frames.append(list(zip(*[vectors] * dim)))
+            pos += width
+            extras.append(tuple(buf[pos:pos + extra]))
+            pos += extra
+    return points, frames, extras
 
 
 def _on_surface_tol(point: Point) -> float:
@@ -277,50 +332,50 @@ def sample_on_surface(spec: SurfaceSpec, seed: int, count: int) -> list[Point]:
 
 def _sample_S_A(rng, params):
     a = params[0]
-    eta = _rand_c(rng)
+    eta = rand_c(rng)
     return (eta, 1 - a * eta)
 
 
 def _sample_S_B(rng, params):
-    eta = _rand_c(rng)
+    eta = rand_c(rng)
     if abs(eta + 1) < 0.2:
         return None
     return (eta, 1 - eta ** 2 / (eta + 1))
 
 
 def _sample_Q_eta(rng, params):
-    eta = _rand_c(rng)
+    eta = rand_c(rng)
     return (eta, -eta)
 
 
 def _sample_P_eta(rng, params):
     z0 = params[0] if params else 0j
-    return (-z0, _rand_c(rng))
+    return (-z0, rand_c(rng))
 
 
 def _sample_Q_U2(rng, params):
-    y0, y1, x1 = _rand_c(rng), _rand_c(rng), _rand_c(rng)
+    y0, y1, x1 = rand_c(rng), rand_c(rng), rand_c(rng)
     return (y0, y1, x1, -y0 - y1 * x1)
 
 
 def _sample_P_U2(rng, params):
     z1, z2 = params if params else (0j, 0j)
-    y1, x1, x2 = _rand_c(rng), _rand_c(rng), _rand_c(rng)
+    y1, x1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
     return (-y1 * z1 - z2, y1, x1, x2)
 
 
 def _sample_S_C1(rng, params):
-    y0, y1, x1 = _rand_c(rng), _rand_c(rng), _rand_c(rng)
+    y0, y1, x1 = rand_c(rng), rand_c(rng), rand_c(rng)
     return (y0, y1, x1, 2 - y0 ** 3 - y1 ** 3 * (x1 - 1))
 
 
 def _sample_S_C2(rng, params):
-    y0, y1, x1 = _rand_c(rng), _rand_c(rng), _rand_c(rng)
+    y0, y1, x1 = rand_c(rng), rand_c(rng), rand_c(rng)
     return (y0, y1, x1, 2 - y0 ** 3 - y1 ** 3 * (x1 - 1) - 2 * y1 ** 2)
 
 
 def _sample_S_D_U2(rng, params):
-    y0, y1, x2 = _rand_c(rng), _rand_c(rng), _rand_c(rng)
+    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
     den = y1 * (y1 + 1) * x2
     if abs(den) < 0.05:
         return None
@@ -329,7 +384,7 @@ def _sample_S_D_U2(rng, params):
 
 
 def _sample_S_D_U1(rng, params):
-    w0, w2, x2 = _rand_c(rng), _rand_c(rng), _rand_c(rng)
+    w0, w2, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
     den = (1 + w2) * x2
     if abs(den) < 0.05:
         return None
@@ -338,7 +393,7 @@ def _sample_S_D_U1(rng, params):
 
 
 def _sample_S_E(rng, params):
-    y0, y1, x2 = _rand_c(rng), _rand_c(rng), _rand_c(rng)
+    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
     den = (y1 + x2) * (y1 + 2 * x2)
     if abs(den) < 0.05:
         return None
@@ -359,6 +414,119 @@ _SAMPLERS = {
     ("S_D", "U1"): _sample_S_D_U1,
     ("S_E", "U2"): _sample_S_E,
 }
+
+
+def _roots(coeffs) -> list[complex]:
+    arr = np.roots(np.array(coeffs, dtype=complex))
+    return sorted((complex(r) for r in arr), key=lambda c: (c.real, c.imag))
+
+
+def intersection_points(example: str, which: str, seed: int,
+                        count: int = 5) -> tuple[str, list]:
+    """Closed-form samples on pairwise/triple intersections (chart points)."""
+    rng = random.Random(seed)
+    pts = []
+    if example == "B":
+        if which == "P_Q":
+            return "eta", [(0j, 0j)]
+        if which == "P_S":
+            return "eta", [(0j, 1 + 0j)]
+        if which == "Q_S":
+            return "eta", [(-0.5 + 0j, 0.5 + 0j)]
+        raise InputError(which)
+    attempts = 0
+    while len(pts) < count:
+        attempts += 1
+        if attempts > 200 * count:
+            raise PreconditionError(
+                f"sampler failed to find points on {which} of Example {example}")
+        if which == "P_Q":
+            y1, x1 = rand_c(rng), rand_c(rng)
+            pts.append((0j, y1, x1, -y1 * x1))
+        elif which == "P_S":
+            pts.extend(_p_cap_s(example, rng))
+        elif which == "Q_S":
+            pts.extend(_q_cap_s(example, rng))
+        elif which == "P_Q_S":
+            pts.extend(_p_q_s(example, rng))
+        else:
+            raise InputError(which)
+    return "U2", pts[:count]
+
+
+def _p_cap_s(example, rng):
+    y1 = rand_c(rng)
+    if example == "C1":
+        x1 = rand_c(rng)
+        return [(0j, y1, x1, 2 - y1 ** 3 * (x1 - 1))]
+    if example == "C2":
+        x1 = rand_c(rng)
+        return [(0j, y1, x1, 2 - y1 ** 3 * (x1 - 1) - 2 * y1 ** 2)]
+    if example == "D":
+        x2 = rand_c(rng)
+        den = y1 * (y1 + 1) * x2
+        if abs(den) < 0.1:
+            return []
+        return [(0j, y1, 1 - (x2 ** 2 + 1) / den, x2)]
+    if example == "E":
+        x2 = rand_c(rng)
+        den = (y1 + x2) * (y1 + 2 * x2)
+        if abs(den) < 0.1:
+            return []
+        return [(0j, y1, 1 - (x2 ** 3 + 1) / den, x2)]
+    raise InputError(example)
+
+
+def _q_cap_s(example, rng):
+    if example in ("C1", "C2"):
+        y0, y1 = rand_c(rng), rand_c(rng)
+        den = y1 ** 3 - y1
+        if abs(den) < 0.1:
+            return []
+        extra = 2 * y1 ** 2 if example == "C2" else 0j
+        # substitute x2 = -y0 - y1 x1 into the chart equation and solve for x1
+        x1 = (y1 ** 3 + y0 + 2 - y0 ** 3 - extra) / den
+        x2 = -y0 - y1 * x1
+        return [(y0, y1, x1, x2)]
+    if example == "D":
+        y1, x2 = rand_c(rng), rand_c(rng)
+        if abs(y1) < 0.3:
+            return []
+        # (y1 x1 + x2)^2 + y1(y1+1)(x1-1)x2 + x2^2 + 1 = 0, quadratic in x1
+        a = y1 ** 2
+        b = 2 * y1 * x2 + y1 * (y1 + 1) * x2
+        c = x2 ** 2 - y1 * (y1 + 1) * x2 + x2 ** 2 + 1
+        return [(-(y1 * x1 + x2), y1, x1, x2) for x1 in _roots([a, b, c])]
+    if example == "E":
+        y1, x2 = rand_c(rng), rand_c(rng)
+        if abs(y1) < 0.3:
+            return []
+        quad = (y1 + x2) * (y1 + 2 * x2)
+        a = y1 ** 2
+        b = 2 * y1 * x2 + quad
+        c = x2 ** 2 - quad + x2 ** 3 + 1
+        return [(-(y1 * x1 + x2), y1, x1, x2) for x1 in _roots([a, b, c])]
+    raise InputError(example)
+
+
+def _p_q_s(example, rng):
+    y1 = rand_c(rng)
+    if abs(y1) < 0.3 or abs(y1 ** 3 - y1) < 0.1:
+        return []
+    if example == "C1":
+        x1 = (y1 ** 3 + 2) / (y1 ** 3 - y1)
+        return [(0j, y1, x1, -y1 * x1)]
+    if example == "C2":
+        x1 = (y1 ** 3 - 2 * y1 ** 2 + 2) / (y1 ** 3 - y1)
+        return [(0j, y1, x1, -y1 * x1)]
+    if example == "D":
+        roots = _roots([-y1 ** 3, y1 ** 2 * (y1 + 1), 1 + 0j])
+        return [(0j, y1, x1, -y1 * x1) for x1 in roots]
+    if example == "E":
+        roots = _roots([2 * y1 ** 2 - y1 ** 3, -5 * y1 ** 2,
+                        4 * y1 ** 2, 1 - y1 ** 2])
+        return [(0j, y1, x1, -y1 * x1) for x1 in roots]
+    raise InputError(example)
 
 
 # ----------------------------------------------------------- transversality

@@ -5,9 +5,34 @@ are derived from each test's name (``derandomize``), no example database is
 written, and no deadline applies, since a shared machine's timing varies.
 The properties take it as their parent settings; ``pytest
 --hypothesis-profile=cflab`` makes it the default for every test.
+
+``scalar_sampler`` is the per-coordinate sampling loop that the bulk draws of
+``geometry.sample_points`` replace.
 """
 
+import pytest
 from hypothesis import settings
+
+from cflab.geometry import rand_c
 
 settings.register_profile("cflab", derandomize=True, deadline=None,
                           database=None)
+
+
+def scalar_sample_points(rng, count, dim, degree, accept, extra=0):
+    """``geometry.sample_points`` as a loop of one ``rand_c`` per coordinate,
+    with no attempt cap: the reference its bulk draws must reproduce."""
+    points, frames, extras = [], [], []
+    while len(points) < count:
+        p = tuple(rand_c(rng) for _ in range(dim))
+        if accept(p):
+            points.append(p)
+            frames.append([tuple(rand_c(rng) for _ in range(dim))
+                           for _ in range(degree)])
+            extras.append(tuple(rand_c(rng) for _ in range(extra)))
+    return points, frames, extras
+
+
+@pytest.fixture(scope="session")
+def scalar_sampler():
+    return scalar_sample_points

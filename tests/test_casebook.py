@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from cflab import casebook, cycles, kernels
+from cflab import casebook, cycles, geometry, kernels
 from cflab.casebook import (RunConfig, fibration_check_C2, first_formula,
                             full_report, identity_suite,
                             necessary_condition_case,
@@ -345,6 +345,23 @@ def test_vanishing_checks_draw_each_sample_once(monkeypatch):
     rows = casebook.identity_suite("vanish_all", seed=3)
     assert len(rows) == len(draws) == len(casebook.VANISH_PAIRS)
     assert all(r.passed for r in rows)
+
+
+def _seeded_rows():
+    rows = []
+    for seed in (7, 101, 211):
+        for report in (identity_suite(seed=seed) + transversality_suite(seed=seed)
+                       + [fibration_check_C2(seed=seed)]):
+            rows.append((report.id, repr(report.computed), repr(report.expected),
+                         repr(report.abs_error), report.params))
+    return rows
+
+
+def test_bulk_sampling_leaves_every_seeded_report_unchanged(scalar_sampler,
+                                                            monkeypatch):
+    bulk = _seeded_rows()
+    monkeypatch.setattr(geometry, "sample_points", scalar_sampler)
+    assert bulk == _seeded_rows()
 
 
 def test_oracle_with_overflowing_radii_warns_nothing():

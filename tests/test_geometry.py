@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cflab import cycles, geometry
 from cflab.errors import (ChartDomainError, DimensionMismatchError,
                           InputError, PreconditionError)
-from cflab.geometry import (affine_chart, dual_pairing,
-                            sample_on_surface, surface_catalog,
-                            transversality_margin)
+from cflab.geometry import (affine_chart, dual_pairing, intersection_points,
+                            rand_c, sample_on_surface, sample_points,
+                            surface_catalog, transversality_margin)
 
 GOLDEN_MARGIN = 0.6180339887498949  # smallest singular value of [[1,0],[1,1]]
 
@@ -158,6 +160,54 @@ def test_sampler_reproducible_bit_for_bit():
     assert a == b
     c = sample_on_surface(spec, seed=124, count=25)
     assert a != c
+
+
+_PROFILE = settings.get_profile("cflab")
+_SEEDS = st.integers(min_value=0, max_value=2 ** 64)
+
+
+@settings(_PROFILE, max_examples=60)
+@given(seed=_SEEDS,
+       count=st.one_of(st.sampled_from([0, 1, 2, 2000]),
+                       st.integers(min_value=0, max_value=2000)),
+       radius=st.sampled_from([0.5, 1.0, 2.0]))
+def test_bulk_draws_are_the_scalar_draws_bit_for_bit(seed, count, radius):
+    bulk_rng, scalar_rng = random.Random(seed), random.Random(seed)
+    bulk = geometry._rand_c_many(bulk_rng, count, radius)
+    scalar = [rand_c(scalar_rng, radius) for _ in range(count)]
+    assert [repr(c) for c in bulk] == [repr(c) for c in scalar]
+    assert all(type(c) is complex for c in bulk)
+    assert bulk_rng.getstate() == scalar_rng.getstate()
+
+
+@settings(_PROFILE, max_examples=60)
+@given(seed=_SEEDS, count=st.integers(min_value=0, max_value=30),
+       dim=st.integers(min_value=1, max_value=5),
+       degree=st.integers(min_value=0, max_value=4),
+       extra=st.integers(min_value=0, max_value=2),
+       threshold=st.sampled_from([0.0, 0.4, 0.9, 1.2]))
+def test_sample_points_draws_what_the_scalar_loop_draws(
+        scalar_sampler, seed, count, dim, degree, extra, threshold):
+    # threshold 1.2 accepts about one candidate in eleven
+    def accept(p):
+        return abs(p[0]) >= threshold
+
+    bulk_rng, scalar_rng = random.Random(seed), random.Random(seed)
+    bulk = sample_points(bulk_rng, count, dim, degree, accept, extra)
+    scalar = scalar_sampler(scalar_rng, count, dim, degree, accept, extra)
+    assert repr(bulk) == repr(scalar)
+    assert bulk_rng.getstate() == scalar_rng.getstate()
+
+
+def test_sample_points_gives_up_on_a_predicate_that_never_holds():
+    with pytest.raises(PreconditionError):
+        sample_points(random.Random(1), 5, 3, 2, lambda p: False)
+
+
+def test_intersection_points_gives_up_when_no_draw_lands(monkeypatch):
+    monkeypatch.setattr(geometry, "_p_cap_s", lambda example, rng: [])
+    with pytest.raises(PreconditionError):
+        intersection_points("C1", "P_S", seed=1)
 
 
 def test_transversality_margin_golden_ratio():
