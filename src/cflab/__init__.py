@@ -26,8 +26,7 @@ from .geometry import (SurfaceSpec, affine_chart, dual_pairing,
                        transversality_margin)
 from .cycles import (Cycle, ParamDomain, QuadratureSpec, integrate,
                      make_cycle, orientation_sign)
-from .kernels import (casebook_form, kernel_basis_form, phi,
-                      phi_chart_identity_gap, psi, vanishing_max)
+from .kernels import casebook_form, kernel_basis_form, phi, psi
 
 __all__ = [
     "__version__",
@@ -40,9 +39,8 @@ __all__ = [
     "dual_pairing", "eval_expr", "first_formula", "fibration_check_C2",
     "full_report", "identity_suite", "integrate", "kernel_basis_form",
     "make_cycle", "necessary_condition_case", "orientation_sign",
-    "parse_expr", "phi", "phi_chart_identity_gap", "psi",
+    "parse_expr", "phi", "psi",
     "pullback_integrand", "sample_on_surface",
     "second_formula_n1", "surface_catalog", "third_formula_case",
-    "transversality_margin", "transversality_suite", "vanishing_max",
-    "wedge",
+    "transversality_margin", "transversality_suite", "wedge",
 ]

@@ -2,8 +2,10 @@
 
 Every operation returns :class:`CheckReport` records: computed value,
 expected value (pinned from an independent oracle where no closed form
-exists), absolute error, tolerance and a pass flag.  ``full_report`` runs
-the whole battery in a fixed order.
+exists), absolute error, tolerance and a pass flag.  :data:`CHECKS` holds
+one ``(id, group, run)`` row per report row, where ``run(seed)`` returns
+that row's report; ``full_report`` runs the table in order, and
+``identity_suite`` and ``transversality_suite`` run parts of it.
 """
 
 from __future__ import annotations
@@ -274,9 +276,6 @@ def necessary_condition_eps_invariance(eps_a: float = 0.3, eps_b: float = 0.7,
 
 # ------------------------------------------------------------ identity suite
 
-IDENTITY_IDS = ("dPhi_nPsi", "scale_invariance", "chart_phi", "exact_A",
-                "exact_D", "extend_B", "extend_C", "vanish_all")
-
 _GENERIC_F = "exp(x)+x^2"
 _Z1 = (0.3 + 0.1j,)
 _Z2 = (0.2 + 0j, -0.1 + 0j)
@@ -430,71 +429,70 @@ def _vanish_report(check_id, group, form_id, surf, seed, count=20) -> CheckRepor
                          (), t0)
 
 
+def _gap_row(check_id, group, params, tol, gap):
+    """The table row of an identity whose worst gap ``gap(seed)`` must stay
+    within ``tol`` of 0; each report gets its own copy of ``params``."""
+    def run(seed):
+        t0 = time.perf_counter()
+        return _value_report(check_id, group, dict(params), gap(seed), 0j, tol,
+                             (), t0)
+    return check_id, group, run
+
+
+def _vanish_row(check_id, group, form_id, surf):
+    return check_id, group, lambda seed: _vanish_report(
+        check_id, group, form_id, surf, _subseed(seed, check_id))
+
+
+# The identity rows of the report by ``verify identities`` id, in report
+# order.  Rows look module functions up when run, so patching them works.
+IDENTITY_CHECKS = {
+    "dPhi_nPsi": (
+        _gap_row("identity_dPhi_nPsi_n1", "core",
+                 {"n": 1, "points": 100, "metric": "max relative error"}, 1e-5,
+                 lambda s: _identity_dphi_npsi(1, _Z1, _subseed(s, "dphi1"))),
+        _gap_row("identity_dPhi_nPsi_n2", "core",
+                 {"n": 2, "points": 100, "metric": "max relative error"}, 1e-5,
+                 lambda s: _identity_dphi_npsi(2, _Z2, _subseed(s, "dphi2")))),
+    "scale_invariance": (
+        _gap_row("identity_scale_invariance", "core",
+                 {"kernels": "phi,psi", "n": "1,2",
+                  "metric": "max relative error"}, 1e-12,
+                 lambda s: _identity_scale(_subseed(s, "scale"))),),
+    "chart_phi": (
+        _gap_row("identity_chart_phi_n2", "core",
+                 {"n": 2, "points": 20, "metric": "max relative gap"}, 1e-10,
+                 lambda s: _identity_chart(2, _subseed(s, "chart2"))),
+        _gap_row("identity_chart_phi_n3", "core",
+                 {"n": 3, "points": 20, "metric": "max relative gap"}, 1e-10,
+                 lambda s: _identity_chart(3, _subseed(s, "chart3")))),
+    "exact_A": (
+        _gap_row("identity_exact_A", "A",
+                 {"a": _cfmt(_SIGMA_A_PARAM), "f": _GENERIC_F,
+                  "metric": "max relative error"}, 1e-5,
+                 lambda s: _identity_exact_A(_subseed(s, "exactA"))),),
+    "exact_D": (
+        _gap_row("identity_exact_D", "D", {"metric": "max relative error"},
+                 1e-5, lambda s: _identity_exact_D(_subseed(s, "exactD"))),),
+    "extend_B": (
+        _gap_row("identity_extend_B", "B",
+                 {"points": 50, "includes_eta": "1e-06"}, 1e-10,
+                 lambda s: _identity_extend_B(_subseed(s, "extB"))),),
+    "extend_C": (
+        _gap_row("identity_extend_C", "C", {"points": 50}, 1e-10,
+                 lambda s: _identity_extend_C(_subseed(s, "extC"))),),
+    "vanish_all": tuple(_vanish_row(*pair) for pair in VANISH_PAIRS),
+}
+
+
 def identity_suite(which: str | None = None, seed: int = 7) -> list[CheckReport]:
-    """Seeded random-point verification of the structural identities."""
-    if which is not None and which not in IDENTITY_IDS:
+    """Seeded random-point verification of the structural identities: every
+    row of :data:`IDENTITY_CHECKS`, or those of the one id ``which``."""
+    if which is not None and which not in IDENTITY_CHECKS:
         raise InputError(f"unknown identity id {which!r}; "
-                         f"choose from {IDENTITY_IDS}")
-    out: list[CheckReport] = []
-
-    def want(name):
-        return which is None or which == name
-
-    if want("dPhi_nPsi"):
-        for n, z in ((1, _Z1), (2, _Z2)):
-            t0 = time.perf_counter()
-            worst = _identity_dphi_npsi(n, z, _subseed(seed, f"dphi{n}"))
-            out.append(_value_report(
-                f"identity_dPhi_nPsi_n{n}", "core",
-                {"n": n, "points": 100, "metric": "max relative error"},
-                worst, 0j, 1e-5, (), t0))
-    if want("scale_invariance"):
-        t0 = time.perf_counter()
-        worst = _identity_scale(_subseed(seed, "scale"))
-        out.append(_value_report(
-            "identity_scale_invariance", "core",
-            {"kernels": "phi,psi", "n": "1,2", "metric": "max relative error"},
-            worst, 0j, 1e-12, (), t0))
-    if want("chart_phi"):
-        for n in (2, 3):
-            t0 = time.perf_counter()
-            worst = _identity_chart(n, _subseed(seed, f"chart{n}"))
-            out.append(_value_report(
-                f"identity_chart_phi_n{n}", "core",
-                {"n": n, "points": 20, "metric": "max relative gap"},
-                worst, 0j, 1e-10, (), t0))
-    if want("exact_A"):
-        t0 = time.perf_counter()
-        worst = _identity_exact_A(_subseed(seed, "exactA"))
-        out.append(_value_report(
-            "identity_exact_A", "A",
-            {"a": _cfmt(_SIGMA_A_PARAM), "f": _GENERIC_F,
-             "metric": "max relative error"},
-            worst, 0j, 1e-5, (), t0))
-    if want("exact_D"):
-        t0 = time.perf_counter()
-        worst = _identity_exact_D(_subseed(seed, "exactD"))
-        out.append(_value_report(
-            "identity_exact_D", "D", {"metric": "max relative error"},
-            worst, 0j, 1e-5, (), t0))
-    if want("extend_B"):
-        t0 = time.perf_counter()
-        worst = _identity_extend_B(_subseed(seed, "extB"))
-        out.append(_value_report(
-            "identity_extend_B", "B",
-            {"points": 50, "includes_eta": "1e-06"},
-            worst, 0j, 1e-10, (), t0))
-    if want("extend_C"):
-        t0 = time.perf_counter()
-        worst = _identity_extend_C(_subseed(seed, "extC"))
-        out.append(_value_report(
-            "identity_extend_C", "C", {"points": 50},
-            worst, 0j, 1e-10, (), t0))
-    if want("vanish_all"):
-        for check_id, group, form_id, surf in VANISH_PAIRS:
-            out.append(_vanish_report(check_id, group, form_id, surf,
-                                      _subseed(seed, check_id)))
-    return out
+                         f"choose from {tuple(IDENTITY_CHECKS)}")
+    families = IDENTITY_CHECKS.values() if which is None else (IDENTITY_CHECKS[which],)
+    return [run(seed) for rows in families for _, _, run in rows]
 
 
 # --------------------------------------------------------- Example C fibres
@@ -584,36 +582,25 @@ def _margin_specs(example: str, which: str, chart: str):
     return [named[token] for token in which.split("_")]
 
 
-def transversality_suite(seed: int = 7) -> list[CheckReport]:
-    """General-position spot checks at sampled intersection points.
+def _transversality_report(example: str, which: str, seed: int) -> CheckReport:
+    """The smallest stacked-gradient singular value over sampled points of
+    one intersection must stay above 1e-6."""
+    t0 = time.perf_counter()
+    check_id = f"transv_{example}_{which}"
+    chart, points = geometry.intersection_points(
+        example, which, _subseed(seed, check_id))
+    specs = _margin_specs(example, which, chart)
+    margin = min(geometry.transversality_margin(specs, p) for p in points)
+    params = {"example": example, "surfaces": which, "points": len(points),
+              "predicate": "margin > 1e-6"}
+    return _predicate_report(check_id, example[0], params, margin, 1e-6,
+                             margin > 1e-6, (), t0,
+                             violation=max(0.0, 1e-6 - margin))
 
-    For each example the pairwise (and, for n = 2, triple) intersections
-    are sampled in closed form and the stacked-gradient smallest singular
-    value must stay above 1e-6.  The known degeneracy of Example D over
-    (x1, x2) = (1, 0) must conversely be reported below 1e-6.
-    """
-    out: list[CheckReport] = []
-    combos = [("B", ("P_Q", "P_S", "Q_S"))]
-    for example in ("C1", "C2", "D", "E"):
-        combos.append((example, ("P_Q", "P_S", "Q_S", "P_Q_S")))
-    for example, whichs in combos:
-        group = example[0]
-        for which in whichs:
-            t0 = time.perf_counter()
-            check_id = f"transv_{example}_{which}"
-            chart, points = geometry.intersection_points(
-                example, which, _subseed(seed, check_id))
-            specs = _margin_specs(example, which, chart)
-            margin = min(geometry.transversality_margin(specs, p)
-                         for p in points)
-            params = {"example": example, "surfaces": which,
-                      "points": len(points),
-                      "predicate": "margin > 1e-6"}
-            out.append(_predicate_report(
-                check_id, group, params, margin, 1e-6,
-                margin > 1e-6, (), t0,
-                violation=max(0.0, 1e-6 - margin)))
-    # Example D's degeneracy over (x1, x2) = (1, 0), visible in the xi1 chart.
+
+def _degenerate_D_report() -> CheckReport:
+    """Example D's degeneracy over (x1, x2) = (1, 0), visible in the xi1
+    chart, must be reported below 1e-6."""
     t0 = time.perf_counter()
     spec_P = geometry.surface_catalog("P", (0j, 0j), chart="U1")
     spec_S = geometry.surface_catalog("S_D", chart="U1")
@@ -622,10 +609,30 @@ def transversality_suite(seed: int = 7) -> list[CheckReport]:
     params = {"example": "D", "surfaces": "P_S",
               "point": "(w0,w2,x1,x2)=(0,0,1,0)",
               "predicate": "margin < 1e-6"}
-    out.append(_predicate_report(
+    return _predicate_report(
         "transv_D_degenerate_over_1_0", "D", params, margin, 1e-6,
-        margin < 1e-6, (), t0, violation=max(0.0, margin - 1e-6)))
-    return out
+        margin < 1e-6, (), t0, violation=max(0.0, margin - 1e-6))
+
+
+def _transversality_row(example, which):
+    return (f"transv_{example}_{which}", example[0],
+            lambda seed: _transversality_report(example, which, seed))
+
+
+# Pairwise (and, for n = 2, triple) intersections per example, then the
+# known degeneracy of Example D.
+TRANSVERSALITY_CHECKS = (
+    *(_transversality_row("B", which) for which in ("P_Q", "P_S", "Q_S")),
+    *(_transversality_row(example, which) for example in ("C1", "C2", "D", "E")
+      for which in ("P_Q", "P_S", "Q_S", "P_Q_S")),
+    ("transv_D_degenerate_over_1_0", "D", lambda seed: _degenerate_D_report()),
+)
+
+
+def transversality_suite(seed: int = 7) -> list[CheckReport]:
+    """General-position spot checks at sampled intersection points: every
+    row of :data:`TRANSVERSALITY_CHECKS`."""
+    return [run(seed) for _, _, run in TRANSVERSALITY_CHECKS]
 
 
 # -------------------------------------------------------------- full report
@@ -635,76 +642,65 @@ class RunConfig:
     """Knobs for a full verification run."""
 
     seed: int = 7
-    workers: int = 1  # validated only: quadrature is single-threaded
     skip: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
 
-
-def _skipped(check_id: str, group: str, skip) -> bool:
-    return check_id in skip or group in skip
+# One (id, group, run) row per report row, in report order; ``run(seed)``
+# returns that row's report.
+CHECKS = (
+    ("first_n1", "core", lambda s: first_formula(
+        1, parse_expr("exp(x)+x^2", 1), (0.3 + 0.1j,), 0.7,
+        quad=(128,), tol=1e-10, check_id="first_n1")),
+    ("first_n2_const", "core", lambda s: first_formula(
+        2, parse_expr("1", 2), (0.2, -0.1), 0.5,
+        quad=(32, 64, 64), tol=1e-8, check_id="first_n2_const")),
+    ("first_n2_poly", "core", lambda s: first_formula(
+        2, parse_expr("x1^2*x2+3", 2), (0.2, -0.1), 0.5,
+        quad=(32, 64, 64), tol=1e-6, check_id="first_n2_poly")),
+    ("second_exp", "core", lambda s: second_formula_n1(
+        parse_expr("exp(x)", 1), 0.3, 0.4, tol=1e-10, check_id="second_exp")),
+    ("second_square", "core", lambda s: second_formula_n1(
+        parse_expr("x^2", 1), 1 + 1j, 0.4, tol=1e-10,
+        check_id="second_square")),
+    ("third_A_a0", "A", lambda s: third_formula_case(
+        "A", parse_expr("exp(x)", 1), a=0, check_id="third_A_a0")),
+    ("third_A_a2", "A", lambda s: third_formula_case(
+        "A", parse_expr("x+1", 1), a=2, check_id="third_A_a2")),
+    ("third_A_a1", "A", lambda s: third_formula_case(
+        "A", parse_expr("1", 1), a=1, check_id="third_A_a1")),
+    ("third_B", "B", lambda s: third_formula_case(
+        "B", parse_expr("exp(x)", 1), check_id="third_B")),
+    ("necessary_D", "D", lambda s: necessary_condition_case("D", eps=0.5)),
+    ("necessary_D_eps_invariance", "D",
+     lambda s: necessary_condition_eps_invariance()),
+    ("necessary_E", "E",
+     lambda s: necessary_condition_case("E", radii=(0.5, 0.5))),
+    *(row for rows in IDENTITY_CHECKS.values() for row in rows),
+    ("fibration_C2", "C",
+     lambda s: fibration_check_C2(seed=_subseed(s, "fibration"))),
+    *TRANSVERSALITY_CHECKS,
+)
 
 
 def full_report(config: RunConfig | None = None) -> list[CheckReport]:
-    """Every acceptance check, in a fixed deterministic order.
+    """Every row of :data:`CHECKS`, in order.
 
-    A single check whose id or group is in ``config.skip`` is never run;
-    the multi-check suites run and their skipped rows are dropped.  A check
-    or suite that raises :class:`CflabError` becomes one FAIL row with its
-    id, carrying the error in ``params``, and the others still run.
+    A row whose id or group is in ``config.skip`` is never computed.  A row
+    that raises :class:`CflabError` becomes one FAIL row with that row's id
+    and group, carrying the error in ``params``, and the other rows still
+    run.
     """
     config = config or RunConfig()
-    skip = config.skip
-    seed = config.seed
-    # (id, group, call) for single checks; (id, None, call) for suites.
-    calls = (
-        ("first_n1", "core", lambda: first_formula(
-            1, parse_expr("exp(x)+x^2", 1), (0.3 + 0.1j,), 0.7,
-            quad=(128,), tol=1e-10, check_id="first_n1")),
-        ("first_n2_const", "core", lambda: first_formula(
-            2, parse_expr("1", 2), (0.2, -0.1), 0.5,
-            quad=(32, 64, 64), tol=1e-8, check_id="first_n2_const")),
-        ("first_n2_poly", "core", lambda: first_formula(
-            2, parse_expr("x1^2*x2+3", 2), (0.2, -0.1), 0.5,
-            quad=(32, 64, 64), tol=1e-6, check_id="first_n2_poly")),
-        ("second_exp", "core", lambda: second_formula_n1(
-            parse_expr("exp(x)", 1), 0.3, 0.4, tol=1e-10,
-            check_id="second_exp")),
-        ("second_square", "core", lambda: second_formula_n1(
-            parse_expr("x^2", 1), 1 + 1j, 0.4, tol=1e-10,
-            check_id="second_square")),
-        ("third_A_a0", "A", lambda: third_formula_case(
-            "A", parse_expr("exp(x)", 1), a=0, check_id="third_A_a0")),
-        ("third_A_a2", "A", lambda: third_formula_case(
-            "A", parse_expr("x+1", 1), a=2, check_id="third_A_a2")),
-        ("third_A_a1", "A", lambda: third_formula_case(
-            "A", parse_expr("1", 1), a=1, check_id="third_A_a1")),
-        ("third_B", "B", lambda: third_formula_case(
-            "B", parse_expr("exp(x)", 1), check_id="third_B")),
-        ("necessary_D", "D", lambda: necessary_condition_case("D", eps=0.5)),
-        ("necessary_D_eps_invariance", "D", necessary_condition_eps_invariance),
-        ("necessary_E", "E",
-         lambda: necessary_condition_case("E", radii=(0.5, 0.5))),
-        ("identity_suite", None, lambda: identity_suite(seed=seed)),
-        ("fibration_C2", "C",
-         lambda: fibration_check_C2(seed=_subseed(seed, "fibration"))),
-        ("transversality_suite", None, lambda: transversality_suite(seed=seed)),
-    )
     checks: list[CheckReport] = []
-    for check_id, group, call in calls:
-        if group is not None and _skipped(check_id, group, skip):
+    for check_id, group, run in CHECKS:
+        if check_id in config.skip or group in config.skip:
             continue
         t0 = time.perf_counter()
         try:
-            if group is None:
-                checks.extend(c for c in call() if not _skipped(c.id, c.group, skip))
-            else:
-                checks.append(call())
+            checks.append(run(config.seed))
         except CflabError as exc:
             error = {"error": f"{type(exc).__name__}: {exc}"}
-            checks.append(_predicate_report(check_id, group or "core", error,
+            checks.append(_predicate_report(check_id, group, error,
                                             0j, 0j, False, (), t0))
     return checks
 

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ident = vsub.add_parser("identities", help="structural identity suite")
     p_ident.add_argument("ids", nargs="*", default=[],
-                         help=f"subset of {', '.join(casebook.IDENTITY_IDS)}")
+                         help=f"subset of {', '.join(casebook.IDENTITY_CHECKS)}")
 
     p_fib = vsub.add_parser("fibration", help="Example C2 fibre checks")
     p_fib.add_argument("--count", type=int, default=20)
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="run the full verification battery")
     suite.add_argument("--seed", type=int, default=7)
-    suite.add_argument("--workers", type=int, default=1)
     suite.add_argument("--skip", action="append", default=[],
                        help="drop checks whose id or example group matches")
     suite.add_argument("--format", choices=("table", "json", "csv"),
@@ -201,9 +200,8 @@ def run_cli(argv=None) -> int:
     seed = getattr(args, "seed", 7)
     try:
         if args.command == "suite":
-            config = RunConfig(seed=args.seed, workers=args.workers,
-                               skip=tuple(args.skip))
-            checks = casebook.full_report(config)
+            checks = casebook.full_report(
+                RunConfig(seed=args.seed, skip=tuple(args.skip)))
             if not checks:
                 raise InputError("--skip removed every check")
         else:

@@ -408,8 +408,7 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
 
 
 def integrate(form: forms.KForm, cycle: Cycle,
-              quad: QuadratureSpec | int | Sequence[int],
-              workers: int = 1) -> complex:
+              quad: QuadratureSpec | int | Sequence[int]) -> complex:
     """Integrate a form over a cycle on the tensor-product grid.
 
     The grid is walked in parameter-lexicographic order, :data:`BLOCK_POINTS`
@@ -421,7 +420,7 @@ def integrate(form: forms.KForm, cycle: Cycle,
     overflows (without a param).  A grid above
     :data:`MAX_GRID_POINTS` points, or a Gauss-Legendre factor above
     :data:`MAX_GAUSS_NODES` nodes, raises :class:`InputError` before any
-    allocation.  ``workers`` is accepted and changes nothing.
+    allocation.
     """
     if form.degree != cycle.dim:
         raise InputError(

@@ -203,10 +203,6 @@ class KForm:
     # -- construction helpers ------------------------------------------
 
     @staticmethod
-    def scalar(dim: int, fn: CoeffFn) -> "KForm":
-        return KForm(0, dim, terms={(): fn})
-
-    @staticmethod
     def zero(dim: int, degree: int = 0) -> "KForm":
         return KForm(degree, dim, terms={})
 

@@ -156,11 +156,6 @@ def phi_chart_identity_gaps(n: int, points, frames) -> np.ndarray:
     return forms.modulus(lhs - rhs) / scale
 
 
-def phi_chart_identity_gap(n: int, point, vectors) -> float:
-    """Relative gap between phi (z = 0) and its y-chart product formula."""
-    return float(phi_chart_identity_gaps(n, (point,), (vectors,))[0])
-
-
 # ------------------------------------------------------------ chart lifts
 
 _SECTION_LAYOUTS = {
@@ -318,8 +313,3 @@ def vanishing_max_and_scale(form: KForm, spec: SurfaceSpec, seed: int,
     frames = bases[:, combos].reshape(-1, form.degree, form.dim)
     values = form.evaluate_many(np.repeat(points, len(combos), axis=0), frames)
     return float(forms.modulus(values).max()), form.coefficient_scale(points)
-
-
-def vanishing_max(form: KForm, spec: SurfaceSpec, seed: int, count: int) -> float:
-    """Max |form| over unit tangent frames at sampled on-surface points."""
-    return vanishing_max_and_scale(form, spec, seed, count)[0]

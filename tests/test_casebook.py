@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -272,9 +273,20 @@ def test_transversality_suite_margins():
 
 # ------------------------------------------------------------ full report
 
-def test_run_config_validation():
-    with pytest.raises(InputError):
-        RunConfig(workers=0)
+@pytest.fixture(scope="module")
+def unpatched_report():
+    return full_report()
+
+
+def _without_runtime(checks):
+    return [dataclasses.replace(c, runtime_ms=0.0) for c in checks]
+
+
+def test_every_table_row_reports_its_own_id_and_group(unpatched_report):
+    assert len(casebook.CHECKS) == 48
+    assert all(c.passed for c in unpatched_report)
+    assert [(c.id, c.group) for c in unpatched_report] == \
+        [(check_id, group) for check_id, group, _ in casebook.CHECKS]
 
 
 def test_full_report_skip_group():
@@ -305,20 +317,67 @@ def test_full_report_never_runs_a_skipped_check(monkeypatch):
     assert called == []
 
 
-@pytest.mark.parametrize("suite", ["identity_suite", "transversality_suite"])
-def test_full_report_isolates_a_raising_suite(suite, monkeypatch):
-    def raising(*args, **kwargs):
+def _raise_on_exact_D(monkeypatch):
+    def raising(seed):
         raise InputError("sampler gave up")
 
-    monkeypatch.setattr(casebook, suite, raising)
-    checks = full_report(RunConfig(skip=("core", "D", "E")))
+    monkeypatch.setattr(casebook, "_identity_exact_D", raising)
+
+
+def _raise_on_transv_C2_P_S(monkeypatch):
+    real = geometry.intersection_points
+
+    def raising(example, which, seed):
+        if (example, which) == ("C2", "P_S"):
+            raise InputError("sampler gave up")
+        return real(example, which, seed)
+
+    monkeypatch.setattr(geometry, "intersection_points", raising)
+
+
+@pytest.mark.parametrize("patch, row", [
+    (_raise_on_exact_D, ("identity_exact_D", "D")),
+    (_raise_on_transv_C2_P_S, ("transv_C2_P_S", "C")),
+], ids=["identity", "transversality"])
+def test_full_report_isolates_a_raising_row(patch, row, unpatched_report,
+                                            monkeypatch):
+    patch(monkeypatch)
+    checks = full_report()
+    assert len(checks) == 48
     failed = [c for c in checks if not c.passed]
-    assert [(c.id, c.group) for c in failed] == [(suite, "core")]
+    assert [(c.id, c.group) for c in failed] == [row]
     assert failed[0].params == {"error": "InputError: sampler gave up"}
     assert (failed[0].computed, failed[0].expected) == (0j, 0j)
     assert (failed[0].abs_error, failed[0].tol, failed[0].quad_sizes) == \
         (0.0, 0.0, ())
-    assert "fibration_C2" in [c.id for c in checks]
+    assert _without_runtime(c for c in checks if c.id != row[0]) == \
+        _without_runtime(c for c in unpatched_report if c.id != row[0])
+
+
+def test_full_report_never_computes_a_skipped_table_row(monkeypatch):
+    computed = []
+    real_exact_D = casebook._identity_exact_D
+    real_points = geometry.intersection_points
+
+    def exact_D(seed):
+        computed.append("identity_exact_D")
+        return real_exact_D(seed)
+
+    def points(example, which, seed):
+        computed.append(f"transv_{example}_{which}")
+        return real_points(example, which, seed)
+
+    monkeypatch.setattr(casebook, "_identity_exact_D", exact_D)
+    monkeypatch.setattr(geometry, "intersection_points", points)
+    checks = full_report(RunConfig(
+        skip=("core", "identity_exact_D", "transv_D_P_S")))
+    ids = [c.id for c in checks]
+    assert "identity_exact_D" not in computed + ids
+    assert "transv_D_P_S" not in computed + ids
+    assert "transv_D_P_Q" in computed and len(ids) == 36
+    computed.clear()
+    full_report(RunConfig(skip=("core",)))
+    assert {"identity_exact_D", "transv_D_P_S"} <= set(computed)
 
 
 def test_full_report_keeps_the_group_of_a_raising_check(monkeypatch):

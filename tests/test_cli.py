@@ -54,6 +54,15 @@ def test_suite_skipping_every_check_exits_2(capsys):
     assert "--skip removed every check" in captured.err
 
 
+def test_suite_has_no_workers_option(capsys):
+    assert run_cli(["suite", "--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cflab: error: unrecognized arguments: "
+                                   "--workers 2")
+
+
 def test_first_rejects_n3():
     assert run_cli(["verify", "first", "--n", "3"]) == 2
 

@@ -203,7 +203,7 @@ def test_pullback_integrand_degree_zero():
     from cflab import cycles
 
     seg = cycles.make_cycle("segment", start=0j, end=1 + 0j)
-    form = KForm.scalar(1, lambda p: p[0] ** 2)
+    form = KForm(0, 1, terms={(): lambda p: p[0] ** 2})
     assert forms.pullback_integrand(form, seg, (0.5,)) == pytest.approx(0.25)
 
 
@@ -242,7 +242,7 @@ _SWAP_FORMS = {
 }
 _BATCH_FORMS = dict(_SWAP_FORMS, **{
     "phi_n1": kernels.phi(1, (0.3 + 0.1j,)),
-    "scalar": KForm.scalar(2, lambda p: p[0] * p[1] - 1j),
+    "scalar": KForm(0, 2, terms={(): lambda p: p[0] * p[1] - 1j}),
     "tau_D": kernels.casebook_form("tau_D"),
     "one_form_unsorted_terms": KForm(1, 3, terms={
         (2,): lambda p: p[0] + 2, (0,): lambda p: p[1] * p[2]}),

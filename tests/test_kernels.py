@@ -12,8 +12,8 @@ from cflab.errors import (ChartDomainError, DimensionMismatchError, InputError,
                           PoleError)
 from cflab.forms import KForm
 from cflab.kernels import (casebook_form, kernel_basis_form,
-                           kernel_on_chart, phi, phi_chart_identity_gap, psi,
-                           vanishing_max, vanishing_max_and_scale)
+                           kernel_on_chart, phi, phi_chart_identity_gaps, psi,
+                           vanishing_max_and_scale)
 
 
 def _rand_c(rng, r=1.0):
@@ -343,7 +343,7 @@ def test_phi_chart_identity_small_gap():
             p = tuple(_rand_c(rng) + (1 if i < 2 else 0)
                       for i in range(2 * n + 1))
             vecs = [_rand_vec(rng, 2 * n + 1) for _ in range(2 * n - 1)]
-            assert phi_chart_identity_gap(n, p, vecs) < 1e-10
+            assert phi_chart_identity_gaps(n, (p,), (vecs,))[0] < 1e-10
 
 
 def test_phi_chart_identity_repeated_vector_zero():
@@ -359,7 +359,7 @@ def test_phi_chart_identity_repeated_vector_zero():
 
 def test_phi_chart_identity_rejects_chart_singularity():
     with pytest.raises(ChartDomainError):
-        phi_chart_identity_gap(2, (0, 1, 1, 0, 0), [(1, 0, 0, 0, 0)] * 3)
+        phi_chart_identity_gaps(2, ((0, 1, 1, 0, 0),), ([(1, 0, 0, 0, 0)] * 3,))
 
 
 # ----------------------------------------------------------- casebook forms
@@ -437,14 +437,15 @@ def test_tau_e_vanishes_on_s_e():
 def test_dx_does_not_vanish_on_q():
     spec = geometry.surface_catalog("Q", chart="eta")
     dx = KForm.basis(2, 1)
-    worst = vanishing_max(dx, spec, seed=25, count=10)
+    worst = vanishing_max_and_scale(dx, spec, seed=25, count=10)[0]
     assert worst >= 0.1  # |dx(v)| = 1/sqrt(2) on the unit tangent of Q
 
 
 def test_vanishing_max_rejects_wrong_chart():
     dx = KForm.basis(3, 1)
     with pytest.raises(InputError):
-        vanishing_max(dx, geometry.surface_catalog("Q", chart="eta"), 1, 2)
+        vanishing_max_and_scale(dx, geometry.surface_catalog("Q", chart="eta"),
+                                1, 2)
 
 
 # ------------------------------------------------- displayed exactness checks
