@@ -298,28 +298,31 @@ def parse_expr(text: str, n: int = 1) -> HolomorphicExpr:
 def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
     """Evaluate the expression at a point of C^n.
 
+    Values and errors are those at the ``complex()`` of every coordinate,
+    but a coordinate is converted only where the tree reads it (a Python
+    complex costs a type check), so one the tree never reads is not.
     Division by an exact zero, and a result beyond the floats (Python's
     ``OverflowError``, ``ValueError`` from ``exp`` of an infinite argument,
     ``ZeroDivisionError`` from a negative power that underflows), raise
-    :class:`PoleError` carrying the point.  The tree is compiled once, on
-    its first evaluation.
+    :class:`PoleError` carrying the point as a tuple of Python complex.  The
+    tree is compiled once, on its first evaluation.
     """
-    point = tuple(map(complex, point))
     fn = expr._fn if isinstance(expr, _Node) else _compile(expr)
     try:
         return fn(point)
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, InputError):
             raise
-        raise PoleError(f"expression overflows: {exc}", point=point) from None
+        raise PoleError(f"expression overflows: {exc}",
+                        point=tuple(map(complex, point))) from None
 
 
 def _compile(expr):
-    """``expr`` as nested closures of a tuple of complex coordinates.
+    """``expr`` as nested closures of a sequence of numeric coordinates.
 
     Each closure does the arithmetic of one node, children first (the
     denominator before the numerator), so values and errors are those of a
-    recursive walk of the tree.
+    recursive walk of the tree on the coordinates made Python complex.
     """
     if isinstance(expr, Num):
         value = expr.value
@@ -329,11 +332,12 @@ def _compile(expr):
 
         def var(p):
             try:
-                return p[index]
+                x = p[index]
             except IndexError:
                 raise DimensionMismatchError(
                     f"expression uses x{index + 1} but the point has "
                     f"{len(p)} coordinates") from None
+            return x if type(x) is complex else complex(x)
 
         return var
     if isinstance(expr, Neg):
@@ -350,7 +354,8 @@ def _compile(expr):
         def negative_power(p):
             b = base(p)
             if b == 0:
-                raise PoleError("negative power of zero in expression", point=p)
+                raise PoleError("negative power of zero in expression",
+                                point=tuple(map(complex, p)))
             return b ** k
 
         return negative_power
@@ -366,7 +371,8 @@ def _compile(expr):
         def divide(p):
             den = right(p)
             if den == 0:
-                raise PoleError("division by zero in expression", point=p)
+                raise PoleError("division by zero in expression",
+                                point=tuple(map(complex, p)))
             return left(p) / den
 
         return divide

@@ -47,19 +47,24 @@ def pole_at(cols, bad, message: str) -> None:
     fault(bad, lambda row: PoleError(message, point=tuple(complex(c[row]) for c in cols)))
 
 
-def pointwise(fn: Callable[[Point], complex]) -> CoeffFn:
-    """A coefficient that calls ``fn`` on each point of the batch (a tuple
-    of Python complex numbers) in row order; an error gets its row."""
-    def coeff(cols):
-        values: list = []
-        try:  # extend keeps the values before an error
-            values.extend(map(fn, zip(*(c.tolist() for c in cols))))
-        except Exception as exc:
-            exc.row = len(values)
-            raise
-        return np.array(values, dtype=complex)
+def map_points(fn: Callable[..., complex], cols, *lead) -> np.ndarray:
+    """``fn(*lead, point)`` at each point (a tuple of Python complex
+    numbers) of the batch columns ``cols``, in row order and called by
+    ``map`` itself; an error gets its row."""
+    values: list = []
+    try:  # extend keeps the values before an error
+        values.extend(map(fn, *map(itertools.repeat, lead),
+                          zip(*(c.tolist() for c in cols))))
+    except Exception as exc:
+        exc.row = len(values)
+        raise
+    return np.array(values, dtype=complex)
 
-    return coeff
+
+def pointwise(fn: Callable[[Point], complex]) -> CoeffFn:
+    """A coefficient that calls ``fn`` on each point of the batch
+    (:func:`map_points`)."""
+    return lambda cols: map_points(fn, cols)
 
 
 def _join(re, im) -> np.ndarray:
@@ -383,11 +388,23 @@ def scale(form: KForm, factor: complex | CoeffFn) -> KForm:
 
 def differential(dim: int, gradient: Callable[[Point], Sequence[complex]]) -> KForm:
     """The 1-form ``sum_i g_i(p) dz_i`` from an analytic gradient of one
-    point, called point by point."""
-    terms: dict[tuple[int, ...], CoeffFn] = {}
-    for i in range(dim):
-        terms[(i,)] = pointwise(lambda p, i=i: complex(gradient(p)[i]))
-    return KForm(1, dim, terms=terms)
+    point, called once per point of a batch and shared by the ``dim`` terms
+    called on that batch's columns."""
+    def entries(p):
+        g = gradient(p)
+        return [complex(g[i]) for i in range(dim)]
+
+    # The last batch's columns, held so that no later tuple reuses their id,
+    # and its gradients (m, dim).
+    last = [None, None]
+
+    def grads(cols):
+        if last[0] is not cols:
+            last[:] = cols, map_points(entries, cols).reshape(-1, dim)
+        return last[1]
+
+    return KForm(1, dim, terms={(i,): (lambda cols, i=i: grads(cols)[:, i])
+                                for i in range(dim)})
 
 
 # -------------------------------------------------- numeric exterior derivative

@@ -61,6 +61,14 @@ def kernel_basis_form(kind: str, n: int) -> KForm:
     raise InputError(f"unknown kernel basis form {kind!r}")
 
 
+def _f_at(f: HolomorphicExpr, cols) -> np.ndarray:
+    """``f`` at each point of the coordinate columns ``cols``:
+    ``exprlang.eval_expr`` mapped over the rows (:func:`forms.map_points`),
+    an error with its row.  It is looked up on the module at each call, so
+    a wrapped or patched ``eval_expr`` is the one that runs."""
+    return forms.map_points(exprlang.eval_expr, cols, f)
+
+
 def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
             f: HolomorphicExpr | None) -> KForm:
     """f(x) / (xi.z)^power * basis(xi) ^ omega(x), one closure per term.
@@ -71,9 +79,9 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     ``wedge(basis, omega)``, whose merge signs are all +1; the ``0j +``
     keeps the signed zeros of that wedge's accumulation.  The pairing, its
     power and ``s_k xi_k`` are taken on whole arrays, as Python's complex
-    arithmetic rounds them; ``f`` is evaluated once per point per term (one
-    shared ``f(x)`` per point waits for ROADMAP item 1: the benchmark
-    counts expression calls).
+    arithmetic rounds them; ``f`` is evaluated by :func:`_f_at`, once per
+    point per term (one shared ``f(x)`` per point waits for ROADMAP item 1:
+    the benchmark counts expression calls).
     """
     _check_n(n)
     z = tuple(complex(c) for c in z)
@@ -81,13 +89,12 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
         raise InputError(f"base point z must have {n} coordinates")
     xi, x = slice(1, n + 1), slice(n + 1, None)
     message = f"{name} evaluated on xi.z = 0"
-    fx = forms.pointwise(lambda p: exprlang.eval_expr(f, p))
 
     def term(k: int, s: int) -> forms.CoeffFn:
         def coeff(cols):
             den = cols[0] + sum(map(forms.mul, cols[xi], z))
             forms.pole_at(cols, den == 0, message)
-            top = 1 + 0j if f is None else fx(cols[x])
+            top = 1 + 0j if f is None else _f_at(f, cols[x])
             return forms.mul(forms.div(top, forms.power(den, power)),
                              0j + forms.mul(s, cols[k]))
 
@@ -180,8 +187,7 @@ def _d_of_product(f: HolomorphicExpr | None, g: HolomorphicExpr) -> KForm:
     """d(f(x) * g(x)) on C^1, expanded by symbolic differentiation."""
     product = g if f is None else exprlang.Mul(f, g)
     derivative = exprlang.differentiate(product, 0)
-    return KForm.basis(1, 0, coeff=forms.pointwise(
-        lambda p: exprlang.eval_expr(derivative, p)))
+    return KForm.basis(1, 0, coeff=functools.partial(_f_at, derivative))
 
 
 def casebook_form(form_id: str, params: dict | None = None,
@@ -222,8 +228,7 @@ def casebook_form(form_id: str, params: dict | None = None,
 
 def _feval(f: HolomorphicExpr | None):
     """f at the x column of an (eta, x) batch, point by point (1 without f)."""
-    fx = forms.pointwise(lambda p: exprlang.eval_expr(f, p))
-    return lambda x: 1 + 0j if f is None else fx((x,))
+    return lambda x: 1 + 0j if f is None else _f_at(f, (x,))
 
 
 def _sigma_A(a: complex, f: HolomorphicExpr | None) -> KForm:

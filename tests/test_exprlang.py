@@ -2,6 +2,7 @@ import cmath
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,7 +226,8 @@ _trees = st.recursive(
         st.builds(Add, kids, kids), st.builds(Sub, kids, kids),
         st.builds(Mul, kids, kids), st.builds(Div, kids, kids)),
     max_leaves=12)
-_points = st.lists(st.one_of(_complexes, _floats, st.integers(-3, 3)),
+_points = st.lists(st.one_of(_complexes, _floats, st.integers(-3, 3),
+                             _floats.map(np.float64), _complexes.map(np.complex128)),
                    max_size=4)
 
 
@@ -309,6 +311,46 @@ def test_overflow_becomes_a_pole_error_with_the_point(text, point):
     with pytest.raises(PoleError, match="overflows") as err:
         eval_expr(parse_expr(text, 1), point)
     assert err.value.point == tuple(complex(c) for c in point)
+
+
+# ------------------------------------------- coordinates converted on read
+
+@pytest.mark.parametrize("coords", [
+    (2, -3), (0.5, -0.0), (np.float64(0.1), np.float64(-2.5)),
+    (np.complex128(0.3 - 0.7j), np.complex128(-0.0 + 1e-300j)),
+    (1, np.complex128(2 + 1j)),
+], ids=["int", "float", "float64", "complex128", "mixed"])
+@pytest.mark.parametrize("text", ["x1*x2/(x1-3)+exp(x2)^3", "x1^-2*x2^5",
+                                  "(x1+x2*i)/x2-x1*x1*x1", "4i"])
+def test_eval_at_numeric_coordinates_equals_eval_at_their_complex(text, coords):
+    expr = parse_expr(text, 2)
+    want = _outcome(lambda: eval_expr(expr, tuple(complex(c) for c in coords)))
+    assert _outcome(lambda: eval_expr(expr, coords)) == want
+    assert _outcome(lambda: eval_expr(expr, np.array(coords))) == want
+
+
+@pytest.mark.parametrize("text, point", [
+    ("1/x2", (1, 0)),
+    ("x1^-1", (np.float64(0.0), 5)),
+    ("1/(x1-x2)", (np.complex128(1j), 1j)),
+    ("x1^99999999999999999999", (np.float64(2.0), 0)),
+])
+def test_poles_and_overflows_carry_a_point_of_python_complex(text, point):
+    with pytest.raises(PoleError) as err:
+        eval_expr(parse_expr(text, 2), point)
+    assert err.value.point == tuple(complex(c) for c in point)
+    assert [type(c) for c in err.value.point] == [complex, complex]
+
+
+def test_unread_coordinates_are_not_converted():
+    # Only the coordinates the tree reads are converted on success; an error
+    # path converts the whole point, as the point it carries needs.
+    assert eval_expr(parse_expr("x1+1", 2), (1, "not a number")) == 2
+    assert eval_expr(parse_expr("7", 2), (None, None)) == 7
+    with pytest.raises(TypeError):
+        eval_expr(parse_expr("x2", 2), (1, None))
+    with pytest.raises(ValueError, match="malformed"):
+        eval_expr(parse_expr("1/x1", 2), (0, "not a number"))
 
 
 def test_exponent_beyond_the_floats_is_a_syntax_error():

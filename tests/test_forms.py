@@ -365,6 +365,46 @@ def test_pointwise_calls_in_row_order_and_tags_the_failing_row():
     assert coeff((np.array([], dtype=complex),)).shape == (0,)
 
 
+def _per_term_differential(dim, gradient):
+    """The 1-form of ``forms.differential`` with one ``pointwise`` gradient
+    call per point per term."""
+    return KForm(1, dim, terms={(i,): forms.pointwise(
+        lambda p, i=i: complex(gradient(p)[i])) for i in range(dim)})
+
+
+def test_differential_takes_each_gradient_once_per_point_and_shares_it():
+    calls = []
+
+    def gradient(p):
+        calls.append(p)
+        if p[0] == 0:
+            raise ZeroDivisionError("gradient pole")
+        return (p[1] / p[0], p[0] * p[1] - 1j, np.float64(2.5) * p[2])
+
+    rng = random.Random(5)
+    points = [_rand_vec(rng, 3) for _ in range(9)]
+    frames = [[_rand_vec(rng, 3)] for _ in range(9)]
+    form = forms.differential(3, gradient)
+    want = _per_term_differential(3, gradient).evaluate_many(points, frames)
+    calls.clear()
+    got = form.evaluate_many(points, frames)
+    assert len(calls) == len(points)
+    assert got.tobytes() == want.tobytes()
+    # A wedge and a sum still call each term on one batch's columns.
+    calls.clear()
+    forms.wedge(form, forms.add(form, form)).evaluate_many(
+        points, [[f[0], _rand_vec(rng, 3)] for f in frames])
+    assert len(calls) == len(points)
+
+    points[6] = (0j, 1 + 0j, 2 + 0j)
+    errors = []
+    for f in (form, _per_term_differential(3, gradient)):
+        with pytest.raises(PoleError) as err:
+            f.evaluate_many(points, frames)
+        errors.append((str(err.value), err.value.row, err.value.point))
+    assert errors[0] == errors[1] and errors[0][1] == 6
+
+
 def test_d_numeric_many_equals_one_sample_calls_exactly():
     rng = random.Random(31)
     form = kernels.phi(2, (0.2 + 0j, -0.1 + 0j))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflab import exprlang, forms, geometry, kernels
+from cflab import cycles, exprlang, forms, geometry, kernels
 from cflab.errors import (ChartDomainError, DimensionMismatchError, InputError,
                           PoleError)
 from cflab.forms import KForm
@@ -297,6 +297,22 @@ def test_pole_rows_match_point_by_point_evaluation(name, kernel, n, z, f, rows):
         form.evaluate_many(rows, frames)
     assert (type(err.value), str(err.value), err.value.point,
             err.value.row) == expected
+
+
+def test_kernels_reach_an_eval_expr_patched_after_they_are_built(monkeypatch):
+    z, f = (0.2 + 0j, -0.1 + 0j), exprlang.parse_expr("x1^2*x2+3", 2)
+    form = phi(2, z, f)
+    sphere = cycles.make_cycle("sphere_M", z=z, eps=0.5)
+    plain = cycles.integrate(form, sphere, 8)
+    seen, original = [], exprlang.eval_expr
+
+    def doubled(expr, point):
+        seen.append(expr)
+        return 2 * original(expr, point)
+
+    monkeypatch.setattr(exprlang, "eval_expr", doubled)
+    assert cycles.integrate(form, sphere, 8) == 2 * plain
+    assert seen and all(expr is f for expr in seen)
 
 
 def test_phi_pole_on_incidence_hyperplane():
