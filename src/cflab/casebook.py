@@ -344,7 +344,7 @@ def _identity_exact_A(seed, a=2 + 0.5j, count=40):
     dfg = exprlang.differentiate(exprlang.Mul(f, g), 0)
     rhs = forms.wedge(
         KForm.basis(2, 0, coeff=lambda p: forms.div(1, p[0])),
-        KForm.basis(2, 1, coeff=forms.pointwise(lambda p: eval_expr(dfg, (p[1],)))))
+        KForm.basis(2, 1, coeff=lambda p: forms.map_points(eval_expr, (p[1],), dfg)))
     return _exactness_gap(
         seed, count, kernels.kernel_on_chart(kernels.psi(1, (0j,), f), "eta"),
         kernels.casebook_form("sigma_A", {"a": a}, f), 1.0, rhs)
@@ -375,21 +375,22 @@ def _identity_extend_B(seed, count=50):
 def _identity_extend_C(seed, count=50):
     """phi on S_C, pulled back along the graph (y0, y1, x1) -> (y0, y1, x1,
     2 - y0^3 - y1^3 (x1 - 1)), against 3 dy0^dy1^dx1."""
-    def pushed(q, vecs):
-        y0, y1, x1 = q
-        cols = ((1, 0, 0, -3 * y0 ** 2), (0, 1, 0, -3 * y1 ** 2 * (x1 - 1)),
-                (0, 0, 1, -y1 ** 3))
-        return [tuple(sum(w[j] * cols[j][i] for j in range(3))
-                      for i in range(4)) for w in vecs]
-
     qs, vecs, _ = geometry.sample_points(random.Random(seed), count, 3, 3,
                                          lambda q: abs(q[0]) >= 0.05)
-    frame = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
     # per q: phi on the parameter frame (expected exactly 3), then on vecs
+    y0, y1, x1 = np.repeat(np.asarray(qs, dtype=complex), 2, axis=0).T
+    x2 = 2 - forms.power(y0, 3) - forms.mul(forms.power(y1, 3), x1 - 1)
+    # row j: the graph's image of the j-th parameter direction
+    jac = ((1, 0, 0, forms.mul(-3, forms.power(y0, 2))),
+           (0, 1, 0, forms.mul(forms.mul(-3, forms.power(y1, 2)), x1 - 1)),
+           (0, 0, 1, -forms.power(y1, 3)))
+    frames = np.stack([np.broadcast_to(np.eye(3, dtype=complex), (count, 3, 3)),
+                       np.asarray(vecs, dtype=complex)], axis=1)
+    w = frames.reshape(-1, 3, 3).transpose(2, 1, 0)  # (direction, vector, row)
+    pushed = [0j + forms.mul(w[0], a) + forms.mul(w[1], b) + forms.mul(w[2], c)
+              for a, b, c in zip(*jac)]
     pulled = kernels.kernel_on_chart(kernels.phi(2, (0j, 0j)), "U2").evaluate_many(
-        [(y0, y1, x1, 2 - y0 ** 3 - y1 ** 3 * (x1 - 1))
-         for y0, y1, x1 in qs for _ in range(2)],
-        [pushed(q, w) for q, v in zip(qs, vecs) for w in (frame, v)])
+        np.stack([y0, y1, x1, x2], axis=1), np.stack(pushed, axis=-1).transpose(1, 0, 2))
     want = KForm.basis(3, 0, 1, 2, coeff=3).evaluate_many(qs, vecs)
     return float(max(forms.modulus(pulled[0::2] - 3).max(),
                      forms.modulus(pulled[1::2] - want).max()))
@@ -510,8 +511,7 @@ def fibration_check_C2(seed: int = 7, count: int = 20) -> CheckReport:
     inside the surface.
     """
     t0 = time.perf_counter()
-    if count < 1:
-        raise InputError("count must be >= 1")
+    geometry.check_count(count)
     rng = random.Random(seed)
     surj_worst = 0.0
     trip_worst = 0.0
@@ -590,7 +590,7 @@ def _transversality_report(example: str, which: str, seed: int) -> CheckReport:
     chart, points = geometry.intersection_points(
         example, which, _subseed(seed, check_id))
     specs = _margin_specs(example, which, chart)
-    margin = min(geometry.transversality_margin(specs, p) for p in points)
+    margin = geometry.transversality_margin(specs, points)
     params = {"example": example, "surfaces": which, "points": len(points),
               "predicate": "margin > 1e-6"}
     return _predicate_report(check_id, example[0], params, margin, 1e-6,
@@ -604,8 +604,7 @@ def _degenerate_D_report() -> CheckReport:
     t0 = time.perf_counter()
     spec_P = geometry.surface_catalog("P", (0j, 0j), chart="U1")
     spec_S = geometry.surface_catalog("S_D", chart="U1")
-    point = (0j, 0j, 1 + 0j, 0j)
-    margin = geometry.transversality_margin([spec_P, spec_S], point)
+    margin = geometry.transversality_margin([spec_P, spec_S], [(0j, 0j, 1 + 0j, 0j)])
     params = {"example": "D", "surfaces": "P_S",
               "point": "(w0,w2,x1,x2)=(0,0,1,0)",
               "predicate": "margin < 1e-6"}

@@ -154,6 +154,8 @@ def _run_verify(args) -> list[casebook.CheckReport]:
         nodes = _parse_nodes(args.nodes) if args.nodes else None
         if nodes is not None and len(nodes) == 1 and n == 2:
             nodes = (nodes[0] // 2, nodes[0], nodes[0])
+            if nodes[0] < 4:  # the psi factor gets half of the one value
+                raise InputError("one --nodes value for n = 2 must be >= 8")
         tol = _default_tol(args, 1e-10 if n == 1 else 1e-6)
         return [casebook.first_formula(n, f, z, _finite(args.eps, "--eps"),
                                        quad=nodes, tol=tol)]

@@ -387,12 +387,12 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
     finite = np.isfinite(point).all(axis=0) & np.isfinite(frame).all(axis=(0, 1))
     stop = m if finite.all() else int(finite.argmin())
     points, frames = point.T, frame.transpose(2, 0, 1)
-    n, pole = stop, None
+    n, pole, cause = stop, None, ""
     try:
         value = form.evaluate_many(points[:stop], frames[:stop])
     except PoleError as exc:
         # A value before the pole that is not finite comes first in grid order.
-        n, pole = exc.row, exc.point
+        n, pole, cause = exc.row, exc.point, f": {exc}"
         value = form.evaluate_many(points[:n], frames[:n])
     with np.errstate(all="ignore"):
         value = cycle.orientation * value
@@ -401,9 +401,10 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
     if len(bad) or n < m:
         j = int(bad[0]) if len(bad) else n
         param = tuple(float(a[j]) for a in params)
-        what = "pole" if j == n < stop else "is not finite"
-        raise PoleError(f"integrand {what} on the grid at param {param}",
-                        point=pole if j == n else None, param=param)
+        what = f"pole on the grid at param {param}{cause}" if j == n < stop \
+            else f"is not finite on the grid at param {param}"
+        raise PoleError(f"integrand {what}", point=pole if j == n else None,
+                        param=param)
     return re, im
 
 

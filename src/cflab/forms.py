@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputError, PoleError
 
-Point = tuple[complex, ...]
 # dim coordinate columns (complex, length m) -> m values, or one for all rows
 CoeffFn = Callable[[tuple[np.ndarray, ...]], "np.ndarray | complex"]
 PLAN_CACHE_SIZE = 256  # entries kept by each of _minor_plan and _pairs
@@ -61,12 +60,6 @@ def map_points(fn: Callable[..., complex], cols, *lead) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
-def pointwise(fn: Callable[[Point], complex]) -> CoeffFn:
-    """A coefficient that calls ``fn`` on each point of the batch
-    (:func:`map_points`)."""
-    return lambda cols: map_points(fn, cols)
-
-
 def _join(re, im) -> np.ndarray:
     out = np.asarray(re, dtype=complex)  # a new array: re is real
     out.imag = im
@@ -75,13 +68,19 @@ def _join(re, im) -> np.ndarray:
 
 # Products, quotients and int powers of complex arrays or scalars, rounded as
 # Python's complex arithmetic rounds them (numpy's complex product may fuse a
-# multiply-add).  numpy's sums and negation are exact already.
+# multiply-add).  numpy's sums and negation are exact already.  ``mul`` and
+# ``power`` on numbers only (a point's coordinates) are Python's own operators.
+_NUMBER = (int, float, complex)
+
+
 def _mul(x, y):  # on (re, im) pairs
     (xr, xi), (yr, yi) = x, y
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
 def mul(a, b) -> np.ndarray:
+    if isinstance(a, _NUMBER) and isinstance(b, _NUMBER):
+        return complex(a) * complex(b)
     return _join(*_mul((a.real, a.imag), (b.real, b.imag)))
 
 
@@ -105,6 +104,8 @@ def div(a, b) -> np.ndarray:
 def power(a, n: int) -> np.ndarray:
     """``a ** n``, int n >= 0, by binary squaring as CPython's ``c_powu``; an
     infinite part raises ``OverflowError`` for its first row, as ``**`` does."""
+    if isinstance(a, _NUMBER):
+        return complex(a) ** n
     r, bit = 1 + 0j, 1
     while bit <= n:
         if n & bit:
@@ -384,27 +385,6 @@ def scale(form: KForm, factor: complex | CoeffFn) -> KForm:
         for key, c in form.terms.items()
     }
     return KForm(form.degree, form.dim, terms=terms)
-
-
-def differential(dim: int, gradient: Callable[[Point], Sequence[complex]]) -> KForm:
-    """The 1-form ``sum_i g_i(p) dz_i`` from an analytic gradient of one
-    point, called once per point of a batch and shared by the ``dim`` terms
-    called on that batch's columns."""
-    def entries(p):
-        g = gradient(p)
-        return [complex(g[i]) for i in range(dim)]
-
-    # The last batch's columns, held so that no later tuple reuses their id,
-    # and its gradients (m, dim).
-    last = [None, None]
-
-    def grads(cols):
-        if last[0] is not cols:
-            last[:] = cols, map_points(entries, cols).reshape(-1, dim)
-        return last[1]
-
-    return KForm(1, dim, terms={(i,): (lambda cols, i=i: grads(cols)[:, i])
-                                for i in range(dim)})
 
 
 # -------------------------------------------------- numeric exterior derivative

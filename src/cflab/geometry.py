@@ -7,7 +7,9 @@ Every surface is stored in the affine chart its computations live in:
 * ``U1``   -- n = 2, coordinates (w0, w2, x1, x2) with w_j = xi_j/xi1.
 
 Defining functions are polynomials with hand-written gradients, so the
-transversality margin carries no finite-difference tolerance.
+transversality margin carries no finite-difference tolerance.  Written with
+``forms.mul``/``forms.power``, they take a batch's coordinate columns, as form
+coefficients do, or one point's numbers.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ import numpy as np
 
 from .errors import (ChartDomainError, DimensionMismatchError, InputError,
                      PreconditionError)
+from .forms import CoeffFn, modulus, mul, power
+from .forms import _const_fn as _const
 
 Point = tuple[complex, ...]
+MAX_SAMPLE_COUNT = 100_000  # points one seeded sampler may be asked for
 
 CHART_COORDS = {
     "eta": ("eta", "x"),
@@ -70,23 +75,26 @@ def affine_chart(xi: Sequence[complex], k: int) -> Point:
 
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """A hypersurface as a chart defining function with analytic gradient."""
+    """A hypersurface as a chart defining function with analytic gradient: the
+    ``value`` and ``dim`` ``gradient`` coefficients (a constant one is a scalar)."""
 
     name: str
     chart: str
     params: tuple[complex, ...]
-    value: Callable[[Point], complex] = field(repr=False)
-    gradient: Callable[[Point], Point] = field(repr=False)
+    value: CoeffFn = field(repr=False)
+    gradient: tuple[CoeffFn, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(CHART_COORDS[self.chart])
 
 
-def _spec(name, chart, params, value, gradient):
+def _spec(name, chart, params, value, *gradient):
     return SurfaceSpec(name=name, chart=chart, params=tuple(params),
                        value=value, gradient=gradient)
 
+
+_ONE, _ZERO = _const(1 + 0j), _const(0j)
 
 SURFACE_NAMES = ("P", "Q", "S_A", "S_B", "S_C1", "S_C2", "S_D", "S_E")
 
@@ -124,41 +132,36 @@ def surface_catalog(name: str, params: Sequence[complex] = (),
     return builder(params)
 
 
+# Each surface below is written as the Python expression of its defining
+# function, operand for operand: ``mul`` for ``*``, ``power`` for ``**``.
+
 def _surface_P(params, chart):
     z = params if params else None
     if chart == "eta":
         z0 = z[0] if z else 0j
-        return _spec("P", "eta", (z0,),
-                     lambda p: p[0] + z0,
-                     lambda p: (1 + 0j, 0j))
+        return _spec("P", "eta", (z0,), lambda p: p[0] + z0, _ONE, _ZERO)
     if chart == "U2":
         z1, z2 = (z if z else (0j, 0j))
-        return _spec("P", "U2", (z1, z2),
-                     lambda p: p[0] + p[1] * z1 + z2,
-                     lambda p: (1 + 0j, z1, 0j, 0j))
+        return _spec("P", "U2", (z1, z2), lambda p: p[0] + mul(p[1], z1) + z2,
+                     _ONE, _const(z1), _ZERO, _ZERO)
     if chart == "U1":
         z1, z2 = (z if z else (0j, 0j))
         # xi.z / xi1 with coordinates (w0, w2) = (xi0/xi1, xi2/xi1)
-        return _spec("P", "U1", (z1, z2),
-                     lambda p: p[0] + z1 + p[1] * z2,
-                     lambda p: (1 + 0j, z2, 0j, 0j))
+        return _spec("P", "U1", (z1, z2), lambda p: p[0] + z1 + mul(p[1], z2),
+                     _ONE, _const(z2), _ZERO, _ZERO)
     raise InputError(f"no chart {chart!r} for P")
 
 
 def _surface_Q(chart):
     if chart == "eta":
-        return _spec("Q", "eta", (),
-                     lambda p: p[0] + p[1],
-                     lambda p: (1 + 0j, 1 + 0j))
+        return _spec("Q", "eta", (), lambda p: p[0] + p[1], _ONE, _ONE)
     if chart == "U2":
-        return _spec("Q", "U2", (),
-                     lambda p: p[0] + p[1] * p[2] + p[3],
-                     lambda p: (1 + 0j, p[2], p[1], 1 + 0j))
+        return _spec("Q", "U2", (), lambda p: p[0] + mul(p[1], p[2]) + p[3],
+                     _ONE, lambda p: p[2], lambda p: p[1], _ONE)
     if chart == "U1":
         # xi.x / xi1 = w0 + x1 + w2*x2
-        return _spec("Q", "U1", (),
-                     lambda p: p[0] + p[2] + p[1] * p[3],
-                     lambda p: (1 + 0j, p[3], 1 + 0j, p[1]))
+        return _spec("Q", "U1", (), lambda p: p[0] + p[2] + mul(p[1], p[3]),
+                     _ONE, lambda p: p[3], _ONE, lambda p: p[1])
     raise InputError(f"no chart {chart!r} for Q")
 
 
@@ -166,64 +169,63 @@ def _surface_S_A(params):
     if len(params) != 1:
         raise InputError("S_A needs the parameter a")
     a = params[0]
-    return _spec("S_A", "eta", (a,),
-                 lambda p: a * p[0] + p[1] - 1,
-                 lambda p: (a, 1 + 0j))
+    return _spec("S_A", "eta", (a,), lambda p: mul(a, p[0]) + p[1] - 1,
+                 _const(a), _ONE)
 
 
 def _surface_S_B(params):
-    return _spec("S_B", "eta", (),
-                 lambda p: p[0] ** 2 + (p[0] + 1) * (p[1] - 1),
-                 lambda p: (2 * p[0] + p[1] - 1, p[0] + 1))
+    return _spec("S_B", "eta", (), lambda p: power(p[0], 2) + mul(p[0] + 1, p[1] - 1),
+                 lambda p: mul(2, p[0]) + p[1] - 1, lambda p: p[0] + 1)
 
 
 def _surface_S_C1(params):
     return _spec("S_C1", "U2", (),
-                 lambda p: p[0] ** 3 + p[1] ** 3 * (p[2] - 1) + (p[3] - 2),
-                 lambda p: (3 * p[0] ** 2, 3 * p[1] ** 2 * (p[2] - 1),
-                            p[1] ** 3, 1 + 0j))
+                 lambda p: power(p[0], 3) + mul(power(p[1], 3), p[2] - 1) + (p[3] - 2),
+                 lambda p: mul(3, power(p[0], 2)),
+                 lambda p: mul(mul(3, power(p[1], 2)), p[2] - 1),
+                 lambda p: power(p[1], 3), _ONE)
 
 
 def _surface_S_C2(params):
     return _spec("S_C2", "U2", (),
-                 lambda p: (p[0] ** 3 + p[1] ** 3 * (p[2] - 1)
-                            + (p[3] - 2) + 2 * p[1] ** 2),
-                 lambda p: (3 * p[0] ** 2,
-                            3 * p[1] ** 2 * (p[2] - 1) + 4 * p[1],
-                            p[1] ** 3, 1 + 0j))
+                 lambda p: (power(p[0], 3) + mul(power(p[1], 3), p[2] - 1)
+                            + (p[3] - 2) + mul(2, power(p[1], 2))),
+                 lambda p: mul(3, power(p[0], 2)),
+                 lambda p: mul(mul(3, power(p[1], 2)), p[2] - 1) + mul(4, p[1]),
+                 lambda p: power(p[1], 3), _ONE)
 
 
 def _surface_S_D_U2(params):
     return _spec("S_D", "U2", (),
-                 lambda p: (p[0] ** 2 + p[1] * (p[1] + 1) * (p[2] - 1) * p[3]
-                            + p[3] ** 2 + 1),
-                 lambda p: (2 * p[0],
-                            (2 * p[1] + 1) * (p[2] - 1) * p[3],
-                            p[1] * (p[1] + 1) * p[3],
-                            p[1] * (p[1] + 1) * (p[2] - 1) + 2 * p[3]))
+                 lambda p: (power(p[0], 2) + mul(mul(mul(p[1], p[1] + 1), p[2] - 1), p[3])
+                            + power(p[3], 2) + 1),
+                 lambda p: mul(2, p[0]),
+                 lambda p: mul(mul(mul(2, p[1]) + 1, p[2] - 1), p[3]),
+                 lambda p: mul(mul(p[1], p[1] + 1), p[3]),
+                 lambda p: mul(mul(p[1], p[1] + 1), p[2] - 1) + mul(2, p[3]))
 
 
 def _surface_S_D_U1(params):
     # Same surface divided by xi1^2: w0^2 + (1+w2)(x1-1)x2 + w2^2(x2^2+1).
     return _spec("S_D", "U1", (),
-                 lambda p: (p[0] ** 2 + (1 + p[1]) * (p[2] - 1) * p[3]
-                            + p[1] ** 2 * (p[3] ** 2 + 1)),
-                 lambda p: (2 * p[0],
-                            (p[2] - 1) * p[3] + 2 * p[1] * (p[3] ** 2 + 1),
-                            (1 + p[1]) * p[3],
-                            (1 + p[1]) * (p[2] - 1) + 2 * p[1] ** 2 * p[3]))
+                 lambda p: (power(p[0], 2) + mul(mul(1 + p[1], p[2] - 1), p[3])
+                            + mul(power(p[1], 2), power(p[3], 2) + 1)),
+                 lambda p: mul(2, p[0]),
+                 lambda p: mul(p[2] - 1, p[3]) + mul(mul(2, p[1]), power(p[3], 2) + 1),
+                 lambda p: mul(1 + p[1], p[3]),
+                 lambda p: mul(1 + p[1], p[2] - 1) + mul(mul(2, power(p[1], 2)), p[3]))
 
 
 def _surface_S_E(params):
-    def quad(p):
-        return p[1] ** 2 + 3 * p[1] * p[3] + 2 * p[3] ** 2
+    def quad(p):  # y1^2 + 3 y1 x2 + 2 x2^2
+        return power(p[1], 2) + mul(mul(3, p[1]), p[3]) + mul(2, power(p[3], 2))
 
     return _spec("S_E", "U2", (),
-                 lambda p: p[0] ** 2 + quad(p) * (p[2] - 1) + p[3] ** 3 + 1,
-                 lambda p: (2 * p[0],
-                            (2 * p[1] + 3 * p[3]) * (p[2] - 1),
-                            quad(p),
-                            (3 * p[1] + 4 * p[3]) * (p[2] - 1) + 3 * p[3] ** 2))
+                 lambda p: power(p[0], 2) + mul(quad(p), p[2] - 1) + power(p[3], 3) + 1,
+                 lambda p: mul(2, p[0]),
+                 lambda p: mul(mul(2, p[1]) + mul(3, p[3]), p[2] - 1),
+                 quad,
+                 lambda p: mul(mul(3, p[1]) + mul(4, p[3]), p[2] - 1) + mul(3, power(p[3], 2)))
 
 
 _BUILDERS = {
@@ -298,35 +300,40 @@ def sample_points(rng: random.Random, count: int, dim: int, degree: int,
     return points, frames, extras
 
 
-def _on_surface_tol(point: Point) -> float:
-    return 1e-12 * (1.0 + max(abs(c) for c in point))
+def check_count(count: int) -> None:
+    """Reject a sample count outside 1..:data:`MAX_SAMPLE_COUNT`."""
+    if not 1 <= count <= MAX_SAMPLE_COUNT:
+        raise InputError(f"count must be in 1..{MAX_SAMPLE_COUNT}, got {count}")
 
 
 def sample_on_surface(spec: SurfaceSpec, seed: int, count: int) -> list[Point]:
     """Deterministic on-surface points, one coordinate solved in closed form.
 
     Random draws that land near a solve singularity are resampled, so the
-    returned points always satisfy |value| < 1e-12 * (1 + |point|).
+    returned points always satisfy |value| < 1e-12 * (1 + |point|).  Each
+    round draws as many candidates as points are still missing and checks
+    them in one batch, so the draws are those of checking each in turn.
     """
-    if count < 1:
-        raise InputError("count must be >= 1")
+    check_count(count)
     rng = random.Random(seed)
     solver = _SAMPLERS.get((spec.name, spec.chart))
     if solver is None:
         raise InputError(
             f"no closed-form sampler for {spec.name} in chart {spec.chart}")
     points: list[Point] = []
-    attempts = 0
+    budget = 200 * count
     while len(points) < count:
-        attempts += 1
-        if attempts > 200 * count:
+        if not budget:
             raise PreconditionError("sampler failed to avoid singularities")
-        point = solver(rng, spec.params)
-        if point is None:
-            continue
-        if abs(spec.value(point)) >= _on_surface_tol(point):
-            continue
-        points.append(point)
+        drawn = min(count - len(points), budget)
+        budget -= drawn
+        batch = [q for q in (solver(rng, spec.params) for _ in range(drawn))
+                 if q is not None]
+        cols = tuple(np.asarray(batch, dtype=complex).reshape(-1, spec.dim).T)
+        with np.errstate(all="ignore"):
+            size = modulus(spec.value(cols))
+            tol = 1e-12 * (1.0 + modulus(cols).max(axis=0))
+        points += [q for q, off in zip(batch, (size >= tol).tolist()) if not off]
     return points
 
 
@@ -531,24 +538,30 @@ def _p_q_s(example, rng):
 
 # ----------------------------------------------------------- transversality
 
-def transversality_margin(specs: Sequence[SurfaceSpec], point) -> float:
-    """Smallest singular value of the stacked gradients at a common point.
+def transversality_margin(specs: Sequence[SurfaceSpec], points) -> float:
+    """Smallest singular value of the stacked gradients over common points.
 
-    A strictly positive margin certifies general position at the point; the
-    point must lie on every surface (within 1e-9 relative).
+    A strictly positive margin certifies general position at every point;
+    each point must lie on every surface (within 1e-9 relative), and the
+    first that does not is named.  Surfaces take each point's own numbers (on
+    a handful of points, cheaper than columns); one SVD takes all the points.
     """
     if not specs:
         raise InputError("need at least one surface")
     chart = specs[0].chart
     if any(s.chart != chart for s in specs):
         raise InputError("all surfaces must share one chart")
-    point = tuple(complex(c) for c in point)
-    if len(point) != specs[0].dim:
+    points = [tuple(complex(c) for c in p) for p in points]
+    if not points:
+        raise InputError("need at least one point")
+    if any(len(p) != specs[0].dim for p in points):
         raise DimensionMismatchError("point dimension does not match the chart")
-    bound = 1e-9 * (1.0 + max(abs(c) for c in point))
-    for s in specs:
-        if abs(s.value(point)) > bound:
-            raise PreconditionError(
-                f"point is not on {s.name} (|value| = {abs(s.value(point)):.3e})")
-    rows = np.array([s.gradient(point) for s in specs], dtype=complex)
-    return float(np.linalg.svd(rows, compute_uv=False)[-1])
+    rows = []
+    for k, p in enumerate(points):
+        bound = 1e-9 * (1.0 + max(abs(c) for c in p))
+        for s in specs:
+            if (size := abs(s.value(p))) > bound:
+                raise PreconditionError(
+                    f"point {k} {p} is not on {s.name} (|value| = {size:.3e})")
+        rows.append([[g(p) for g in s.gradient] for s in specs])
+    return float(np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)[:, -1].min())

@@ -279,12 +279,11 @@ def _tau(example: str, denom: float, bracket: dict) -> KForm:
     surface = surface_catalog(f"S_{example}")
     inv1 = _inv_y0_sq(f"tau_{example}", 1.0)
     inv = _inv_y0_sq(f"tau_{example}", denom)
-    value = forms.pointwise(surface.value)
-    lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: forms.mul(value(p), inv1(p)))
+    lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: forms.mul(surface.value(p), inv1(p)))
     parts = [KForm.basis(4, *key, coeff=lambda p, b=b: forms.mul(b(p), inv(p)))
              for key, b in bracket.items()]
-    return forms.add(lead, forms.wedge(functools.reduce(forms.add, parts),
-                                       forms.differential(4, surface.gradient)))
+    ds = KForm(1, 4, terms={(i,): g for i, g in enumerate(surface.gradient)})
+    return forms.add(lead, forms.wedge(functools.reduce(forms.add, parts), ds))
 
 
 def _tau_D() -> KForm:
@@ -309,9 +308,10 @@ def vanishing_max_and_scale(form: KForm, spec: SurfaceSpec, seed: int,
     if form.dim != spec.dim:
         raise InputError("form and surface live on different charts")
     points = sample_on_surface(spec, seed, count)
-    # orthonormal tangent bases: the nullspaces of the gradients
-    grads = np.array([[spec.gradient(p)] for p in points], dtype=complex)
-    bases = np.linalg.svd(grads)[2][:, 1:].conj()
+    cols = tuple(np.asarray(points, dtype=complex).T)
+    # orthonormal tangent bases: the nullspaces of the gradients (m, 1, dim)
+    grads = np.stack([np.broadcast_to(g(cols), count) for g in spec.gradient], axis=-1)
+    bases = np.linalg.svd(grads[:, None])[2][:, 1:].conj()
     if form.degree > bases.shape[1]:
         raise InputError("form degree exceeds the surface dimension")
     combos = list(itertools.combinations(range(bases.shape[1]), form.degree))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflab import casebook, report
+from cflab import casebook, geometry, report
 from cflab.cli import build_parser, run_cli
 from cflab.errors import PoleError
 
@@ -171,6 +171,31 @@ def test_non_finite_float_input_exits_2_with_one_line(argv, capsys):
 def test_malformed_node_count_exits_2(capsys):
     assert run_cli(["verify", "first", "--nodes", "abc"]) == 2
     assert "bad --nodes" in capsys.readouterr().err
+
+
+def test_one_node_count_for_n2_names_nodes_and_its_minimum(capsys):
+    # one value v gives the grid (v // 2, v, v): 6 would make a psi factor of 3
+    assert run_cli(["verify", "first", "--n", "2", "--nodes", "6"]) == 2
+    assert capsys.readouterr().err == \
+        "cflab: error: one --nodes value for n = 2 must be >= 8\n"
+    assert run_cli(["verify", "first", "--n", "2", "--nodes", "8"]) in (0, 1)
+
+
+def test_fibration_count_is_bounded_before_any_draw(monkeypatch, capsys):
+    def drawing(*args, **kwargs):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(geometry, "rand_c", drawing)
+    assert run_cli(["verify", "fibration", "--count", "100000000"]) == 2
+    assert capsys.readouterr().err == \
+        "cflab: error: count must be in 1..100000, got 100000000\n"
+
+
+def test_an_overflowing_coefficient_is_told_apart_from_a_pole(capsys):
+    assert run_cli(["verify", "second", "--radii", "1e300"]) == 2
+    assert capsys.readouterr().err == (
+        "cflab: error: integrand pole on the grid at param (0.0,): "
+        "expression overflows: math range error\n")
 
 
 # ------------------------------------------------------- the cached parser

@@ -331,10 +331,18 @@ def test_pole_error_names_first_param_in_grid_order(raised):
             raise (raised or ZeroDivisionError)("pole")
         return p[0] * p[1]
 
-    form = KForm.basis(2, 0, 1, coeff=forms.pointwise(coeff))
+    form = KForm.basis(2, 0, 1, coeff=lambda cols: forms.map_points(coeff, cols))
     with pytest.raises(PoleError) as err:
         integrate(form, _identity_torus(), sizes)
     assert err.value.param == first
+
+
+def test_pole_error_keeps_the_coefficient_message_next_to_the_param():
+    form = KForm.basis(2, 0, 1, coeff=lambda p: forms.div(1, p[1]))
+    with pytest.raises(PoleError) as err:
+        integrate(form, _identity_torus(), (8, 8))
+    assert str(err.value) == ("integrand pole on the grid at param (0.0, 0.0): "
+                              "form coefficient has a pole")
 
 
 def test_non_finite_map_raises_with_param():
@@ -369,7 +377,7 @@ def test_non_finite_value_raises_instead_of_returning_nan():
     def coeff(p):
         return complex("nan") if (p[0].real, p[1].real) == bad else 1 + 0j
 
-    form = KForm.basis(2, 0, 1, coeff=forms.pointwise(coeff))
+    form = KForm.basis(2, 0, 1, coeff=lambda cols: forms.map_points(coeff, cols))
     with pytest.raises(CflabError) as err:
         integrate(form, _identity_torus(), sizes)
     assert err.value.param == bad

@@ -153,8 +153,8 @@ def _d_form(form):
         return tuple(1 if j == i else 0 for j in range(form.dim))
 
     terms = {
-        key: forms.pointwise(lambda p, frame=tuple(unit(i) for i in key):
-                             forms.d_numeric(form, p, frame))
+        key: lambda cols, frame=tuple(unit(i) for i in key): forms.map_points(
+            lambda p: forms.d_numeric(form, p, frame), cols)
         for key in itertools.combinations(range(form.dim), form.degree + 1)
     }
     return KForm(form.degree + 1, form.dim, terms=terms)
@@ -346,7 +346,7 @@ def test_a_coefficient_error_without_a_row_propagates_as_raised():
     assert err.value.row is None
 
 
-def test_pointwise_calls_in_row_order_and_tags_the_failing_row():
+def test_map_points_calls_in_row_order_and_tags_the_failing_row():
     seen = []
 
     def fn(p):
@@ -355,7 +355,9 @@ def test_pointwise_calls_in_row_order_and_tags_the_failing_row():
             raise ZeroDivisionError("scalar pole")
         return p[0] * p[1]
 
-    coeff = forms.pointwise(fn)
+    def coeff(cols):
+        return forms.map_points(fn, cols)
+
     cols = (np.array([1, 3, 2, 2], dtype=complex), np.array([1, 1, 4, 4], dtype=complex))
     with pytest.raises(ZeroDivisionError) as err:
         coeff(cols)
@@ -363,46 +365,6 @@ def test_pointwise_calls_in_row_order_and_tags_the_failing_row():
     assert coeff(tuple(c[:2] for c in cols)).tolist() == [1, 3]
     assert all(type(c) is complex for p in seen for c in p)
     assert coeff((np.array([], dtype=complex),)).shape == (0,)
-
-
-def _per_term_differential(dim, gradient):
-    """The 1-form of ``forms.differential`` with one ``pointwise`` gradient
-    call per point per term."""
-    return KForm(1, dim, terms={(i,): forms.pointwise(
-        lambda p, i=i: complex(gradient(p)[i])) for i in range(dim)})
-
-
-def test_differential_takes_each_gradient_once_per_point_and_shares_it():
-    calls = []
-
-    def gradient(p):
-        calls.append(p)
-        if p[0] == 0:
-            raise ZeroDivisionError("gradient pole")
-        return (p[1] / p[0], p[0] * p[1] - 1j, np.float64(2.5) * p[2])
-
-    rng = random.Random(5)
-    points = [_rand_vec(rng, 3) for _ in range(9)]
-    frames = [[_rand_vec(rng, 3)] for _ in range(9)]
-    form = forms.differential(3, gradient)
-    want = _per_term_differential(3, gradient).evaluate_many(points, frames)
-    calls.clear()
-    got = form.evaluate_many(points, frames)
-    assert len(calls) == len(points)
-    assert got.tobytes() == want.tobytes()
-    # A wedge and a sum still call each term on one batch's columns.
-    calls.clear()
-    forms.wedge(form, forms.add(form, form)).evaluate_many(
-        points, [[f[0], _rand_vec(rng, 3)] for f in frames])
-    assert len(calls) == len(points)
-
-    points[6] = (0j, 1 + 0j, 2 + 0j)
-    errors = []
-    for f in (form, _per_term_differential(3, gradient)):
-        with pytest.raises(PoleError) as err:
-            f.evaluate_many(points, frames)
-        errors.append((str(err.value), err.value.row, err.value.point))
-    assert errors[0] == errors[1] and errors[0][1] == 6
 
 
 def test_d_numeric_many_equals_one_sample_calls_exactly():
@@ -566,6 +528,23 @@ def test_int_and_float_scalars_multiply_and_divide_as_python():
     with pytest.raises(ZeroDivisionError) as err:
         forms.div(1, np.array(xs))
     assert err.value.row == 0
+
+
+def test_numbers_take_pythons_own_operators():
+    xs = [0j, complex(-0.0, 0.0), 1 + 2j, complex("inf-1j"), complex("nan+1j"),
+          2, -0.5, np.complex128(1e200 - 3j), np.float64(-0.0)]
+    for x in xs:
+        for y in xs:
+            assert repr(forms.mul(x, y)) == repr(complex(x) * complex(y))
+        assert type(forms.mul(x, 2)) is complex
+        for n in (0, 1, 2, 3, 7):
+            try:
+                want = repr(complex(x) ** n)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    forms.power(x, n)
+            else:
+                assert repr(forms.power(x, n)) == want
 
 
 def test_index_plans_are_cached_and_read_only():

@@ -186,7 +186,7 @@ def _reference_kernel(name, basis, power, n, z, f):
         return fx / den ** power
 
     body = forms.wedge(kernel_basis_form(basis, n), kernel_basis_form("omega", n))
-    return forms.scale(body, forms.pointwise(coeff))
+    return forms.scale(body, lambda cols: forms.map_points(coeff, cols))
 
 
 def _signed_zero_c(rng):
@@ -478,7 +478,6 @@ def test_sigma_b_exactness_identity():
     psi_chart = kernel_on_chart(psi(1, (0j,), f), "eta")
     sigma = casebook_form("sigma_B", f=f)
 
-    @forms.pointwise
     def rhs_coeff(p):
         eta, x = p
         lead = exprlang.eval_expr(dfg, (x,)) / eta
@@ -486,7 +485,7 @@ def test_sigma_b_exactness_identity():
                   + 2 * exprlang.eval_expr(f, (x,)))
         return lead + smooth
 
-    rhs = KForm.basis(2, 0, 1, coeff=rhs_coeff)
+    rhs = KForm.basis(2, 0, 1, coeff=lambda cols: forms.map_points(rhs_coeff, cols))
     for _ in range(25):
         p = (_rand_c(rng), _rand_c(rng))
         if abs(p[0]) < 0.3:
@@ -519,15 +518,15 @@ def test_s_e_incidence_substitution():
     # 1 - x1 = (x2^3 + 1) / ((y1 + x2)(y1 + 2 x2)).
     spec = geometry.surface_catalog("S_E")
     rng = random.Random(44)
-    produced = 0
-    while produced < 20:
+    points = []
+    while len(points) < 20:
         y1, x2 = _rand_c(rng), _rand_c(rng)
         den = (y1 + x2) * (y1 + 2 * x2)
         if abs(den) < 0.1:
             continue
-        x1 = 1 - (x2 ** 3 + 1) / den
-        assert abs(spec.value((0j, y1, x1, x2))) < 1e-12 * (1 + abs(x1))
-        produced += 1
+        points.append((0j, y1, 1 - (x2 ** 3 + 1) / den, x2))
+    cols = tuple(np.array(points).T)
+    assert (np.abs(spec.value(cols)) < 1e-12 * (1 + np.abs(cols[2]))).all()
 
 
 # ------------------------------------------------------ catalog antisymmetry
