@@ -21,8 +21,7 @@ from .errors import (CflabError, ChartDomainError, DimensionMismatchError,
                      UnsupportedKindError)
 from .exprlang import HolomorphicExpr, differentiate, eval_expr, parse_expr
 from .forms import KForm, d_numeric, pullback_integrand, wedge
-from .geometry import (SurfaceSpec, affine_chart, dual_pairing,
-                       sample_on_surface, surface_catalog,
+from .geometry import (SurfaceSpec, sample_on_surface, surface_catalog,
                        transversality_margin)
 from .cycles import (Cycle, ParamDomain, QuadratureSpec, integrate,
                      make_cycle, orientation_sign)
@@ -35,8 +34,8 @@ __all__ = [
     "PreconditionError", "UnsupportedKindError",
     "HolomorphicExpr", "KForm", "SurfaceSpec", "Cycle", "ParamDomain",
     "QuadratureSpec",
-    "affine_chart", "casebook_form", "d_numeric", "differentiate",
-    "dual_pairing", "eval_expr", "first_formula", "fibration_check_C2",
+    "casebook_form", "d_numeric", "differentiate",
+    "eval_expr", "first_formula", "fibration_check_C2",
     "full_report", "identity_suite", "integrate", "kernel_basis_form",
     "make_cycle", "necessary_condition_case", "orientation_sign",
     "parse_expr", "phi", "psi",

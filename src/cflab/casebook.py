@@ -10,6 +10,7 @@ that row's report; ``full_report`` runs the table in order, and
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cycles, exprlang, forms, geometry, kernels
-from .errors import CflabError, InputError
+from .errors import CflabError, InputError, PoleError
 from .exprlang import HolomorphicExpr, eval_expr, parse_expr
 from .forms import KForm
 
@@ -84,16 +85,21 @@ def alpha_orientation_factor(n: int, z, cycle: cycles.Cycle) -> int:
     The class is normalized by pointwise positivity of i^(-n) * phi on the
     cycle; the sign returned here makes the parametrized integral agree with
     that normalization (and hence makes the reproducing formula return
-    +f(z)).
+    +f(z)).  The probe is phi at the cycle's reference param; a pole or an
+    overflow there raises :class:`PoleError` naming that param.
     """
-    probe = forms.pullback_integrand(kernels.phi(n, z), cycle,
-                                     cycle.reference_param)
+    param = cycle.reference_param
+    try:
+        probe = forms.pullback_integrand(kernels.phi(n, z), cycle, param)
+    except PoleError as exc:
+        raise PoleError(f"orientation probe at param {param}: {exc}",
+                        point=exc.point, param=param) from None
     return 1 if (probe / 1j ** n).real > 0 else -1
 
 
 def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
-                  quad=None, tol: float = 1e-8, check_id: str = "first",
-                  group: str = "core") -> CheckReport:
+                  quad=None, tol: float = 1e-8,
+                  check_id: str = "first") -> CheckReport:
     """Reproduce f(z) as (n-1)!/(2 pi i)^n times the kernel integral."""
     t0 = time.perf_counter()
     if n not in (1, 2):
@@ -113,7 +119,7 @@ def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
         "n": n, "f": exprlang.to_str(f), "z": ";".join(_cfmt(c) for c in z),
         "eps": eps, "orientation_sign": outward, "alpha_factor": factor,
     }
-    return _value_report(check_id, group, params, computed, expected, tol,
+    return _value_report(check_id, "core", params, computed, expected, tol,
                          quad_spec.sizes, t0)
 
 
@@ -121,7 +127,7 @@ def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
 
 def second_formula_n1(f: HolomorphicExpr, z: complex, r: float,
                       nodes: int = 128, tol: float = 1e-10,
-                      check_id: str = "second", group: str = "core") -> CheckReport:
+                      check_id: str = "second") -> CheckReport:
     """n = 1 residue form: f(z) = -Res of the kernel pulled back to the
     incidence surface, the residue taken on a small positively-oriented
     circle about z."""
@@ -140,14 +146,14 @@ def second_formula_n1(f: HolomorphicExpr, z: complex, r: float,
 
     lifted = cycles.Cycle(kind="circle_on_Q",
                           domain=cycles.ParamDomain((cycles.Circle(),)),
-                          map=qmap, tangent=qtan, ambient_dim=3,
-                          x_indices=(2,), reference_param=(0.7,))
+                          map=qmap, tangent=qtan, x_indices=(2,),
+                          reference_param=(0.7,))
     loop = cycles.integrate(kernels.phi(1, (z,), f), lifted, (nodes,))
     residue = loop / TWO_PI_I
     computed = -residue
     expected = eval_expr(f, (z,))
     params = {"f": exprlang.to_str(f), "z": _cfmt(z), "r": r}
-    return _value_report(check_id, group, params, computed, expected, tol,
+    return _value_report(check_id, "core", params, computed, expected, tol,
                          (nodes,), t0)
 
 
@@ -222,8 +228,8 @@ def residue_oracle_E(r1: float, r2: float, n: int = 512) -> complex:
 
 
 def necessary_condition_case(case_id: str, eps: float = 0.5,
-                             radii=(0.5, 0.5), quad=(128, 128), tol: float = 1e-8,
-                             check_id: str | None = None) -> CheckReport:
+                             radii=(0.5, 0.5), quad=(128, 128),
+                             tol: float = 1e-8) -> CheckReport:
     """Obstruction torus integrals for Examples D and E.
 
     A nonzero value certifies that the vanishing-residue necessary condition
@@ -255,7 +261,7 @@ def necessary_condition_case(case_id: str, eps: float = 0.5,
         "predicate": "|computed| > 0.1",
         "predicate_holds": nonzero,
     })
-    return _value_report(check_id or f"necessary_{case_id}", case_id, params,
+    return _value_report(f"necessary_{case_id}", case_id, params,
                          computed, oracle, tol, quad_spec.sizes, t0,
                          extra_ok=nonzero)
 
@@ -323,7 +329,8 @@ def _identity_chart(n, seed, count=20):
     points, frames, _ = geometry.sample_points(
         random.Random(seed), count, 2 * n + 1, 2 * n - 1,
         lambda p: abs(p[0]) >= 0.3 and abs(p[1]) >= 0.3)
-    return float(kernels.phi_chart_identity_gaps(n, points, frames).max())
+    return _worst_gap(kernels.phi(n, (0j,) * n).evaluate_many(points, frames),
+                      kernels.phi_chart_formula(n).evaluate_many(points, frames))
 
 
 def _exactness_gap(seed, count, psi_chart, potential, factor, rhs):
@@ -571,15 +578,16 @@ _EXAMPLE_SURFACE = {"B": "S_B", "C1": "S_C1", "C2": "S_C2",
                     "D": "S_D", "E": "S_E"}
 
 
-def _margin_specs(example: str, which: str, chart: str):
+@functools.cache
+def _margin_specs(example: str, which: str, chart: str) -> tuple:
+    """The P, Q or S specs that ``which`` names, in its order; built once per
+    (example, which, chart), as specs are immutable."""
     surf = _EXAMPLE_SURFACE[example]
     z = (0j,) if chart == "eta" else (0j, 0j)
-    spec_P = geometry.surface_catalog("P", z, chart=chart)
-    spec_Q = geometry.surface_catalog("Q", chart=chart)
-    spec_S = geometry.surface_catalog(surf, chart=chart) \
-        if surf != "S_A" else None
-    named = {"P": spec_P, "Q": spec_Q, "S": spec_S}
-    return [named[token] for token in which.split("_")]
+    named = {"P": geometry.surface_catalog("P", z, chart=chart),
+             "Q": geometry.surface_catalog("Q", chart=chart),
+             "S": geometry.surface_catalog(surf, chart=chart)}
+    return tuple(named[token] for token in which.split("_"))
 
 
 def _transversality_report(example: str, which: str, seed: int) -> CheckReport:
@@ -702,7 +710,3 @@ def full_report(config: RunConfig | None = None) -> list[CheckReport]:
             checks.append(_predicate_report(check_id, group, error,
                                             0j, 0j, False, (), t0))
     return checks
-
-
-def all_pass(checks: list[CheckReport]) -> bool:
-    return all(c.passed for c in checks)

@@ -213,8 +213,13 @@ def run_cli(argv=None) -> int:
         return EXIT_USAGE
     text = report.render(checks, args.format, __version__, seed)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"cflab: error: cannot write --out {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED

@@ -85,9 +85,10 @@ class QuadratureSpec:
 class Cycle:
     """A parametrized cycle with an analytic tangent frame.
 
-    ``map`` sends a parameter tuple to an ambient point; ``tangent`` returns
-    one ambient vector per parameter factor (hand differentiated, never by
-    finite differences); both also take a tuple of parameter arrays.
+    ``map`` sends a tuple of parameter arrays, one per factor, to a tuple of
+    ambient coordinate arrays; ``tangent`` returns one ambient vector per
+    parameter factor (hand differentiated, never by finite differences).
+    Written with numpy, both take one parameter tuple of floats as well.
     ``x_indices`` names the ambient coordinates that project to affine
     space, used by the orientation test.
     """
@@ -96,8 +97,6 @@ class Cycle:
     domain: ParamDomain
     map: Callable[[Param], Point] = field(repr=False)
     tangent: Callable[[Param], tuple[Point, ...]] = field(repr=False)
-    ambient_dim: int
-    orientation: int = 1
     x_indices: tuple[int, ...] = ()
     reference_param: Param = ()
 
@@ -126,8 +125,7 @@ class Cycle:
             return tuple(frame)
 
         return Cycle(kind=self.kind, domain=self.domain, map=fmap,
-                     tangent=ftan, ambient_dim=self.ambient_dim,
-                     orientation=self.orientation, x_indices=self.x_indices,
+                     tangent=ftan, x_indices=self.x_indices,
                      reference_param=flip(self.reference_param))
 
 
@@ -157,7 +155,7 @@ def _circle(center: complex = 0j, radius: float = 1.0) -> Cycle:
         return ((1j * radius * np.exp(1j * param[0]),),)
 
     return Cycle(kind="circle", domain=ParamDomain((Circle(),)),
-                 map=cmap, tangent=ctan, ambient_dim=1,
+                 map=cmap, tangent=ctan,
                  x_indices=(0,), reference_param=(0.7,))
 
 
@@ -172,7 +170,7 @@ def _segment(start: complex, end: complex) -> Cycle:
         return ((delta,),)
 
     return Cycle(kind="segment", domain=ParamDomain((Interval(0.0, 1.0),)),
-                 map=smap, tangent=stan, ambient_dim=1,
+                 map=smap, tangent=stan,
                  x_indices=(0,), reference_param=(0.5,))
 
 
@@ -201,7 +199,7 @@ def _sphere_M(z: Sequence[complex], eps: float) -> Cycle:
             return ((-z0 * d_conj, d_conj, d_delta),)
 
         return Cycle(kind="sphere_M", domain=ParamDomain((Circle(),)),
-                     map=mmap, tangent=mtan, ambient_dim=3,
+                     map=mmap, tangent=mtan,
                      x_indices=(2,), reference_param=(0.7,))
     if n == 2:
         z1, z2 = z
@@ -229,7 +227,7 @@ def _sphere_M(z: Sequence[complex], eps: float) -> Cycle:
         return Cycle(kind="sphere_M",
                      domain=ParamDomain((Interval(0.0, math.pi / 2),
                                          Circle(), Circle())),
-                     map=mmap, tangent=mtan, ambient_dim=5,
+                     map=mmap, tangent=mtan,
                      x_indices=(3, 4), reference_param=(0.9, 0.7, 1.3))
     raise InputError("sphere_M is implemented for n in {1, 2}")
 
@@ -261,7 +259,7 @@ def _torus_D(eps: float) -> Cycle:
         return ((dy1, 0j, num * dden_th / (den * den)), (0j, dx2, dx1_et))
 
     return Cycle(kind="torus_D", domain=ParamDomain((Circle(), Circle())),
-                 map=dmap, tangent=dtan, ambient_dim=3,
+                 map=dmap, tangent=dtan,
                  x_indices=(0, 1, 2), reference_param=(0.4, 1.1))
 
 
@@ -277,7 +275,7 @@ def _torus_E(r1: float, r2: float) -> Cycle:
                 (0j, 1j * r2 * np.exp(1j * param[1])))
 
     return Cycle(kind="torus_E", domain=ParamDomain((Circle(), Circle())),
-                 map=emap, tangent=etan, ambient_dim=2,
+                 map=emap, tangent=etan,
                  x_indices=(0, 1), reference_param=(0.4, 1.1))
 
 
@@ -353,23 +351,20 @@ def _on_block(fn, params: tuple[np.ndarray, ...],
               shape: tuple[int, ...]) -> np.ndarray:
     """A cycle callable on m block points, as a complex array ``shape + (m,)``.
 
-    A callable that takes only floats is called point by point, and a
-    ``ZeroDivisionError`` there leaves NaN: a non-finite value at its param.
+    ``fn`` takes the block's parameter arrays (see :class:`Cycle`): one that
+    fails on them raises :class:`InputError`, and an output not nested as
+    ``shape`` raises :class:`DimensionMismatchError`.
     """
-    m = len(params[0])
-    out = np.empty(shape + (m,), dtype=complex)
+    out = np.empty(shape + (len(params[0]),), dtype=complex)
     try:
         with np.errstate(all="ignore"):
-            fits = _fill(out, fn(params))
+            value = fn(params)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"cycle callables take parameter arrays: {exc}") from None
+    try:
+        fits = _fill(out, value)
     except (TypeError, ValueError):
-        rows = []
-        for param in zip(*(a.tolist() for a in params)):
-            try:
-                rows.append(fn(param))
-            except ZeroDivisionError:
-                rows.append(np.full(shape, np.nan))
-        out = np.moveaxis(np.array(rows, dtype=complex), 0, -1)
-        fits = out.shape == shape + (m,)
+        fits = False
     if not fits:
         raise DimensionMismatchError(f"cycle output does not have shape {shape}")
     return out
@@ -395,7 +390,6 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
         n, pole, cause = exc.row, exc.point, f": {exc}"
         value = form.evaluate_many(points[:n], frames[:n])
     with np.errstate(all="ignore"):
-        value = cycle.orientation * value
         re, im = weights[:n] * value.real, weights[:n] * value.imag
     bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
     if len(bad) or n < m:

@@ -324,14 +324,6 @@ def _sorted_key(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 # ------------------------------------------------------------ form algebra
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    # Parity of interleaving two increasing index tuples into sorted order.
-    inversions = 0
-    for i in left:
-        inversions += sum(1 for j in right if j < i)
-    return (-1) ** inversions
-
-
 def wedge(f1: KForm, f2: KForm) -> KForm:
     """Exterior product, merging the wedge monomials of the two factors."""
     if f1.dim != f2.dim:
@@ -344,8 +336,7 @@ def wedge(f1: KForm, f2: KForm) -> KForm:
         for k2, c2 in f2.terms.items():
             if set(k1) & set(k2):
                 continue
-            sign = _merge_sign(k1, k2)
-            key = tuple(sorted(k1 + k2))
+            key, sign = _sorted_key(k1 + k2)
             terms.setdefault(key, []).append((sign, c1, c2))
     merged: dict[tuple[int, ...], CoeffFn] = {}
     for key, parts in terms.items():
@@ -389,22 +380,20 @@ def scale(form: KForm, factor: complex | CoeffFn) -> KForm:
 
 # -------------------------------------------------- numeric exterior derivative
 
-def d_numeric(form: KForm, point, vectors, step: float | None = None) -> complex:
+def d_numeric(form: KForm, point, vectors) -> complex:
     """Exterior derivative of ``form`` at one point on k+1 constant vectors:
     a one-sample :func:`d_numeric_many`."""
-    return complex(d_numeric_many(form, (point,), (vectors,), step)[0])
+    return complex(d_numeric_many(form, (point,), (vectors,))[0])
 
 
-def d_numeric_many(form: KForm, points, frames,
-                   step: float | None = None) -> np.ndarray:
+def d_numeric_many(form: KForm, points, frames) -> np.ndarray:
     """Exterior derivative of ``form`` at m points, each on its own k+1
     constant vectors (``frames`` has shape (m, k+1, dim)).
 
     The alternating sum of directional derivatives
     ``sum_i (-1)^i D_{v_i} [form(.; v_0 .. v_i-hat .. v_k)]`` by central
-    differences, of the given step or else ``1e-5 * (1 + max_j |p_j|)`` at
-    each point.  The stencil of every sample is one :meth:`KForm.evaluate_many`
-    call.
+    differences of step ``1e-5 * (1 + max_j |p_j|)`` at each point.  The
+    stencil of every sample is one :meth:`KForm.evaluate_many` call.
     """
     points = np.asarray(points, dtype=complex)
     frames = np.asarray(frames, dtype=complex)
@@ -415,10 +404,7 @@ def d_numeric_many(form: KForm, points, frames,
         raise DimensionMismatchError(f"need points (m, {form.dim}) and frames "
                                      f"(m, {k}, {form.dim}), got {points.shape} "
                                      f"and {frames.shape}")
-    if step is None:
-        h = 1e-5 * (1.0 + modulus(points).max(axis=1, initial=0.0))
-    else:
-        h = np.full(m, float(step))
+    h = 1e-5 * (1.0 + modulus(points).max(axis=1, initial=0.0))
     shift = h[:, None, None] * frames
     stencil = np.stack([points[:, None] + shift, points[:, None] - shift], axis=2)
     drop = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
@@ -474,15 +460,11 @@ def chart_section(form: KForm, layout: Sequence[int | complex]) -> KForm:
 def pullback_integrand(form: KForm, cycle, param) -> complex:
     """Evaluate ``form`` on a cycle's pushforward frame at a parameter point.
 
-    The frame is the tuple of analytic tangent vectors in parameter order;
-    the result carries the cycle's orientation sign.  Degree-0 forms simply
-    evaluate at the mapped point.
+    The frame is the tuple of analytic tangent vectors in parameter order,
+    one per cycle dimension, which must equal the form's degree.
     """
-    point = cycle.map(param)
-    if form.degree == 0:
-        return cycle.orientation * form.evaluate(point, ())
-    frame = cycle.tangent(param)
+    point, frame = cycle.map(param), cycle.tangent(param)
     if len(frame) != form.degree:
         raise DimensionMismatchError(
             f"cycle dimension {len(frame)} != form degree {form.degree}")
-    return cycle.orientation * form.evaluate(point, frame)
+    return form.evaluate(point, frame)

@@ -1,4 +1,4 @@
-"""Points of C^n and P^n, affine charts, and the catalog of hypersurfaces.
+"""The affine charts, the catalog of hypersurfaces and the seeded samplers.
 
 Every surface is stored in the affine chart its computations live in:
 
@@ -20,8 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ChartDomainError, DimensionMismatchError, InputError,
-                     PreconditionError)
+from .errors import DimensionMismatchError, InputError, PreconditionError
 from .forms import CoeffFn, modulus, mul, power
 from .forms import _const_fn as _const
 
@@ -33,42 +32,6 @@ CHART_COORDS = {
     "U2": ("y0", "y1", "x1", "x2"),
     "U1": ("w0", "w2", "x1", "x2"),
 }
-
-
-def as_projective_point(xi: Sequence[complex]) -> Point:
-    xi = tuple(complex(c) for c in xi)
-    if len(xi) < 2:
-        raise InputError("a projective point needs at least two homogeneous coordinates")
-    if all(c == 0 for c in xi):
-        raise InputError("homogeneous coordinates must not all vanish")
-    return xi
-
-
-def as_affine_point(x: Sequence[complex]) -> Point:
-    x = tuple(complex(c) for c in x)
-    if len(x) < 1:
-        raise InputError("an affine point needs at least one coordinate")
-    return x
-
-
-def dual_pairing(xi: Sequence[complex], x: Sequence[complex]) -> complex:
-    """The pairing xi.x = xi0 + xi1*x1 + ... + xin*xn."""
-    xi = as_projective_point(xi)
-    x = as_affine_point(x)
-    if len(xi) != len(x) + 1:
-        raise DimensionMismatchError(
-            f"xi has {len(xi)} homogeneous coordinates but x has {len(x)} affine ones")
-    return xi[0] + sum(xi[k + 1] * x[k] for k in range(len(x)))
-
-
-def affine_chart(xi: Sequence[complex], k: int) -> Point:
-    """Coordinates xi_j/xi_k for j != k, in index order."""
-    xi = as_projective_point(xi)
-    if not 0 <= k < len(xi):
-        raise InputError(f"chart index {k} outside 0..{len(xi) - 1}")
-    if xi[k] == 0:
-        raise ChartDomainError(f"xi_{k} vanishes; point outside the chart")
-    return tuple(xi[j] / xi[k] for j in range(len(xi)) if j != k)
 
 
 # ------------------------------------------------------------ surface specs

@@ -61,12 +61,12 @@ def kernel_basis_form(kind: str, n: int) -> KForm:
     raise InputError(f"unknown kernel basis form {kind!r}")
 
 
-def _f_at(f: HolomorphicExpr, cols) -> np.ndarray:
-    """``f`` at each point of the coordinate columns ``cols``:
+def _f_at(f: HolomorphicExpr | None, cols) -> np.ndarray | complex:
+    """``f`` at each point of the coordinate columns ``cols``, 1 without f:
     ``exprlang.eval_expr`` mapped over the rows (:func:`forms.map_points`),
     an error with its row.  It is looked up on the module at each call, so
     a wrapped or patched ``eval_expr`` is the one that runs."""
-    return forms.map_points(exprlang.eval_expr, cols, f)
+    return 1 + 0j if f is None else forms.map_points(exprlang.eval_expr, cols, f)
 
 
 def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
@@ -94,7 +94,7 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
         def coeff(cols):
             den = cols[0] + sum(map(forms.mul, cols[xi], z))
             forms.pole_at(cols, den == 0, message)
-            top = 1 + 0j if f is None else _f_at(f, cols[x])
+            top = _f_at(f, cols[x])
             return forms.mul(forms.div(top, forms.power(den, power)),
                              0j + forms.mul(s, cols[k]))
 
@@ -149,18 +149,6 @@ def phi_chart_formula(n: int) -> KForm:
         factors.append(KForm(1, dim, terms=terms))
     factors.append(kernel_basis_form("omega", n))
     return forms.scale(forms.wedge_all(factors), prefactor)
-
-
-def phi_chart_identity_gaps(n: int, points, frames) -> np.ndarray:
-    """Relative gaps between phi (z = 0) and its y-chart product formula at
-    m points, each on its own frame: one batch per form."""
-    points = np.asarray(points, dtype=complex)
-    if points.ndim == 2 and (points[:, :2] == 0).any():
-        raise ChartDomainError("chart identity needs xi_0 != 0 and xi_1 != 0")
-    lhs = phi(n, (0j,) * n).evaluate_many(points, frames)
-    rhs = phi_chart_formula(n).evaluate_many(points, frames)
-    scale = np.maximum(np.maximum(forms.modulus(lhs), forms.modulus(rhs)), 1e-30)
-    return forms.modulus(lhs - rhs) / scale
 
 
 # ------------------------------------------------------------ chart lifts
@@ -226,22 +214,16 @@ def casebook_form(form_id: str, params: dict | None = None,
     raise InputError(f"unknown casebook form {form_id!r}")
 
 
-def _feval(f: HolomorphicExpr | None):
-    """f at the x column of an (eta, x) batch, point by point (1 without f)."""
-    return lambda x: 1 + 0j if f is None else _f_at(f, (x,))
-
-
 def _sigma_A(a: complex, f: HolomorphicExpr | None) -> KForm:
     # (f/eta) * [ (a eta + x - 1)(d eta + dx) - (eta + x)(a d eta + dx) ];
     # vanishes on Q and on S_A by construction.
-    feval = _feval(f)
 
     def term(w):  # the coefficient of d eta (w = a) or of dx (w = 1)
         def coeff(p):
             eta, x = p
             forms.pole_at(p, eta == 0, "sigma_A pole at eta = 0")
             bracket = forms.mul(a, eta) + x - 1 - forms.mul(w, eta + x)
-            return forms.div(forms.mul(feval(x), bracket), eta)
+            return forms.div(forms.mul(_f_at(f, (x,)), bracket), eta)
 
         return coeff
 
@@ -250,7 +232,6 @@ def _sigma_A(a: complex, f: HolomorphicExpr | None) -> KForm:
 
 def _sigma_B(f: HolomorphicExpr | None) -> KForm:
     # (f/eta) * (s dq - q ds) for s = eta^2 + (eta+1)(x-1), q = eta + x.
-    feval = _feval(f)
 
     def term(i):  # the coefficient of d eta (i = 0) or of dx (i = 1)
         def coeff(p):
@@ -258,7 +239,7 @@ def _sigma_B(f: HolomorphicExpr | None) -> KForm:
             forms.pole_at(p, eta == 0, "sigma_B pole at eta = 0")
             s = forms.power(eta, 2) + forms.mul(eta + 1, x - 1)
             ds = forms.mul(2, eta) + x - 1 if i == 0 else eta + 1
-            fac = forms.div(feval(x), eta)
+            fac = forms.div(_f_at(f, (x,)), eta)
             return forms.mul(fac, forms.mul(s, 1 + 0j) - forms.mul(eta + x, ds))
 
         return coeff

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from cflab import casebook, cycles, geometry, kernels
@@ -150,15 +151,14 @@ def test_third_gamma_path_independence():
     straight = cycles.make_cycle("segment", start=1 + 0j, end=0j)
 
     def smap(t):
-        return (0.5 + 0.5 * cmath.exp(1j * math.pi * t[0]),)
+        return (0.5 + 0.5 * np.exp(1j * math.pi * t[0]),)
 
     def stan(t):
-        return ((0.5j * math.pi * cmath.exp(1j * math.pi * t[0]),),)
+        return ((0.5j * math.pi * np.exp(1j * math.pi * t[0]),),)
 
     detour = cycles.Cycle(
         kind="segment", domain=cycles.ParamDomain((cycles.Interval(0.0, 1.0),)),
-        map=smap, tangent=stan, ambient_dim=1, x_indices=(0,),
-        reference_param=(0.5,))
+        map=smap, tangent=stan, x_indices=(0,), reference_param=(0.5,))
     v1 = cycles.integrate(form, straight, 24)
     v2 = cycles.integrate(form, detour, 48)
     assert abs(v1 - v2) < 1e-10
@@ -269,6 +269,15 @@ def test_transversality_suite_margins():
     for rep in by_id.values():
         assert rep.passed, rep.id
         assert rep.computed.real > 1e-6
+
+
+def test_margin_specs_are_built_once_in_the_order_named():
+    specs = casebook._margin_specs("D", "P_Q_S", "U2")
+    assert casebook._margin_specs("D", "P_Q_S", "U2") is specs
+    assert [(s.name, s.chart) for s in specs] == \
+        [("P", "U2"), ("Q", "U2"), ("S_D", "U2")]
+    assert [s.name for s in casebook._margin_specs("C1", "Q_S", "U2")] == \
+        ["Q", "S_C1"]
 
 
 # ------------------------------------------------------------ full report

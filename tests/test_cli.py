@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflab import casebook, geometry, report
+from cflab import casebook, cycles, geometry, report
 from cflab.cli import build_parser, run_cli
 from cflab.errors import PoleError
 
@@ -127,6 +127,18 @@ def test_out_file_written(tmp_path):
     assert payload["all_pass"] is True
 
 
+@pytest.mark.parametrize("where,reason", [
+    (lambda tmp: tmp / "missing" / "r.json", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+], ids=["missing_directory", "directory"])
+def test_unwritable_out_exits_2_with_one_line(where, reason, tmp_path, capsys):
+    out = where(tmp_path)
+    assert run_cli(["verify", "third", "B", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cflab: error: cannot write --out {out}: {reason}\n"
+
+
 def test_failed_check_exits_one(capsys):
     # An impossibly tight tolerance turns a passing value check into a
     # failing one; the CLI must signal it with exit code 1.
@@ -196,6 +208,21 @@ def test_an_overflowing_coefficient_is_told_apart_from_a_pole(capsys):
     assert capsys.readouterr().err == (
         "cflab: error: integrand pole on the grid at param (0.0,): "
         "expression overflows: math range error\n")
+
+
+@pytest.mark.parametrize("eps,cause", [
+    ("1e-300", "phi evaluated on xi.z = 0"),
+    ("1e300", "form coefficient overflows"),
+], ids=["pole", "overflow"])
+def test_orientation_probe_errors_name_the_reference_param(eps, cause, capsys):
+    # The one-point probe of alpha_orientation_factor fails before the grid.
+    assert run_cli(["verify", "first", "--n", "1", "--eps", eps]) == 2
+    assert capsys.readouterr().err == \
+        f"cflab: error: orientation probe at param (0.7,): {cause}\n"
+    sphere = cycles.make_cycle("sphere_M", z=(0.3 + 0.1j,), eps=float(eps))
+    with pytest.raises(PoleError) as err:
+        casebook.alpha_orientation_factor(1, (0.3 + 0.1j,), sphere)
+    assert err.value.param == sphere.reference_param == (0.7,)
 
 
 # ------------------------------------------------------- the cached parser

@@ -12,7 +12,7 @@ from cflab.errors import (ChartDomainError, DimensionMismatchError, InputError,
                           PoleError)
 from cflab.forms import KForm
 from cflab.kernels import (casebook_form, kernel_basis_form,
-                           kernel_on_chart, phi, phi_chart_identity_gaps, psi,
+                           kernel_on_chart, phi, phi_chart_formula, psi,
                            vanishing_max_and_scale)
 
 
@@ -359,7 +359,9 @@ def test_phi_chart_identity_small_gap():
             p = tuple(_rand_c(rng) + (1 if i < 2 else 0)
                       for i in range(2 * n + 1))
             vecs = [_rand_vec(rng, 2 * n + 1) for _ in range(2 * n - 1)]
-            assert phi_chart_identity_gaps(n, (p,), (vecs,))[0] < 1e-10
+            lhs = phi(n, (0j,) * n).evaluate_many((p,), (vecs,))[0]
+            rhs = phi_chart_formula(n).evaluate_many((p,), (vecs,))[0]
+            assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
 
 
 def test_phi_chart_identity_repeated_vector_zero():
@@ -375,7 +377,8 @@ def test_phi_chart_identity_repeated_vector_zero():
 
 def test_phi_chart_identity_rejects_chart_singularity():
     with pytest.raises(ChartDomainError):
-        phi_chart_identity_gaps(2, ((0, 1, 1, 0, 0),), ([(1, 0, 0, 0, 0)] * 3,))
+        phi_chart_formula(2).evaluate_many(((0, 1, 1, 0, 0),),
+                                           ([(1, 0, 0, 0, 0)] * 3,))
 
 
 # ----------------------------------------------------------- casebook forms
