@@ -12,7 +12,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from . import casebook, cycles, exprlang, forms, geometry, kernels, report
-from .casebook import (CheckReport, RunConfig, first_formula, full_report,
+from .casebook import (CheckReport, first_formula, full_report,
                        identity_suite, fibration_check_C2,
                        necessary_condition_case, second_formula_n1,
                        third_formula_case, transversality_suite)
@@ -23,17 +23,15 @@ from .exprlang import HolomorphicExpr, differentiate, eval_expr, parse_expr
 from .forms import KForm, d_numeric, pullback_integrand, wedge
 from .geometry import (SurfaceSpec, sample_on_surface, surface_catalog,
                        transversality_margin)
-from .cycles import (Cycle, ParamDomain, QuadratureSpec, integrate,
-                     make_cycle, orientation_sign)
+from .cycles import Cycle, integrate, make_cycle, orientation_sign
 from .kernels import casebook_form, kernel_basis_form, phi, psi
 
 __all__ = [
     "__version__",
-    "CheckReport", "RunConfig", "CflabError", "ChartDomainError",
+    "CheckReport", "CflabError", "ChartDomainError",
     "DimensionMismatchError", "InputError", "PoleError",
     "PreconditionError", "UnsupportedKindError",
-    "HolomorphicExpr", "KForm", "SurfaceSpec", "Cycle", "ParamDomain",
-    "QuadratureSpec",
+    "HolomorphicExpr", "KForm", "SurfaceSpec", "Cycle",
     "casebook_form", "d_numeric", "differentiate",
     "eval_expr", "first_formula", "fibration_check_C2",
     "full_report", "identity_suite", "integrate", "kernel_basis_form",

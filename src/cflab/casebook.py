@@ -85,8 +85,9 @@ def alpha_orientation_factor(n: int, z, cycle: cycles.Cycle) -> int:
     The class is normalized by pointwise positivity of i^(-n) * phi on the
     cycle; the sign returned here makes the parametrized integral agree with
     that normalization (and hence makes the reproducing formula return
-    +f(z)).  The probe is phi at the cycle's reference param; a pole or an
-    overflow there raises :class:`PoleError` naming that param.
+    +f(z)).  The probe is phi at the cycle's reference param; a point,
+    frame or value there that is not finite raises :class:`PoleError`
+    naming that param.
     """
     param = cycle.reference_param
     try:
@@ -108,10 +109,9 @@ def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
     if quad is None:
         quad = (128,) if n == 1 else (32, 64, 64)
     sphere = cycles.make_cycle("sphere_M", z=z, eps=eps)
-    quad_spec = cycles.QuadratureSpec.of(quad, sphere.dim)
     factor = alpha_orientation_factor(n, z, sphere)
     outward = cycles.orientation_sign(sphere, z)
-    raw = cycles.integrate(kernels.phi(n, z, f), sphere, quad_spec)
+    raw = cycles.integrate(kernels.phi(n, z, f), sphere, quad)
     constant = math.factorial(n - 1) / TWO_PI_I ** n
     computed = constant * factor * raw
     expected = eval_expr(f, z)
@@ -120,7 +120,7 @@ def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
         "eps": eps, "orientation_sign": outward, "alpha_factor": factor,
     }
     return _value_report(check_id, "core", params, computed, expected, tol,
-                         quad_spec.sizes, t0)
+                         quad, t0)
 
 
 # -------------------------------------------------------- the second formula
@@ -144,10 +144,8 @@ def second_formula_n1(f: HolomorphicExpr, z: complex, r: float,
         dx = 1j * r * np.exp(1j * param[0])
         return ((-dx, 0j, dx),)
 
-    lifted = cycles.Cycle(kind="circle_on_Q",
-                          domain=cycles.ParamDomain((cycles.Circle(),)),
-                          map=qmap, tangent=qtan, x_indices=(2,),
-                          reference_param=(0.7,))
+    lifted = cycles.Cycle(kind="circle_on_Q", factors=(cycles.Circle(),),
+                          map=qmap, tangent=qtan)
     loop = cycles.integrate(kernels.phi(1, (z,), f), lifted, (nodes,))
     residue = loop / TWO_PI_I
     computed = -residue
@@ -252,8 +250,7 @@ def necessary_condition_case(case_id: str, eps: float = 0.5,
         params = {"r1": r1, "r2": r2}
     else:
         raise InputError("necessary-condition cases are 'D' and 'E'")
-    quad_spec = cycles.QuadratureSpec.of(quad, 2)
-    computed = cycles.integrate(form, torus, quad_spec)
+    computed = cycles.integrate(form, torus, quad)
     nonzero = abs(computed) > 0.1
     params.update({
         "oracle": _cfmt(oracle),
@@ -262,7 +259,7 @@ def necessary_condition_case(case_id: str, eps: float = 0.5,
         "predicate_holds": nonzero,
     })
     return _value_report(f"necessary_{case_id}", case_id, params,
-                         computed, oracle, tol, quad_spec.sizes, t0,
+                         computed, oracle, tol, quad, t0,
                          extra_ok=nonzero)
 
 
@@ -271,13 +268,12 @@ def necessary_condition_eps_invariance(eps_a: float = 0.3, eps_b: float = 0.7,
     """Example D's class does not depend on the torus radius."""
     t0 = time.perf_counter()
     form = kernels.casebook_form("theta_D")
-    quad_spec = cycles.QuadratureSpec.of(quad, 2)
-    va = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_a), quad_spec)
-    vb = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_b), quad_spec)
+    va = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_a), quad)
+    vb = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_b), quad)
     params = {"eps_a": eps_a, "eps_b": eps_b,
               "value_a": _cfmt(va), "value_b": _cfmt(vb)}
     return _value_report("necessary_D_eps_invariance", "D", params,
-                         va - vb, 0j, tol, quad_spec.sizes, t0)
+                         va - vb, 0j, tol, quad, t0)
 
 
 # ------------------------------------------------------------ identity suite
@@ -644,14 +640,6 @@ def transversality_suite(seed: int = 7) -> list[CheckReport]:
 
 # -------------------------------------------------------------- full report
 
-@dataclass
-class RunConfig:
-    """Knobs for a full verification run."""
-
-    seed: int = 7
-    skip: tuple[str, ...] = ()
-
-
 # One (id, group, run) row per report row, in report order; ``run(seed)``
 # returns that row's report.
 CHECKS = (
@@ -689,22 +677,20 @@ CHECKS = (
 )
 
 
-def full_report(config: RunConfig | None = None) -> list[CheckReport]:
-    """Every row of :data:`CHECKS`, in order.
+def full_report(seed: int = 7, skip=()) -> list[CheckReport]:
+    """Every row of :data:`CHECKS`, in order, each run with ``seed``.
 
-    A row whose id or group is in ``config.skip`` is never computed.  A row
-    that raises :class:`CflabError` becomes one FAIL row with that row's id
-    and group, carrying the error in ``params``, and the other rows still
-    run.
+    A row whose id or group is in ``skip`` is never computed.  A row that
+    raises :class:`CflabError` becomes one FAIL row with that row's id and
+    group, carrying the error in ``params``, and the other rows still run.
     """
-    config = config or RunConfig()
     checks: list[CheckReport] = []
     for check_id, group, run in CHECKS:
-        if check_id in config.skip or group in config.skip:
+        if check_id in skip or group in skip:
             continue
         t0 = time.perf_counter()
         try:
-            checks.append(run(config.seed))
+            checks.append(run(seed))
         except CflabError as exc:
             error = {"error": f"{type(exc).__name__}: {exc}"}
             checks.append(_predicate_report(check_id, group, error,

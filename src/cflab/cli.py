@@ -12,7 +12,6 @@ import math
 import sys
 
 from . import __version__, casebook, report
-from .casebook import RunConfig
 from .errors import CflabError, InputError
 from .exprlang import parse_expr
 
@@ -30,30 +29,35 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
+def _parse_list(text: str, what: str, kind, counts: tuple[int, ...]) -> tuple:
+    """The comma-separated values of an option that takes one of ``counts``
+    values of type ``kind``."""
     try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
+        values = tuple(kind(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise InputError(f"bad {what}: {exc}") from None
-    if not values:
-        raise InputError(f"empty {what}")
-    return tuple(_finite(v, what) for v in values)
+    if len(values) not in counts:
+        raise InputError(f"{what} takes {' or '.join(map(str, counts))} "
+                         f"value{'s' if counts != (1,) else ''}, got {len(values)}")
+    return values
 
 
-def _parse_complex_list(text: str, what: str) -> tuple[complex, ...]:
-    values = list(_parse_floats(text, what))
+def _parse_floats(text: str, what: str, counts=(1,)) -> tuple[float, ...]:
+    return tuple(_finite(v, what) for v in _parse_list(text, what, float, counts))
+
+
+def _parse_complex_list(text: str, what: str, count: int) -> tuple[complex, ...]:
+    """``count`` complex values as re,im pairs; a last im may be left out."""
+    values = list(_parse_floats(text, what, (2 * count - 1, 2 * count)))
     if len(values) % 2:
         values.append(0.0)
     return tuple(complex(values[i], values[i + 1])
                  for i in range(0, len(values), 2))
 
 
-def _parse_nodes(text: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise InputError(f"bad --nodes: {exc}") from None
-    if not sizes or any(n < 4 for n in sizes):
+def _parse_nodes(text: str, counts=(1,)) -> tuple[int, ...]:
+    sizes = _parse_list(text, "--nodes", int, counts)
+    if any(n < 4 for n in sizes):
         raise InputError("node counts must be integers >= 4")
     return sizes
 
@@ -147,11 +151,10 @@ def _run_verify(args) -> list[casebook.CheckReport]:
     if args.which == "first":
         n = args.n
         f = parse_expr(args.f if args.f is not None else _FIRST_DEFAULT_F[n], n)
-        z = _parse_complex_list(args.z, "--z") if args.z else \
+        z = _parse_complex_list(args.z, "--z", n) if args.z else \
             ((0.3 + 0.1j,) if n == 1 else (0.2 + 0j, -0.1 + 0j))
-        if len(z) != n:
-            raise InputError(f"--z needs {n} complex coordinates")
-        nodes = _parse_nodes(args.nodes) if args.nodes else None
+        nodes = _parse_nodes(args.nodes, (1,) if n == 1 else (1, 3)) \
+            if args.nodes else None
         if nodes is not None and len(nodes) == 1 and n == 2:
             nodes = (nodes[0] // 2, nodes[0], nodes[0])
             if nodes[0] < 4:  # the psi factor gets half of the one value
@@ -161,22 +164,22 @@ def _run_verify(args) -> list[casebook.CheckReport]:
                                        quad=nodes, tol=tol)]
     if args.which == "second":
         f = parse_expr(args.f, 1)
-        z = _parse_complex_list(args.z, "--z")[0]
+        z = _parse_complex_list(args.z, "--z", 1)[0]
         r = _parse_floats(args.radii, "--radii")[0]
         nodes = _parse_nodes(args.nodes)[0]
         return [casebook.second_formula_n1(
             f, z, r, nodes=nodes, tol=_default_tol(args, 1e-10))]
     if args.which == "third":
         f = parse_expr(args.f, 1)
-        a = _parse_complex_list(args.a, "--a")[0] if args.case == "A" else None
+        a = _parse_complex_list(args.a, "--a", 1)[0] if args.case == "A" else None
         nodes = _parse_nodes(args.nodes)[0]
         return [casebook.third_formula_case(
             args.case, f, a=a, nodes=nodes, tol=_default_tol(args, 1e-10))]
     if args.which == "necessary":
-        nodes = _parse_nodes(args.nodes)
+        nodes = _parse_nodes(args.nodes, (1, 2))
         if len(nodes) == 1:
             nodes = (nodes[0], nodes[0])
-        radii = _parse_floats(args.radii, "--radii")
+        radii = _parse_floats(args.radii, "--radii", (1, 2))
         if len(radii) == 1:
             radii = (radii[0], radii[0])
         return [casebook.necessary_condition_case(
@@ -202,8 +205,7 @@ def run_cli(argv=None) -> int:
     seed = getattr(args, "seed", 7)
     try:
         if args.command == "suite":
-            checks = casebook.full_report(
-                RunConfig(seed=args.seed, skip=tuple(args.skip)))
+            checks = casebook.full_report(args.seed, tuple(args.skip))
             if not checks:
                 raise InputError("--skip removed every check")
         else:

@@ -2,9 +2,11 @@
 
 Periodic parameter directions use the trapezoid rule (spectrally accurate
 for analytic periodic integrands); interval directions use Gauss-Legendre.
-Cycle maps are numpy ufunc expressions, so :func:`integrate` evaluates the
-grid in blocks of parameter arrays; one correctly rounded ``math.fsum`` per
-real and imaginary part makes the result independent of evaluation order.
+Cycle maps are numpy ufunc expressions called on parameter arrays only:
+:func:`integrate` evaluates the grid in blocks of them, and a one-point probe
+(:meth:`Cycle.at`) is a block of one.  One correctly rounded ``math.fsum``
+per real and imaginary part makes an integral independent of evaluation
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from . import forms
 from .errors import (DimensionMismatchError, InputError, PoleError,
                      UnsupportedKindError)
 
-Point = tuple[complex, ...]
 Param = tuple[float, ...]
 
 BLOCK_POINTS = 4096  # grid points per vectorized evaluation pass
@@ -49,84 +50,55 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class ParamDomain:
-    factors: tuple
-
-    def __post_init__(self):
-        if len(self.factors) < 1:
-            raise InputError("a parameter domain needs at least one factor")
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Per-factor node counts; the rule is implied by the factor type."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(n < 4 for n in self.sizes):
-            raise InputError("quadrature sizes must be >= 4")
-
-    @staticmethod
-    def of(sizes: int | Sequence[int], dim: int) -> "QuadratureSpec":
-        if isinstance(sizes, int):
-            return QuadratureSpec((sizes,) * dim)
-        sizes = tuple(int(n) for n in sizes)
-        if len(sizes) != dim:
-            raise InputError(f"need {dim} quadrature sizes, got {len(sizes)}")
-        return QuadratureSpec(sizes)
-
-
-@dataclass(frozen=True)
 class Cycle:
     """A parametrized cycle with an analytic tangent frame.
 
-    ``map`` sends a tuple of parameter arrays, one per factor, to a tuple of
-    ambient coordinate arrays; ``tangent`` returns one ambient vector per
-    parameter factor (hand differentiated, never by finite differences).
-    Written with numpy, both take one parameter tuple of floats as well.
+    ``factors`` holds one :class:`Circle` or :class:`Interval` per parameter
+    direction.  ``map`` sends a tuple of parameter arrays, one per factor, to
+    a tuple of ambient coordinate arrays; ``tangent`` returns one ambient
+    vector per factor (hand differentiated, never by finite differences).
+    Both are called on parameter arrays only, through :func:`_on_block`: by
+    :func:`integrate` on blocks of grid points and by :meth:`at` on one.
     ``x_indices`` names the ambient coordinates that project to affine
     space, used by the orientation test.
     """
 
     kind: str
-    domain: ParamDomain
-    map: Callable[[Param], Point] = field(repr=False)
-    tangent: Callable[[Param], tuple[Point, ...]] = field(repr=False)
+    factors: tuple
+    map: Callable[[tuple[np.ndarray, ...]], tuple] = field(repr=False)
+    tangent: Callable[[tuple[np.ndarray, ...]], tuple] = field(repr=False)
     x_indices: tuple[int, ...] = ()
     reference_param: Param = ()
+    _last: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)  # (param, (point, frame)) of at()
+
+    def __post_init__(self):
+        if len(self.factors) < 1:
+            raise InputError("a cycle needs at least one parameter factor")
 
     @property
     def dim(self) -> int:
-        return self.domain.dim
+        return len(self.factors)
 
-    def reversed_factor(self, k: int) -> "Cycle":
-        """Same cycle with the k-th parameter direction reversed."""
-        factor = self.domain.factors[k]
+    def at(self, param: Param) -> tuple[np.ndarray, np.ndarray]:
+        """The point (ambient,) and the frame (dim, ambient) at one param.
 
-        def flip(param):
-            param = list(param)
-            if isinstance(factor, Circle):
-                param[k] = -param[k]
-            else:
-                param[k] = factor.a + factor.b - param[k]
-            return tuple(param)
-
-        def fmap(param):
-            return self.map(flip(param))
-
-        def ftan(param):
-            frame = list(self.tangent(flip(param)))
-            frame[k] = tuple(-c for c in frame[k])
-            return tuple(frame)
-
-        return Cycle(kind=self.kind, domain=self.domain, map=fmap,
-                     tangent=ftan, x_indices=self.x_indices,
-                     reference_param=flip(self.reference_param))
+        The callables run on one-element parameter arrays, as on a grid
+        block; a point or frame that is not finite raises :class:`PoleError`
+        carrying ``param``.  The last result is kept, read-only, so the
+        orientation sign costs nothing after the probe at the same param.
+        """
+        param = tuple(param)
+        if self._last and self._last[0] == param:
+            return self._last[1]
+        params = tuple(np.array([t], dtype=float) for t in param)
+        point = _on_block(self.map, params)[..., 0]
+        frame = _on_block(self.tangent, params)[..., 0]
+        if not (np.isfinite(point).all() and np.isfinite(frame).all()):
+            raise PoleError("cycle point or frame is not finite", param=param)
+        point.flags.writeable = frame.flags.writeable = False
+        self._last[:] = (param, (point, frame))
+        return point, frame
 
 
 # --------------------------------------------------------------- factories
@@ -134,29 +106,13 @@ class Cycle:
 def make_cycle(kind: str, **params) -> Cycle:
     """Construct one of the catalog cycles.
 
-    Kinds: ``circle`` (center, radius), ``segment`` (start, end),
-    ``sphere_M`` (z, eps), ``torus_D`` (eps), ``torus_E`` (r1, r2).
+    Kinds: ``segment`` (start, end), ``sphere_M`` (z, eps), ``torus_D``
+    (eps), ``torus_E`` (r1, r2).
     """
     builder = _CYCLE_BUILDERS.get(kind)
     if builder is None:
         raise InputError(f"unknown cycle kind {kind!r}")
     return builder(**params)
-
-
-def _circle(center: complex = 0j, radius: float = 1.0) -> Cycle:
-    if radius <= 0:
-        raise InputError("circle radius must be positive")
-    center = complex(center)
-
-    def cmap(param):
-        return (center + radius * np.exp(1j * param[0]),)
-
-    def ctan(param):
-        return ((1j * radius * np.exp(1j * param[0]),),)
-
-    return Cycle(kind="circle", domain=ParamDomain((Circle(),)),
-                 map=cmap, tangent=ctan,
-                 x_indices=(0,), reference_param=(0.7,))
 
 
 def _segment(start: complex, end: complex) -> Cycle:
@@ -169,7 +125,7 @@ def _segment(start: complex, end: complex) -> Cycle:
     def stan(param):
         return ((delta,),)
 
-    return Cycle(kind="segment", domain=ParamDomain((Interval(0.0, 1.0),)),
+    return Cycle(kind="segment", factors=(Interval(0.0, 1.0),),
                  map=smap, tangent=stan,
                  x_indices=(0,), reference_param=(0.5,))
 
@@ -198,7 +154,7 @@ def _sphere_M(z: Sequence[complex], eps: float) -> Cycle:
             d_conj = d_delta.conjugate()
             return ((-z0 * d_conj, d_conj, d_delta),)
 
-        return Cycle(kind="sphere_M", domain=ParamDomain((Circle(),)),
+        return Cycle(kind="sphere_M", factors=(Circle(),),
                      map=mmap, tangent=mtan,
                      x_indices=(2,), reference_param=(0.7,))
     if n == 2:
@@ -225,8 +181,7 @@ def _sphere_M(z: Sequence[complex], eps: float) -> Cycle:
                     (-(z2 * c2_2), 0j, c2_2, 0j, d2_2))
 
         return Cycle(kind="sphere_M",
-                     domain=ParamDomain((Interval(0.0, math.pi / 2),
-                                         Circle(), Circle())),
+                     factors=(Interval(0.0, math.pi / 2), Circle(), Circle()),
                      map=mmap, tangent=mtan,
                      x_indices=(3, 4), reference_param=(0.9, 0.7, 1.3))
     raise InputError("sphere_M is implemented for n in {1, 2}")
@@ -258,7 +213,7 @@ def _torus_D(eps: float) -> Cycle:
         dx1_et = (num * (1j * den) - 2j * x2 * x2 * den) / (den * den)
         return ((dy1, 0j, num * dden_th / (den * den)), (0j, dx2, dx1_et))
 
-    return Cycle(kind="torus_D", domain=ParamDomain((Circle(), Circle())),
+    return Cycle(kind="torus_D", factors=(Circle(), Circle()),
                  map=dmap, tangent=dtan,
                  x_indices=(0, 1, 2), reference_param=(0.4, 1.1))
 
@@ -274,13 +229,12 @@ def _torus_E(r1: float, r2: float) -> Cycle:
         return ((1j * r1 * np.exp(1j * param[0]), 0j),
                 (0j, 1j * r2 * np.exp(1j * param[1])))
 
-    return Cycle(kind="torus_E", domain=ParamDomain((Circle(), Circle())),
+    return Cycle(kind="torus_E", factors=(Circle(), Circle()),
                  map=emap, tangent=etan,
                  x_indices=(0, 1), reference_param=(0.4, 1.1))
 
 
 _CYCLE_BUILDERS = {
-    "circle": _circle,
     "segment": _segment,
     "sphere_M": _sphere_M,
     "torus_D": _torus_D,
@@ -293,29 +247,26 @@ _CYCLE_BUILDERS = {
 def orientation_sign(cycle: Cycle, interior_point: Sequence[complex]) -> int:
     """+1 if the parametrization induces the outward-normal orientation.
 
-    Works on boundary-sphere kinds only: the determinant of the real matrix
-    [outward normal | realified tangent frame], taken at the reference
-    parameter with the ambient projected to affine x-space.
+    Works on the residue sphere only: the sign of the determinant of the
+    real matrix [outward normal | tangent frame], realified, taken at the
+    reference parameter (:meth:`Cycle.at`) with the ambient projected to
+    affine x-space.
     """
-    if cycle.kind not in ("circle", "sphere_M"):
+    if cycle.kind != "sphere_M":
         raise UnsupportedKindError(
             f"orientation_sign needs a boundary sphere, got {cycle.kind!r}")
-    interior = tuple(complex(c) for c in interior_point)
-    param = cycle.reference_param
-    point = cycle.map(param)
-    xs = [point[i] for i in cycle.x_indices]
-    if len(interior) != len(xs):
+    interior = np.asarray(interior_point, dtype=complex)
+    point, frame = cycle.at(cycle.reference_param)
+    xs = list(cycle.x_indices)
+    if interior.shape != (len(xs),):
         raise InputError("interior point dimension mismatch")
-    normal = [a - b for a, b in zip(xs, interior)]
-    norm = math.sqrt(sum(abs(c) ** 2 for c in normal))
-    columns = np.array([[c / norm for c in normal]]
-                       + [[vec[i] for i in cycle.x_indices]
-                          for vec in cycle.tangent(param)], dtype=complex)
-    matrix = columns.view(float).T  # realified: each entry becomes (re, im)
-    det = float(np.linalg.det(matrix))
-    if det == 0.0:
-        raise InputError("degenerate frame at the reference parameter")
-    return 1 if det > 0 else -1
+    columns = np.array([point[xs] - interior, *frame[:, xs]])
+    # realified: each entry becomes (re, im); slogdet's sign cannot overflow
+    sign = np.linalg.slogdet(columns.view(float).T)[0]
+    if sign == 0:
+        raise InputError(f"degenerate frame at the reference param "
+                         f"{cycle.reference_param}")
+    return int(sign)
 
 
 # -------------------------------------------------------------- quadrature
@@ -347,26 +298,30 @@ def _fill(grid: np.ndarray, out) -> bool:
             and all(_fill(g, o) for g, o in zip(grid, out)))
 
 
-def _on_block(fn, params: tuple[np.ndarray, ...],
-              shape: tuple[int, ...]) -> np.ndarray:
-    """A cycle callable on m block points, as a complex array ``shape + (m,)``.
+def _on_block(fn, params: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A cycle callable on m block points, as a complex array shaped as its
+    output's tuple nesting, then m.
 
     ``fn`` takes the block's parameter arrays (see :class:`Cycle`): one that
-    fails on them raises :class:`InputError`, and an output not nested as
-    ``shape`` raises :class:`DimensionMismatchError`.
+    fails on them raises :class:`InputError`, and a ragged output raises
+    :class:`DimensionMismatchError`.
     """
-    out = np.empty(shape + (len(params[0]),), dtype=complex)
     try:
         with np.errstate(all="ignore"):
             value = fn(params)
     except (TypeError, ValueError) as exc:
         raise InputError(f"cycle callables take parameter arrays: {exc}") from None
+    shape, inner = (), value
+    while isinstance(inner, (tuple, list)) and inner:
+        shape, inner = shape + (len(inner),), inner[0]
+    out = np.empty(shape + (len(params[0]),), dtype=complex)
     try:
         fits = _fill(out, value)
     except (TypeError, ValueError):
         fits = False
     if not fits:
-        raise DimensionMismatchError(f"cycle output does not have shape {shape}")
+        raise DimensionMismatchError("cycle output is not a regular nesting "
+                                     "of tuples")
     return out
 
 
@@ -377,8 +332,11 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
     by one :meth:`KForm.evaluate_many` call on the block's points and frames.
     """
     m = len(weights)
-    point = _on_block(cycle.map, params, (form.dim,))
-    frame = _on_block(cycle.tangent, params, (form.degree, form.dim))
+    point, frame = _on_block(cycle.map, params), _on_block(cycle.tangent, params)
+    if point.shape[:-1] != (form.dim,) or frame.shape[:-1] != (form.degree, form.dim):
+        raise DimensionMismatchError(
+            f"cycle point and frame need shapes {(form.dim,)} and "
+            f"{(form.degree, form.dim)}, got {point.shape[:-1]} and {frame.shape[:-1]}")
     finite = np.isfinite(point).all(axis=0) & np.isfinite(frame).all(axis=(0, 1))
     stop = m if finite.all() else int(finite.argmin())
     points, frames = point.T, frame.transpose(2, 0, 1)
@@ -402,10 +360,12 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
     return re, im
 
 
-def integrate(form: forms.KForm, cycle: Cycle,
-              quad: QuadratureSpec | int | Sequence[int]) -> complex:
+def integrate(form: forms.KForm, cycle: Cycle, quad: Sequence[int]) -> complex:
     """Integrate a form over a cycle on the tensor-product grid.
 
+    ``quad`` holds one node count per factor of the cycle, each at least 4;
+    a :class:`Circle` factor gets the trapezoid rule and an
+    :class:`Interval` factor Gauss-Legendre.
     The grid is walked in parameter-lexicographic order, :data:`BLOCK_POINTS`
     points at a time, with one ``cycle.map`` and ``cycle.tangent`` call per
     block.  The weighted real and imaginary parts of the whole grid are each
@@ -420,23 +380,24 @@ def integrate(form: forms.KForm, cycle: Cycle,
     if form.degree != cycle.dim:
         raise InputError(
             f"form degree {form.degree} != cycle dimension {cycle.dim}")
-    quad = quad if isinstance(quad, QuadratureSpec) else QuadratureSpec.of(quad, cycle.dim)
-    if len(quad.sizes) != cycle.dim:
-        raise InputError("quadrature spec does not match the cycle dimension")
-    total = math.prod(quad.sizes)
+    sizes = tuple(int(n) for n in quad)
+    if len(sizes) != cycle.dim:
+        raise InputError(f"need {cycle.dim} quadrature sizes, got {len(sizes)}")
+    if any(n < 4 for n in sizes):
+        raise InputError("quadrature sizes must be >= 4")
+    total = math.prod(sizes)
     if total > MAX_GRID_POINTS:
         raise InputError(f"quadrature grid of {total} points exceeds the "
                          f"budget of {MAX_GRID_POINTS}")
-    factors = cycle.domain.factors
-    if any(n > MAX_GAUSS_NODES for f, n in zip(factors, quad.sizes)
+    if any(n > MAX_GAUSS_NODES for f, n in zip(cycle.factors, sizes)
            if not isinstance(f, Circle)):
         raise InputError(f"a Gauss-Legendre factor needs at most "
-                         f"{MAX_GAUSS_NODES} nodes, got {quad.sizes}")
-    rules = [_factor_rule(f, n) for f, n in zip(factors, quad.sizes)]
+                         f"{MAX_GAUSS_NODES} nodes, got {sizes}")
+    rules = [_factor_rule(f, n) for f, n in zip(cycle.factors, sizes)]
     re, im = np.empty(total), np.empty(total)
     for lo in range(0, total, BLOCK_POINTS):
         hi = min(lo + BLOCK_POINTS, total)
-        index = np.unravel_index(np.arange(lo, hi), quad.sizes)
+        index = np.unravel_index(np.arange(lo, hi), sizes)
         params = tuple(nodes[i] for (nodes, _), i in zip(rules, index))
         weights = math.prod(w[i] for (_, w), i in zip(rules, index))
         re[lo:hi], im[lo:hi] = _weighted_block(form, cycle, params, weights)

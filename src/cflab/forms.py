@@ -460,10 +460,12 @@ def chart_section(form: KForm, layout: Sequence[int | complex]) -> KForm:
 def pullback_integrand(form: KForm, cycle, param) -> complex:
     """Evaluate ``form`` on a cycle's pushforward frame at a parameter point.
 
-    The frame is the tuple of analytic tangent vectors in parameter order,
-    one per cycle dimension, which must equal the form's degree.
+    The point and frame are the cycle's at ``param`` (``cycle.at``, which
+    raises :class:`PoleError` if either is not finite); the frame has one
+    analytic tangent vector per cycle dimension, which must equal the form's
+    degree.
     """
-    point, frame = cycle.map(param), cycle.tangent(param)
+    point, frame = cycle.at(param)
     if len(frame) != form.degree:
         raise DimensionMismatchError(
             f"cycle dimension {len(frame)} != form degree {form.degree}")

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from cflab import casebook, report
-from cflab.casebook import (RunConfig, fibration_check_C2, first_formula,
+from cflab.casebook import (fibration_check_C2, first_formula,
                             full_report, identity_suite,
                             necessary_condition_case,
                             necessary_condition_eps_invariance,
@@ -124,7 +124,7 @@ def test_criterion_10_transversality():
 
 
 def _suite_json() -> str:
-    checks = full_report(RunConfig(seed=7))
+    checks = full_report(seed=7)
     payload = json.loads(report.to_json(checks, "test", 7))
     for check in payload["checks"]:
         check["runtime_ms"] = 0.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cflab import casebook, cycles, geometry, kernels
-from cflab.casebook import (RunConfig, fibration_check_C2, first_formula,
+from cflab.casebook import (fibration_check_C2, first_formula,
                             full_report, identity_suite,
                             necessary_condition_case,
                             necessary_condition_eps_invariance,
@@ -54,6 +54,33 @@ def test_first_formula_n2_oriented_kernel_integral_is_minus_four_pi_sq():
     factor = casebook.alpha_orientation_factor(2, z, sphere)
     raw = cycles.integrate(kernels.phi(2, z), sphere, (24, 48, 48))
     assert factor * raw == pytest.approx(MINUS_FOUR_PI_SQ, abs=1e-6)
+
+
+def test_first_formula_calls_its_sphere_on_parameter_arrays_only(monkeypatch):
+    # The orientation probe and orientation_sign go through the block path
+    # too, as one one-point block.
+    real, seen = cycles.make_cycle, []
+
+    def spied(kind, **params):
+        cycle = real(kind, **params)
+
+        def arrays_only(fn):
+            def checked(param):
+                seen.append({type(t) for t in param})
+                return fn(param)
+            return checked
+
+        return dataclasses.replace(cycle, map=arrays_only(cycle.map),
+                                   tangent=arrays_only(cycle.tangent))
+
+    monkeypatch.setattr(cycles, "make_cycle", spied)
+    for n, z in ((1, (0.3 + 0.1j,)), (2, (0.2, -0.1))):
+        first_formula(n, parse_expr("1", n), z, 0.5, quad=(8,) * (2 * n - 1),
+                      tol=1.0)
+    # map and tangent, per n: once at the reference param (the probe, kept
+    # for orientation_sign) and once on the one grid block
+    assert len(seen) == 2 * 2 * 2
+    assert all(types == {np.ndarray} for types in seen)
 
 
 def test_first_formula_linear_in_f_with_complex_coefficients():
@@ -157,10 +184,10 @@ def test_third_gamma_path_independence():
         return ((0.5j * math.pi * np.exp(1j * math.pi * t[0]),),)
 
     detour = cycles.Cycle(
-        kind="segment", domain=cycles.ParamDomain((cycles.Interval(0.0, 1.0),)),
-        map=smap, tangent=stan, x_indices=(0,), reference_param=(0.5,))
-    v1 = cycles.integrate(form, straight, 24)
-    v2 = cycles.integrate(form, detour, 48)
+        kind="segment", factors=(cycles.Interval(0.0, 1.0),),
+        map=smap, tangent=stan)
+    v1 = cycles.integrate(form, straight, (24,))
+    v2 = cycles.integrate(form, detour, (48,))
     assert abs(v1 - v2) < 1e-10
 
 
@@ -299,7 +326,7 @@ def test_every_table_row_reports_its_own_id_and_group(unpatched_report):
 
 
 def test_full_report_skip_group():
-    checks = full_report(RunConfig(skip=("E",)))
+    checks = full_report(skip=("E",))
     ids = [c.id for c in checks]
     assert "necessary_E" not in ids
     assert "vanish_tauE_SE" not in ids
@@ -316,13 +343,13 @@ def test_full_report_never_runs_a_skipped_check(monkeypatch):
         return real(*args, check_id=check_id, **kwargs)
 
     monkeypatch.setattr(casebook, "first_formula", spy)
-    checks = full_report(RunConfig(skip=("first_n2_poly", "first_n2_const")))
+    checks = full_report(skip=("first_n2_poly", "first_n2_const"))
     assert called == ["first_n1"]
     ids = [c.id for c in checks]
     assert ids[:2] == ["first_n1", "second_exp"]
     assert len(ids) == 46
     called.clear()
-    full_report(RunConfig(skip=("core",)))
+    full_report(skip=("core",))
     assert called == []
 
 
@@ -378,14 +405,13 @@ def test_full_report_never_computes_a_skipped_table_row(monkeypatch):
 
     monkeypatch.setattr(casebook, "_identity_exact_D", exact_D)
     monkeypatch.setattr(geometry, "intersection_points", points)
-    checks = full_report(RunConfig(
-        skip=("core", "identity_exact_D", "transv_D_P_S")))
+    checks = full_report(skip=("core", "identity_exact_D", "transv_D_P_S"))
     ids = [c.id for c in checks]
     assert "identity_exact_D" not in computed + ids
     assert "transv_D_P_S" not in computed + ids
     assert "transv_D_P_Q" in computed and len(ids) == 36
     computed.clear()
-    full_report(RunConfig(skip=("core",)))
+    full_report(skip=("core",))
     assert {"identity_exact_D", "transv_D_P_S"} <= set(computed)
 
 
@@ -394,7 +420,7 @@ def test_full_report_keeps_the_group_of_a_raising_check(monkeypatch):
         raise PoleError("pole", param=(0.5,))
 
     monkeypatch.setattr(casebook, "third_formula_case", raising)
-    checks = full_report(RunConfig(skip=("core", "C", "D", "E")))
+    checks = full_report(skip=("core", "C", "D", "E"))
     rows = [(c.id, c.group, c.passed) for c in checks
             if c.id.startswith("third_")]
     assert rows == [("third_A_a0", "A", False), ("third_A_a2", "A", False),

@@ -210,19 +210,58 @@ def test_an_overflowing_coefficient_is_told_apart_from_a_pole(capsys):
         "expression overflows: math range error\n")
 
 
-@pytest.mark.parametrize("eps,cause", [
-    ("1e-300", "phi evaluated on xi.z = 0"),
-    ("1e300", "form coefficient overflows"),
-], ids=["pole", "overflow"])
-def test_orientation_probe_errors_name_the_reference_param(eps, cause, capsys):
-    # The one-point probe of alpha_orientation_factor fails before the grid.
-    assert run_cli(["verify", "first", "--n", "1", "--eps", eps]) == 2
+@pytest.mark.parametrize("n,z,eps,cause", [
+    (1, (0j,), "1e-300", "phi evaluated on xi.z = 0"),
+    (2, (0.2, -0.1), "1e100", "form coefficient overflows"),
+    (1, (0.3 + 0.1j,), "1e300", "cycle point or frame is not finite"),
+    (2, (0.2, -0.1), "1e200", "cycle point or frame is not finite"),
+    (2, (0.2, -0.1), "1e300", "cycle point or frame is not finite"),
+], ids=["pole", "overflow", "point_overflows_n1", "point_overflows_n2",
+        "point_overflows_n2_1e300"])
+def test_orientation_probe_errors_name_the_reference_param(n, z, eps, cause,
+                                                            capsys):
+    # The one-point probe of alpha_orientation_factor fails before the grid
+    # and before orientation_sign, with no warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["verify", "first", f"--n={n}", f"--eps={eps}", "--z="
+                        + ",".join(f"{complex(c).real},{complex(c).imag}"
+                                   for c in z)]) == 2
+    param = (0.7,) if n == 1 else (0.9, 0.7, 1.3)
     assert capsys.readouterr().err == \
-        f"cflab: error: orientation probe at param (0.7,): {cause}\n"
-    sphere = cycles.make_cycle("sphere_M", z=(0.3 + 0.1j,), eps=float(eps))
+        f"cflab: error: orientation probe at param {param}: {cause}\n"
+    sphere = cycles.make_cycle("sphere_M", z=z, eps=float(eps))
     with pytest.raises(PoleError) as err:
-        casebook.alpha_orientation_factor(1, (0.3 + 0.1j,), sphere)
-    assert err.value.param == sphere.reference_param == (0.7,)
+        casebook.alpha_orientation_factor(n, z, sphere)
+    assert err.value.param == sphere.reference_param == param
+
+
+def test_a_sphere_too_small_to_resolve_has_a_degenerate_frame(capsys):
+    # At eps = 1e-300, x = z + eps exp(i theta) rounds to z.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["verify", "first", "--eps=1e-300"]) == 2
+    assert capsys.readouterr().err == \
+        "cflab: error: degenerate frame at the reference param (0.7,)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["necessary", "E", "--radii", "0.5,0.5,0.5"], "--radii takes 1 or 2 values, got 3"),
+    (["necessary", "D", "--nodes", "16,16,16"], "--nodes takes 1 or 2 values, got 3"),
+    (["second", "--z", "0.3,0,5,5"], "--z takes 1 or 2 values, got 4"),
+    (["second", "--radii", "0.4,9"], "--radii takes 1 value, got 2"),
+    (["second", "--nodes", "128,64"], "--nodes takes 1 value, got 2"),
+    (["third", "A", "--a", "1,0,7"], "--a takes 1 or 2 values, got 3"),
+    (["third", "A", "--nodes", "16,4"], "--nodes takes 1 value, got 2"),
+    (["first", "--z", "0.3,0.1,0.2"], "--z takes 1 or 2 values, got 3"),
+    (["first", "--n", "2", "--z", "0.2,0"], "--z takes 3 or 4 values, got 2"),
+    (["first", "--nodes", "16,16"], "--nodes takes 1 value, got 2"),
+    (["first", "--n", "2", "--nodes", "16,16"], "--nodes takes 1 or 3 values, got 2"),
+    (["second", "--z", ","], "--z takes 1 or 2 values, got 0"),
+])
+def test_list_options_take_a_fixed_number_of_values(argv, message, capsys):
+    assert run_cli(["verify", *argv]) == 2
+    assert capsys.readouterr().err == f"cflab: error: {message}\n"
 
 
 # ------------------------------------------------------- the cached parser
@@ -337,17 +376,22 @@ _FINITE = st.sampled_from(["0", "1", "-1", "0.5", "2", "-0.25", "0.3",
 _BAD = st.sampled_from(["nan", "inf", "x", "", "1e999"])
 
 
-def _numbers(count):
-    valid = st.lists(_FINITE, min_size=count, max_size=count)
-    invalid = st.lists(st.one_of(_FINITE, _BAD), min_size=1, max_size=5)
+def _listed(values, count, bad):
+    """A list option's value: 1-3 draws from ``values`` (up to ``count``
+    for a longer option) seven times in eight, else 1-5 draws mixed with
+    ``bad``."""
+    valid = st.lists(values, min_size=1, max_size=max(3, count))
+    invalid = st.lists(st.one_of(values, bad), min_size=1, max_size=5)
     return _mostly(valid, invalid).map(",".join)
+
+
+def _numbers(count):
+    return _listed(_FINITE, count, _BAD)
 
 
 def _nodes(count, values=("4", "5", "8", "16", "31", "32")):
-    valid = st.lists(st.sampled_from(values), min_size=count, max_size=count)
-    invalid = st.lists(st.sampled_from(["-4", "0", "3", "1.5", "x", "4"]),
-                       min_size=1, max_size=3)
-    return _mostly(valid, invalid).map(",".join)
+    return _listed(st.sampled_from(values), count,
+                   st.sampled_from(["-4", "0", "3", "1.5", "x"]))
 
 
 def _expressions(variables):
@@ -398,8 +442,8 @@ def _verify_argv(draw):
     elif which == "necessary":
         argv.append(draw(st.sampled_from(["D", "E"])))
         options["eps"] = draw(_POSITIVE)
-        options["radii"] = draw(st.one_of(_POSITIVE, _numbers(2)))
-        options["nodes"] = draw(st.one_of(_nodes(1), _nodes(2)))
+        options["radii"] = draw(_numbers(2))
+        options["nodes"] = draw(_nodes(2))
     elif which == "identities":
         argv.extend(draw(st.lists(st.sampled_from(
             ["chart_phi", "exact_A", "extend_B", "vanish_all", "nope"]),
@@ -414,7 +458,7 @@ def _verify_argv(draw):
     return argv + [f"--{name}={value}" for name, value in options.items()]
 
 
-@settings(settings.get_profile("cflab"), max_examples=150)
+@settings(settings.get_profile("cflab"), max_examples=300)
 @given(_verify_argv())
 def test_verify_fuzz_ends_in_a_row_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()

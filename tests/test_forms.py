@@ -203,7 +203,9 @@ def test_chart_section_reorders_with_sign():
 def test_pullback_integrand_circle():
     from cflab import cycles
 
-    circle = cycles.make_cycle("circle", center=0j, radius=1.0)
+    circle = cycles.Cycle(kind="circle", factors=(cycles.Circle(),),
+                          map=lambda t: (np.exp(1j * t[0]),),
+                          tangent=lambda t: ((1j * np.exp(1j * t[0]),),))
     form = KForm.basis(1, 0, coeff=lambda p: 1 / p[0])
     val = forms.pullback_integrand(form, circle, (0.0,))
     assert val == pytest.approx(1j)

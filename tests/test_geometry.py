@@ -22,7 +22,7 @@ def test_m_cycle_points_pair_to_zero_and_eps_sq():
                   tuple(0.2 for _ in sphere.reference_param),
                   tuple(1.0 for _ in sphere.reference_param)]
         for param in params:
-            point = sphere.map(param)
+            point = sphere.at(param)[0]
             xi, x = point[:n + 1], point[n + 1:]
             xi_x = xi[0] + sum(a * b for a, b in zip(xi[1:], x))
             xi_z = xi[0] + sum(a * b for a, b in zip(xi[1:], z))

@@ -303,7 +303,7 @@ def test_kernels_reach_an_eval_expr_patched_after_they_are_built(monkeypatch):
     z, f = (0.2 + 0j, -0.1 + 0j), exprlang.parse_expr("x1^2*x2+3", 2)
     form = phi(2, z, f)
     sphere = cycles.make_cycle("sphere_M", z=z, eps=0.5)
-    plain = cycles.integrate(form, sphere, 8)
+    plain = cycles.integrate(form, sphere, (8, 8, 8))
     seen, original = [], exprlang.eval_expr
 
     def doubled(expr, point):
@@ -311,7 +311,7 @@ def test_kernels_reach_an_eval_expr_patched_after_they_are_built(monkeypatch):
         return 2 * original(expr, point)
 
     monkeypatch.setattr(exprlang, "eval_expr", doubled)
-    assert cycles.integrate(form, sphere, 8) == 2 * plain
+    assert cycles.integrate(form, sphere, (8, 8, 8)) == 2 * plain
     assert seen and all(expr is f for expr in seen)
 
 

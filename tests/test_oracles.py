@@ -1,5 +1,5 @@
 """Independent 30-digit oracles for the -4 pi^2 obstruction integrals of
-Examples D and E.
+Examples D and E, and for the first formula on its quadrature grid.
 
 Each value is a trapezoid sum in mpmath arithmetic over the same torus
 parametrization the casebook integrates, with the pulled-back 2-form written
@@ -10,12 +10,14 @@ the torus is at y1 = -1) and Example E's, a trigonometric polynomial of
 degree 3, is exact from 4 nodes on.
 """
 
+import itertools
 import math
 
 import pytest
 from mpmath import mp, mpc, mpf
 
 from cflab import casebook
+from cflab.exprlang import parse_expr
 
 DIGITS = 30
 
@@ -75,3 +77,108 @@ def test_obstruction_values_match_a_30_digit_oracle(example, params, nodes):
     assert report.expected == pytest.approx(oracle, abs=1e-12)
     assert abs(report.computed - oracle) <= report.tol
     assert oracle == pytest.approx(-4 * math.pi ** 2, abs=1e-12)
+
+
+# ------------------------------------------------------- the first formula
+#
+# The first formula's value, (n-1)!/(2 pi i)^n * alpha * (integral of phi over
+# the residue sphere), summed in mpmath on the grid the casebook uses.  The
+# sphere, its tangent frame, phi and the orientation sign alpha are written
+# out here as well.
+
+def _gauss_legendre(n, a, b):
+    """n-point Gauss-Legendre nodes and weights on [a, b], from the roots of
+    the Legendre polynomial P_n."""
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        t = mp.findroot(lambda x: mp.legendre(n, x),
+                        mp.cos(mp.pi * (i - mpf(1) / 4) / (n + mpf(1) / 2)))
+        slope = n * mp.legendre(n - 1, t) / (1 - t * t)  # P_n'(t), P_n(t) = 0
+        nodes.append((a + b) / 2 + (b - a) / 2 * t)
+        weights.append((b - a) / ((1 - t * t) * slope ** 2))
+    return nodes, weights
+
+
+def _trapezoid(n):
+    return [2 * mp.pi * j / n for j in range(n)], [2 * mp.pi / n] * n
+
+
+def _sphere(z, eps, param):
+    """sphere_M at ``param``: x = z + d on the eps-sphere, xi = (-(z.conj d)
+    - eps^2, conj d), and the pushforward of each parameter direction, all
+    as ambient vectors (xi_0..xi_n, x_1..x_n)."""
+    if len(z) == 1:
+        (theta,) = param
+        d, derivs = [eps * mp.expj(theta)], [[1j * eps * mp.expj(theta)]]
+    else:
+        psi, p1, p2 = param
+        e1, e2 = mp.expj(p1), mp.expj(p2)
+        c, s = mp.cos(psi), mp.sin(psi)
+        d = [eps * c * e1, eps * s * e2]
+        derivs = [[-eps * s * e1, eps * c * e2],
+                  [1j * eps * c * e1, 0], [0, 1j * eps * s * e2]]
+
+    def ambient(xi_tail, xi0, x):
+        return [xi0] + xi_tail + x
+
+    conj = [mp.conj(c) for c in d]
+    point = ambient(conj, -sum(a * b for a, b in zip(z, conj)) - eps * eps,
+                    [a + b for a, b in zip(z, d)])
+    frame = []
+    for dd in derivs:
+        cd = [mp.conj(mpc(c)) for c in dd]
+        frame.append(ambient(cd, -sum(a * b for a, b in zip(z, cd)),
+                             [mpc(c) for c in dd]))
+    return point, frame
+
+
+def _phi(z, f, point, frame):
+    """f(x) omega'(xi) ^ dx_1 ^ .. ^ dx_n / (xi.z)^n on the frame, with
+    omega'(xi) = sum_k (-1)^(k-1) xi_k dxi_1 ^ .. (no dxi_k) .. ^ dxi_n."""
+    n = len(z)
+    xi, x = point[:n + 1], point[n + 1:]
+    pairing = xi[0] + sum(a * b for a, b in zip(xi[1:], z))
+    total = mpc(0)
+    for k in range(1, n + 1):
+        coords = [j for j in range(1, n + 1) if j != k] + list(range(n + 1, 2 * n + 1))
+        minor = mp.matrix([[v[c] for c in coords] for v in frame])
+        total += (-1) ** (k - 1) * xi[k] * mp.det(minor)
+    return f(x) * total / pairing ** n
+
+
+def _first_formula_oracle(z, eps, f, rules, reference):
+    z = [mpc(c) for c in z]
+    n = len(z)
+    probe = _phi(z, lambda x: 1, *_sphere(z, eps, reference))
+    alpha = 1 if (probe / mpc(0, 1) ** n).real > 0 else -1
+    total = mpc(0)
+    for combo in itertools.product(*(list(zip(*rule)) for rule in rules)):
+        param = [node for node, _ in combo]
+        weight = mp.fprod(w for _, w in combo)
+        total += weight * _phi(z, f, *_sphere(z, eps, param))
+    return mp.factorial(n - 1) / (2j * mp.pi) ** n * alpha * total
+
+
+@pytest.mark.parametrize("n, text, z, eps, quad", [
+    (1, "exp(x)+x^2", (0.3 + 0.1j,), 0.7, (128,)),
+    (2, "x1^2*x2+3", (0.2, -0.1), 0.5, (4, 8, 8)),
+], ids=["n1_128", "n2_4x8x8"])
+def test_first_formula_matches_a_30_digit_oracle_on_its_grid(n, text, z, eps,
+                                                               quad):
+    with mp.workdps(DIGITS):
+        if n == 1:
+            rules = [_trapezoid(quad[0])]
+            f = lambda x: mp.exp(x[0]) + x[0] ** 2  # noqa: E731
+            reference = [mpf(0.7)]
+        else:
+            rules = [_gauss_legendre(quad[0], 0, mp.pi / 2),
+                     _trapezoid(quad[1]), _trapezoid(quad[2])]
+            f = lambda x: x[0] ** 2 * x[1] + 3  # noqa: E731
+            reference = [mpf(0.9), mpf(0.7), mpf(1.3)]
+        value = _first_formula_oracle(z, mpf(eps), f, rules, reference)
+        if n == 1:  # the trapezoid rule is spectrally accurate: f(z) itself
+            assert abs(value - f([mpc(z[0])])) < mpf(10) ** (5 - DIGITS)
+        oracle = complex(value)
+    report = casebook.first_formula(n, parse_expr(text, n), z, eps, quad=quad,
+                                    tol=1.0)
+    assert abs(report.computed - oracle) <= 1e-12 * max(1.0, abs(oracle))
