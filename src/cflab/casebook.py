@@ -329,13 +329,26 @@ def _identity_chart(n, seed, count=20):
                       kernels.phi_chart_formula(n).evaluate_many(points, frames))
 
 
-def _exactness_gap(seed, count, psi_chart, potential, factor, rhs):
-    """Worst relative gap of ``psi_chart + factor * d(potential) = rhs`` at
-    seeded chart points with |p_0| >= 0.3."""
+def _on_section(kernel, points, frames):
+    """``kernel`` at chart points and frames lifted to its unit section
+    xi_n = 1, n = kernel.dim // 2: (eta, x) -> (eta, 1, x) and (y0, y1, x1,
+    x2) -> (y0, y1, 1, x1, x2), with 0 in that slot of each frame vector.
+    A term with dxi_n is 0 there, so only the others are evaluated."""
+    n = kernel.dim // 2
+    kept = KForm(kernel.degree, kernel.dim,
+                 terms={key: c for key, c in kernel.terms.items() if n not in key})
+    return kept.evaluate_many(np.insert(np.asarray(points, dtype=complex), n, 1, axis=-1),
+                              np.insert(np.asarray(frames, dtype=complex), n, 0, axis=-1))
+
+
+def _exactness_gap(seed, count, psi, potential, factor, rhs):
+    """Worst relative gap of ``psi + factor * d(potential) = rhs`` on the
+    potential's chart (:func:`_on_section`), at seeded points with
+    |p_0| >= 0.3."""
     points, frames, _ = geometry.sample_points(
-        random.Random(seed), count, psi_chart.dim, psi_chart.degree,
+        random.Random(seed), count, potential.dim, psi.degree,
         lambda p: abs(p[0]) >= 0.3)
-    lhs = (psi_chart.evaluate_many(points, frames)
+    lhs = (_on_section(psi, points, frames)
            + factor * forms.d_numeric_many(potential, points, frames))
     return _worst_gap(lhs, rhs.evaluate_many(points, frames))
 
@@ -349,13 +362,13 @@ def _identity_exact_A(seed, a=2 + 0.5j, count=40):
         KForm.basis(2, 0, coeff=lambda p: forms.div(1, p[0])),
         KForm.basis(2, 1, coeff=lambda p: forms.map_points(eval_expr, (p[1],), dfg)))
     return _exactness_gap(
-        seed, count, kernels.kernel_on_chart(kernels.psi(1, (0j,), f), "eta"),
+        seed, count, kernels.psi(1, (0j,), f),
         kernels.casebook_form("sigma_A", {"a": a}, f), 1.0, rhs)
 
 
 def _identity_exact_D(seed, count=30):
     return _exactness_gap(
-        seed, count, kernels.kernel_on_chart(kernels.psi(2, (0j, 0j)), "U2"),
+        seed, count, kernels.psi(2, (0j, 0j)),
         kernels.casebook_form("tau_D"), 0.5,
         KForm.basis(4, 0, 1, 2, 3, coeff=lambda p: forms.div(1, p[0])))
 
@@ -370,8 +383,7 @@ def _identity_extend_B(seed, count=50):
     points = [(eta, 1 - eta ** 2 / (eta + 1)) for eta in etas]
     frames = [[(1 + 0j, -eta * (eta + 2) / (eta + 1) ** 2)] for eta in etas]
     expected = [-(eta + 2) / (eta + 1) ** 2 for eta in etas]
-    phi_chart = kernels.kernel_on_chart(kernels.phi(1, (0j,)), "eta")
-    values = phi_chart.evaluate_many(points, frames)
+    values = _on_section(kernels.phi(1, (0j,)), points, frames)
     return float(forms.modulus(values - np.array(expected)).max())
 
 
@@ -392,8 +404,8 @@ def _identity_extend_C(seed, count=50):
     w = frames.reshape(-1, 3, 3).transpose(2, 1, 0)  # (direction, vector, row)
     pushed = [0j + forms.mul(w[0], a) + forms.mul(w[1], b) + forms.mul(w[2], c)
               for a, b, c in zip(*jac)]
-    pulled = kernels.kernel_on_chart(kernels.phi(2, (0j, 0j)), "U2").evaluate_many(
-        np.stack([y0, y1, x1, x2], axis=1), np.stack(pushed, axis=-1).transpose(1, 0, 2))
+    pulled = _on_section(kernels.phi(2, (0j, 0j)), np.stack([y0, y1, x1, x2], axis=1),
+                         np.stack(pushed, axis=-1).transpose(1, 0, 2))
     want = KForm.basis(3, 0, 1, 2, coeff=3).evaluate_many(qs, vecs)
     return float(max(forms.modulus(pulled[0::2] - 3).max(),
                      forms.modulus(pulled[1::2] - want).max()))

@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import __version__, casebook, report
-from .errors import CflabError, InputError
+from .errors import CflabError, InputError, PoleError
 from .exprlang import parse_expr
 
 EXIT_OK = 0
@@ -211,7 +211,11 @@ def run_cli(argv=None) -> int:
         else:
             checks = _run_verify(args)
     except CflabError as exc:
-        print(f"cflab: error: {exc}", file=sys.stderr)
+        message = str(exc)
+        # a pole off any grid (the expected value f(z), say) names its point
+        if isinstance(exc, PoleError) and exc.point is not None and exc.param is None:
+            message += f" at point {exc.point}"
+        print(f"cflab: error: {message}", file=sys.stderr)
         return EXIT_USAGE
     text = report.render(checks, args.format, __version__, seed)
     if args.out:

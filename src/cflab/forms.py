@@ -2,8 +2,8 @@
 
 A form is a linear combination of coordinate wedge monomials
 ``c(p) dz_{i1} ^ ... ^ dz_{ik}``: a dict from strictly increasing index
-tuples to coefficient callables.  Wedge, sum, scaling and chart sections
-all build new term dicts, so every form is evaluated the same way.
+tuples to coefficient callables.  Wedge, sum and scaling all build new
+term dicts, so every form is evaluated the same way.
 
 Evaluation is batched (:meth:`KForm.evaluate_many`): coefficients take a
 batch's coordinate columns, each frame is canonicalized (vectors sorted, the
@@ -349,13 +349,6 @@ def wedge(f1: KForm, f2: KForm) -> KForm:
     return KForm(degree, f1.dim, terms=merged)
 
 
-def wedge_all(factors: Sequence[KForm]) -> KForm:
-    out = factors[0]
-    for f in factors[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def add(f1: KForm, f2: KForm) -> KForm:
     if f1.dim != f2.dim or f1.degree != f2.degree:
         raise DimensionMismatchError("can only add forms of equal degree and ambient")
@@ -422,39 +415,6 @@ def d_numeric_many(form: KForm, points, frames) -> np.ndarray:
         total.real += sign * deriv_re[:, i]
         total.imag += sign * deriv_im[:, i]
     return total
-
-
-# ------------------------------------------------------------ chart sections
-
-def chart_section(form: KForm, layout: Sequence[int | complex]) -> KForm:
-    """Restrict an ambient form along a linear section of the coordinates.
-
-    ``layout`` has one entry per ambient coordinate: an ``int`` names the
-    chart coordinate mapped there, anything else is held constant.  Used to
-    evaluate kernels on homogeneous-coordinate lifts such as
-    ``(eta, x) -> (xi0, xi1, x) = (eta, 1, x)``.  A held coordinate has no
-    differential on the chart, so only the terms whose indices are all
-    chart coordinates survive, re-indexed to the chart.
-    """
-    if len(layout) != form.dim:
-        raise DimensionMismatchError(
-            f"section layout has {len(layout)} entries, form lives on C^{form.dim}")
-    chart_dim = sum(1 for entry in layout if isinstance(entry, int))
-
-    def lift(q):
-        return tuple(q[entry] if isinstance(entry, int)
-                     else np.full(len(q[0]), complex(entry)) for entry in layout)
-
-    terms: dict[tuple[int, ...], CoeffFn] = {}
-    for key, coeff in form.terms.items():
-        if not all(isinstance(layout[i], int) for i in key):
-            continue
-        chart_key, sign = _sorted_key(tuple(layout[i] for i in key))
-        fn = lambda q, c=coeff: c(lift(q))
-        if sign < 0:
-            fn = lambda q, inner=fn: -inner(q)
-        terms[chart_key] = fn
-    return KForm(form.degree, chart_dim, terms=terms)
 
 
 def pullback_integrand(form: KForm, cycle, param) -> complex:

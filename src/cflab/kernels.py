@@ -1,10 +1,11 @@
 """The Cauchy-Fantappie kernels and the named forms of the example casebook.
 
-Kernels are evaluated directly on homogeneous coordinates: the ambient space
+Kernels are evaluated on homogeneous coordinates only: the ambient space
 is C^(n+1) x C^n with coordinates (xi_0..xi_n, x_1..x_n), and degree-zero
 homogeneity under xi -> lambda*xi is the well-definedness guarantee.  The
-same evaluators therefore serve the residue sphere (which produces
-unnormalized xi) and the affine-chart computations.
+residue sphere hands them unnormalized xi; an affine chart's points are
+lifted to its unit section xi_n = 1, where a term with dxi_n vanishes, so
+the chart identities evaluate the kernel without those terms.
 """
 
 from __future__ import annotations
@@ -148,25 +149,7 @@ def phi_chart_formula(n: int) -> KForm:
         }
         factors.append(KForm(1, dim, terms=terms))
     factors.append(kernel_basis_form("omega", n))
-    return forms.scale(forms.wedge_all(factors), prefactor)
-
-
-# ------------------------------------------------------------ chart lifts
-
-_SECTION_LAYOUTS = {
-    # (eta, x) -> (xi0, xi1, x) = (eta, 1, x)
-    "eta": (0, (1 + 0j), 1),
-    # (y0, y1, x1, x2) -> (xi0, xi1, xi2, x1, x2) = (y0, y1, 1, x1, x2)
-    "U2": (0, 1, (1 + 0j), 2, 3),
-}
-
-
-def kernel_on_chart(kernel: KForm, chart: str) -> KForm:
-    """Pull a homogeneous-ambient kernel back along the chart's unit section."""
-    layout = _SECTION_LAYOUTS.get(chart)
-    if layout is None:
-        raise InputError(f"no kernel section for chart {chart!r}")
-    return forms.chart_section(kernel, layout)
+    return forms.scale(functools.reduce(forms.wedge, factors), prefactor)
 
 
 # ---------------------------------------------------------- casebook forms

@@ -210,6 +210,18 @@ def test_an_overflowing_coefficient_is_told_apart_from_a_pole(capsys):
         "expression overflows: math range error\n")
 
 
+@pytest.mark.parametrize("argv, point", [
+    (["third", "A", "--f=1/x"], (0j,)),
+    (["first", "--f=1/(x-0.3-0.1i)"], (0.3 + 0.1j,)),
+    (["second", "--f=1/(x-0.3)"], (0.3 + 0j,)),
+], ids=["third_A", "first", "second"])
+def test_a_pole_in_the_expected_value_names_its_point(argv, point, capsys):
+    # f fails at the base point, off any grid: no param, so the point is named
+    assert run_cli(["verify", *argv]) == 2
+    assert capsys.readouterr().err == \
+        f"cflab: error: division by zero in expression at point {point}\n"
+
+
 @pytest.mark.parametrize("n,z,eps,cause", [
     (1, (0j,), "1e-300", "phi evaluated on xi.z = 0"),
     (2, (0.2, -0.1), "1e100", "form coefficient overflows"),

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflab import cycles, exprlang, forms, geometry, kernels
-from cflab.errors import (ChartDomainError, DimensionMismatchError, InputError,
-                          PoleError)
+from cflab import casebook, cycles, exprlang, forms, geometry, kernels
+from cflab.errors import ChartDomainError, InputError, PoleError
 from cflab.forms import KForm
-from cflab.kernels import (casebook_form, kernel_basis_form,
-                           kernel_on_chart, phi, phi_chart_formula, psi,
-                           vanishing_max_and_scale)
+from cflab.kernels import (casebook_form, kernel_basis_form, phi,
+                           phi_chart_formula, psi, vanishing_max_and_scale)
 
 
 def _rand_c(rng, r=1.0):
@@ -53,6 +51,22 @@ def test_kernel_basis_unknown_kind():
 
 # -------------------------------------------------------------------- phi
 
+def _lift(chart, coords, held):
+    # The chart's unit section xi_n = 1, with `held` in the slot the chart
+    # holds fixed: (eta, x) -> (eta, held, x), (y0, y1, x1, x2) -> (y0, y1,
+    # held, x1, x2).
+    if chart == "eta":
+        return (coords[0], held, coords[1])
+    return coords[:2] + (held,) + coords[2:]
+
+
+def _on_lift(kernel, chart, coords, vecs):
+    """The full ambient kernel at a chart point and frame lifted to the
+    chart's unit section (1 in the held slot of the point, 0 in the frame)."""
+    return kernel.evaluate(_lift(chart, coords, 1 + 0j),
+                           [_lift(chart, v, 0j) for v in vecs])
+
+
 def test_phi_n1_eta_chart_value():
     # On the lift xi = (eta, 1) with z = 0, phi is dx/eta.
     form = phi(1, (0j,))
@@ -62,14 +76,14 @@ def test_phi_n1_eta_chart_value():
 def test_phi_n2_u2_chart_formula():
     # On the section xi = (y0, y1, 1), phi = -y0^-2 dy1 ^ dx1 ^ dx2.
     rng = random.Random(8)
-    chart = kernel_on_chart(phi(2, (0j, 0j)), "U2")
+    kernel = phi(2, (0j, 0j))
     reference = KForm.basis(4, 1, 2, 3, coeff=lambda p: -1 / p[0] ** 2)
     for _ in range(20):
         p = tuple(_rand_c(rng) for _ in range(4))
         if abs(p[0]) < 0.2:
             continue
         vecs = [_rand_vec(rng, 4) for _ in range(3)]
-        assert chart.evaluate(p, vecs) == pytest.approx(
+        assert _on_lift(kernel, "U2", p, vecs) == pytest.approx(
             reference.evaluate(p, vecs), rel=1e-12)
 
 
@@ -82,49 +96,43 @@ def test_psi_n1_eta_chart_formula():
 
 def test_psi_n2_u2_chart_formula():
     rng = random.Random(9)
-    chart = kernel_on_chart(psi(2, (0j, 0j)), "U2")
+    kernel = psi(2, (0j, 0j))
     reference = KForm.basis(4, 0, 1, 2, 3, coeff=lambda p: 1 / p[0] ** 3)
     for _ in range(20):
         p = tuple(_rand_c(rng) for _ in range(4))
         if abs(p[0]) < 0.2:
             continue
         vecs = [_rand_vec(rng, 4) for _ in range(4)]
-        assert chart.evaluate(p, vecs) == pytest.approx(
+        assert _on_lift(kernel, "U2", p, vecs) == pytest.approx(
             reference.evaluate(p, vecs), rel=1e-12)
-
-
-def _lift(chart, coords, held):
-    # The unit sections of kernels.kernel_on_chart, with `held` in the slot
-    # the chart holds fixed.
-    if chart == "eta":
-        return (coords[0], held, coords[1])
-    return coords[:2] + (held,) + coords[2:]
 
 
 @pytest.mark.parametrize("kernel, n, chart", [
     (phi, 1, "eta"), (psi, 1, "eta"), (phi, 2, "U2"), (psi, 2, "U2")])
 def test_kernel_on_chart_equals_lifted_evaluation_exactly(kernel, n, chart):
-    # The chart form drops the held coordinate's terms, whose minors vanish
-    # on lifted vectors, so both sides run the same arithmetic.
+    # casebook._on_section drops the held coordinate's terms, whose minors
+    # vanish on lifted vectors, so it runs the full kernel's arithmetic.
     rng = random.Random(50 + n)
     f = exprlang.parse_expr("exp(x)+x^2", 1) if n == 1 else None
-    z = (0j,) * n
-    ambient = kernel(n, z, f)
-    section = kernel_on_chart(ambient, chart)
-    chart_dim = 2 * n
-    for _ in range(50):
-        q = _rand_vec(rng, chart_dim)
-        if abs(q[0]) < 0.1:
-            continue
-        vecs = [_rand_vec(rng, chart_dim) for _ in range(ambient.degree)]
-        want = ambient.evaluate(_lift(chart, q, 1 + 0j),
-                                [_lift(chart, v, 0j) for v in vecs])
-        assert section.evaluate(q, vecs) == want
-
-
-def test_kernel_on_chart_rejects_wrong_ambient():
-    with pytest.raises(DimensionMismatchError):
-        kernel_on_chart(phi(1, (0j,)), "U2")
+    ambient = kernel(n, (0j,) * n, f)
+    points, frames = [], []
+    while len(points) < 40:
+        q = _rand_vec(rng, 2 * n)
+        if abs(q[0]) >= 0.1:
+            points.append(q)
+            frames.append([_rand_vec(rng, 2 * n) for _ in range(ambient.degree)])
+    section = casebook._on_section(ambient, points, frames)
+    want = [_on_lift(ambient, chart, q, vecs) for q, vecs in zip(points, frames)]
+    assert section.tobytes() == np.array(want, dtype=complex).tobytes()
+    # q0 = 0 puts the lift on xi.z = 0: the same PoleError both ways
+    pole = (0j,) + points[0][1:]
+    with pytest.raises(PoleError) as on_section:
+        casebook._on_section(ambient, [pole], frames[:1])
+    with pytest.raises(PoleError) as lifted:
+        _on_lift(ambient, chart, pole, frames[0])
+    assert str(on_section.value) == str(lifted.value) == \
+        f"{kernel.__name__} evaluated on xi.z = 0"
+    assert on_section.value.point == lifted.value.point == _lift(chart, pole, 1 + 0j)
 
 
 def _per_point_term(name, n, z, f, power, k, s):
@@ -478,7 +486,7 @@ def test_sigma_b_exactness_identity():
     fp = exprlang.differentiate(f)
     g = exprlang.parse_expr("(x-1)^2", 1)
     dfg = exprlang.differentiate(exprlang.Mul(f, g))
-    psi_chart = kernel_on_chart(psi(1, (0j,), f), "eta")
+    kernel = psi(1, (0j,), f)
     sigma = casebook_form("sigma_B", f=f)
 
     def rhs_coeff(p):
@@ -494,7 +502,7 @@ def test_sigma_b_exactness_identity():
         if abs(p[0]) < 0.3:
             continue
         vecs = [_rand_vec(rng, 2) for _ in range(2)]
-        lhs = psi_chart.evaluate(p, vecs) + forms.d_numeric(sigma, p, vecs)
+        lhs = _on_lift(kernel, "eta", p, vecs) + forms.d_numeric(sigma, p, vecs)
         want = rhs.evaluate(p, vecs)
         assert abs(lhs - want) <= 1e-5 * max(abs(lhs), abs(want), 1e-30)
 
@@ -503,7 +511,7 @@ def test_tau_e_exactness_identity():
     # psi + (1/2) d tau_E = d y0/y0 ^ dy1 ^ dx1 ^ dx2, same shape as the
     # Example D identity.
     rng = random.Random(42)
-    psi_chart = kernel_on_chart(psi(2, (0j, 0j)), "U2")
+    kernel = psi(2, (0j, 0j))
     tau = casebook_form("tau_E")
     rhs = KForm.basis(4, 0, 1, 2, 3, coeff=lambda p: 1 / p[0])
     for _ in range(15):
@@ -511,7 +519,7 @@ def test_tau_e_exactness_identity():
         if abs(p[0]) < 0.3:
             continue
         vecs = [_rand_vec(rng, 4) for _ in range(4)]
-        lhs = psi_chart.evaluate(p, vecs) + 0.5 * forms.d_numeric(tau, p, vecs)
+        lhs = _on_lift(kernel, "U2", p, vecs) + 0.5 * forms.d_numeric(tau, p, vecs)
         want = rhs.evaluate(p, vecs)
         assert abs(lhs - want) <= 1e-5 * max(abs(lhs), abs(want), 1e-30)
 
