@@ -281,6 +281,7 @@ def necessary_condition_eps_invariance(eps_a: float = 0.3, eps_b: float = 0.7,
 _GENERIC_F = "exp(x)+x^2"
 _Z1 = (0.3 + 0.1j,)
 _Z2 = (0.2 + 0j, -0.1 + 0j)
+_SIGMA_A_PARAM = 2 + 0.5j
 
 
 def _off_pole(n, z):
@@ -294,7 +295,7 @@ def _worst_gap(lhs, rhs) -> float:
     return float((forms.modulus(lhs - rhs) / scale).max())
 
 
-def _identity_dphi_npsi(n, z, seed, count=100):
+def _identity_dphi_npsi(n, z, seed, count):
     points, frames, _ = geometry.sample_points(
         random.Random(seed), count, 2 * n + 1, 2 * n, _off_pole(n, z))
     lhs = forms.d_numeric_many(kernels.phi(n, z), points, frames)
@@ -321,7 +322,7 @@ def _identity_scale(seed, count=100):
     return worst
 
 
-def _identity_chart(n, seed, count=20):
+def _identity_chart(n, seed, count):
     points, frames, _ = geometry.sample_points(
         random.Random(seed), count, 2 * n + 1, 2 * n - 1,
         lambda p: abs(p[0]) >= 0.3 and abs(p[1]) >= 0.3)
@@ -353,8 +354,9 @@ def _exactness_gap(seed, count, psi, potential, factor, rhs):
     return _worst_gap(lhs, rhs.evaluate_many(points, frames))
 
 
-def _identity_exact_A(seed, a=2 + 0.5j, count=40):
+def _identity_exact_A(seed, count=40):
     f = parse_expr(_GENERIC_F, 1)
+    a = _SIGMA_A_PARAM
     g = exprlang.Add(exprlang.Mul(exprlang.Num(a - 1), exprlang.Var(0)),
                      exprlang.ONE)
     dfg = exprlang.differentiate(exprlang.Mul(f, g), 0)
@@ -373,7 +375,7 @@ def _identity_exact_D(seed, count=30):
         KForm.basis(4, 0, 1, 2, 3, coeff=lambda p: forms.div(1, p[0])))
 
 
-def _identity_extend_B(seed, count=50):
+def _identity_extend_B(seed, count):
     """|pullback of phi to S_B - the extended coefficient| at eta = 1e-6 and
     count - 1 random eta."""
     drawn, _, _ = geometry.sample_points(
@@ -387,7 +389,7 @@ def _identity_extend_B(seed, count=50):
     return float(forms.modulus(values - np.array(expected)).max())
 
 
-def _identity_extend_C(seed, count=50):
+def _identity_extend_C(seed, count):
     """phi on S_C, pulled back along the graph (y0, y1, x1) -> (y0, y1, x1,
     2 - y0^3 - y1^3 (x1 - 1)), against 3 dy0^dy1^dx1."""
     qs, vecs, _ = geometry.sample_points(random.Random(seed), count, 3, 3,
@@ -411,16 +413,15 @@ def _identity_extend_C(seed, count=50):
                      forms.modulus(pulled[1::2] - want).max()))
 
 
+# (check id, group, form id, (surface, chart, *surface params))
 VANISH_PAIRS = (
     ("vanish_sigmaA_Q", "A", "sigma_A", ("Q", "eta")),
-    ("vanish_sigmaA_SA", "A", "sigma_A", ("S_A", "eta")),
+    ("vanish_sigmaA_SA", "A", "sigma_A", ("S_A", "eta", _SIGMA_A_PARAM)),
     ("vanish_sigmaB_Q", "B", "sigma_B", ("Q", "eta")),
     ("vanish_sigmaB_SB", "B", "sigma_B", ("S_B", "eta")),
     ("vanish_tauD_SD", "D", "tau_D", ("S_D", "U2")),
     ("vanish_tauE_SE", "E", "tau_E", ("S_E", "U2")),
 )
-
-_SIGMA_A_PARAM = 2 + 0.5j
 
 
 def _vanish_report(check_id, group, form_id, surf, seed, count=20) -> CheckReport:
@@ -432,11 +433,8 @@ def _vanish_report(check_id, group, form_id, surf, seed, count=20) -> CheckRepor
         form = kernels.casebook_form("sigma_B", f=f)
     else:
         form = kernels.casebook_form(form_id)
-    name, chart = surf
-    if name == "S_A":
-        spec = geometry.surface_catalog("S_A", (_SIGMA_A_PARAM,))
-    else:
-        spec = geometry.surface_catalog(name, chart=chart)
+    name, chart, *surface_params = surf
+    spec = geometry.surface_catalog(name, surface_params, chart=chart)
     worst, scale = kernels.vanishing_max_and_scale(form, spec, seed, count)
     scale = max(scale, 1e-30)
     params = {"form": form_id, "surface": name, "scale": scale,
@@ -446,12 +444,12 @@ def _vanish_report(check_id, group, form_id, surf, seed, count=20) -> CheckRepor
 
 
 def _gap_row(check_id, group, params, tol, gap):
-    """The table row of an identity whose worst gap ``gap(seed)`` must stay
-    within ``tol`` of 0; each report gets its own copy of ``params``."""
+    """The table row of an identity whose worst gap ``gap(seed, params)`` must
+    stay within ``tol`` of 0; each report gets its own copy of ``params``."""
     def run(seed):
         t0 = time.perf_counter()
-        return _value_report(check_id, group, dict(params), gap(seed), 0j, tol,
-                             (), t0)
+        return _value_report(check_id, group, dict(params), gap(seed, params),
+                             0j, tol, (), t0)
     return check_id, group, run
 
 
@@ -466,37 +464,43 @@ IDENTITY_CHECKS = {
     "dPhi_nPsi": (
         _gap_row("identity_dPhi_nPsi_n1", "core",
                  {"n": 1, "points": 100, "metric": "max relative error"}, 1e-5,
-                 lambda s: _identity_dphi_npsi(1, _Z1, _subseed(s, "dphi1"))),
+                 lambda s, p: _identity_dphi_npsi(1, _Z1, _subseed(s, "dphi1"),
+                                                  p["points"])),
         _gap_row("identity_dPhi_nPsi_n2", "core",
                  {"n": 2, "points": 100, "metric": "max relative error"}, 1e-5,
-                 lambda s: _identity_dphi_npsi(2, _Z2, _subseed(s, "dphi2")))),
+                 lambda s, p: _identity_dphi_npsi(2, _Z2, _subseed(s, "dphi2"),
+                                                  p["points"]))),
     "scale_invariance": (
         _gap_row("identity_scale_invariance", "core",
                  {"kernels": "phi,psi", "n": "1,2",
                   "metric": "max relative error"}, 1e-12,
-                 lambda s: _identity_scale(_subseed(s, "scale"))),),
+                 lambda s, p: _identity_scale(_subseed(s, "scale"))),),
     "chart_phi": (
         _gap_row("identity_chart_phi_n2", "core",
                  {"n": 2, "points": 20, "metric": "max relative gap"}, 1e-10,
-                 lambda s: _identity_chart(2, _subseed(s, "chart2"))),
+                 lambda s, p: _identity_chart(2, _subseed(s, "chart2"),
+                                              p["points"])),
         _gap_row("identity_chart_phi_n3", "core",
                  {"n": 3, "points": 20, "metric": "max relative gap"}, 1e-10,
-                 lambda s: _identity_chart(3, _subseed(s, "chart3")))),
+                 lambda s, p: _identity_chart(3, _subseed(s, "chart3"),
+                                              p["points"]))),
     "exact_A": (
         _gap_row("identity_exact_A", "A",
                  {"a": _cfmt(_SIGMA_A_PARAM), "f": _GENERIC_F,
                   "metric": "max relative error"}, 1e-5,
-                 lambda s: _identity_exact_A(_subseed(s, "exactA"))),),
+                 lambda s, p: _identity_exact_A(_subseed(s, "exactA"))),),
     "exact_D": (
         _gap_row("identity_exact_D", "D", {"metric": "max relative error"},
-                 1e-5, lambda s: _identity_exact_D(_subseed(s, "exactD"))),),
+                 1e-5, lambda s, p: _identity_exact_D(_subseed(s, "exactD"))),),
     "extend_B": (
         _gap_row("identity_extend_B", "B",
                  {"points": 50, "includes_eta": "1e-06"}, 1e-10,
-                 lambda s: _identity_extend_B(_subseed(s, "extB"))),),
+                 lambda s, p: _identity_extend_B(_subseed(s, "extB"),
+                                                 p["points"])),),
     "extend_C": (
         _gap_row("identity_extend_C", "C", {"points": 50}, 1e-10,
-                 lambda s: _identity_extend_C(_subseed(s, "extC"))),),
+                 lambda s, p: _identity_extend_C(_subseed(s, "extC"),
+                                                 p["points"])),),
     "vanish_all": tuple(_vanish_row(*pair) for pair in VANISH_PAIRS),
 }
 
@@ -582,20 +586,13 @@ def fibration_check_C2(seed: int = 7, count: int = 20) -> CheckReport:
 
 # ------------------------------------------------------- transversality
 
-_EXAMPLE_SURFACE = {"B": "S_B", "C1": "S_C1", "C2": "S_C2",
-                    "D": "S_D", "E": "S_E"}
-
-
 @functools.cache
 def _margin_specs(example: str, which: str, chart: str) -> tuple:
     """The P, Q or S specs that ``which`` names, in its order; built once per
     (example, which, chart), as specs are immutable."""
-    surf = _EXAMPLE_SURFACE[example]
-    z = (0j,) if chart == "eta" else (0j, 0j)
-    named = {"P": geometry.surface_catalog("P", z, chart=chart),
-             "Q": geometry.surface_catalog("Q", chart=chart),
-             "S": geometry.surface_catalog(surf, chart=chart)}
-    return tuple(named[token] for token in which.split("_"))
+    return tuple(geometry.surface_catalog(f"S_{example}" if token == "S" else token,
+                                          chart=chart)
+                 for token in which.split("_"))
 
 
 def _transversality_report(example: str, which: str, seed: int) -> CheckReport:
@@ -618,7 +615,7 @@ def _degenerate_D_report() -> CheckReport:
     """Example D's degeneracy over (x1, x2) = (1, 0), visible in the xi1
     chart, must be reported below 1e-6."""
     t0 = time.perf_counter()
-    spec_P = geometry.surface_catalog("P", (0j, 0j), chart="U1")
+    spec_P = geometry.surface_catalog("P", chart="U1")
     spec_S = geometry.surface_catalog("S_D", chart="U1")
     margin = geometry.transversality_margin([spec_P, spec_S], [(0j, 0j, 1 + 0j, 0j)])
     params = {"example": "D", "surfaces": "P_S",
@@ -692,10 +689,16 @@ CHECKS = (
 def full_report(seed: int = 7, skip=()) -> list[CheckReport]:
     """Every row of :data:`CHECKS`, in order, each run with ``seed``.
 
-    A row whose id or group is in ``skip`` is never computed.  A row that
-    raises :class:`CflabError` becomes one FAIL row with that row's id and
-    group, carrying the error in ``params``, and the other rows still run.
+    A row whose id or group is in ``skip`` is never computed; a ``skip``
+    token that names no row's id or group raises :class:`InputError`.  A row
+    that raises :class:`CflabError` becomes one FAIL row with that row's id
+    and group, carrying the error in ``params``, and the other rows still run.
     """
+    names = {name for check_id, group, _ in CHECKS for name in (check_id, group)}
+    unknown = [token for token in skip if token not in names]
+    if unknown:
+        raise InputError("--skip matches no check id or group: "
+                         + ", ".join(unknown))
     checks: list[CheckReport] = []
     for check_id, group, run in CHECKS:
         if check_id in skip or group in skip:

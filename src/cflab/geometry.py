@@ -1,15 +1,17 @@
-"""The affine charts, the catalog of hypersurfaces and the seeded samplers.
+"""The catalog of hypersurfaces in their affine charts, and the seeded samplers.
 
-Every surface is stored in the affine chart its computations live in:
+Every surface is named with the affine chart its computations live in:
 
 * ``eta``  -- n = 1, coordinates (eta, x) with eta = xi0/xi1;
 * ``U2``   -- n = 2, coordinates (y0, y1, x1, x2) with y_j = xi_j/xi2;
 * ``U1``   -- n = 2, coordinates (w0, w2, x1, x2) with w_j = xi_j/xi1.
 
-Defining functions are polynomials with hand-written gradients, so the
-transversality margin carries no finite-difference tolerance.  Written with
-``forms.mul``/``forms.power``, they take a batch's coordinate columns, as form
-coefficients do, or one point's numbers.
+P is the hyperplane xi.z = 0 at z = 0, Q the incidence xi.x = 0, and S_A-S_E
+the example surfaces.  Defining functions are polynomials with hand-written
+gradients, so the transversality margin carries no finite-difference
+tolerance.  Written with ``forms.mul``/``forms.power``, they take a batch's
+coordinate columns, as form coefficients do, or one point's numbers.  A
+surface that a check samples carries its closed-form solver, ``SurfaceSpec.solve``.
 """
 
 from __future__ import annotations
@@ -26,12 +28,7 @@ from .forms import _const_fn as _const
 
 Point = tuple[complex, ...]
 MAX_SAMPLE_COUNT = 100_000  # points one seeded sampler may be asked for
-
-CHART_COORDS = {
-    "eta": ("eta", "x"),
-    "U2": ("y0", "y1", "x1", "x2"),
-    "U1": ("w0", "w2", "x1", "x2"),
-}
+_INTERSECTION_COUNT = 5  # points intersection_points draws on one intersection
 
 
 # ------------------------------------------------------------ surface specs
@@ -39,93 +36,68 @@ CHART_COORDS = {
 @dataclass(frozen=True)
 class SurfaceSpec:
     """A hypersurface as a chart defining function with analytic gradient: the
-    ``value`` and ``dim`` ``gradient`` coefficients (a constant one is a scalar)."""
+    ``value`` and ``dim`` ``gradient`` coefficients (a constant one is a
+    scalar).  ``solve(rng, params)``, where a check samples the surface,
+    returns one closed-form candidate point, or ``None`` to draw again."""
 
     name: str
     chart: str
     params: tuple[complex, ...]
     value: CoeffFn = field(repr=False)
     gradient: tuple[CoeffFn, ...] = field(repr=False)
+    solve: Callable[[random.Random, tuple], Point | None] | None = field(
+        default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(CHART_COORDS[self.chart])
+        return len(self.gradient)
 
 
-def _spec(name, chart, params, value, *gradient):
+def _spec(name, chart, params, value, *gradient, solve=None):
     return SurfaceSpec(name=name, chart=chart, params=tuple(params),
-                       value=value, gradient=gradient)
+                       value=value, gradient=gradient, solve=solve)
 
 
 _ONE, _ZERO = _const(1 + 0j), _const(0j)
 
-SURFACE_NAMES = ("P", "Q", "S_A", "S_B", "S_C1", "S_C2", "S_D", "S_E")
 
-_DEFAULT_CHART = {
-    "S_A": "eta", "S_B": "eta",
-    "S_C1": "U2", "S_C2": "U2", "S_D": "U2", "S_E": "U2",
-}
-
-
-def surface_catalog(name: str, params: Sequence[complex] = (),
-                    chart: str | None = None) -> SurfaceSpec:
-    """Defining function and gradient for one of the catalog hypersurfaces.
-
-    ``params`` supplies ``a`` for S_A and the base point ``z`` for P (default
-    z = 0).  P and Q exist in every chart; the example surfaces live in the
-    chart their computations use (S_D additionally in ``U1``, where its
-    degeneracy over (x1, x2) = (1, 0) is visible).
-    """
-    params = tuple(complex(c) for c in params)
-    if name not in SURFACE_NAMES:
-        raise InputError(f"unknown surface {name!r}")
-    if chart is None:
-        chart = _DEFAULT_CHART.get(name)
-    if name == "P":
-        if chart is None:
-            chart = "eta" if len(params) <= 1 else "U2"
-        return _surface_P(params, chart)
-    if name == "Q":
-        if chart is None:
-            raise InputError("Q needs an explicit chart ('eta' or 'U2')")
-        return _surface_Q(chart)
-    builder = _BUILDERS.get((name, chart))
+def surface_catalog(name: str, params: Sequence[complex] = (), *,
+                    chart: str) -> SurfaceSpec:
+    """Defining function, gradient and solver of the catalog hypersurface
+    ``name`` in ``chart``; ``params`` supplies ``a`` for S_A, and no other
+    surface takes any."""
+    builder = _CATALOG.get((name, chart))
     if builder is None:
-        raise InputError(f"surface {name} is not available in chart {chart!r}")
-    return builder(params)
+        raise InputError(f"no surface {name!r} in chart {chart!r}")
+    params = tuple(complex(c) for c in params)
+    spec = builder(params)
+    if spec.params != params:
+        raise InputError(f"surface {name} takes {len(spec.params)} parameters, "
+                         f"got {len(params)}")
+    return spec
 
 
 # Each surface below is written as the Python expression of its defining
 # function, operand for operand: ``mul`` for ``*``, ``power`` for ``**``.
 
-def _surface_P(params, chart):
-    z = params if params else None
-    if chart == "eta":
-        z0 = z[0] if z else 0j
-        return _spec("P", "eta", (z0,), lambda p: p[0] + z0, _ONE, _ZERO)
-    if chart == "U2":
-        z1, z2 = (z if z else (0j, 0j))
-        return _spec("P", "U2", (z1, z2), lambda p: p[0] + mul(p[1], z1) + z2,
-                     _ONE, _const(z1), _ZERO, _ZERO)
-    if chart == "U1":
-        z1, z2 = (z if z else (0j, 0j))
-        # xi.z / xi1 with coordinates (w0, w2) = (xi0/xi1, xi2/xi1)
-        return _spec("P", "U1", (z1, z2), lambda p: p[0] + z1 + mul(p[1], z2),
-                     _ONE, _const(z2), _ZERO, _ZERO)
-    raise InputError(f"no chart {chart!r} for P")
+def _surface_P(chart, dim):
+    # xi.z over the chart's held coordinate, at z = 0: the first coordinate
+    return _spec("P", chart, (), lambda p: p[0], _ONE, *[_ZERO] * (dim - 1))
 
 
-def _surface_Q(chart):
-    if chart == "eta":
-        return _spec("Q", "eta", (), lambda p: p[0] + p[1], _ONE, _ONE)
-    if chart == "U2":
-        return _spec("Q", "U2", (), lambda p: p[0] + mul(p[1], p[2]) + p[3],
-                     _ONE, lambda p: p[2], lambda p: p[1], _ONE)
-    if chart == "U1":
-        # xi.x / xi1 = w0 + x1 + w2*x2
-        return _spec("Q", "U1", (), lambda p: p[0] + p[2] + mul(p[1], p[3]),
-                     _ONE, lambda p: p[3], _ONE, lambda p: p[1])
-    raise InputError(f"no chart {chart!r} for Q")
+def _surface_Q_eta(params):
+    return _spec("Q", "eta", (), lambda p: p[0] + p[1], _ONE, _ONE,
+                 solve=_sample_Q_eta)
+
+
+def _sample_Q_eta(rng, params):
+    eta = rand_c(rng)
+    return (eta, -eta)
+
+
+def _surface_Q_U2(params):
+    return _spec("Q", "U2", (), lambda p: p[0] + mul(p[1], p[2]) + p[3],
+                 _ONE, lambda p: p[2], lambda p: p[1], _ONE)
 
 
 def _surface_S_A(params):
@@ -133,12 +105,26 @@ def _surface_S_A(params):
         raise InputError("S_A needs the parameter a")
     a = params[0]
     return _spec("S_A", "eta", (a,), lambda p: mul(a, p[0]) + p[1] - 1,
-                 _const(a), _ONE)
+                 _const(a), _ONE, solve=_sample_S_A)
+
+
+def _sample_S_A(rng, params):
+    a = params[0]
+    eta = rand_c(rng)
+    return (eta, 1 - a * eta)
 
 
 def _surface_S_B(params):
     return _spec("S_B", "eta", (), lambda p: power(p[0], 2) + mul(p[0] + 1, p[1] - 1),
-                 lambda p: mul(2, p[0]) + p[1] - 1, lambda p: p[0] + 1)
+                 lambda p: mul(2, p[0]) + p[1] - 1, lambda p: p[0] + 1,
+                 solve=_sample_S_B)
+
+
+def _sample_S_B(rng, params):
+    eta = rand_c(rng)
+    if abs(eta + 1) < 0.2:
+        return None
+    return (eta, 1 - eta ** 2 / (eta + 1))
 
 
 def _surface_S_C1(params):
@@ -165,7 +151,17 @@ def _surface_S_D_U2(params):
                  lambda p: mul(2, p[0]),
                  lambda p: mul(mul(mul(2, p[1]) + 1, p[2] - 1), p[3]),
                  lambda p: mul(mul(p[1], p[1] + 1), p[3]),
-                 lambda p: mul(mul(p[1], p[1] + 1), p[2] - 1) + mul(2, p[3]))
+                 lambda p: mul(mul(p[1], p[1] + 1), p[2] - 1) + mul(2, p[3]),
+                 solve=_sample_S_D_U2)
+
+
+def _sample_S_D_U2(rng, params):
+    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
+    den = y1 * (y1 + 1) * x2
+    if abs(den) < 0.05:
+        return None
+    x1 = 1 - (y0 ** 2 + x2 ** 2 + 1) / den
+    return (y0, y1, x1, x2)
 
 
 def _surface_S_D_U1(params):
@@ -188,10 +184,26 @@ def _surface_S_E(params):
                  lambda p: mul(2, p[0]),
                  lambda p: mul(mul(2, p[1]) + mul(3, p[3]), p[2] - 1),
                  quad,
-                 lambda p: mul(mul(3, p[1]) + mul(4, p[3]), p[2] - 1) + mul(3, power(p[3], 2)))
+                 lambda p: mul(mul(3, p[1]) + mul(4, p[3]), p[2] - 1) + mul(3, power(p[3], 2)),
+                 solve=_sample_S_E)
 
 
-_BUILDERS = {
+def _sample_S_E(rng, params):
+    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
+    den = (y1 + x2) * (y1 + 2 * x2)
+    if abs(den) < 0.05:
+        return None
+    x1 = 1 - (y0 ** 2 + x2 ** 3 + 1) / den
+    return (y0, y1, x1, x2)
+
+
+# The catalog: one builder, taking ``params``, per (name, chart).
+_CATALOG = {
+    ("P", "eta"): lambda params: _surface_P("eta", 2),
+    ("P", "U2"): lambda params: _surface_P("U2", 4),
+    ("P", "U1"): lambda params: _surface_P("U1", 4),
+    ("Q", "eta"): _surface_Q_eta,
+    ("Q", "U2"): _surface_Q_U2,
     ("S_A", "eta"): _surface_S_A,
     ("S_B", "eta"): _surface_S_B,
     ("S_C1", "U2"): _surface_S_C1,
@@ -278,11 +290,10 @@ def sample_on_surface(spec: SurfaceSpec, seed: int, count: int) -> list[Point]:
     them in one batch, so the draws are those of checking each in turn.
     """
     check_count(count)
-    rng = random.Random(seed)
-    solver = _SAMPLERS.get((spec.name, spec.chart))
-    if solver is None:
+    if spec.solve is None:
         raise InputError(
             f"no closed-form sampler for {spec.name} in chart {spec.chart}")
+    rng = random.Random(seed)
     points: list[Point] = []
     budget = 200 * count
     while len(points) < count:
@@ -290,7 +301,7 @@ def sample_on_surface(spec: SurfaceSpec, seed: int, count: int) -> list[Point]:
             raise PreconditionError("sampler failed to avoid singularities")
         drawn = min(count - len(points), budget)
         budget -= drawn
-        batch = [q for q in (solver(rng, spec.params) for _ in range(drawn))
+        batch = [q for q in (spec.solve(rng, spec.params) for _ in range(drawn))
                  if q is not None]
         cols = tuple(np.asarray(batch, dtype=complex).reshape(-1, spec.dim).T)
         with np.errstate(all="ignore"):
@@ -300,100 +311,14 @@ def sample_on_surface(spec: SurfaceSpec, seed: int, count: int) -> list[Point]:
     return points
 
 
-def _sample_S_A(rng, params):
-    a = params[0]
-    eta = rand_c(rng)
-    return (eta, 1 - a * eta)
-
-
-def _sample_S_B(rng, params):
-    eta = rand_c(rng)
-    if abs(eta + 1) < 0.2:
-        return None
-    return (eta, 1 - eta ** 2 / (eta + 1))
-
-
-def _sample_Q_eta(rng, params):
-    eta = rand_c(rng)
-    return (eta, -eta)
-
-
-def _sample_P_eta(rng, params):
-    z0 = params[0] if params else 0j
-    return (-z0, rand_c(rng))
-
-
-def _sample_Q_U2(rng, params):
-    y0, y1, x1 = rand_c(rng), rand_c(rng), rand_c(rng)
-    return (y0, y1, x1, -y0 - y1 * x1)
-
-
-def _sample_P_U2(rng, params):
-    z1, z2 = params if params else (0j, 0j)
-    y1, x1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
-    return (-y1 * z1 - z2, y1, x1, x2)
-
-
-def _sample_S_C1(rng, params):
-    y0, y1, x1 = rand_c(rng), rand_c(rng), rand_c(rng)
-    return (y0, y1, x1, 2 - y0 ** 3 - y1 ** 3 * (x1 - 1))
-
-
-def _sample_S_C2(rng, params):
-    y0, y1, x1 = rand_c(rng), rand_c(rng), rand_c(rng)
-    return (y0, y1, x1, 2 - y0 ** 3 - y1 ** 3 * (x1 - 1) - 2 * y1 ** 2)
-
-
-def _sample_S_D_U2(rng, params):
-    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
-    den = y1 * (y1 + 1) * x2
-    if abs(den) < 0.05:
-        return None
-    x1 = 1 - (y0 ** 2 + x2 ** 2 + 1) / den
-    return (y0, y1, x1, x2)
-
-
-def _sample_S_D_U1(rng, params):
-    w0, w2, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
-    den = (1 + w2) * x2
-    if abs(den) < 0.05:
-        return None
-    x1 = 1 - (w0 ** 2 + w2 ** 2 * (x2 ** 2 + 1)) / den
-    return (w0, w2, x1, x2)
-
-
-def _sample_S_E(rng, params):
-    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
-    den = (y1 + x2) * (y1 + 2 * x2)
-    if abs(den) < 0.05:
-        return None
-    x1 = 1 - (y0 ** 2 + x2 ** 3 + 1) / den
-    return (y0, y1, x1, x2)
-
-
-_SAMPLERS = {
-    ("S_A", "eta"): _sample_S_A,
-    ("S_B", "eta"): _sample_S_B,
-    ("Q", "eta"): _sample_Q_eta,
-    ("P", "eta"): _sample_P_eta,
-    ("Q", "U2"): _sample_Q_U2,
-    ("P", "U2"): _sample_P_U2,
-    ("S_C1", "U2"): _sample_S_C1,
-    ("S_C2", "U2"): _sample_S_C2,
-    ("S_D", "U2"): _sample_S_D_U2,
-    ("S_D", "U1"): _sample_S_D_U1,
-    ("S_E", "U2"): _sample_S_E,
-}
-
-
 def _roots(coeffs) -> list[complex]:
     arr = np.roots(np.array(coeffs, dtype=complex))
     return sorted((complex(r) for r in arr), key=lambda c: (c.real, c.imag))
 
 
-def intersection_points(example: str, which: str, seed: int,
-                        count: int = 5) -> tuple[str, list]:
-    """Closed-form samples on pairwise/triple intersections (chart points)."""
+def intersection_points(example: str, which: str, seed: int) -> tuple[str, list]:
+    """Closed-form samples on pairwise/triple intersections (chart points):
+    ``_INTERSECTION_COUNT`` of them, or Example B's one fixed point."""
     rng = random.Random(seed)
     pts = []
     if example == "B":
@@ -405,9 +330,9 @@ def intersection_points(example: str, which: str, seed: int,
             return "eta", [(-0.5 + 0j, 0.5 + 0j)]
         raise InputError(which)
     attempts = 0
-    while len(pts) < count:
+    while len(pts) < _INTERSECTION_COUNT:
         attempts += 1
-        if attempts > 200 * count:
+        if attempts > 200 * _INTERSECTION_COUNT:
             raise PreconditionError(
                 f"sampler failed to find points on {which} of Example {example}")
         if which == "P_Q":
@@ -421,7 +346,7 @@ def intersection_points(example: str, which: str, seed: int,
             pts.extend(_p_q_s(example, rng))
         else:
             raise InputError(which)
-    return "U2", pts[:count]
+    return "U2", pts[:_INTERSECTION_COUNT]
 
 
 def _p_cap_s(example, rng):

@@ -240,7 +240,7 @@ def _inv_y0_sq(name: str, denom_factor: float):
 
 def _tau(example: str, denom: float, bracket: dict) -> KForm:
     """s/y0^2 dy1^dx1^dx2 + [sum_J b_J dz_J]/(denom y0^2) ^ ds on S_example."""
-    surface = surface_catalog(f"S_{example}")
+    surface = surface_catalog(f"S_{example}", chart="U2")
     inv1 = _inv_y0_sq(f"tau_{example}", 1.0)
     inv = _inv_y0_sq(f"tau_{example}", denom)
     lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: forms.mul(surface.value(p), inv1(p)))

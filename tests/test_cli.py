@@ -54,6 +54,21 @@ def test_suite_skipping_every_check_exits_2(capsys):
     assert "--skip removed every check" in captured.err
 
 
+def test_suite_skip_token_that_matches_nothing_exits_2(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(casebook, "CHECKS", tuple(
+        (check_id, group, lambda seed, run=run, check_id=check_id:
+         ran.append(check_id) or run(seed))
+        for check_id, group, run in casebook.CHECKS))
+    argv = ["suite", "--skip", "firts_n1"]
+    for group in ("core", "A", "B", "D", "E"):
+        argv += ["--skip", group]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ran == []
+    assert captured.err == "cflab: error: --skip matches no check id or group: firts_n1\n"
+
+
 def test_suite_has_no_workers_option(capsys):
     assert run_cli(["suite", "--workers", "2"]) == 2
     captured = capsys.readouterr()

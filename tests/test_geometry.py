@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflab import casebook, cycles, geometry
+from cflab import casebook, cycles, geometry, kernels
 from cflab.errors import InputError, PreconditionError
 from cflab.geometry import (intersection_points, rand_c, sample_on_surface,
                             sample_points, surface_catalog,
@@ -35,9 +36,14 @@ def _cols(points):
     return tuple(np.array(points, dtype=complex).reshape(len(points), -1).T)
 
 
+def _catalog_spec(name, chart):
+    """The catalog entry (name, chart), S_A at a = 2 + i."""
+    return surface_catalog(name, (2 + 1j,) if name == "S_A" else (), chart=chart)
+
+
 def test_surface_catalog_values():
-    s_a = surface_catalog("S_A", (1,))
-    s_b = surface_catalog("S_B")
+    s_a = surface_catalog("S_A", (1,), chart="eta")
+    s_b = surface_catalog("S_B", chart="eta")
     q = surface_catalog("Q", chart="eta")
     assert s_a.value(_cols([(1, 0), (0, 1)])).tolist() == [0, 0]
     assert s_b.value(_cols([(1, 0.5)])).tolist() == [0]  # 1 + 2*(-0.5)
@@ -45,10 +51,19 @@ def test_surface_catalog_values():
 
 
 def test_surface_catalog_unknown_name():
-    with pytest.raises(InputError):
-        surface_catalog("S_X")
-    with pytest.raises(InputError):
-        surface_catalog("S_B", chart="U2")
+    for name, chart in (("S_X", "eta"), ("S_B", "U2"), ("Q", "U1"), ("P", "U3")):
+        with pytest.raises(InputError, match=f"no surface '{name}' in chart '{chart}'"):
+            surface_catalog(name, chart=chart)
+    with pytest.raises(TypeError):
+        surface_catalog("S_B")  # the chart is always named
+
+
+def test_surface_catalog_rejects_parameters_a_surface_does_not_take():
+    with pytest.raises(InputError, match="surface P takes 0 parameters, got 1"):
+        surface_catalog("P", (0.5,), chart="eta")
+    for params in ((), (1, 2)):
+        with pytest.raises(InputError):
+            surface_catalog("S_A", params, chart="eta")
 
 
 def _gradient_fd_gap(spec, points, step=1e-6):
@@ -67,37 +82,37 @@ def _gradient_fd_gap(spec, points, step=1e-6):
 
 
 def test_gradients_match_finite_differences():
-    surfaces = [
-        surface_catalog("S_A", (2 + 1j,)),
-        surface_catalog("S_B"),
-        surface_catalog("Q", chart="eta"),
-        surface_catalog("P", (0j,), chart="eta"),
-        surface_catalog("S_C1"),
-        surface_catalog("S_C2"),
-        surface_catalog("S_D"),
-        surface_catalog("S_D", chart="U1"),
-        surface_catalog("S_E"),
-        surface_catalog("Q", chart="U2"),
-        surface_catalog("P", (0j, 0j), chart="U2"),
-    ]
-    for spec in surfaces:
-        points = sample_on_surface(spec, seed=100, count=10)
-        assert _gradient_fd_gap(spec, points) < 1e-6, spec.name
+    # a gradient is a polynomial identity: seeded points of the chart will do
+    assert len(geometry._CATALOG) == 12
+    for name, chart in geometry._CATALOG:
+        spec = _catalog_spec(name, chart)
+        points = sample_points(random.Random(100), 10, spec.dim, 0, lambda p: True)[0]
+        assert _gradient_fd_gap(spec, points) < 1e-6, (name, chart)
+
+
+_SAMPLED = [("S_A", "eta"), ("S_B", "eta"), ("Q", "eta"), ("S_D", "U2"), ("S_E", "U2")]
 
 
 def test_samplers_land_on_surface():
-    for name, chart in [("S_A", None), ("S_B", None), ("S_C1", None),
-                        ("S_C2", None), ("S_D", None), ("S_E", None),
-                        ("S_D", "U1"), ("Q", "eta"), ("Q", "U2")]:
-        params = (2 + 1j,) if name == "S_A" else ()
-        spec = surface_catalog(name, params, chart=chart)
+    for name, chart in _SAMPLED:
+        spec = _catalog_spec(name, chart)
         points = sample_on_surface(spec, seed=5, count=20)
         bound = 1e-12 * (1 + np.abs(points).max(axis=1))
         assert (np.abs(spec.value(_cols(points))) < bound).all()
 
 
+def test_a_surface_without_a_solver_is_not_sampled():
+    for name, chart in geometry._CATALOG:
+        spec = _catalog_spec(name, chart)
+        assert (spec.solve is not None) == ((name, chart) in _SAMPLED)
+        if spec.solve is None:
+            with pytest.raises(InputError, match=f"no closed-form sampler for "
+                                                 f"{name} in chart {chart}"):
+                sample_on_surface(spec, seed=5, count=1)
+
+
 def test_sampler_s_b_closed_form():
-    spec = surface_catalog("S_B")
+    spec = surface_catalog("S_B", chart="eta")
     for eta, x in sample_on_surface(spec, seed=9, count=10):
         assert x == pytest.approx(1 - eta ** 2 / (eta + 1))
 
@@ -109,14 +124,14 @@ def test_sampler_q_eta_closed_form():
 
 
 def test_sampler_s_d_solves_x1():
-    spec = surface_catalog("S_D")
+    spec = surface_catalog("S_D", chart="U2")
     for y0, y1, x1, x2 in sample_on_surface(spec, seed=9, count=10):
         expected = 1 - (y0 ** 2 + x2 ** 2 + 1) / (y1 * (y1 + 1) * x2)
         assert x1 == pytest.approx(expected)
 
 
 def test_sampler_reproducible_bit_for_bit():
-    spec = surface_catalog("S_E")
+    spec = surface_catalog("S_E", chart="U2")
     a = sample_on_surface(spec, seed=123, count=25)
     b = sample_on_surface(spec, seed=123, count=25)
     assert a == b
@@ -173,36 +188,36 @@ def test_intersection_points_gives_up_when_no_draw_lands(monkeypatch):
 
 
 def test_transversality_margin_golden_ratio():
-    p = surface_catalog("P", (0j,), chart="eta")
+    p = surface_catalog("P", chart="eta")
     q = surface_catalog("Q", chart="eta")
     margin = transversality_margin([p, q], [(0, 0)])
     assert margin == pytest.approx(GOLDEN_MARGIN, abs=1e-12)
 
 
 def test_transversality_margin_p_sb_positive():
-    p = surface_catalog("P", (0j,), chart="eta")
-    s_b = surface_catalog("S_B")
+    p = surface_catalog("P", chart="eta")
+    s_b = surface_catalog("S_B", chart="eta")
     margin = transversality_margin([p, s_b], [(0, 1)])
     assert margin > 1e-6
 
 
 def test_transversality_degenerate_point_of_s_d():
-    p = surface_catalog("P", (0j, 0j), chart="U1")
+    p = surface_catalog("P", chart="U1")
     s_d = surface_catalog("S_D", chart="U1")
     margin = transversality_margin([p, s_d], [(0, 0, 1, 0)])
     assert margin < 1e-6
 
 
 def test_transversality_margin_requires_on_surface_point():
-    p = surface_catalog("P", (0j,), chart="eta")
+    p = surface_catalog("P", chart="eta")
     q = surface_catalog("Q", chart="eta")
     with pytest.raises(PreconditionError):
         transversality_margin([p, q], [(0.5, 0.5)])
 
 
 def test_transversality_margin_requires_shared_chart():
-    p = surface_catalog("P", (0j,), chart="eta")
-    s_d = surface_catalog("S_D")
+    p = surface_catalog("P", chart="eta")
+    s_d = surface_catalog("S_D", chart="U2")
     with pytest.raises(InputError):
         transversality_margin([p, s_d], [(0, 0)])
 
@@ -213,7 +228,6 @@ def _reference_catalog(name, chart, params):
     """``(value, gradient)`` of one catalog surface as per-point Python
     complex expressions, one function per gradient entry: the reference the
     column functions must round as."""
-    z = params if len(params) == 2 else (0j, 0j)
     a = params[0] if params else 0j
 
     def quad(p):
@@ -224,16 +238,12 @@ def _reference_catalog(name, chart, params):
 
     one, zero = const(1 + 0j), const(0j)
     return {
-        ("P", "eta"): (lambda p: p[0] + a, (one, zero)),
-        ("P", "U2"): (lambda p: p[0] + p[1] * z[0] + z[1],
-                      (one, const(z[0]), zero, zero)),
-        ("P", "U1"): (lambda p: p[0] + z[0] + p[1] * z[1],
-                      (one, const(z[1]), zero, zero)),
+        ("P", "eta"): (lambda p: p[0], (one, zero)),
+        ("P", "U2"): (lambda p: p[0], (one, zero, zero, zero)),
+        ("P", "U1"): (lambda p: p[0], (one, zero, zero, zero)),
         ("Q", "eta"): (lambda p: p[0] + p[1], (one, one)),
         ("Q", "U2"): (lambda p: p[0] + p[1] * p[2] + p[3],
                       (one, lambda p: p[2], lambda p: p[1], one)),
-        ("Q", "U1"): (lambda p: p[0] + p[2] + p[1] * p[3],
-                      (one, lambda p: p[3], one, lambda p: p[1])),
         ("S_A", "eta"): (lambda p: a * p[0] + p[1] - 1, (const(a), one)),
         ("S_B", "eta"): (lambda p: p[0] ** 2 + (p[0] + 1) * (p[1] - 1),
                          (lambda p: 2 * p[0] + p[1] - 1, lambda p: p[0] + 1)),
@@ -271,8 +281,7 @@ def _reference_catalog(name, chart, params):
 
 
 _CATALOG_CASES = [
-    ("P", "eta", (0.3 - 0.2j,)), ("P", "U2", (0.2 + 0.1j, -0.4j)),
-    ("P", "U1", (-0.0, 0.5)), ("Q", "eta", ()), ("Q", "U2", ()), ("Q", "U1", ()),
+    ("P", "eta", ()), ("P", "U2", ()), ("P", "U1", ()), ("Q", "eta", ()), ("Q", "U2", ()),
     ("S_A", "eta", (2 + 0.5j,)), ("S_B", "eta", ()), ("S_C1", "U2", ()),
     ("S_C2", "U2", ()), ("S_D", "U2", ()), ("S_D", "U1", ()), ("S_E", "U2", ()),
 ]
@@ -356,7 +365,7 @@ def test_stacked_margin_is_the_least_per_point_margin_bit_for_bit():
 
 
 def test_margin_names_the_first_point_off_a_surface():
-    p = surface_catalog("P", (0j,), chart="eta")
+    p = surface_catalog("P", chart="eta")
     q = surface_catalog("Q", chart="eta")
     with pytest.raises(PreconditionError, match=r"point 2 \(0j, \(1\+0j\)\) is not on Q"):
         transversality_margin([p, q], [(0, 0), (0, 0), (0, 1), (1, 0)])
@@ -366,10 +375,10 @@ def test_margin_names_the_first_point_off_a_surface():
         transversality_margin([p, q], [])
 
 
-def test_sampler_batches_draw_what_the_point_loop_draws(monkeypatch):
-    spec = surface_catalog("S_E")
+def test_sampler_batches_draw_what_the_point_loop_draws():
+    spec = surface_catalog("S_E", chart="U2")
     value = _reference_catalog("S_E", "U2", ())[0]
-    real = geometry._SAMPLERS["S_E", "U2"]
+    real = spec.solve
 
     def forcing(rngs):
         def solver(rng, params):  # the third candidate is moved off the surface
@@ -391,17 +400,39 @@ def test_sampler_batches_draw_what_the_point_loop_draws(monkeypatch):
     assert len(ref_rngs) > 12  # the forced rejection happened
 
     rngs = []
-    monkeypatch.setitem(geometry._SAMPLERS, ("S_E", "U2"), forcing(rngs))
-    assert repr(sample_on_surface(spec, seed=17, count=12)) == repr(reference)
+    forced = dataclasses.replace(spec, solve=forcing(rngs))
+    assert repr(sample_on_surface(forced, seed=17, count=12)) == repr(reference)
     assert len(rngs) == len(ref_rngs)
     assert rngs[-1].getstate() == rng.getstate()
 
 
-def test_sample_count_is_bounded_before_any_draw(monkeypatch):
+def test_sample_count_is_bounded_before_any_draw():
     def drawing(rng, params):
         raise AssertionError("drew a candidate")
 
-    monkeypatch.setitem(geometry._SAMPLERS, ("S_E", "U2"), drawing)
+    spec = dataclasses.replace(surface_catalog("S_E", chart="U2"), solve=drawing)
     for count in (0, geometry.MAX_SAMPLE_COUNT + 1):
         with pytest.raises(InputError, match="count must be in"):
-            sample_on_surface(surface_catalog("S_E"), seed=1, count=count)
+            sample_on_surface(spec, seed=1, count=count)
+
+
+def test_catalog_holds_what_the_report_reaches(monkeypatch):
+    built, sampled = set(), set()
+    real_catalog, real_sample = geometry.surface_catalog, kernels.sample_on_surface
+
+    def catalog(name, params=(), *, chart):
+        built.add((name, chart))
+        return real_catalog(name, params, chart=chart)
+
+    def sample(spec, seed, count):
+        sampled.add((spec.name, spec.chart))
+        return real_sample(spec, seed, count)
+
+    monkeypatch.setattr(geometry, "surface_catalog", catalog)
+    monkeypatch.setattr(kernels, "surface_catalog", catalog)
+    monkeypatch.setattr(kernels, "sample_on_surface", sample)
+    casebook._margin_specs.cache_clear()  # build every margin spec again
+    assert all(c.passed for c in casebook.full_report(seed=7))
+    assert built == set(geometry._CATALOG)
+    assert sampled == {key for key in geometry._CATALOG
+                       if _catalog_spec(*key).solve is not None}

@@ -433,7 +433,7 @@ def test_sigma_a_vanishes_on_q_and_s():
     a = 2 + 0.5j
     sigma = casebook_form("sigma_A", {"a": a}, f)
     for spec in (geometry.surface_catalog("Q", chart="eta"),
-                 geometry.surface_catalog("S_A", (a,))):
+                 geometry.surface_catalog("S_A", (a,), chart="eta")):
         worst, scale = vanishing_max_and_scale(sigma, spec, seed=21, count=25)
         assert worst < 1e-9 * scale
 
@@ -442,21 +442,21 @@ def test_sigma_b_vanishes_on_q_and_s():
     f = exprlang.parse_expr("exp(x)", 1)
     sigma = casebook_form("sigma_B", f=f)
     for spec in (geometry.surface_catalog("Q", chart="eta"),
-                 geometry.surface_catalog("S_B")):
+                 geometry.surface_catalog("S_B", chart="eta")):
         worst, scale = vanishing_max_and_scale(sigma, spec, seed=22, count=25)
         assert worst < 1e-9 * scale
 
 
 def test_tau_d_vanishes_on_s_d():
     tau = casebook_form("tau_D")
-    spec = geometry.surface_catalog("S_D")
+    spec = geometry.surface_catalog("S_D", chart="U2")
     worst, scale = vanishing_max_and_scale(tau, spec, seed=23, count=25)
     assert worst < 1e-9 * scale
 
 
 def test_tau_e_vanishes_on_s_e():
     tau = casebook_form("tau_E")
-    spec = geometry.surface_catalog("S_E")
+    spec = geometry.surface_catalog("S_E", chart="U2")
     worst, scale = vanishing_max_and_scale(tau, spec, seed=24, count=25)
     assert worst < 1e-9 * scale
 
@@ -527,7 +527,7 @@ def test_tau_e_exactness_identity():
 def test_s_e_incidence_substitution():
     # On the y0 = 0 slice of S_E, solving for x1 gives
     # 1 - x1 = (x2^3 + 1) / ((y1 + x2)(y1 + 2 x2)).
-    spec = geometry.surface_catalog("S_E")
+    spec = geometry.surface_catalog("S_E", chart="U2")
     rng = random.Random(44)
     points = []
     while len(points) < 20:
