@@ -284,9 +284,16 @@ _Z2 = (0.2 + 0j, -0.1 + 0j)
 _SIGMA_A_PARAM = 2 + 0.5j
 
 
+@functools.cache
+def _generic_f() -> HolomorphicExpr:
+    """:data:`_GENERIC_F` parsed once, on first use."""
+    return parse_expr(_GENERIC_F, 1)
+
+
 def _off_pole(n, z):
-    """Accept joint points with |xi.z| >= 0.4."""
-    return lambda p: abs(p[0] + sum(p[1 + k] * z[k] for k in range(n))) >= 0.4
+    """Accept joint points (coordinate columns) with |xi.z| >= 0.4."""
+    return lambda p: forms.modulus(p[0] + sum(forms.mul(p[1 + k], z[k])
+                                              for k in range(n))) >= 0.4
 
 
 def _worst_gap(lhs, rhs) -> float:
@@ -307,15 +314,15 @@ def _identity_scale(seed, count=100):
     worst = 0.0
     for n, z in ((1, _Z1), (2, _Z2)):
         for kernel in (kernels.phi(n, z), kernels.psi(n, z)):
-            drawn = geometry.sample_points(rng, count // 2, 2 * n + 1,
-                                           kernel.degree, _off_pole(n, z), extra=1)
-            points, frames = [], []
-            for p, vecs, (lam,) in zip(*drawn):
-                lam += 1.5 + 0.5j
-                points += [p, tuple(lam * c for c in p[:n + 1]) + p[n + 1:]]
-                frames += [vecs, [tuple(lam * c for c in v[:n + 1]) + v[n + 1:]
-                                  for v in vecs]]
-            values = kernel.evaluate_many(points, frames)
+            points, frames, extras = geometry.sample_points(
+                rng, count // 2, 2 * n + 1, kernel.degree, _off_pole(n, z), extra=1)
+            lam = extras + (1.5 + 0.5j)
+            lam_points, lam_frames = points.copy(), frames.copy()  # xi times lam
+            lam_points[:, :n + 1] = forms.mul(lam, points[:, :n + 1])
+            lam_frames[..., :n + 1] = forms.mul(lam[:, None], frames[..., :n + 1])
+            values = kernel.evaluate_many(  # each point and frame, then scaled
+                np.stack([points, lam_points], axis=1).reshape(-1, 2 * n + 1),
+                np.stack([frames, lam_frames], axis=1).reshape(-1, kernel.degree, 2 * n + 1))
             base, scaled = values[0::2], values[1::2]
             gaps = forms.modulus(base - scaled) / np.maximum(forms.modulus(base), 1e-30)
             worst = max(worst, float(gaps.max()))
@@ -325,7 +332,7 @@ def _identity_scale(seed, count=100):
 def _identity_chart(n, seed, count):
     points, frames, _ = geometry.sample_points(
         random.Random(seed), count, 2 * n + 1, 2 * n - 1,
-        lambda p: abs(p[0]) >= 0.3 and abs(p[1]) >= 0.3)
+        lambda p: (forms.modulus(p[0]) >= 0.3) & (forms.modulus(p[1]) >= 0.3))
     return _worst_gap(kernels.phi(n, (0j,) * n).evaluate_many(points, frames),
                       kernels.phi_chart_formula(n).evaluate_many(points, frames))
 
@@ -338,8 +345,7 @@ def _on_section(kernel, points, frames):
     n = kernel.dim // 2
     kept = KForm(kernel.degree, kernel.dim,
                  terms={key: c for key, c in kernel.terms.items() if n not in key})
-    return kept.evaluate_many(np.insert(np.asarray(points, dtype=complex), n, 1, axis=-1),
-                              np.insert(np.asarray(frames, dtype=complex), n, 0, axis=-1))
+    return kept.evaluate_many(np.insert(points, n, 1, axis=-1), np.insert(frames, n, 0, axis=-1))
 
 
 def _exactness_gap(seed, count, psi, potential, factor, rhs):
@@ -348,14 +354,14 @@ def _exactness_gap(seed, count, psi, potential, factor, rhs):
     |p_0| >= 0.3."""
     points, frames, _ = geometry.sample_points(
         random.Random(seed), count, potential.dim, psi.degree,
-        lambda p: abs(p[0]) >= 0.3)
+        lambda p: forms.modulus(p[0]) >= 0.3)
     lhs = (_on_section(psi, points, frames)
            + factor * forms.d_numeric_many(potential, points, frames))
     return _worst_gap(lhs, rhs.evaluate_many(points, frames))
 
 
 def _identity_exact_A(seed, count=40):
-    f = parse_expr(_GENERIC_F, 1)
+    f = _generic_f()
     a = _SIGMA_A_PARAM
     g = exprlang.Add(exprlang.Mul(exprlang.Num(a - 1), exprlang.Var(0)),
                      exprlang.ONE)
@@ -380,29 +386,28 @@ def _identity_extend_B(seed, count):
     count - 1 random eta."""
     drawn, _, _ = geometry.sample_points(
         random.Random(seed), count - 1, 1, 0,
-        lambda p: abs(p[0]) >= 0.05 and abs(p[0] + 1) >= 0.2)
-    etas = [1e-6 + 0j] + [eta for eta, in drawn]
-    points = [(eta, 1 - eta ** 2 / (eta + 1)) for eta in etas]
-    frames = [[(1 + 0j, -eta * (eta + 2) / (eta + 1) ** 2)] for eta in etas]
-    expected = [-(eta + 2) / (eta + 1) ** 2 for eta in etas]
-    values = _on_section(kernels.phi(1, (0j,)), points, frames)
-    return float(forms.modulus(values - np.array(expected)).max())
+        lambda p: (forms.modulus(p[0]) >= 0.05) & (forms.modulus(p[0] + 1) >= 0.2))
+    eta = np.append(1e-6 + 0j, drawn)
+    sq = forms.power(eta + 1, 2)
+    points = np.stack([eta, 1 - forms.div(forms.power(eta, 2), eta + 1)], axis=1)
+    frames = np.stack([np.ones_like(eta), forms.div(forms.mul(-eta, eta + 2), sq)], axis=1)
+    values = _on_section(kernels.phi(1, (0j,)), points, frames[:, None])
+    return float(forms.modulus(values - forms.div(-(eta + 2), sq)).max())
 
 
 def _identity_extend_C(seed, count):
     """phi on S_C, pulled back along the graph (y0, y1, x1) -> (y0, y1, x1,
     2 - y0^3 - y1^3 (x1 - 1)), against 3 dy0^dy1^dx1."""
     qs, vecs, _ = geometry.sample_points(random.Random(seed), count, 3, 3,
-                                         lambda q: abs(q[0]) >= 0.05)
+                                         lambda q: forms.modulus(q[0]) >= 0.05)
     # per q: phi on the parameter frame (expected exactly 3), then on vecs
-    y0, y1, x1 = np.repeat(np.asarray(qs, dtype=complex), 2, axis=0).T
+    y0, y1, x1 = np.repeat(qs, 2, axis=0).T
     x2 = 2 - forms.power(y0, 3) - forms.mul(forms.power(y1, 3), x1 - 1)
     # row j: the graph's image of the j-th parameter direction
     jac = ((1, 0, 0, forms.mul(-3, forms.power(y0, 2))),
            (0, 1, 0, forms.mul(forms.mul(-3, forms.power(y1, 2)), x1 - 1)),
            (0, 0, 1, -forms.power(y1, 3)))
-    frames = np.stack([np.broadcast_to(np.eye(3, dtype=complex), (count, 3, 3)),
-                       np.asarray(vecs, dtype=complex)], axis=1)
+    frames = np.stack([np.broadcast_to(np.eye(3, dtype=complex), (count, 3, 3)), vecs], axis=1)
     w = frames.reshape(-1, 3, 3).transpose(2, 1, 0)  # (direction, vector, row)
     pushed = [0j + forms.mul(w[0], a) + forms.mul(w[1], b) + forms.mul(w[2], c)
               for a, b, c in zip(*jac)]
@@ -426,7 +431,7 @@ VANISH_PAIRS = (
 
 def _vanish_report(check_id, group, form_id, surf, seed, count=20) -> CheckReport:
     t0 = time.perf_counter()
-    f = parse_expr(_GENERIC_F, 1)
+    f = _generic_f()
     if form_id == "sigma_A":
         form = kernels.casebook_form("sigma_A", {"a": _SIGMA_A_PARAM}, f)
     elif form_id == "sigma_B":

@@ -9,6 +9,8 @@ Evaluation is batched (:meth:`KForm.evaluate_many`): coefficients take a
 batch's coordinate columns, each frame is canonicalized (vectors sorted, the
 value multiplied by the permutation sign), so that swapping two vectors
 flips the sign exactly, and the frame minors are taken on whole arrays.
+Within one batch each operand of a wedge, sum or scaling runs once, when a
+term first asks for it, in term order (:func:`shared`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,20 @@ def _const_fn(value: complex) -> CoeffFn:
 
 
 # ------------------------------------------------------- batch arithmetic
+
+class Columns(tuple):
+    """A batch's coordinate columns, with the ``memo`` of its :func:`shared` values."""
+
+
+def shared(fn: CoeffFn, cols):
+    """``fn(cols)``, once per batch: on :class:`Columns` the first call keeps
+    its value (never to be written to) and later calls return it; a call that
+    raises keeps nothing.  On other columns ``fn`` just runs."""
+    memo = getattr(cols, "memo", {})
+    if fn not in memo:
+        memo[fn] = fn(cols)
+    return memo[fn]
+
 
 def fault(bad, error) -> None:
     """Raise ``error(row)``, ``row`` set, at the first row where ``bad`` holds."""
@@ -108,11 +124,13 @@ def power(a, n: int) -> np.ndarray:
         return complex(a) ** n
     r, bit = 1 + 0j, 1
     while bit <= n:
-        if n & bit:
-            r = mul(r, a)
+        if n & bit:  # the first factor, (1 + 0j) * a, exactly
+            r = mul(r, a) if n & (bit - 1) else _join(a.real - 0.0 * a.imag, a.imag + 0.0 * a.real)
         bit <<= 1
         a = mul(a, a) if bit <= n else a
-    fault(np.isinf(r.real) | np.isinf(r.imag), lambda row: OverflowError("complex exponentiation"))
+    if not np.isfinite(r).all():
+        fault(np.isinf(r.real) | np.isinf(r.imag),
+              lambda row: OverflowError("complex exponentiation"))
     return r
 
 
@@ -234,19 +252,12 @@ class KForm:
         return complex(self.evaluate_many((point,), (vectors,))[0])
 
     def evaluate_many(self, points, frames) -> np.ndarray:
-        """The form at m points, each on its own frame of ``degree`` vectors.
+        """The form at m points, each on its own frame of ``degree`` vectors:
+        :meth:`on_frames` of the :meth:`coefficients` at ``points``.
 
         ``points`` has shape (m, dim) and ``frames`` shape (m, degree, dim);
-        the result is m complex values.  Each frame is sorted (see
-        :func:`_frame_order`) and its value negated for an odd permutation.
-        Each term coefficient is called on the batch's coordinate columns; one
-        that fails raises with its first failing row in ``row`` (:func:`fault`),
-        and the batch is cut before that row and evaluated again until none
-        fails, so the error raised is the one point-by-point evaluation (point,
-        then term order) meets first.  ``ZeroDivisionError`` and
-        ``OverflowError`` become a :class:`PoleError` with the point and row.
-        The arithmetic is Python's, so each row equals a one-point evaluation
-        bit for bit.
+        the result is m complex values.  The arithmetic is Python's, so each
+        row equals a one-point evaluation bit for bit.
         """
         points = np.asarray(points, dtype=complex)
         frames = np.asarray(frames, dtype=complex)
@@ -264,13 +275,27 @@ class KForm:
         if len(frames) != len(points):
             raise DimensionMismatchError(
                 f"{len(points)} points but {len(frames)} frames")
+        return self.on_frames(self.coefficients(points), frames)
 
+    def coefficients(self, points: np.ndarray) -> np.ndarray:
+        """Every term coefficient at m points (an (m, dim) complex array):
+        complex (term, m), terms in order.
+
+        Each coefficient is called on the batch's :class:`Columns`, where an
+        operand several terms share runs once, for the first (:func:`shared`).
+        One that fails raises with its first failing row in ``row``
+        (:func:`fault`), and the batch is cut before that row and evaluated
+        again until none fails, so the error raised is the one point-by-point
+        evaluation (point, then term order) meets first.  ``ZeroDivisionError``
+        and ``OverflowError`` become a :class:`PoleError` with the point and row.
+        """
         coeff = np.empty((len(self.terms), len(points)), dtype=complex)
         n, error = len(points), None
         with np.errstate(all="ignore"):
             while True:
                 try:
-                    cols = tuple(points[:n].T)
+                    cols = Columns(points[:n].T)
+                    cols.memo = {}
                     for t, c in enumerate(self.terms.values()):
                         coeff[t, :n] = c(cols)
                     break
@@ -286,29 +311,27 @@ class KForm:
             raise error from None
         if error is not None:
             raise error
+        return coeff
 
+    def on_frames(self, coeff: np.ndarray, frames: np.ndarray) -> np.ndarray:
+        """The form from its :meth:`coefficients` ``coeff`` on one frame
+        (an (m, degree, dim) complex array) per point: each frame is sorted
+        (see :func:`_frame_order`), its terms' minors are multiplied by the
+        coefficients and summed in term order, and the value is negated for
+        an odd permutation."""
+        m = frames.shape[0]
         frames = frames.transpose(1, 2, 0)  # (vector, coordinate, point)
         odd = None
         if self.degree >= 2:
             order, odd = _frame_order(frames)
-            frames = frames[order[:, None, :], np.arange(self.dim)[:, None],
-                            np.arange(len(points))]
-        value = np.zeros(len(points), dtype=complex)
+            frames = frames[order[:, None, :], np.arange(self.dim)[:, None], np.arange(m)]
+        value = np.zeros(m, dtype=complex)
         with np.errstate(all="ignore"):
             for term in mul(coeff, _minors(tuple(self.terms), frames)):
                 value += term
         if odd is not None:
             np.negative(value, out=value, where=odd)
         return value
-
-    def coefficient_scale(self, points) -> float:
-        """Sup norm of the coefficients over ``points`` (m, dim), at least 0.0
-        and passing over NaN: a frame-insensitive size."""
-        points = np.asarray(points, dtype=complex)
-        with np.errstate(all="ignore"):
-            values = [np.broadcast_to(c(tuple(points.T)), len(points))
-                      for c in self.terms.values()]
-        return max([0.0, *modulus(values).ravel().tolist()])
 
 
 def _sorted_key(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -343,7 +366,7 @@ def wedge(f1: KForm, f2: KForm) -> KForm:
         def coeff(cols, parts=tuple(parts)):
             total = 0j
             for sign, c1, c2 in parts:
-                total = total + mul(mul(sign, c1(cols)), c2(cols))
+                total = total + mul(mul(sign, shared(c1, cols)), shared(c2, cols))
             return total
         merged[key] = coeff
     return KForm(degree, f1.dim, terms=merged)
@@ -356,7 +379,7 @@ def add(f1: KForm, f2: KForm) -> KForm:
     for key, c2 in f2.terms.items():
         if key in terms:
             c1 = terms[key]
-            terms[key] = lambda cols, c1=c1, c2=c2: c1(cols) + c2(cols)
+            terms[key] = lambda cols, c1=c1, c2=c2: shared(c1, cols) + shared(c2, cols)
         else:
             terms[key] = c2
     return KForm(f1.degree, f1.dim, terms=terms)
@@ -365,7 +388,7 @@ def add(f1: KForm, f2: KForm) -> KForm:
 def scale(form: KForm, factor: complex | CoeffFn) -> KForm:
     fn = factor if callable(factor) else _const_fn(factor)
     terms = {
-        key: (lambda cols, c=c, fn=fn: mul(fn(cols), c(cols)))
+        key: (lambda cols, c=c, fn=fn: mul(shared(fn, cols), shared(c, cols)))
         for key, c in form.terms.items()
     }
     return KForm(form.degree, form.dim, terms=terms)

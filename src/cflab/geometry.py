@@ -16,6 +16,7 @@ surface that a check samples carries its closed-form solver, ``SurfaceSpec.solve
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -221,10 +222,10 @@ def rand_c(rng: random.Random, radius: float = 1.0) -> complex:
     return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
 
 
-def _rand_c_many(rng: random.Random, count: int,
-                 radius: float = 1.0) -> list[complex]:
-    """``count`` successive ``rand_c(rng, radius)`` draws, bit for bit, from
-    one ``getrandbits`` call that leaves ``rng`` in the same state.
+def _rand_c_many(rng: random.Random, count: int, radius: float = 1.0) -> np.ndarray:
+    """``count`` successive ``rand_c(rng, radius)`` draws, bit for bit, in a
+    complex array, from one ``getrandbits`` call that leaves ``rng`` in the
+    same state.
 
     ``random()`` makes each double from two 32-bit Mersenne Twister outputs
     as ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, and ``uniform(a, b)`` is
@@ -235,44 +236,44 @@ def _rand_c_many(rng: random.Random, count: int,
                           dtype="<u4")
     u = (((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6))
          * (1.0 / 9007199254740992.0))
-    return (-radius + (radius - -radius) * u).view(complex).tolist()
+    return (-radius + (radius - -radius) * u).view(complex)
 
 
 def sample_points(rng: random.Random, count: int, dim: int, degree: int,
-                  accept: Callable[[Point], bool], extra: int = 0
-                  ) -> tuple[list[Point], list[list[Point]], list[Point]]:
+                  accept: Callable[[tuple[np.ndarray, ...]], np.ndarray], extra: int = 0
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` seeded points of C^dim, each drawn until ``accept`` holds,
     and after each point its frame of ``degree`` vectors and ``extra`` more
-    draws: ``(points, frames, extras)``.
+    draws: complex arrays ``(points, frames, extras)``, shapes (count, dim),
+    (count, degree, dim) and (count, extra).  ``accept`` takes candidates'
+    coordinate columns and returns one bool per candidate (or one for all).
 
     The values and the final state of ``rng`` are those of drawing every
-    coordinate with ``rand_c`` in that order.  The draws come in bulk, and a
-    top-up only ever fills the buffer to the fewest draws the records still
-    missing need, so nothing past the last accepted record is drawn.
+    coordinate with ``rand_c`` in that order.  Each top-up fills the buffer to
+    the fewest draws the missing records need, so nothing past the last
+    accepted record is drawn, and tests at once every candidate in it that
+    could start a record: one every gcd(dim, extra) draws.
     """
-    width = degree * dim
-    record = dim + width + extra
-    points, frames, extras = [], [], []
-    buf, pos = [], 0
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise PreconditionError("sampler found too few acceptable points")
-        if len(buf) - pos < record:
-            buf = buf[pos:] + _rand_c_many(
-                rng, (count - len(points)) * record - (len(buf) - pos))
-            pos = 0
-        point = tuple(buf[pos:pos + dim])
-        pos += dim
-        if accept(point):
-            points.append(point)
-            vectors = iter(buf[pos:pos + width])
-            frames.append(list(zip(*[vectors] * dim)))
-            pos += width
-            extras.append(tuple(buf[pos:pos + extra]))
-            pos += extra
-    return points, frames, extras
+    record = dim * (1 + degree) + extra
+    step = math.gcd(dim, extra)
+    buf, starts, pos, attempts = np.empty(0, dtype=complex), [], 0, 0
+    while len(starts) < count:
+        buf = np.append(buf, _rand_c_many(rng, pos + (count - len(starts)) * record - len(buf)))
+        first, tested = pos, (len(buf) - record - pos) // step + 1
+        ok = np.broadcast_to(accept(tuple(buf[pos + j:pos + j + step * tested:step]
+                                          for j in range(dim))), tested).tolist()
+        while len(starts) < count and pos <= len(buf) - record:
+            attempts += 1
+            if attempts > 200 * count:
+                raise PreconditionError("sampler found too few acceptable points")
+            if ok[(pos - first) // step]:
+                starts.append(pos)
+                pos += record
+            else:
+                pos += dim
+    records = buf[np.add.outer(np.array(starts, dtype=np.intp), np.arange(record))]
+    return (records[:, :dim], records[:, dim:record - extra].reshape(count, degree, dim),
+            records[:, record - extra:])
 
 
 def check_count(count: int) -> None:

@@ -80,9 +80,10 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     ``wedge(basis, omega)``, whose merge signs are all +1; the ``0j +``
     keeps the signed zeros of that wedge's accumulation.  The pairing, its
     power and ``s_k xi_k`` are taken on whole arrays, as Python's complex
-    arithmetic rounds them; ``f`` is evaluated by :func:`_f_at`, once per
-    point per term (one shared ``f(x)`` per point waits for ROADMAP item 1:
-    the benchmark counts expression calls).
+    arithmetic rounds them, the pairing and power once per batch
+    (:func:`forms.shared`, in the order pairing, pole test, ``f``, power);
+    ``f`` by :func:`_f_at`, once per point per term (one shared ``f(x)`` per
+    point waits for ROADMAP item 1: the benchmark counts expression calls).
     """
     _check_n(n)
     z = tuple(complex(c) for c in z)
@@ -91,12 +92,19 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     xi, x = slice(1, n + 1), slice(n + 1, None)
     message = f"{name} evaluated on xi.z = 0"
 
+    def pairing(cols):
+        den = cols[0] + sum(map(forms.mul, cols[xi], z))
+        forms.pole_at(cols, den == 0, message)
+        return den
+
+    def den_power(cols):
+        return forms.power(forms.shared(pairing, cols), power)
+
     def term(k: int, s: int) -> forms.CoeffFn:
         def coeff(cols):
-            den = cols[0] + sum(map(forms.mul, cols[xi], z))
-            forms.pole_at(cols, den == 0, message)
+            forms.shared(pairing, cols)  # its pole test comes before f
             top = _f_at(f, cols[x])
-            return forms.mul(forms.div(top, forms.power(den, power)),
+            return forms.mul(forms.div(top, forms.shared(den_power, cols)),
                              0j + forms.mul(s, cols[k]))
 
         return coeff
@@ -244,7 +252,7 @@ def _tau(example: str, denom: float, bracket: dict) -> KForm:
     inv1 = _inv_y0_sq(f"tau_{example}", 1.0)
     inv = _inv_y0_sq(f"tau_{example}", denom)
     lead = KForm.basis(4, 1, 2, 3, coeff=lambda p: forms.mul(surface.value(p), inv1(p)))
-    parts = [KForm.basis(4, *key, coeff=lambda p, b=b: forms.mul(b(p), inv(p)))
+    parts = [KForm.basis(4, *key, coeff=lambda p, b=b: forms.mul(b(p), forms.shared(inv, p)))
              for key, b in bracket.items()]
     ds = KForm(1, 4, terms={(i,): g for i, g in enumerate(surface.gradient)})
     return forms.add(lead, forms.wedge(functools.reduce(forms.add, parts), ds))
@@ -267,12 +275,13 @@ def _tau_E() -> KForm:
 def vanishing_max_and_scale(form: KForm, spec: SurfaceSpec, seed: int,
                             count: int) -> tuple[float, float]:
     """Max |form| over unit tangent frames at sampled on-surface points, and
-    the coefficient sup-norm over the same points: one draw, and every frame
-    of every point in one :meth:`KForm.evaluate_many` batch."""
+    the sup norm of its coefficients there (at least 0.0, passing over NaN):
+    one draw, and every frame of every point in one batch, whose
+    :meth:`KForm.coefficients` give both."""
     if form.dim != spec.dim:
         raise InputError("form and surface live on different charts")
-    points = sample_on_surface(spec, seed, count)
-    cols = tuple(np.asarray(points, dtype=complex).T)
+    points = np.asarray(sample_on_surface(spec, seed, count), dtype=complex)
+    cols = tuple(points.T)
     # orthonormal tangent bases: the nullspaces of the gradients (m, 1, dim)
     grads = np.stack([np.broadcast_to(g(cols), count) for g in spec.gradient], axis=-1)
     bases = np.linalg.svd(grads[:, None])[2][:, 1:].conj()
@@ -280,5 +289,7 @@ def vanishing_max_and_scale(form: KForm, spec: SurfaceSpec, seed: int,
         raise InputError("form degree exceeds the surface dimension")
     combos = list(itertools.combinations(range(bases.shape[1]), form.degree))
     frames = bases[:, combos].reshape(-1, form.degree, form.dim)
-    values = form.evaluate_many(np.repeat(points, len(combos), axis=0), frames)
-    return float(forms.modulus(values).max()), form.coefficient_scale(points)
+    coeff = form.coefficients(np.repeat(points, len(combos), axis=0))
+    values = form.on_frames(coeff, frames)
+    return float(forms.modulus(values).max()), float(np.fmax.reduce(
+        forms.modulus(coeff), axis=None, initial=0.0))

@@ -10,6 +10,7 @@ The properties take it as their parent settings; ``pytest
 ``geometry.sample_points`` replace.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -21,16 +22,18 @@ settings.register_profile("cflab", derandomize=True, deadline=None,
 
 def scalar_sample_points(rng, count, dim, degree, accept, extra=0):
     """``geometry.sample_points`` as a loop of one ``rand_c`` per coordinate,
-    with no attempt cap: the reference its bulk draws must reproduce."""
+    each candidate tested alone (as columns of one row), with no attempt cap:
+    the reference its bulk draws must reproduce."""
     points, frames, extras = [], [], []
     while len(points) < count:
-        p = tuple(rand_c(rng) for _ in range(dim))
-        if accept(p):
+        p = [rand_c(rng) for _ in range(dim)]
+        if np.all(accept(tuple(np.array([c]) for c in p))):
             points.append(p)
-            frames.append([tuple(rand_c(rng) for _ in range(dim))
-                           for _ in range(degree)])
-            extras.append(tuple(rand_c(rng) for _ in range(extra)))
-    return points, frames, extras
+            frames.append([[rand_c(rng) for _ in range(dim)] for _ in range(degree)])
+            extras.append([rand_c(rng) for _ in range(extra)])
+    return (np.array(points, dtype=complex).reshape(count, dim),
+            np.array(frames, dtype=complex).reshape(count, degree, dim),
+            np.array(extras, dtype=complex).reshape(count, extra))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflab import exprlang, forms, kernels
+from cflab import exprlang, forms, geometry, kernels
 from cflab.errors import DimensionMismatchError, InputError, PoleError
 from cflab.forms import KForm
 
@@ -228,13 +228,22 @@ def test_pole_error_carries_point():
     assert err.value.point == (0j,) and err.value.row == 0
 
 
-def test_coefficient_scale_terms():
+def test_coefficient_scale_terms(monkeypatch):
+    # the scale of vanishing_max_and_scale: the sup norm of the coefficients
+    # at the sampled points (here given), at least 0.0, NaN passed over
+    spec = geometry.surface_catalog("Q", chart="eta")
+
+    def scale(form, points):
+        monkeypatch.setattr(kernels, "sample_on_surface", lambda spec, seed, count: points)
+        return kernels.vanishing_max_and_scale(form, spec, 0, len(points))[1]
+
     f = forms.add(KForm.basis(2, 0, coeff=lambda p: 3 * p[1]),
                   KForm.basis(2, 1, coeff=lambda p: p[0]))
-    assert f.coefficient_scale([(2, 5)]) == pytest.approx(15.0)
-    assert f.coefficient_scale([(2, 5), (7, 1), (1, 0)]) == pytest.approx(15.0)
+    assert scale(f, [(2, 5)]) == pytest.approx(15.0)
+    assert scale(f, [(2, 5), (7, 1), (1, 0)]) == pytest.approx(15.0)
     nan = KForm.basis(2, 0, coeff=lambda p: np.where(p[0] == 1, np.nan, p[0]))
-    assert nan.coefficient_scale([(1, 0), (-2, 0)]) == 2.0  # NaN passed over
+    assert scale(nan, [(1, 0), (-2, 0)]) == 2.0  # NaN passed over
+    assert scale(KForm.zero(2, 1), [(1, 0)]) == 0.0
 
 
 # ------------------------------------------------ batched evaluation, properties
@@ -349,6 +358,78 @@ def test_evaluate_many_raises_what_point_by_point_evaluation_meets_first():
         form.evaluate_many([(0, 0), (3, 7), (0, 5), (3, 0), (0, 0)], frames)
     with pytest.raises(InputError, match="second-a at 2"):
         form.evaluate_many([(0, 0), (0, 0), (0, 5), (3, 7), (0, 0)], frames)
+
+
+def _counted(calls, name, fn):
+    """``fn`` that counts its calls in ``calls[name]``."""
+    def counted(cols):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(cols)
+    return counted
+
+
+def _shared_operand_form(calls):
+    """scale(wedge(a, b) + scale(wedge(a, b), h), g) on C^3: a's dz_0 and b's
+    dz_2 coefficients each meet two wedge terms, every wedge term meets the
+    sum and the inner scaling, and g and h meet every term.  a's dz_0 has a
+    pole where p_0 = 2, b's dz_2 one where p_2 = -3."""
+    def a0(p):
+        forms.pole_at(p, p[0] == 2, "a0 pole at p_0 = 2")
+        return forms.mul(p[0], p[1]) + 1
+
+    a = KForm(1, 3, terms={(0,): _counted(calls, "a0", a0),
+                           (1,): _counted(calls, "a1", lambda p: p[2] - 2j)})
+    b = KForm(1, 3, terms={(1,): _counted(calls, "b1", lambda p: forms.power(p[1], 3)),
+                           (2,): _counted(calls, "b2", lambda p: forms.div(1, p[2] + 3))})
+    w = forms.wedge(a, b)
+    h = _counted(calls, "h", lambda p: 0.5 - p[0])
+    g = _counted(calls, "g", lambda p: forms.mul(p[1], p[2]))
+    return forms.scale(forms.add(w, forms.scale(w, h)), g)
+
+
+def test_each_operand_runs_once_per_batch_and_rows_equal_one_point_calls():
+    calls = {}
+    form = _shared_operand_form(calls)
+    rng = random.Random(17)
+    points = [_rand_vec(rng, 3) for _ in range(6)]
+    frames = [[_rand_vec(rng, 3), _rand_vec(rng, 3)] for _ in range(6)]
+    values = form.evaluate_many(points, frames)
+    assert calls == dict.fromkeys(["a0", "a1", "b1", "b2", "h", "g"], 1)
+    # without a batch's columns every term asks again: a0 in two wedge terms,
+    # each of them in the sum and in the inner scaling
+    calls.clear()
+    for c in form.terms.values():
+        c(tuple(np.array(points, dtype=complex).T))
+    assert calls["a0"] == 4 and calls["b2"] == 4 and calls["g"] == 3
+    one = [form.evaluate(p, f) for p, f in zip(points, frames)]
+    assert [repr(v) for v in values.tolist()] == [repr(v) for v in one]
+
+
+@pytest.mark.parametrize("poles", [
+    {0: (2, 4)},  # a0 at rows 2 and 4
+    {2: (2, 4)},  # b2 (a zero divisor) at rows 2 and 4
+    {0: (4,), 2: (2,)},  # b2 first, in a later term
+    {0: (2,), 2: (2,)},  # both at row 2: term order decides
+])
+def test_a_shared_operand_failing_at_a_row_raises_as_without_sharing(monkeypatch, poles):
+    rng = random.Random(19)
+    points = [list(_rand_vec(rng, 3)) for _ in range(6)]
+    for i, rows in poles.items():
+        for row in rows:
+            points[row][i] = (2, None, -3)[i] + 0j
+    frames = [[_rand_vec(rng, 3), _rand_vec(rng, 3)] for _ in range(6)]
+    form = _shared_operand_form({})
+
+    def raised():
+        with pytest.raises(PoleError) as err:
+            form.evaluate_many(points, frames)
+        return type(err.value), str(err.value), err.value.row, err.value.point
+
+    shared = raised()
+    monkeypatch.setattr(forms, "shared", lambda fn, cols: fn(cols))
+    assert raised() == shared
+    assert shared[2] == min(min(rows) for rows in poles.values())
+    assert shared[3] == tuple(points[shared[2]])
 
 
 def test_a_coefficient_error_without_a_row_propagates_as_raised():

@@ -152,8 +152,8 @@ def test_bulk_draws_are_the_scalar_draws_bit_for_bit(seed, count, radius):
     bulk_rng, scalar_rng = random.Random(seed), random.Random(seed)
     bulk = geometry._rand_c_many(bulk_rng, count, radius)
     scalar = [rand_c(scalar_rng, radius) for _ in range(count)]
-    assert [repr(c) for c in bulk] == [repr(c) for c in scalar]
-    assert all(type(c) is complex for c in bulk)
+    assert [repr(c) for c in bulk.tolist()] == [repr(c) for c in scalar]
+    assert bulk.dtype == complex and bulk.shape == (count,)
     assert bulk_rng.getstate() == scalar_rng.getstate()
 
 
@@ -165,15 +165,37 @@ def test_bulk_draws_are_the_scalar_draws_bit_for_bit(seed, count, radius):
        threshold=st.sampled_from([0.0, 0.4, 0.9, 1.2]))
 def test_sample_points_draws_what_the_scalar_loop_draws(
         scalar_sampler, seed, count, dim, degree, extra, threshold):
-    # threshold 1.2 accepts about one candidate in eleven
+    # threshold 1.2 accepts about one candidate in twenty
     def accept(p):
-        return abs(p[0]) >= threshold
+        return np.abs(p[0]) >= threshold
 
     bulk_rng, scalar_rng = random.Random(seed), random.Random(seed)
     bulk = sample_points(bulk_rng, count, dim, degree, accept, extra)
     scalar = scalar_sampler(scalar_rng, count, dim, degree, accept, extra)
-    assert repr(bulk) == repr(scalar)
+    assert _bits(bulk) == _bits(scalar)
     assert bulk_rng.getstate() == scalar_rng.getstate()
+
+
+def _bits(arrays):
+    """Shape, dtype and bytes of each array: equal only bit for bit."""
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("dim, degree, extra", [(1, 0, 1), (3, 1, 1), (2, 2, 2),
+                                                (4, 1, 2), (5, 0, 3), (2, 3, 1)])
+def test_sample_points_with_extra_draws_under_a_predicate_that_rejects_most(
+        scalar_sampler, dim, degree, extra):
+    # |p_0| >= 1.3 on the square [-1, 1]^2: about one candidate in 75
+    # passes, so each top-up walks across many rejections
+    def accept(p):
+        return np.abs(p[0]) >= 1.3
+
+    for seed in range(5):
+        bulk_rng, scalar_rng = random.Random(seed), random.Random(seed)
+        bulk = sample_points(bulk_rng, 12, dim, degree, accept, extra)
+        scalar = scalar_sampler(scalar_rng, 12, dim, degree, accept, extra)
+        assert _bits(bulk) == _bits(scalar)
+        assert bulk_rng.getstate() == scalar_rng.getstate()
 
 
 def test_sample_points_gives_up_on_a_predicate_that_never_holds():

@@ -323,6 +323,29 @@ def test_kernels_reach_an_eval_expr_patched_after_they_are_built(monkeypatch):
     assert seen and all(expr is f for expr in seen)
 
 
+@pytest.mark.parametrize("kernel, n, terms", [(phi, 2, 2), (psi, 2, 3), (psi, 1, 2)])
+def test_kernel_terms_share_the_pairing_and_its_power_but_not_f(monkeypatch, kernel, n,
+                                                               terms):
+    # one batch: one pairing, one pole test and one power; f once per point
+    # per term, as the benchmark's count of expression calls assumes
+    z = (0.2 + 0j, -0.1 + 0j)[:n]
+    form = kernel(n, z, exprlang.parse_expr("x1^2+3" if n == 2 else "x^2+3", n))
+    rng = random.Random(23)
+    points = [tuple(_rand_c(rng) + (2 if i == 0 else 0) for i in range(2 * n + 1))
+              for _ in range(5)]
+    frames = [[_rand_vec(rng, 2 * n + 1) for _ in range(form.degree)] for _ in range(5)]
+    want = form.evaluate_many(points, frames)
+    counts = {"pole_at": 0, "power": 0, "eval_expr": 0}
+    for module, name in ((forms, "pole_at"), (forms, "power"), (exprlang, "eval_expr")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    got = form.evaluate_many(points, frames)
+    assert counts == {"pole_at": 1, "power": 1, "eval_expr": 5 * terms}
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in want.tolist()]
+
+
 def test_phi_pole_on_incidence_hyperplane():
     form = phi(1, (0j,))
     with pytest.raises(PoleError):
