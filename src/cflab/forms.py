@@ -95,6 +95,10 @@ def _mul(x, y):  # on (re, im) pairs
 
 
 def mul(a, b) -> np.ndarray:
+    """``a * b`` rounded as Python's complex product; on two numbers it is
+    Python's ``*`` itself, two exact complex numbers tested before ``isinstance``."""
+    if type(a) is complex and type(b) is complex:
+        return a * b
     if isinstance(a, _NUMBER) and isinstance(b, _NUMBER):
         return complex(a) * complex(b)
     return _join(*_mul((a.real, a.imag), (b.real, b.imag)))
@@ -120,6 +124,8 @@ def div(a, b) -> np.ndarray:
 def power(a, n: int) -> np.ndarray:
     """``a ** n``, int n >= 0, by binary squaring as CPython's ``c_powu``; an
     infinite part raises ``OverflowError`` for its first row, as ``**`` does."""
+    if type(a) is complex:  # Python's own operator, before any isinstance test
+        return a ** n
     if isinstance(a, _NUMBER):
         return complex(a) ** n
     r, bit = 1 + 0j, 1

@@ -312,16 +312,29 @@ def sample_on_surface(spec: SurfaceSpec, seed: int, count: int) -> list[Point]:
     return points
 
 
-def _roots(coeffs) -> list[complex]:
-    arr = np.roots(np.array(coeffs, dtype=complex))
-    return sorted((complex(r) for r in arr), key=lambda c: (c.real, c.imag))
+def _roots(rows) -> np.ndarray:
+    """The roots of each polynomial row of ``rows`` (m, d + 1), leading
+    coefficient nonzero, as (m, d): bit for bit numpy's ``roots``, which strips
+    k trailing zeros and appends k roots 0, with one ``eigvals`` per degree."""
+    rows = np.asarray(rows, dtype=complex)
+    roots = np.zeros((len(rows), rows.shape[1] - 1), dtype=complex)
+    sizes = rows.shape[1] - 1 - (rows[:, ::-1] != 0).argmax(axis=1)
+    for size in set(sizes.tolist()) - {0}:
+        c = rows[sizes == size, :size + 1]
+        companion = np.zeros((len(c), size, size), dtype=complex)
+        companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+        companion.reshape(len(c), -1)[:, size::size + 1] = 1  # the subdiagonal
+        roots[sizes == size, :size] = np.linalg.eigvals(companion)
+    return roots
 
 
 def intersection_points(example: str, which: str, seed: int) -> tuple[str, list]:
     """Closed-form samples on pairwise/triple intersections (chart points):
-    ``_INTERSECTION_COUNT`` of them, or Example B's one fixed point."""
+    ``_INTERSECTION_COUNT`` of them, or Example B's one fixed point.  A
+    candidate that solves a polynomial in x1 (D and E ``Q_S``, ``P_Q_S``) is
+    its coefficient row, counting its degree in points; one :func:`_roots`
+    call then solves every row, each row's roots in (re, im) order."""
     rng = random.Random(seed)
-    pts = []
     if example == "B":
         if which == "P_Q":
             return "eta", [(0j, 0j)]
@@ -330,23 +343,32 @@ def intersection_points(example: str, which: str, seed: int) -> tuple[str, list]
         if which == "Q_S":
             return "eta", [(-0.5 + 0j, 0.5 + 0j)]
         raise InputError(which)
-    attempts = 0
-    while len(pts) < _INTERSECTION_COUNT:
+    pts, rooted, count, attempts = [], [], 0, 0
+    while count < _INTERSECTION_COUNT:
         attempts += 1
         if attempts > 200 * _INTERSECTION_COUNT:
             raise PreconditionError(
                 f"sampler failed to find points on {which} of Example {example}")
         if which == "P_Q":
             y1, x1 = rand_c(rng), rand_c(rng)
-            pts.append((0j, y1, x1, -y1 * x1))
+            got = [(0j, y1, x1, -y1 * x1)]
         elif which == "P_S":
-            pts.extend(_p_cap_s(example, rng))
+            got = _p_cap_s(example, rng)
         elif which == "Q_S":
-            pts.extend(_q_cap_s(example, rng))
+            got = _q_cap_s(example, rng)
         elif which == "P_Q_S":
-            pts.extend(_p_q_s(example, rng))
+            got = _p_q_s(example, rng)
         else:
             raise InputError(which)
+        if isinstance(got, tuple):  # (coefficient row in x1, the point of a root)
+            rooted.append(got)
+            count += len(got[0]) - 1
+        else:
+            pts.extend(got)
+            count += len(got)
+    if rooted:
+        for (_, point), roots in zip(rooted, _roots([row for row, _ in rooted])):
+            pts.extend(map(point, sorted(roots.tolist(), key=lambda c: (c.real, c.imag))))
     return "U2", pts[:_INTERSECTION_COUNT]
 
 
@@ -384,25 +406,20 @@ def _q_cap_s(example, rng):
         x1 = (y1 ** 3 + y0 + 2 - y0 ** 3 - extra) / den
         x2 = -y0 - y1 * x1
         return [(y0, y1, x1, x2)]
+    if example not in ("D", "E"):
+        raise InputError(example)
+    y1, x2 = rand_c(rng), rand_c(rng)
+    if abs(y1) < 0.3:
+        return []
     if example == "D":
-        y1, x2 = rand_c(rng), rand_c(rng)
-        if abs(y1) < 0.3:
-            return []
         # (y1 x1 + x2)^2 + y1(y1+1)(x1-1)x2 + x2^2 + 1 = 0, quadratic in x1
-        a = y1 ** 2
         b = 2 * y1 * x2 + y1 * (y1 + 1) * x2
         c = x2 ** 2 - y1 * (y1 + 1) * x2 + x2 ** 2 + 1
-        return [(-(y1 * x1 + x2), y1, x1, x2) for x1 in _roots([a, b, c])]
-    if example == "E":
-        y1, x2 = rand_c(rng), rand_c(rng)
-        if abs(y1) < 0.3:
-            return []
+    else:
         quad = (y1 + x2) * (y1 + 2 * x2)
-        a = y1 ** 2
         b = 2 * y1 * x2 + quad
         c = x2 ** 2 - quad + x2 ** 3 + 1
-        return [(-(y1 * x1 + x2), y1, x1, x2) for x1 in _roots([a, b, c])]
-    raise InputError(example)
+    return [y1 ** 2, b, c], lambda x1: (-(y1 * x1 + x2), y1, x1, x2)
 
 
 def _p_q_s(example, rng):
@@ -415,14 +432,11 @@ def _p_q_s(example, rng):
     if example == "C2":
         x1 = (y1 ** 3 - 2 * y1 ** 2 + 2) / (y1 ** 3 - y1)
         return [(0j, y1, x1, -y1 * x1)]
-    if example == "D":
-        roots = _roots([-y1 ** 3, y1 ** 2 * (y1 + 1), 1 + 0j])
-        return [(0j, y1, x1, -y1 * x1) for x1 in roots]
-    if example == "E":
-        roots = _roots([2 * y1 ** 2 - y1 ** 3, -5 * y1 ** 2,
-                        4 * y1 ** 2, 1 - y1 ** 2])
-        return [(0j, y1, x1, -y1 * x1) for x1 in roots]
-    raise InputError(example)
+    if example not in ("D", "E"):
+        raise InputError(example)
+    row = ([-y1 ** 3, y1 ** 2 * (y1 + 1), 1 + 0j] if example == "D"
+           else [2 * y1 ** 2 - y1 ** 3, -5 * y1 ** 2, 4 * y1 ** 2, 1 - y1 ** 2])
+    return row, lambda x1: (0j, y1, x1, -y1 * x1)
 
 
 # ----------------------------------------------------------- transversality

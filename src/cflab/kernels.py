@@ -148,12 +148,15 @@ def phi_chart_formula(n: int) -> KForm:
                 f"chart formula needs {what} != 0"))
         return forms.power(forms.div(p[1], p[0]), n)
 
+    def xi1_sq(p):  # once per batch (forms.shared), for every factor
+        return forms.power(p[1], 2)
+
     factors = []
     for j in range(2, n + 1):
         # d(y_j/y_1) = d(xi_j/xi_1) = (xi_1 dxi_j - xi_j dxi_1)/xi_1^2
         terms = {
-            (j,): (lambda p, j=j: forms.div(p[1], forms.power(p[1], 2))),
-            (1,): (lambda p, j=j: forms.div(-p[j], forms.power(p[1], 2))),
+            (j,): (lambda p: forms.div(p[1], forms.shared(xi1_sq, p))),
+            (1,): (lambda p, j=j: forms.div(-p[j], forms.shared(xi1_sq, p))),
         }
         factors.append(KForm(1, dim, terms=terms))
     factors.append(kernel_basis_form("omega", n))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -623,20 +624,28 @@ def test_int_and_float_scalars_multiply_and_divide_as_python():
 
 
 def test_numbers_take_pythons_own_operators():
+    # mul and power test for exact int, float and complex first; every pair
+    # of numbers, exact or a subclass (bool, numpy scalars), must give the
+    # bits and the type of complex(a) * complex(b) and complex(a) ** n
     xs = [0j, complex(-0.0, 0.0), 1 + 2j, complex("inf-1j"), complex("nan+1j"),
-          2, -0.5, np.complex128(1e200 - 3j), np.float64(-0.0)]
+          complex(1e300, -1e300), 2, 0, -7, 2 ** 60, True, False, -0.5, -0.0, 1e308,
+          float("nan"), np.complex128(1e200 - 3j), np.complex128(complex(-0.0, 1e-310)),
+          np.float64(-0.0), np.float64(-1.5)]
+
+    def bits(value):
+        return type(value), struct.pack("<dd", value.real, value.imag)
+
     for x in xs:
         for y in xs:
-            assert repr(forms.mul(x, y)) == repr(complex(x) * complex(y))
-        assert type(forms.mul(x, 2)) is complex
-        for n in (0, 1, 2, 3, 7):
+            assert bits(forms.mul(x, y)) == bits(complex(x) * complex(y))
+        for n in (0, 1, 2, 3, 7, 8):
             try:
-                want = repr(complex(x) ** n)
+                want = complex(x) ** n
             except OverflowError:
                 with pytest.raises(OverflowError):
                     forms.power(x, n)
             else:
-                assert repr(forms.power(x, n)) == want
+                assert bits(forms.power(x, n)) == bits(want)
 
 
 def test_index_plans_are_cached_and_read_only():

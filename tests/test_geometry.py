@@ -204,9 +204,79 @@ def test_sample_points_gives_up_on_a_predicate_that_never_holds():
 
 
 def test_intersection_points_gives_up_when_no_draw_lands(monkeypatch):
-    monkeypatch.setattr(geometry, "_p_cap_s", lambda example, rng: [])
-    with pytest.raises(PreconditionError):
-        intersection_points("C1", "P_S", seed=1)
+    # a closed-form intersection, and one whose points solve polynomials
+    for helper, example, which in (("_p_cap_s", "C1", "P_S"), ("_q_cap_s", "D", "Q_S")):
+        monkeypatch.setattr(geometry, helper, lambda example, rng: [])
+        with pytest.raises(PreconditionError):
+            intersection_points(example, which, seed=1)
+
+
+_MAGNITUDE = st.floats(1e-8, 1e8)
+_COEFF = st.builds(lambda r, t: r * complex(np.cos(t), np.sin(t)),
+                   _MAGNITUDE, st.floats(-np.pi, np.pi))
+
+
+@settings(settings.get_profile("cflab"), max_examples=200)
+@given(data=st.data())
+def test_stacked_roots_equal_numpys_roots_bit_for_bit(data):
+    degree = data.draw(st.sampled_from([2, 3]))
+    rows = data.draw(st.lists(st.lists(_COEFF, min_size=degree + 1, max_size=degree + 1),
+                              min_size=1, max_size=6))
+    # a zero constant term (np.roots strips it and appends a root 0), two
+    # trailing zeros, and a zero inside a row
+    rows.append(rows[0][:-1] + [0j])
+    rows.append(rows[-1][:-2] + [0j, 0j])
+    rows.append([rows[0][0], 0j] + rows[0][2:])
+    got = geometry._roots(rows)
+    assert got.shape == (len(rows), degree)
+    for row, roots in zip(rows, got):  # (np.roots gives a row of zeros as floats)
+        want = np.roots(np.array(row, dtype=complex)).astype(complex)
+        assert _bits([roots]) == _bits([want])
+
+
+def _per_candidate_intersection(example, which, seed):
+    """D and E ``Q_S``/``P_Q_S`` points with one ``np.roots`` per accepted
+    candidate, its roots sorted by (re, im): the reference the stacked solve
+    must reproduce."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < 5:
+        if which == "Q_S":
+            y1, x2 = rand_c(rng), rand_c(rng)
+            if abs(y1) < 0.3:
+                continue
+            if example == "D":
+                b = 2 * y1 * x2 + y1 * (y1 + 1) * x2
+                c = x2 ** 2 - y1 * (y1 + 1) * x2 + x2 ** 2 + 1
+            else:
+                quad = (y1 + x2) * (y1 + 2 * x2)
+                b, c = 2 * y1 * x2 + quad, x2 ** 2 - quad + x2 ** 3 + 1
+            coeffs = [y1 ** 2, b, c]
+            point = lambda x1: (-(y1 * x1 + x2), y1, x1, x2)  # noqa: E731
+        else:
+            y1 = rand_c(rng)
+            if abs(y1) < 0.3 or abs(y1 ** 3 - y1) < 0.1:
+                continue
+            coeffs = ([-y1 ** 3, y1 ** 2 * (y1 + 1), 1 + 0j] if example == "D" else
+                      [2 * y1 ** 2 - y1 ** 3, -5 * y1 ** 2, 4 * y1 ** 2, 1 - y1 ** 2])
+            point = lambda x1: (0j, y1, x1, -y1 * x1)  # noqa: E731
+        roots = [complex(r) for r in np.roots(np.array(coeffs, dtype=complex))]
+        pts += [point(x1) for x1 in sorted(roots, key=lambda c: (c.real, c.imag))]
+    return pts[:5]
+
+
+def test_rooted_intersections_equal_per_candidate_roots_with_one_eigensolve(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    for example in ("D", "E"):
+        for which in ("Q_S", "P_Q_S"):
+            for seed in range(500):
+                calls.clear()
+                chart, points = intersection_points(example, which, seed)
+                assert chart == "U2" and len(calls) == 1
+                want = _per_candidate_intersection(example, which, seed)
+                assert _bits([np.array(points)]) == _bits([np.array(want)])
 
 
 def test_transversality_margin_golden_ratio():

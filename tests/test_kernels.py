@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import random
@@ -404,6 +405,36 @@ def test_phi_chart_identity_repeated_vector_zero():
     rhs = kernels.phi_chart_formula(2).evaluate(p, [v, w, v])
     assert lhs == 0
     assert rhs == 0
+
+
+def _chart_formula_with_a_power_per_term(n):
+    """phi_chart_formula(n) with xi_1^2 taken again by each d(y_j/y_1) term."""
+    dim = 2 * n + 1
+    factors = [KForm(1, dim, terms={
+        (j,): lambda p: forms.div(p[1], forms.power(p[1], 2)),
+        (1,): lambda p, j=j: forms.div(-p[j], forms.power(p[1], 2))})
+        for j in range(2, n + 1)]
+    factors.append(kernel_basis_form("omega", n))
+    return forms.scale(functools.reduce(forms.wedge, factors),
+                       lambda p: forms.power(forms.div(p[1], p[0]), n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chart_formula_takes_xi1_squared_once_per_batch(monkeypatch, n):
+    # one power for the prefactor and one xi_1^2 for every factor, where each
+    # term taking its own made 3 powers per batch at n = 2 and 5 at n = 3
+    rng = random.Random(29)
+    points = [tuple(_rand_c(rng) + (1 if i < 2 else 0) for i in range(2 * n + 1))
+              for _ in range(6)]
+    frames = [[_rand_vec(rng, 2 * n + 1) for _ in range(2 * n - 1)] for _ in range(6)]
+    want = _chart_formula_with_a_power_per_term(n).evaluate_many(points, frames)
+    form = phi_chart_formula(n)
+    calls = []
+    power = forms.power
+    monkeypatch.setattr(forms, "power", lambda a, k: calls.append(k) or power(a, k))
+    got = form.evaluate_many(points, frames)
+    assert sorted(calls) == [2, n]
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in want.tolist()]
 
 
 def test_phi_chart_identity_rejects_chart_singularity():
