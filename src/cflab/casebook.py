@@ -6,6 +6,10 @@ exists), absolute error, tolerance and a pass flag.  :data:`CHECKS` holds
 one ``(id, group, run)`` row per report row, where ``run(seed)`` returns
 that row's report; ``full_report`` runs the table in order, and
 ``identity_suite`` and ``transversality_suite`` run parts of it.
+
+Each ``cflab verify`` family is one record in :data:`VERIFY`, declared on its
+function: its options, their defaults and the cases they apply to.  The
+command line and the family's table rows both run it through :func:`verify`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 import random
 import time
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +82,87 @@ def _subseed(seed: int, check_id: str) -> int:
     return (seed + zlib.crc32(check_id.encode())) & 0x7FFFFFFF
 
 
+# ---------------------------------------------------------- verify families
+
+SEED = 7  # the seed of a run that names none
+
+# An argument of a ``cflab verify`` family, by its argparse ``name`` (``case``
+# is a positional, passed in order).  Its value, or ``default``, is converted
+# for its ``kind`` by :func:`_convert` and passed as ``keyword`` (default: the
+# name without dashes).  ``counts`` is how many values a list takes (None:
+# one, passed as itself) or an expression's number of variables; it and
+# ``default`` may be dicts by case.  ``cases`` limits an option to those
+# cases, and ``help`` is formatted with the default.
+Option = namedtuple("Option", "name kind default counts help cases keyword choices",
+                    defaults=(None, None, None, (), None, None))
+
+# A ``cflab verify`` subcommand: the module function named ``function``, looked
+# up when it runs, its ``options``, the option that gives the ``case``, and
+# whether the function takes the run's seed (``seeded``).
+Family = namedtuple("Family", "function help options case seeded", defaults=(None, False))
+
+# The verify families by subcommand, in ``cflab verify --help`` order.
+VERIFY: dict[str, Family] = {}
+
+
+def _family(name, help, options, case=None, seeded=False):
+    """Declare the decorated function as the family ``cflab verify <name>``."""
+    def declare(fn):
+        VERIFY[name] = Family(fn.__name__, help, options, case, seeded)
+        return fn
+    return declare
+
+
+def _per_case(value, case):
+    return value[case] if isinstance(value, dict) else value
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _listed(text: str, what: str, counts: tuple[int, ...], kind=float) -> list:
+    """The comma-separated ``kind`` values of ``text``, one of ``counts`` many."""
+    try:
+        values = [kind(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise InputError(f"bad {what}: {exc}") from None
+    if len(values) not in counts:
+        raise InputError(f"{what} takes {' or '.join(map(str, counts))} "
+                         f"value{'s' if counts != (1,) else ''}, got {len(values)}")
+    return [_finite(v, what) for v in values] if kind is float else values
+
+
+def _convert(kind: str, value, what: str, counts):
+    """The value of an option of ``kind``: a finite float (positive for "tol"),
+    an expression in counts[0] variables, or a list of counts[0] complex
+    numbers (re,im pairs, the last im optional), of floats or of node counts.
+    Other kinds pass as they are."""
+    if kind == "tol" and _finite(value, what) <= 0:
+        raise InputError("tolerance must be positive")
+    if kind in ("float", "tol"):
+        return _finite(value, what)
+    if kind == "expr":
+        return parse_expr(value, counts[0])
+    if kind == "complex":
+        parts = _listed(value, what, (2 * counts[0] - 1, 2 * counts[0]))
+        return [complex(*parts[i:i + 2]) for i in range(0, len(parts), 2)]
+    if kind == "floats":
+        return _listed(value, what, counts)
+    if kind != "nodes":
+        return value
+    sizes = _listed(value, what, counts, int)
+    if any(n < 4 for n in sizes):
+        raise InputError("node counts must be integers >= 4")
+    if len(sizes) == 1 and max(counts) == 3:  # the n = 2 sphere: psi gets half
+        if sizes[0] < 8:
+            raise InputError(f"one {what} value for n = 2 must be >= 8")
+        return [sizes[0] // 2, sizes[0], sizes[0]]
+    return sizes
+
+
 # --------------------------------------------------------- the first formula
 
 def alpha_orientation_factor(n: int, z, cycle: cycles.Cycle) -> int:
@@ -98,16 +184,22 @@ def alpha_orientation_factor(n: int, z, cycle: cycles.Cycle) -> int:
     return 1 if (probe / 1j ** n).real > 0 else -1
 
 
-def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
-                  quad=None, tol: float = 1e-8,
+@_family("first", "reproducing-kernel integral", case="n", options=(
+    Option("--n", "int", 1, choices=(1, 2)),
+    Option("--f", "expr", {1: "exp(x)+x^2", 2: "x1^2*x2+3"}, {1: (1,), 2: (2,)},
+           "holomorphic test function (default: {0[1]} for n = 1, {0[2]} for n = 2)"),
+    Option("--z", "complex", {1: "0.3,0.1", 2: "0.2,0,-0.1,0"}, {1: (1,), 2: (2,)},
+           "base point re,im[,re,im]"),
+    Option("--eps", "float", 0.7),
+    Option("--nodes", "nodes", {1: "128", 2: "32,64,64"}, {1: (1,), 2: (1, 3)},
+           keyword="quad"),
+    Option("--tol", "tol", {1: 1e-10, 2: 1e-6}),
+))
+def first_formula(n: int, f: HolomorphicExpr, z, eps: float, quad, tol: float,
                   check_id: str = "first") -> CheckReport:
-    """Reproduce f(z) as (n-1)!/(2 pi i)^n times the kernel integral."""
+    """Reproduce f(z) as (n-1)!/(2 pi i)^n times the kernel integral, n = 1, 2."""
     t0 = time.perf_counter()
-    if n not in (1, 2):
-        raise InputError("the first formula is implemented for n in {1, 2}")
     z = tuple(complex(c) for c in z)
-    if quad is None:
-        quad = (128,) if n == 1 else (32, 64, 64)
     sphere = cycles.make_cycle("sphere_M", z=z, eps=eps)
     factor = alpha_orientation_factor(n, z, sphere)
     outward = cycles.orientation_sign(sphere, z)
@@ -125,9 +217,15 @@ def first_formula(n: int, f: HolomorphicExpr, z, eps: float,
 
 # -------------------------------------------------------- the second formula
 
-def second_formula_n1(f: HolomorphicExpr, z: complex, r: float,
-                      nodes: int = 128, tol: float = 1e-10,
-                      check_id: str = "second") -> CheckReport:
+@_family("second", "small-circle residue form", (
+    Option("--f", "expr", "exp(x)"),
+    Option("--z", "complex", "0.3,0"),
+    Option("--radii", "floats", "0.4", help="residue circle radius", keyword="r"),
+    Option("--nodes", "nodes", "128"),
+    Option("--tol", "tol", 1e-10),
+))
+def second_formula_n1(f: HolomorphicExpr, z: complex, r: float, nodes: int,
+                      tol: float, check_id: str = "second") -> CheckReport:
     """n = 1 residue form: f(z) = -Res of the kernel pulled back to the
     incidence surface, the residue taken on a small positively-oriented
     circle about z."""
@@ -157,9 +255,15 @@ def second_formula_n1(f: HolomorphicExpr, z: complex, r: float,
 
 # --------------------------------------------------------- the third formula
 
-def third_formula_case(case_id: str, f: HolomorphicExpr,
-                       a: complex | None = None, nodes: int = 16,
-                       tol: float = 1e-10,
+@_family("third", "path integral of the residue representative", case="case", options=(
+    Option("case", "choice", choices=("A", "B")),
+    Option("--a", "complex", "0", help="parameter a for case A (re[,im])", cases=("A",)),
+    Option("--f", "expr", "exp(x)"),
+    Option("--nodes", "nodes", "16"),
+    Option("--tol", "tol", 1e-10),
+))
+def third_formula_case(case_id: str, f: HolomorphicExpr, *, nodes: int, tol: float,
+                       a: complex | None = None,
                        check_id: str | None = None) -> CheckReport:
     """Examples A and B: integrate the explicit residue representative over
     a path from 1 to 0 and compare with the closed form.
@@ -170,16 +274,12 @@ def third_formula_case(case_id: str, f: HolomorphicExpr,
     """
     t0 = time.perf_counter()
     if case_id == "A":
-        if a is None:
-            raise InputError("Example A needs the parameter a")
         a = complex(a)
         form = kernels.casebook_form("residue_A", {"a": a}, f)
         expected = eval_expr(f, (0j,)) - a * eval_expr(f, (1 + 0j,))
-        group = "A"
     elif case_id == "B":
         form = kernels.casebook_form("residue_B", f=f)
         expected = eval_expr(f, (0j,))
-        group = "B"
     else:
         raise InputError("third formula cases are 'A' and 'B'")
     path = cycles.make_cycle("segment", start=1 + 0j, end=0j)
@@ -191,7 +291,7 @@ def third_formula_case(case_id: str, f: HolomorphicExpr,
               "f0": _cfmt(f_at_zero)}
     if case_id == "A":
         params["a"] = _cfmt(a)
-    return _value_report(check_id or f"third_{case_id}", group, params,
+    return _value_report(check_id or f"third_{case_id}", case_id, params,
                          computed, expected, tol, (nodes,), t0)
 
 
@@ -225,9 +325,16 @@ def residue_oracle_E(r1: float, r2: float, n: int = 512) -> complex:
     return _loop_integral(inner, 0j, r1, n)
 
 
-def necessary_condition_case(case_id: str, eps: float = 0.5,
-                             radii=(0.5, 0.5), quad=(128, 128),
-                             tol: float = 1e-8) -> CheckReport:
+@_family("necessary", "obstruction torus integrals", case="case", options=(
+    Option("case", "choice", choices=("D", "E")),
+    Option("--eps", "float", 0.5, cases=("D",)),
+    Option("--radii", "floats", "0.5,0.5", (1, 2), cases=("E",)),
+    Option("--nodes", "nodes", "128,128", (1, 2), keyword="quad"),
+    Option("--tol", "tol", 1e-8),
+))
+def necessary_condition_case(case_id: str, *, quad, tol: float,
+                             eps: float | None = None, radii=None,
+                             check_id: str | None = None) -> CheckReport:
     """Obstruction torus integrals for Examples D and E.
 
     A nonzero value certifies that the vanishing-residue necessary condition
@@ -258,7 +365,7 @@ def necessary_condition_case(case_id: str, eps: float = 0.5,
         "predicate": "|computed| > 0.1",
         "predicate_holds": nonzero,
     })
-    return _value_report(f"necessary_{case_id}", case_id, params,
+    return _value_report(check_id or f"necessary_{case_id}", case_id, params,
                          computed, oracle, tol, quad, t0,
                          extra_ok=nonzero)
 
@@ -278,9 +385,10 @@ def necessary_condition_eps_invariance(eps_a: float = 0.3, eps_b: float = 0.7,
 
 # ------------------------------------------------------------ identity suite
 
-_GENERIC_F = "exp(x)+x^2"
-_Z1 = (0.3 + 0.1j,)
-_Z2 = (0.2 + 0j, -0.1 + 0j)
+# The identities take ``verify first``'s default f at n = 1 and base points.
+_FIRST = {opt.name: opt.default for opt in VERIFY["first"].options}
+_GENERIC_F = _FIRST["--f"][1]
+_Z1, _Z2 = (tuple(_convert("complex", _FIRST["--z"][n], "--z", (n,))) for n in (1, 2))
 _SIGMA_A_PARAM = 2 + 0.5j
 
 
@@ -431,13 +539,8 @@ VANISH_PAIRS = (
 
 def _vanish_report(check_id, group, form_id, surf, seed, count=20) -> CheckReport:
     t0 = time.perf_counter()
-    f = _generic_f()
-    if form_id == "sigma_A":
-        form = kernels.casebook_form("sigma_A", {"a": _SIGMA_A_PARAM}, f)
-    elif form_id == "sigma_B":
-        form = kernels.casebook_form("sigma_B", f=f)
-    else:
-        form = kernels.casebook_form(form_id)
+    # each form takes what it needs of A's parameter and the generic f
+    form = kernels.casebook_form(form_id, {"a": _SIGMA_A_PARAM}, _generic_f())
     name, chart, *surface_params = surf
     spec = geometry.surface_catalog(name, surface_params, chart=chart)
     worst, scale = kernels.vanishing_max_and_scale(form, spec, seed, count)
@@ -448,13 +551,17 @@ def _vanish_report(check_id, group, form_id, surf, seed, count=20) -> CheckRepor
                          (), t0)
 
 
-def _gap_row(check_id, group, params, tol, gap):
-    """The table row of an identity whose worst gap ``gap(seed, params)`` must
-    stay within ``tol`` of 0; each report gets its own copy of ``params``."""
+def _gap_row(check_id, group, tol, subseed, gap, *args, **params):
+    """The table row of an identity whose worst gap must stay within ``tol``
+    of 0: the module function named ``gap``, looked up when the row runs, at
+    ``args``, the row's sub-seed named ``subseed`` and, if ``params`` has
+    ``points``, that many points.  Each report gets its own ``params``."""
+    points = (params["points"],) if "points" in params else ()
+
     def run(seed):
         t0 = time.perf_counter()
-        return _value_report(check_id, group, dict(params), gap(seed, params),
-                             0j, tol, (), t0)
+        worst = globals()[gap](*args, _subseed(seed, subseed), *points)
+        return _value_report(check_id, group, dict(params), worst, 0j, tol, (), t0)
     return check_id, group, run
 
 
@@ -464,60 +571,49 @@ def _vanish_row(check_id, group, form_id, surf):
 
 
 # The identity rows of the report by ``verify identities`` id, in report
-# order.  Rows look module functions up when run, so patching them works.
+# order.
 IDENTITY_CHECKS = {
     "dPhi_nPsi": (
-        _gap_row("identity_dPhi_nPsi_n1", "core",
-                 {"n": 1, "points": 100, "metric": "max relative error"}, 1e-5,
-                 lambda s, p: _identity_dphi_npsi(1, _Z1, _subseed(s, "dphi1"),
-                                                  p["points"])),
-        _gap_row("identity_dPhi_nPsi_n2", "core",
-                 {"n": 2, "points": 100, "metric": "max relative error"}, 1e-5,
-                 lambda s, p: _identity_dphi_npsi(2, _Z2, _subseed(s, "dphi2"),
-                                                  p["points"]))),
+        _gap_row("identity_dPhi_nPsi_n1", "core", 1e-5, "dphi1", "_identity_dphi_npsi",
+                 1, _Z1, n=1, points=100, metric="max relative error"),
+        _gap_row("identity_dPhi_nPsi_n2", "core", 1e-5, "dphi2", "_identity_dphi_npsi",
+                 2, _Z2, n=2, points=100, metric="max relative error")),
     "scale_invariance": (
-        _gap_row("identity_scale_invariance", "core",
-                 {"kernels": "phi,psi", "n": "1,2",
-                  "metric": "max relative error"}, 1e-12,
-                 lambda s, p: _identity_scale(_subseed(s, "scale"))),),
+        _gap_row("identity_scale_invariance", "core", 1e-12, "scale", "_identity_scale",
+                 kernels="phi,psi", n="1,2", metric="max relative error"),),
     "chart_phi": (
-        _gap_row("identity_chart_phi_n2", "core",
-                 {"n": 2, "points": 20, "metric": "max relative gap"}, 1e-10,
-                 lambda s, p: _identity_chart(2, _subseed(s, "chart2"),
-                                              p["points"])),
-        _gap_row("identity_chart_phi_n3", "core",
-                 {"n": 3, "points": 20, "metric": "max relative gap"}, 1e-10,
-                 lambda s, p: _identity_chart(3, _subseed(s, "chart3"),
-                                              p["points"]))),
+        _gap_row("identity_chart_phi_n2", "core", 1e-10, "chart2", "_identity_chart",
+                 2, n=2, points=20, metric="max relative gap"),
+        _gap_row("identity_chart_phi_n3", "core", 1e-10, "chart3", "_identity_chart",
+                 3, n=3, points=20, metric="max relative gap")),
     "exact_A": (
-        _gap_row("identity_exact_A", "A",
-                 {"a": _cfmt(_SIGMA_A_PARAM), "f": _GENERIC_F,
-                  "metric": "max relative error"}, 1e-5,
-                 lambda s, p: _identity_exact_A(_subseed(s, "exactA"))),),
+        _gap_row("identity_exact_A", "A", 1e-5, "exactA", "_identity_exact_A",
+                 a=_cfmt(_SIGMA_A_PARAM), f=_GENERIC_F, metric="max relative error"),),
     "exact_D": (
-        _gap_row("identity_exact_D", "D", {"metric": "max relative error"},
-                 1e-5, lambda s, p: _identity_exact_D(_subseed(s, "exactD"))),),
+        _gap_row("identity_exact_D", "D", 1e-5, "exactD", "_identity_exact_D",
+                 metric="max relative error"),),
     "extend_B": (
-        _gap_row("identity_extend_B", "B",
-                 {"points": 50, "includes_eta": "1e-06"}, 1e-10,
-                 lambda s, p: _identity_extend_B(_subseed(s, "extB"),
-                                                 p["points"])),),
+        _gap_row("identity_extend_B", "B", 1e-10, "extB", "_identity_extend_B",
+                 points=50, includes_eta="1e-06"),),
     "extend_C": (
-        _gap_row("identity_extend_C", "C", {"points": 50}, 1e-10,
-                 lambda s, p: _identity_extend_C(_subseed(s, "extC"),
-                                                 p["points"])),),
+        _gap_row("identity_extend_C", "C", 1e-10, "extC", "_identity_extend_C",
+                 points=50),),
     "vanish_all": tuple(_vanish_row(*pair) for pair in VANISH_PAIRS),
 }
 
 
-def identity_suite(which: str | None = None, seed: int = 7) -> list[CheckReport]:
+@_family("identities", "structural identity suite", seeded=True, options=(
+    Option("ids", "ids", (), help=f"subset of {', '.join(IDENTITY_CHECKS)}"),))
+def identity_suite(*ids: str, seed: int = SEED) -> list[CheckReport]:
     """Seeded random-point verification of the structural identities: every
-    row of :data:`IDENTITY_CHECKS`, or those of the one id ``which``."""
-    if which is not None and which not in IDENTITY_CHECKS:
-        raise InputError(f"unknown identity id {which!r}; "
-                         f"choose from {tuple(IDENTITY_CHECKS)}")
-    families = IDENTITY_CHECKS.values() if which is None else (IDENTITY_CHECKS[which],)
-    return [run(seed) for rows in families for _, _, run in rows]
+    row of :data:`IDENTITY_CHECKS`, or those of the ``ids``, each id once in
+    the order first named."""
+    for which in ids:
+        if which not in IDENTITY_CHECKS:
+            raise InputError(f"unknown identity id {which!r}; "
+                             f"choose from {tuple(IDENTITY_CHECKS)}")
+    return [run(seed) for which in dict.fromkeys(ids or IDENTITY_CHECKS)
+            for _, _, run in IDENTITY_CHECKS[which]]
 
 
 # --------------------------------------------------------- Example C fibres
@@ -527,7 +623,13 @@ def _s_C2_homogeneous(xi0, xi1, xi2, x1, x2) -> complex:
             + 2 * xi1 ** 2 * xi2)
 
 
-def fibration_check_C2(seed: int = 7, count: int = 20) -> CheckReport:
+FIBRE_COUNT = 20  # sampled fibres of a run that names no count
+
+
+@_family("fibration", "Example C2 fibre checks", seeded=True,
+         options=(Option("--count", "int", FIBRE_COUNT),))
+def fibration_check_C2(seed: int = SEED, count: int = FIBRE_COUNT,
+                       check_id: str = "fibration_C2") -> CheckReport:
     """Example C2's incidence-with-P set fibres over the line at infinity.
 
     Checks (i) the surjectivity witnesses land on the surface, (ii) the
@@ -583,7 +685,7 @@ def fibration_check_C2(seed: int = 7, count: int = 20) -> CheckReport:
         "predicate": "surj<1e-10 and roundtrip<1e-12 and nofibre>1e-3",
         "count": count,
     }
-    return _predicate_report("fibration_C2", "C", params,
+    return _predicate_report(check_id, "C", params,
                              max(surj_worst, trip_worst), 0j, passed, (), t0,
                              violation=0.0 if passed else max(surj_worst,
                                                               trip_worst))
@@ -646,7 +748,7 @@ TRANSVERSALITY_CHECKS = (
 )
 
 
-def transversality_suite(seed: int = 7) -> list[CheckReport]:
+def transversality_suite(seed: int = SEED) -> list[CheckReport]:
     """General-position spot checks at sampled intersection points: every
     row of :data:`TRANSVERSALITY_CHECKS`."""
     return [run(seed) for _, _, run in TRANSVERSALITY_CHECKS]
@@ -654,44 +756,73 @@ def transversality_suite(seed: int = 7) -> list[CheckReport]:
 
 # -------------------------------------------------------------- full report
 
+def verify(family: str, given: dict, seed: int = SEED, **keywords) -> list[CheckReport]:
+    """Run ``family``'s function, looked up by name now, with each option of
+    ``given`` (by name without dashes; missing or None: its default)
+    converted, and with the ``keywords``.  An option given for a case it does
+    not apply to is an :class:`InputError`."""
+    record = VERIFY[family]
+    case, args = None, []
+    for opt in record.options:
+        dest = opt.name.lstrip("-")
+        value = given.get(dest)
+        if opt.cases and case not in opt.cases:
+            if value is not None:
+                raise InputError(f"{opt.name} does not apply to case {case}")
+            continue
+        value = _per_case(opt.default, case) if value is None else value
+        counts = _per_case(opt.counts, case) or (1,)
+        value = _convert(opt.kind, value, opt.name, counts)
+        if opt.kind in ("complex", "floats", "nodes"):  # one value, or one for all
+            value = value[0] if opt.counts is None else \
+                tuple(value) * (max(counts) // len(value))
+        if dest == record.case:
+            case = value
+        if dest == opt.name:  # a positional: the case, or the identity ids
+            args.extend([value] if isinstance(value, str) else value)
+        else:
+            keywords[opt.keyword or dest] = value
+    if record.seeded:
+        keywords["seed"] = seed
+    reports = globals()[record.function](*args, **keywords)
+    return reports if isinstance(reports, list) else [reports]
+
+
+def _family_row(check_id, group, family, subseed=None, **given):
+    """The table row of ``verify(family, given)`` at the row's seed, or at its
+    sub-seed named ``subseed``."""
+    return check_id, group, functools.partial(_family_report, check_id, family,
+                                              given, subseed)
+
+
+def _family_report(check_id, family, given, subseed, seed):
+    seed = seed if subseed is None else _subseed(seed, subseed)
+    return verify(family, given, seed, check_id=check_id)[0]
+
+
 # One (id, group, run) row per report row, in report order; ``run(seed)``
 # returns that row's report.
 CHECKS = (
-    ("first_n1", "core", lambda s: first_formula(
-        1, parse_expr("exp(x)+x^2", 1), (0.3 + 0.1j,), 0.7,
-        quad=(128,), tol=1e-10, check_id="first_n1")),
-    ("first_n2_const", "core", lambda s: first_formula(
-        2, parse_expr("1", 2), (0.2, -0.1), 0.5,
-        quad=(32, 64, 64), tol=1e-8, check_id="first_n2_const")),
-    ("first_n2_poly", "core", lambda s: first_formula(
-        2, parse_expr("x1^2*x2+3", 2), (0.2, -0.1), 0.5,
-        quad=(32, 64, 64), tol=1e-6, check_id="first_n2_poly")),
-    ("second_exp", "core", lambda s: second_formula_n1(
-        parse_expr("exp(x)", 1), 0.3, 0.4, tol=1e-10, check_id="second_exp")),
-    ("second_square", "core", lambda s: second_formula_n1(
-        parse_expr("x^2", 1), 1 + 1j, 0.4, tol=1e-10,
-        check_id="second_square")),
-    ("third_A_a0", "A", lambda s: third_formula_case(
-        "A", parse_expr("exp(x)", 1), a=0, check_id="third_A_a0")),
-    ("third_A_a2", "A", lambda s: third_formula_case(
-        "A", parse_expr("x+1", 1), a=2, check_id="third_A_a2")),
-    ("third_A_a1", "A", lambda s: third_formula_case(
-        "A", parse_expr("1", 1), a=1, check_id="third_A_a1")),
-    ("third_B", "B", lambda s: third_formula_case(
-        "B", parse_expr("exp(x)", 1), check_id="third_B")),
-    ("necessary_D", "D", lambda s: necessary_condition_case("D", eps=0.5)),
+    _family_row("first_n1", "core", "first"),
+    _family_row("first_n2_const", "core", "first", n=2, f="1", eps=0.5, tol=1e-8),
+    _family_row("first_n2_poly", "core", "first", n=2, eps=0.5),
+    _family_row("second_exp", "core", "second"),
+    _family_row("second_square", "core", "second", f="x^2", z="1,1"),
+    _family_row("third_A_a0", "A", "third", case="A"),
+    _family_row("third_A_a2", "A", "third", case="A", f="x+1", a="2"),
+    _family_row("third_A_a1", "A", "third", case="A", f="1", a="1"),
+    _family_row("third_B", "B", "third", case="B"),
+    _family_row("necessary_D", "D", "necessary", case="D"),
     ("necessary_D_eps_invariance", "D",
      lambda s: necessary_condition_eps_invariance()),
-    ("necessary_E", "E",
-     lambda s: necessary_condition_case("E", radii=(0.5, 0.5))),
+    _family_row("necessary_E", "E", "necessary", case="E"),
     *(row for rows in IDENTITY_CHECKS.values() for row in rows),
-    ("fibration_C2", "C",
-     lambda s: fibration_check_C2(seed=_subseed(s, "fibration"))),
+    _family_row("fibration_C2", "C", "fibration", subseed="fibration"),
     *TRANSVERSALITY_CHECKS,
 )
 
 
-def full_report(seed: int = 7, skip=()) -> list[CheckReport]:
+def full_report(seed: int = SEED, skip=()) -> list[CheckReport]:
     """Every row of :data:`CHECKS`, in order, each run with ``seed``.
 
     A row whose id or group is in ``skip`` is never computed; a ``skip``

@@ -7,13 +7,16 @@ The properties take it as their parent settings; ``pytest
 --hypothesis-profile=cflab`` makes it the default for every test.
 
 ``scalar_sampler`` is the per-coordinate sampling loop that the bulk draws of
-``geometry.sample_points`` replace.
+``geometry.sample_points`` replace.  ``seed7_report`` is one seed-7
+``full_report``, computed once per session and shared by the tests that only
+read it.
 """
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from cflab.casebook import full_report
 from cflab.geometry import rand_c
 
 settings.register_profile("cflab", derandomize=True, deadline=None,
@@ -39,3 +42,8 @@ def scalar_sample_points(rng, count, dim, degree, accept, extra=0):
 @pytest.fixture(scope="session")
 def scalar_sampler():
     return scalar_sample_points
+
+
+@pytest.fixture(scope="session")
+def seed7_report():
+    return tuple(full_report(7))

@@ -97,7 +97,8 @@ def test_first_formula_linear_in_f_with_complex_coefficients():
 
 def test_first_formula_rejects_n3():
     with pytest.raises(InputError):
-        first_formula(3, parse_expr("1", 1), (0j, 0j, 0j), 0.5)
+        first_formula(3, parse_expr("1", 1), (0j, 0j, 0j), 0.5,
+                      quad=(8, 8, 8, 8, 8), tol=1e-8)
 
 
 def test_first_formula_pole_of_f_on_sphere():
@@ -106,7 +107,7 @@ def test_first_formula_pole_of_f_on_sphere():
     # The theta = 0 node lands exactly on x = 0.3 + 0.7 = 1, a pole of f.
     with pytest.raises(PoleError):
         first_formula(1, parse_expr("1/(x-1)", 1), (0.3 + 0j,), 0.7,
-                      quad=(64,))
+                      quad=(64,), tol=1e-10)
 
 
 def test_third_formula_pole_of_f_on_segment():
@@ -114,48 +115,48 @@ def test_third_formula_pole_of_f_on_segment():
 
     # An odd Gauss rule places a node at the segment midpoint x = 0.5.
     with pytest.raises(PoleError):
-        third_formula_case("B", parse_expr("1/(x-0.5)", 1), nodes=15)
+        third_formula_case("B", parse_expr("1/(x-0.5)", 1), nodes=15, tol=1e-10)
 
 
 # ----------------------------------------------------------- second formula
 
 def test_second_formula_exp():
-    rep = second_formula_n1(parse_expr("exp(x)", 1), 0.3, 0.4)
+    rep = second_formula_n1(parse_expr("exp(x)", 1), 0.3, 0.4, 128, 1e-10)
     assert rep.passed
     assert rep.computed == pytest.approx(math.exp(0.3), abs=1e-10)
 
 
 def test_second_formula_square_at_complex_point():
-    rep = second_formula_n1(parse_expr("x^2", 1), 1 + 1j, 0.4)
+    rep = second_formula_n1(parse_expr("x^2", 1), 1 + 1j, 0.4, 128, 1e-10)
     assert rep.passed
     assert rep.computed == pytest.approx(2j, abs=1e-10)
 
 
 def test_second_formula_constant():
-    rep = second_formula_n1(parse_expr("1", 1), 0j, 0.3)
+    rep = second_formula_n1(parse_expr("1", 1), 0j, 0.3, 128, 1e-10)
     assert rep.computed == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ third formula
 
 def test_third_a_holds_only_for_a_zero():
-    rep = third_formula_case("A", parse_expr("exp(x)", 1), a=0)
+    rep = third_formula_case("A", parse_expr("exp(x)", 1), a=0, nodes=16, tol=1e-10)
     assert rep.passed and rep.params["pass_formula"]
     assert rep.computed == pytest.approx(1.0, abs=1e-12)
 
-    rep = third_formula_case("A", parse_expr("x+1", 1), a=2)
+    rep = third_formula_case("A", parse_expr("x+1", 1), a=2, nodes=16, tol=1e-10)
     assert rep.passed  # matches the closed form f(0) - a f(1) = -3
     assert not rep.params["pass_formula"]
     assert rep.computed == pytest.approx(-3.0, abs=1e-12)
 
-    rep = third_formula_case("A", parse_expr("1", 1), a=1)
+    rep = third_formula_case("A", parse_expr("1", 1), a=1, nodes=16, tol=1e-10)
     assert rep.passed
     assert not rep.params["pass_formula"]
     assert rep.computed == pytest.approx(0.0, abs=1e-12)
 
 
 def test_third_b_gives_f_at_zero():
-    rep = third_formula_case("B", parse_expr("exp(x)", 1))
+    rep = third_formula_case("B", parse_expr("exp(x)", 1), nodes=16, tol=1e-10)
     assert rep.passed and rep.params["pass_formula"]
     assert rep.computed == pytest.approx(1.0, abs=1e-12)
 
@@ -165,7 +166,7 @@ def test_third_a_affine_in_a():
     f0 = eval_expr(f, (0j,))
     f1 = eval_expr(f, (1 + 0j,))
     for a in (0.5, 2 - 1j, -3):
-        rep = third_formula_case("A", f, a=a)
+        rep = third_formula_case("A", f, a=a, nodes=16, tol=1e-10)
         assert rep.computed == pytest.approx(f0 - a * f1, abs=1e-10)
 
 
@@ -228,14 +229,15 @@ def test_array_oracles_match_plain_loops():
 
 
 def test_necessary_d_fails_nonzero():
-    rep = necessary_condition_case("D", eps=0.5)
+    rep = necessary_condition_case("D", eps=0.5, quad=(128, 128), tol=1e-8)
     assert rep.passed
     assert rep.params["predicate_holds"]
     assert rep.computed == pytest.approx(MINUS_FOUR_PI_SQ, abs=1e-8)
 
 
 def test_necessary_e_fails_nonzero():
-    rep = necessary_condition_case("E", radii=(0.5, 0.5))
+    rep = necessary_condition_case("E", radii=(0.5, 0.5), quad=(128, 128),
+                                   tol=1e-8)
     assert rep.passed
     assert rep.computed == pytest.approx(MINUS_FOUR_PI_SQ, abs=1e-8)
 
@@ -248,7 +250,7 @@ def test_necessary_d_eps_invariance():
 
 def test_necessary_d_rejects_bad_eps():
     with pytest.raises(InputError):
-        necessary_condition_case("D", eps=1.2)
+        necessary_condition_case("D", eps=1.2, quad=(128, 128), tol=1e-8)
 
 
 # ------------------------------------------------------------ suites
@@ -310,8 +312,8 @@ def test_margin_specs_are_built_once_in_the_order_named():
 # ------------------------------------------------------------ full report
 
 @pytest.fixture(scope="module")
-def unpatched_report():
-    return full_report()
+def unpatched_report(seed7_report):
+    return list(seed7_report)
 
 
 def _without_runtime(checks):

@@ -1,7 +1,11 @@
 import contextlib
 import csv
+import functools
 import io
 import json
+import pathlib
+import re
+import shlex
 import warnings
 
 import numpy as np
@@ -111,6 +115,94 @@ def test_verify_identities_subset(capsys):
     assert rc == 0
     ids = [c["id"] for c in payload["checks"]]
     assert ids == ["identity_extend_B", "identity_extend_C"]
+
+
+def test_verify_identities_runs_each_named_id_once(capsys):
+    rc = run_cli(["verify", "identities", "extend_C", "extend_B", "extend_C",
+                  "extend_B", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    ids = [c["id"] for c in payload["checks"]]
+    assert ids == ["identity_extend_C", "identity_extend_B"]
+
+
+@pytest.mark.parametrize("argv, option, case", [
+    (["third", "B", "--a", "3"], "--a", "B"),
+    (["necessary", "D", "--radii", "1,2"], "--radii", "D"),
+    (["necessary", "E", "--eps", "0.3"], "--eps", "E"),
+], ids=["third_B_a", "necessary_D_radii", "necessary_E_eps"])
+def test_an_option_of_the_other_case_exits_2_naming_it(argv, option, case, capsys):
+    assert run_cli(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cflab: error: {option} does not apply to case {case}\n"
+
+
+def _verify_json(argv, capsys):
+    """The JSON check objects that ``cflab verify`` prints for ``argv``."""
+    assert run_cli(["verify", *argv, "--format=json"]) == 0
+    return json.loads(capsys.readouterr().out)["checks"]
+
+
+def _rows_json(report_rows, ids):
+    """The rows ``ids`` of ``report_rows``, in report order, as JSON check
+    objects."""
+    return json.loads(report.to_json([c for c in report_rows if c.id in ids], "", 7))["checks"]
+
+
+def _without(checks, *fields):
+    return [{k: v for k, v in c.items() if k not in fields} for c in checks]
+
+
+def _family_rows():
+    """(id, family, options, sub-seed name) of each table row that runs a
+    verify family."""
+    return [pytest.param(*run.args, id=run.args[0]) for _, _, run in casebook.CHECKS
+            if isinstance(run, functools.partial) and run.func is casebook._family_report]
+
+
+@pytest.mark.parametrize("check_id, family, given, subseed", _family_rows())
+def test_verify_reproduces_each_family_row_of_the_table(check_id, family, given,
+                                                        subseed, seed7_report, capsys):
+    names = {opt.name.lstrip("-"): opt.name for opt in casebook.VERIFY[family].options}
+    argv = [family] + [f"{names[key]}={value}" if names[key].startswith("-") else value
+                       for key, value in given.items()]
+    if subseed is not None:
+        argv.append(f"--seed={casebook._subseed(7, subseed)}")
+    assert _without(_verify_json(argv, capsys), "id", "runtime_ms") == \
+        _without(_rows_json(seed7_report, {check_id}), "id", "runtime_ms")
+
+
+def _readme_rows():
+    """(argv, row id) of each ``cflab verify`` line of the README's Command
+    line block whose comment names a suite row."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    ids = {check_id for check_id, _, _ in casebook.CHECKS}
+    rows = []
+    for line in block.splitlines():
+        match = re.search(r"#\s*(\w+)", line)
+        if line.startswith("cflab verify ") and match and match.group(1) in ids:
+            argv = shlex.split(line, comments=True)[2:]
+            rows.append(pytest.param(argv, match.group(1), id=match.group(1)))
+    return rows
+
+
+@pytest.mark.parametrize("argv, check_id", _readme_rows())
+def test_readme_verify_lines_reproduce_the_rows_they_name(argv, check_id, seed7_report,
+                                                          capsys):
+    # the README spells the options out, so a changed default shows here
+    assert _without(_verify_json(argv, capsys), "id", "runtime_ms") == \
+        _without(_rows_json(seed7_report, {check_id}), "id", "runtime_ms")
+
+
+@pytest.mark.parametrize("ident", list(casebook.IDENTITY_CHECKS))
+def test_verify_identities_reproduces_the_rows_of_each_id(ident, seed7_report, capsys):
+    ids = [check_id for check_id, _, _ in casebook.IDENTITY_CHECKS[ident]]
+    checks = _verify_json(["identities", ident], capsys)
+    assert [c["id"] for c in checks] == ids
+    assert _without(checks, "runtime_ms") == \
+        _without(_rows_json(seed7_report, set(ids)), "runtime_ms")
 
 
 def test_verify_fibration(capsys):
@@ -441,6 +533,12 @@ _POSITIVE = _mostly(st.sampled_from(["0.1", "0.3", "0.5", "0.7", "0.999999",
                     st.sampled_from(["0", "-1", "1", "nan", "inf", "1e308"]))
 
 
+def _for_case(own):
+    """Whether to give an option of one case: always for its own case, one
+    time in eight for the other, which must exit 2."""
+    return st.just(True) if own else st.integers(0, 7).map(lambda i: i == 7)
+
+
 @st.composite
 def _verify_argv(draw):
     which = draw(st.sampled_from(["first", "second", "third", "necessary",
@@ -462,14 +560,19 @@ def _verify_argv(draw):
         options["radii"] = draw(_POSITIVE)
         options["nodes"] = draw(_nodes(1))
     elif which == "third":
-        argv.append(draw(st.sampled_from(["A", "B"])))
+        case = draw(st.sampled_from(["A", "B"]))
+        argv.append(case)
         options["f"] = draw(_mostly(_expressions(["x"]), _TEXT))
-        options["a"] = draw(_numbers(2))
+        if draw(_for_case(case == "A")):
+            options["a"] = draw(_numbers(2))
         options["nodes"] = draw(_nodes(1))
     elif which == "necessary":
-        argv.append(draw(st.sampled_from(["D", "E"])))
-        options["eps"] = draw(_POSITIVE)
-        options["radii"] = draw(_numbers(2))
+        case = draw(st.sampled_from(["D", "E"]))
+        argv.append(case)
+        if draw(_for_case(case == "D")):
+            options["eps"] = draw(_POSITIVE)
+        if draw(_for_case(case == "E")):
+            options["radii"] = draw(_numbers(2))
         options["nodes"] = draw(_nodes(2))
     elif which == "identities":
         argv.extend(draw(st.lists(st.sampled_from(

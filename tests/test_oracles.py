@@ -72,7 +72,8 @@ def test_obstruction_values_match_a_30_digit_oracle(example, params, nodes):
         value = _torus_sum(pulled_back, nodes)
         assert abs(value - minus_four_pi_sq) < mpf(10) ** (5 - DIGITS)
         oracle = complex(value)
-    report = casebook.necessary_condition_case(example, **params)
+    report = casebook.necessary_condition_case(example, **params, quad=(128, 128),
+                                             tol=1e-8)
     assert report.passed
     assert report.expected == pytest.approx(oracle, abs=1e-12)
     assert abs(report.computed - oracle) <= report.tol
