@@ -370,9 +370,18 @@ def necessary_condition_case(case_id: str, *, quad, tol: float,
                          extra_ok=nonzero)
 
 
-def necessary_condition_eps_invariance(eps_a: float = 0.3, eps_b: float = 0.7,
-                                       quad=(128, 128), tol: float = 1e-8) -> CheckReport:
-    """Example D's class does not depend on the torus radius."""
+def _default(family: str, name: str):
+    """The default of ``family``'s option ``name``, converted as by :func:`verify`."""
+    opt = next(opt for opt in VERIFY[family].options if opt.name == name)
+    return _convert(opt.kind, opt.default, name, opt.counts or (1,))
+
+
+def necessary_condition_eps_invariance(
+        eps_a: float = 0.3, eps_b: float = 0.7,
+        quad=tuple(_default("necessary", "--nodes")),
+        tol: float = _default("necessary", "--tol")) -> CheckReport:
+    """Example D's class does not depend on the torus radius; the grid and
+    tolerance default to the ``necessary`` family's."""
     t0 = time.perf_counter()
     form = kernels.casebook_form("theta_D")
     va = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_a), quad)

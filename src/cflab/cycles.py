@@ -12,6 +12,7 @@ order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -24,7 +25,18 @@ from .errors import (DimensionMismatchError, InputError, PoleError,
 
 Param = tuple[float, ...]
 
-BLOCK_POINTS = 4096  # grid points per vectorized evaluation pass
+# Grid points per vectorized evaluation pass, small enough that a block's
+# temporaries stay inside the heap (the n = 2 sphere's (3, 5, m) complex frame
+# and its sorted copy are the largest, 240 bytes a point each): glibc gives a
+# freed heap top above its trim threshold back to the kernel, and the next
+# block faults it in again.  Minor faults of one in-process `cflab suite` at
+# seed 101, median of 5 (2-core VM, Python 3.11.7, numpy 2.4.6), and its ms:
+# 4096 points 71 500 (384 ms), 3072 66 400 (373), 2048 2 000 but 23 300 in one
+# run of the five (329), 1792 1 860 (345), 1536 1 670 (362), 1024 1 360 (370),
+# 512 1 070 (461).  At 2048 the churn depends on what ran before (at seeds 7
+# and 211 it churned in 3 and 5 runs of 5); 1536 stays a quarter below that
+# size, 1792, a little faster, only an eighth.
+BLOCK_POINTS = 1536
 MAX_GRID_POINTS = 2 ** 22  # budget of one integrate call, checked up front
 MAX_GAUSS_NODES = 1024  # per Gauss-Legendre factor: leggauss is O(n^2) memory
 RULE_CACHE_SIZE = 64  # (factor, node count) rules kept by _factor_rule
@@ -360,6 +372,15 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
     return re, im
 
 
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum`` of ``values``, made Python floats a block at a time: the
+    floats of a whole grid (3 MB at 131 072 points) would be fresh memory,
+    faulted in again on every integral."""
+    return math.fsum(itertools.chain.from_iterable(
+        values[lo:lo + BLOCK_POINTS].tolist()
+        for lo in range(0, len(values), BLOCK_POINTS)))
+
+
 def integrate(form: forms.KForm, cycle: Cycle, quad: Sequence[int]) -> complex:
     """Integrate a form over a cycle on the tensor-product grid.
 
@@ -369,7 +390,8 @@ def integrate(form: forms.KForm, cycle: Cycle, quad: Sequence[int]) -> complex:
     The grid is walked in parameter-lexicographic order, :data:`BLOCK_POINTS`
     points at a time, with one ``cycle.map`` and ``cycle.tangent`` call per
     block.  The weighted real and imaginary parts of the whole grid are each
-    reduced by one ``math.fsum`` (correctly rounded, so order-independent).
+    reduced by one ``math.fsum`` (correctly rounded, so independent of the
+    order and of the block size), made Python floats a block at a time.
     A pole or a non-finite map, frame or value raises :class:`PoleError`
     carrying the first offending param in grid order, and so does a sum that
     overflows (without a param).  A grid above
@@ -402,6 +424,6 @@ def integrate(form: forms.KForm, cycle: Cycle, quad: Sequence[int]) -> complex:
         weights = math.prod(w[i] for (_, w), i in zip(rules, index))
         re[lo:hi], im[lo:hi] = _weighted_block(form, cycle, params, weights)
     try:
-        return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+        return complex(_fsum(re), _fsum(im))
     except OverflowError:  # finite weighted values whose sum is not
         raise PoleError("integral is not finite: its sum overflows") from None

@@ -29,14 +29,32 @@ MAX_EXPR_NODES = 1000  # nodes of one parsed tree
 class _Node:
     """Common base of the expression nodes.
 
-    ``_fn`` is the tree compiled to nested closures, built on first use and
-    cached on the node; it is not a dataclass field, so equality, hashing
-    and ``repr`` see only the tree.
+    ``_fn`` is the tree compiled to nested closures and ``constant`` whether
+    it reads no coordinate, each worked out on first use and cached on the
+    node; neither is a dataclass field, so equality, hashing and ``repr``
+    see only the tree.
     """
 
     @cached_property
     def _fn(self):
         return _compile(self)
+
+    @cached_property
+    def constant(self) -> bool:
+        """True when the tree has no :class:`Var`, so that it evaluates the
+        same at every point."""
+        stack = [self]
+        while stack:  # iterative: the tree may be too deep to recurse into
+            node = stack.pop()
+            if isinstance(node, Var):
+                return False
+            if isinstance(node, (Add, Sub, Mul, Div)):
+                stack += node.left, node.right
+            elif isinstance(node, (Neg, Exp)):
+                stack.append(node.arg)
+            elif isinstance(node, Pow):
+                stack.append(node.base)
+        return True
 
     def __getstate__(self):
         # Closures do not pickle; an unpickled tree compiles again.
@@ -235,7 +253,8 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             inner = self.nested(self.exponent)
-            if inner < 0 or k ** inner > 10 ** 9:
+            # k >= 2 and inner > 30 is above 10 ** 9: reject before k ** inner
+            if inner < 0 or (k >= 2 and inner > 30) or k ** inner > 10 ** 9:
                 raise ExprSyntaxError("exponent tower too large", self.peek()[2])
             k = k ** inner
         return sign * k

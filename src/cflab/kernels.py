@@ -65,9 +65,16 @@ def kernel_basis_form(kind: str, n: int) -> KForm:
 def _f_at(f: HolomorphicExpr | None, cols) -> np.ndarray | complex:
     """``f`` at each point of the coordinate columns ``cols``, 1 without f:
     ``exprlang.eval_expr`` mapped over the rows (:func:`forms.map_points`),
-    an error with its row.  It is looked up on the module at each call, so
-    a wrapped or patched ``eval_expr`` is the one that runs."""
-    return 1 + 0j if f is None else forms.map_points(exprlang.eval_expr, cols, f)
+    an error with its row.  An ``f`` that reads no coordinate (a number) is
+    evaluated once, at the first row, and returned as a Python complex, so
+    its error is the per-point loop's, at row 0; an empty batch evaluates
+    nothing.  ``eval_expr`` is looked up on the module at each call, so a
+    wrapped or patched one is the one that runs."""
+    if f is None:
+        return 1 + 0j
+    if f.constant and len(cols[0]):
+        return complex(forms.map_points(exprlang.eval_expr, [c[:1] for c in cols], f)[0])
+    return forms.map_points(exprlang.eval_expr, cols, f)
 
 
 def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
@@ -82,8 +89,9 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     power and ``s_k xi_k`` are taken on whole arrays, as Python's complex
     arithmetic rounds them, the pairing and power once per batch
     (:func:`forms.shared`, in the order pairing, pole test, ``f``, power);
-    ``f`` by :func:`_f_at`, once per point per term (one shared ``f(x)`` per
-    point waits for ROADMAP item 1: the benchmark counts expression calls).
+    ``f`` by :func:`_f_at`, a number once per batch and any other ``f`` once
+    per point per term (one shared ``f(x)`` per point waits for ROADMAP item
+    1: the benchmark counts expression calls).
     """
     _check_n(n)
     z = tuple(complex(c) for c in z)
@@ -100,10 +108,15 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     def den_power(cols):
         return forms.power(forms.shared(pairing, cols), power)
 
+    def f_x(cols):
+        return _f_at(f, cols[x])
+
+    once = f is not None and f.constant
+
     def term(k: int, s: int) -> forms.CoeffFn:
         def coeff(cols):
             forms.shared(pairing, cols)  # its pole test comes before f
-            top = _f_at(f, cols[x])
+            top = forms.shared(f_x, cols) if once else f_x(cols)
             return forms.mul(forms.div(top, forms.shared(den_power, cols)),
                              0j + forms.mul(s, cols[k]))
 

@@ -485,6 +485,13 @@ def test_expression_limits_and_overflow_exit_2_with_one_line(f, message, capsys)
     assert message in err
 
 
+def test_an_exponent_tower_with_a_huge_top_exits_2_with_one_line(capsys):
+    # the parser bounds the tower before it builds 3 ** 99999999999999999999
+    assert run_cli(["verify", "second", "--f=-0.5^-3^99999999999999999999"]) == 2
+    assert capsys.readouterr().err == \
+        "cflab: error: exponent tower too large at offset 28\n"
+
+
 def _mostly(valid, invalid):
     """Seven draws in eight from ``valid``, so most commands reach a grid."""
     return st.integers(0, 7).flatmap(lambda i: invalid if i == 7 else valid)

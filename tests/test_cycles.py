@@ -359,6 +359,18 @@ def test_batched_integrate_matches_pointwise_reference(case):
     assert abs(value - reference) <= 1e-13 * abs(reference)
 
 
+def test_an_integral_does_not_depend_on_the_block_size(monkeypatch):
+    # 2400 points: several blocks at each size, one at 4096
+    z = (0.2 + 0j, -0.1 + 0.3j)
+    form = kernels.phi(2, z, exprlang.parse_expr("x1^2*x2+3", 2))
+    sphere = make_cycle("sphere_M", z=z, eps=0.5)
+    values = set()
+    for block in (7, 100, cycles.BLOCK_POINTS, 4096):
+        monkeypatch.setattr(cycles, "BLOCK_POINTS", block)
+        values.add(repr(integrate(form, sphere, (6, 20, 20))))
+    assert len(values) == 1
+
+
 def _identity_torus():
     # Ambient point = parameter point, so a coefficient can name grid params.
     return cycles.Cycle(

@@ -356,3 +356,23 @@ def test_unread_coordinates_are_not_converted():
 def test_exponent_beyond_the_floats_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError):
         parse_expr("x^1" + "0" * 400, 1)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("2^3^40", 6),  # 3^40 is above 10^9, as before the bound on the top
+    ("x^-3^99999999999999999999", 25),  # the top alone would not fit in memory
+])
+def test_an_exponent_tower_above_ten_to_the_ninth_is_rejected(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, 1)
+    assert str(err.value) == f"exponent tower too large at offset {offset}"
+    assert parse_expr("x^1^99999999999999999999", 1) == Pow(Var(0), 1)
+
+
+def test_constant_is_whether_the_tree_reads_no_coordinate():
+    assert parse_expr("1", 2).constant and parse_expr("1/0", 2).constant
+    assert parse_expr("exp(2i)^-3-(4+1i)", 1).constant
+    assert not parse_expr("1+x2*0", 2).constant
+    assert not parse_expr("-exp(x)^2/3", 1).constant
+    assert not differentiate(parse_expr("x^2", 1)).constant
+    assert differentiate(parse_expr("x", 1)).constant

@@ -347,6 +347,57 @@ def test_kernel_terms_share_the_pairing_and_its_power_but_not_f(monkeypatch, ker
     assert [repr(v) for v in got.tolist()] == [repr(v) for v in want.tolist()]
 
 
+_Z2 = (0.2 + 0j, -0.1 + 0.3j)
+_SPHERE = cycles.make_cycle("sphere_M", z=_Z2, eps=0.5)
+_GRID = (6, 20, 20)  # 2400 points: more than one block
+
+
+def _eval_expr_calls(monkeypatch, f) -> int:
+    """How often ``integrate`` of phi(2, _Z2, f) over _SPHERE on _GRID calls
+    ``exprlang.eval_expr``."""
+    calls, original = [], exprlang.eval_expr
+    monkeypatch.setattr(exprlang, "eval_expr",
+                        lambda *args: calls.append(1) or original(*args))
+    cycles.integrate(phi(2, _Z2, f), _SPHERE, _GRID)
+    monkeypatch.setattr(exprlang, "eval_expr", original)
+    return len(calls)
+
+
+def test_a_number_f_is_evaluated_once_per_block(monkeypatch):
+    points, blocks = math.prod(_GRID), -(-math.prod(_GRID) // cycles.BLOCK_POINTS)
+    assert blocks > 1
+    assert _eval_expr_calls(monkeypatch, exprlang.parse_expr("1", 2)) == blocks
+    # any other f: once per grid point per term, as the benchmark counts
+    assert _eval_expr_calls(monkeypatch, exprlang.parse_expr("x1^2*x2+3", 2)) == 2 * points
+
+
+def test_first_formula_with_f_one_is_the_integral_without_f_bit_for_bit(monkeypatch):
+    quad, raw, integrate = (8, 16, 16), [], cycles.integrate
+    monkeypatch.setattr(cycles, "integrate", lambda *args: raw.append(integrate(*args)) or raw[-1])
+    report = casebook.first_formula(2, exprlang.parse_expr("1", 2), _Z2, 0.5, quad, 1e-6)
+    assert report.passed and len(raw) == 1
+    assert repr(raw[0]) == repr(integrate(phi(2, _Z2), _SPHERE, quad))
+
+
+def test_a_number_f_with_a_pole_raises_as_the_per_point_loop_does():
+    errors = []
+    for text in ("1/0", "1/0+0*x1"):  # the second reads x1: one call per point
+        f = exprlang.parse_expr(text, 2)
+        with pytest.raises(PoleError) as err:
+            cycles.integrate(phi(2, _Z2, f), _SPHERE, _GRID)
+        errors.append((str(err.value), err.value.point, err.value.param))
+    assert errors[0] == errors[1]
+    assert errors[0][0].endswith(": division by zero in expression")
+    assert errors[0][2] == tuple(float(nodes[0]) for nodes, _ in
+                                 map(cycles._factor_rule, _SPHERE.factors, _GRID))
+
+
+def test_a_number_f_on_an_empty_batch_evaluates_nothing(monkeypatch):
+    monkeypatch.setattr(exprlang, "eval_expr", None)  # any call would fail
+    empty = (np.empty(0, dtype=complex),) * 2
+    assert kernels._f_at(exprlang.parse_expr("1/0", 2), empty).shape == (0,)
+
+
 def test_phi_pole_on_incidence_hyperplane():
     form = phi(1, (0j,))
     with pytest.raises(PoleError):
