@@ -479,16 +479,13 @@ def _exactness_gap(seed, count, psi, potential, factor, rhs):
 
 def _identity_exact_A(seed, count=40):
     f = _generic_f()
-    a = _SIGMA_A_PARAM
-    g = exprlang.Add(exprlang.Mul(exprlang.Num(a - 1), exprlang.Var(0)),
-                     exprlang.ONE)
-    dfg = exprlang.differentiate(exprlang.Mul(f, g), 0)
-    rhs = forms.wedge(
-        KForm.basis(2, 0, coeff=lambda p: forms.div(1, p[0])),
-        KForm.basis(2, 1, coeff=lambda p: forms.map_points(eval_expr, (p[1],), dfg)))
+    # d(f g), g = (a - 1) x + 1, on the x-line: Example A's residue form
+    dfg = kernels.casebook_form("residue_A", {"a": _SIGMA_A_PARAM}, f).terms[(0,)]
+    rhs = forms.wedge(KForm.basis(2, 0, coeff=lambda p: forms.div(1, p[0])),
+                      KForm.basis(2, 1, coeff=lambda p: dfg((p[1],))))
     return _exactness_gap(
         seed, count, kernels.psi(1, (0j,), f),
-        kernels.casebook_form("sigma_A", {"a": a}, f), 1.0, rhs)
+        kernels.casebook_form("sigma_A", {"a": _SIGMA_A_PARAM}, f), 1.0, rhs)
 
 
 def _identity_exact_D(seed, count=30):
@@ -653,38 +650,31 @@ def fibration_check_C2(seed: int = SEED, count: int = FIBRE_COUNT,
     nofibre_min = math.inf
     for _ in range(count):
         xi1, xi2 = geometry.rand_c(rng), geometry.rand_c(rng)
-        num = xi1 ** 3 + 2 * xi2 ** 3 - 2 * xi1 ** 2 * xi2
-        # Over {xi1 != 0}: the surjectivity witness x1 (with x2 = 0) lies on
-        # the surface; the trivialization's inverse map applied to the
-        # projected fibre coordinate lands on the surface and, at x2 = 0,
+        cross = 2 * xi1 ** 2 * xi2
+        num = xi1 ** 3 + 2 * xi2 ** 3 - cross
+        # Over {xi1 != 0} solving for x1, over {xi2 != 0} for x2: the
+        # surjectivity witness (the other coordinate 0) lies on the surface;
+        # the trivialization's inverse map lands on the surface and, at 0,
         # reproduces the witness through a different formula.
-        if abs(xi1) >= 0.2:
-            witness = num / xi1 ** 3
-            surj_worst = max(surj_worst,
-                             abs(_s_C2_homogeneous(0j, xi1, xi2, witness, 0j)))
-            x2 = geometry.rand_c(rng)
-            x1 = 1 - (xi2 ** 3 * (x2 - 2) + 2 * xi1 ** 2 * xi2) / xi1 ** 3
-            trip_worst = max(trip_worst,
-                             abs(_s_C2_homogeneous(0j, xi1, xi2, x1, x2)))
-            inverse_at_0 = 1 - (xi2 ** 3 * (0 - 2) + 2 * xi1 ** 2 * xi2) / xi1 ** 3
-            trip_worst = max(trip_worst, abs(inverse_at_0 - witness))
-        # the same over {xi2 != 0}
-        if abs(xi2) >= 0.2:
-            witness = num / xi2 ** 3
-            surj_worst = max(surj_worst,
-                             abs(_s_C2_homogeneous(0j, xi1, xi2, 0j, witness)))
-            x1 = geometry.rand_c(rng)
-            x2 = 2 - (xi1 ** 3 * (x1 - 1) + 2 * xi1 ** 2 * xi2) / xi2 ** 3
-            trip_worst = max(trip_worst,
-                             abs(_s_C2_homogeneous(0j, xi1, xi2, x1, x2)))
-            inverse_at_0 = 2 - (xi1 ** 3 * (0 - 1) + 2 * xi1 ** 2 * xi2) / xi2 ** 3
+        for lead, other, at, other_at, on_x1 in ((xi1, xi2, 1, 2, True),
+                                                 (xi2, xi1, 2, 1, False)):
+            if abs(lead) < 0.2:
+                continue
+            witness = num / lead ** 3
+            free = geometry.rand_c(rng)
+            solved = at - (other ** 3 * (free - other_at) + cross) / lead ** 3
+            x1, x2 = (witness, 0j) if on_x1 else (0j, witness)
+            surj_worst = max(surj_worst, abs(_s_C2_homogeneous(0j, xi1, xi2, x1, x2)))
+            x1, x2 = (solved, free) if on_x1 else (free, solved)
+            trip_worst = max(trip_worst, abs(_s_C2_homogeneous(0j, xi1, xi2, x1, x2)))
+            inverse_at_0 = at - (other ** 3 * (0 - other_at) + cross) / lead ** 3
             trip_worst = max(trip_worst, abs(inverse_at_0 - witness))
         # no P-fibre is contained in the surface
         x1, x2 = geometry.rand_c(rng, 2.0), geometry.rand_c(rng, 2.0)
-        best = max(abs(_s_C2_homogeneous(0j, 1 + 0j, 0j, x1, x2)),
-                   abs(_s_C2_homogeneous(0j, 0j, 1 + 0j, x1, x2)),
-                   abs(_s_C2_homogeneous(0j, 1 + 0j, 1 + 0j, x1, x2)))
-        nofibre_min = min(nofibre_min, best)
+        nofibre_min = min(nofibre_min,
+                          max(abs(_s_C2_homogeneous(0j, 1 + 0j, 0j, x1, x2)),
+                              abs(_s_C2_homogeneous(0j, 0j, 1 + 0j, x1, x2)),
+                              abs(_s_C2_homogeneous(0j, 1 + 0j, 1 + 0j, x1, x2))))
     passed = (surj_worst < 1e-10 and trip_worst < 1e-12
               and nofibre_min > 1e-3)
     params = {

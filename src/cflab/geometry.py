@@ -137,12 +137,11 @@ def _surface_S_C1(params):
 
 
 def _surface_S_C2(params):
-    return _spec("S_C2", "U2", (),
-                 lambda p: (power(p[0], 3) + mul(power(p[1], 3), p[2] - 1)
-                            + (p[3] - 2) + mul(2, power(p[1], 2))),
-                 lambda p: mul(3, power(p[0], 2)),
-                 lambda p: mul(mul(3, power(p[1], 2)), p[2] - 1) + mul(4, p[1]),
-                 lambda p: power(p[1], 3), _ONE)
+    # S_C1 plus 2 y1^2
+    c1 = _surface_S_C1(params)
+    dy0, dy1, dx1, dx2 = c1.gradient
+    return _spec("S_C2", "U2", (), lambda p: c1.value(p) + mul(2, power(p[1], 2)),
+                 dy0, lambda p: dy1(p) + mul(4, p[1]), dx1, dx2)
 
 
 def _surface_S_D_U2(params):
@@ -153,16 +152,26 @@ def _surface_S_D_U2(params):
                  lambda p: mul(mul(mul(2, p[1]) + 1, p[2] - 1), p[3]),
                  lambda p: mul(mul(p[1], p[1] + 1), p[3]),
                  lambda p: mul(mul(p[1], p[1] + 1), p[2] - 1) + mul(2, p[3]),
-                 solve=_sample_S_D_U2)
+                 solve=_x1_linear_solver("D"))
 
 
-def _sample_S_D_U2(rng, params):
-    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
-    den = y1 * (y1 + 1) * x2
-    if abs(den) < 0.05:
-        return None
-    x1 = 1 - (y0 ** 2 + x2 ** 2 + 1) / den
-    return (y0, y1, x1, x2)
+# S_D and S_E in U2 are linear in x1: den(y1, x2) (x1 - 1) + y0^2 + x2^k + 1,
+# with (den, k) by example.
+_X1_LINEAR = {"D": (lambda y1, x2: y1 * (y1 + 1) * x2, 2),
+              "E": (lambda y1, x2: (y1 + x2) * (y1 + 2 * x2), 3)}
+
+
+def _x1_linear_solver(example):
+    den_of, k = _X1_LINEAR[example]
+
+    def solve(rng, params):
+        y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
+        den = den_of(y1, x2)
+        if abs(den) < 0.05:
+            return None
+        return (y0, y1, 1 - (y0 ** 2 + x2 ** k + 1) / den, x2)
+
+    return solve
 
 
 def _surface_S_D_U1(params):
@@ -186,16 +195,7 @@ def _surface_S_E(params):
                  lambda p: mul(mul(2, p[1]) + mul(3, p[3]), p[2] - 1),
                  quad,
                  lambda p: mul(mul(3, p[1]) + mul(4, p[3]), p[2] - 1) + mul(3, power(p[3], 2)),
-                 solve=_sample_S_E)
-
-
-def _sample_S_E(rng, params):
-    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
-    den = (y1 + x2) * (y1 + 2 * x2)
-    if abs(den) < 0.05:
-        return None
-    x1 = 1 - (y0 ** 2 + x2 ** 3 + 1) / den
-    return (y0, y1, x1, x2)
+                 solve=_x1_linear_solver("E"))
 
 
 # The catalog: one builder, taking ``params``, per (name, chart).
@@ -302,6 +302,7 @@ def sample_on_surface(spec: SurfaceSpec, seed: int, count: int) -> list[Point]:
             raise PreconditionError("sampler failed to avoid singularities")
         drawn = min(count - len(points), budget)
         budget -= drawn
+        # one solve per point: column solves and bulk draws were slower at 20 points
         batch = [q for q in (spec.solve(rng, spec.params) for _ in range(drawn))
                  if q is not None]
         cols = tuple(np.asarray(batch, dtype=complex).reshape(-1, spec.dim).T)
@@ -328,6 +329,10 @@ def _roots(rows) -> np.ndarray:
     return roots
 
 
+# Example B's one point on each intersection, in the eta chart
+_B_POINTS = {"P_Q": (0j, 0j), "P_S": (0j, 1 + 0j), "Q_S": (-0.5 + 0j, 0.5 + 0j)}
+
+
 def intersection_points(example: str, which: str, seed: int) -> tuple[str, list]:
     """Closed-form samples on pairwise/triple intersections (chart points):
     ``_INTERSECTION_COUNT`` of them, or Example B's one fixed point.  A
@@ -336,13 +341,11 @@ def intersection_points(example: str, which: str, seed: int) -> tuple[str, list]
     call then solves every row, each row's roots in (re, im) order."""
     rng = random.Random(seed)
     if example == "B":
-        if which == "P_Q":
-            return "eta", [(0j, 0j)]
-        if which == "P_S":
-            return "eta", [(0j, 1 + 0j)]
-        if which == "Q_S":
-            return "eta", [(-0.5 + 0j, 0.5 + 0j)]
-        raise InputError(which)
+        if which not in _B_POINTS:
+            raise InputError(which)
+        return "eta", [_B_POINTS[which]]
+    if example not in ("C1", "C2", "D", "E"):
+        raise InputError(example)
     pts, rooted, count, attempts = [], [], 0, 0
     while count < _INTERSECTION_COUNT:
         attempts += 1
@@ -374,25 +377,16 @@ def intersection_points(example: str, which: str, seed: int) -> tuple[str, list]
 
 def _p_cap_s(example, rng):
     y1 = rand_c(rng)
-    if example == "C1":
+    if example in ("C1", "C2"):
         x1 = rand_c(rng)
-        return [(0j, y1, x1, 2 - y1 ** 3 * (x1 - 1))]
-    if example == "C2":
-        x1 = rand_c(rng)
-        return [(0j, y1, x1, 2 - y1 ** 3 * (x1 - 1) - 2 * y1 ** 2)]
-    if example == "D":
-        x2 = rand_c(rng)
-        den = y1 * (y1 + 1) * x2
-        if abs(den) < 0.1:
-            return []
-        return [(0j, y1, 1 - (x2 ** 2 + 1) / den, x2)]
-    if example == "E":
-        x2 = rand_c(rng)
-        den = (y1 + x2) * (y1 + 2 * x2)
-        if abs(den) < 0.1:
-            return []
-        return [(0j, y1, 1 - (x2 ** 3 + 1) / den, x2)]
-    raise InputError(example)
+        extra = 2 * y1 ** 2 if example == "C2" else 0j
+        return [(0j, y1, x1, 2 - y1 ** 3 * (x1 - 1) - extra)]
+    den_of, k = _X1_LINEAR[example]
+    x2 = rand_c(rng)
+    den = den_of(y1, x2)
+    if abs(den) < 0.1:
+        return []
+    return [(0j, y1, 1 - (x2 ** k + 1) / den, x2)]
 
 
 def _q_cap_s(example, rng):
@@ -406,34 +400,24 @@ def _q_cap_s(example, rng):
         x1 = (y1 ** 3 + y0 + 2 - y0 ** 3 - extra) / den
         x2 = -y0 - y1 * x1
         return [(y0, y1, x1, x2)]
-    if example not in ("D", "E"):
-        raise InputError(example)
+    den_of, k = _X1_LINEAR[example]
     y1, x2 = rand_c(rng), rand_c(rng)
     if abs(y1) < 0.3:
         return []
-    if example == "D":
-        # (y1 x1 + x2)^2 + y1(y1+1)(x1-1)x2 + x2^2 + 1 = 0, quadratic in x1
-        b = 2 * y1 * x2 + y1 * (y1 + 1) * x2
-        c = x2 ** 2 - y1 * (y1 + 1) * x2 + x2 ** 2 + 1
-    else:
-        quad = (y1 + x2) * (y1 + 2 * x2)
-        b = 2 * y1 * x2 + quad
-        c = x2 ** 2 - quad + x2 ** 3 + 1
-    return [y1 ** 2, b, c], lambda x1: (-(y1 * x1 + x2), y1, x1, x2)
+    # substitute y0 = -(y1 x1 + x2): quadratic in x1
+    den = den_of(y1, x2)
+    return ([y1 ** 2, 2 * y1 * x2 + den, x2 ** 2 - den + x2 ** k + 1],
+            lambda x1: (-(y1 * x1 + x2), y1, x1, x2))
 
 
 def _p_q_s(example, rng):
     y1 = rand_c(rng)
     if abs(y1) < 0.3 or abs(y1 ** 3 - y1) < 0.1:
         return []
-    if example == "C1":
-        x1 = (y1 ** 3 + 2) / (y1 ** 3 - y1)
+    if example in ("C1", "C2"):
+        extra = 2 * y1 ** 2 if example == "C2" else 0j
+        x1 = (y1 ** 3 - extra + 2) / (y1 ** 3 - y1)
         return [(0j, y1, x1, -y1 * x1)]
-    if example == "C2":
-        x1 = (y1 ** 3 - 2 * y1 ** 2 + 2) / (y1 ** 3 - y1)
-        return [(0j, y1, x1, -y1 * x1)]
-    if example not in ("D", "E"):
-        raise InputError(example)
     row = ([-y1 ** 3, y1 ** 2 * (y1 + 1), 1 + 0j] if example == "D"
            else [2 * y1 ** 2 - y1 ** 3, -5 * y1 ** 2, 4 * y1 ** 2, 1 - y1 ** 2])
     return row, lambda x1: (0j, y1, x1, -y1 * x1)

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from cflab.casebook import (fibration_check_C2, first_formula,
                             transversality_suite)
 from cflab.errors import InputError, PoleError
 from cflab.exprlang import eval_expr, parse_expr
+from cflab.geometry import rand_c
 
 MINUS_FOUR_PI_SQ = -4 * math.pi ** 2
 
@@ -276,6 +278,53 @@ def test_fibration_check_passes():
     assert rep.params["surjectivity_max_defect"] < 1e-10
     assert rep.params["roundtrip_max_defect"] < 1e-12
     assert rep.params["nofibre_min_witness"] > 1e-3
+
+
+def _fibration_reference(seed, count):
+    """fibration_check_C2's (surjectivity, round-trip, no-fibre) defects,
+    the charts {xi1 != 0} and {xi2 != 0} each written out on its own."""
+    s, rng = casebook._s_C2_homogeneous, random.Random(seed)
+    surj, trip, nofibre = 0.0, 0.0, math.inf
+    for _ in range(count):
+        xi1, xi2 = rand_c(rng), rand_c(rng)
+        num = xi1 ** 3 + 2 * xi2 ** 3 - 2 * xi1 ** 2 * xi2
+        if abs(xi1) >= 0.2:
+            witness = num / xi1 ** 3
+            surj = max(surj, abs(s(0j, xi1, xi2, witness, 0j)))
+            x2 = rand_c(rng)
+            x1 = 1 - (xi2 ** 3 * (x2 - 2) + 2 * xi1 ** 2 * xi2) / xi1 ** 3
+            trip = max(trip, abs(s(0j, xi1, xi2, x1, x2)))
+            at_0 = 1 - (xi2 ** 3 * (0 - 2) + 2 * xi1 ** 2 * xi2) / xi1 ** 3
+            trip = max(trip, abs(at_0 - witness))
+        if abs(xi2) >= 0.2:
+            witness = num / xi2 ** 3
+            surj = max(surj, abs(s(0j, xi1, xi2, 0j, witness)))
+            x1 = rand_c(rng)
+            x2 = 2 - (xi1 ** 3 * (x1 - 1) + 2 * xi1 ** 2 * xi2) / xi2 ** 3
+            trip = max(trip, abs(s(0j, xi1, xi2, x1, x2)))
+            at_0 = 2 - (xi1 ** 3 * (0 - 1) + 2 * xi1 ** 2 * xi2) / xi2 ** 3
+            trip = max(trip, abs(at_0 - witness))
+        x1, x2 = rand_c(rng, 2.0), rand_c(rng, 2.0)
+        nofibre = min(nofibre, max(abs(s(0j, 1 + 0j, 0j, x1, x2)),
+                                   abs(s(0j, 0j, 1 + 0j, x1, x2)),
+                                   abs(s(0j, 1 + 0j, 1 + 0j, x1, x2))))
+    return surj, trip, nofibre
+
+
+def test_fibration_report_is_the_two_chart_reference_bit_for_bit():
+    for seed in range(200):
+        surj, trip, nofibre = _fibration_reference(seed, casebook.FIBRE_COUNT)
+        passed = surj < 1e-10 and trip < 1e-12 and nofibre > 1e-3
+        want = casebook.CheckReport(
+            id="fibration_C2", computed=complex(max(surj, trip)), expected=0j,
+            abs_error=0.0 if passed else max(surj, trip), tol=0.0, passed=passed,
+            quad_sizes=(), runtime_ms=0.0, group="C",
+            params={"surjectivity_max_defect": surj, "roundtrip_max_defect": trip,
+                    "nofibre_min_witness": nofibre,
+                    "predicate": "surj<1e-10 and roundtrip<1e-12 and nofibre>1e-3",
+                    "count": casebook.FIBRE_COUNT})
+        got = dataclasses.replace(fibration_check_C2(seed=seed), runtime_ms=0.0)
+        assert repr(got) == repr(want), seed
 
 
 def test_fibration_witness_at_one_one():

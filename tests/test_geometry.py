@@ -130,6 +130,28 @@ def test_sampler_s_d_solves_x1():
         assert x1 == pytest.approx(expected)
 
 
+def _x1_linear_reference(example, rng):
+    """One S_D or S_E sampler candidate, written out with that surface's own
+    formula for x1, or None near its pole."""
+    y0, y1, x2 = rand_c(rng), rand_c(rng), rand_c(rng)
+    if example == "D":
+        den = y1 * (y1 + 1) * x2
+        return None if abs(den) < 0.05 else (y0, y1, 1 - (y0 ** 2 + x2 ** 2 + 1) / den, x2)
+    den = (y1 + x2) * (y1 + 2 * x2)
+    return None if abs(den) < 0.05 else (y0, y1, 1 - (y0 ** 2 + x2 ** 3 + 1) / den, x2)
+
+
+def test_s_d_and_s_e_samplers_are_their_own_formulas_bit_for_bit():
+    for example in ("D", "E"):
+        spec = surface_catalog(f"S_{example}", chart="U2")
+        for seed in range(100):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = [spec.solve(rng, ()) for _ in range(20)]
+            assert repr(got) == repr([_x1_linear_reference(example, ref_rng)
+                                      for _ in range(20)])
+            assert rng.getstate() == ref_rng.getstate()
+
+
 def test_sampler_reproducible_bit_for_bit():
     spec = surface_catalog("S_E", chart="U2")
     a = sample_on_surface(spec, seed=123, count=25)
@@ -235,12 +257,27 @@ def test_stacked_roots_equal_numpys_roots_bit_for_bit(data):
 
 
 def _per_candidate_intersection(example, which, seed):
-    """D and E ``Q_S``/``P_Q_S`` points with one ``np.roots`` per accepted
-    candidate, its roots sorted by (re, im): the reference the stacked solve
-    must reproduce."""
+    """C1, C2, D and E ``P_S``, C1 and C2 ``P_Q_S``, and D and E
+    ``Q_S``/``P_Q_S`` points, each example's candidate written out, with one
+    ``np.roots`` per accepted polynomial candidate, its roots sorted by (re,
+    im): the reference the shared constructions and the stacked solve must
+    reproduce."""
     rng = random.Random(seed)
     pts = []
     while len(pts) < 5:
+        if which == "P_S" and example in ("C1", "C2"):
+            y1, x1 = rand_c(rng), rand_c(rng)
+            x2 = (2 - y1 ** 3 * (x1 - 1) if example == "C1"
+                  else 2 - y1 ** 3 * (x1 - 1) - 2 * y1 ** 2)
+            pts.append((0j, y1, x1, x2))
+            continue
+        if which == "P_S":
+            y1, x2 = rand_c(rng), rand_c(rng)
+            den = y1 * (y1 + 1) * x2 if example == "D" else (y1 + x2) * (y1 + 2 * x2)
+            if abs(den) >= 0.1:
+                x1 = 1 - (x2 ** 2 + 1) / den if example == "D" else 1 - (x2 ** 3 + 1) / den
+                pts.append((0j, y1, x1, x2))
+            continue
         if which == "Q_S":
             y1, x2 = rand_c(rng), rand_c(rng)
             if abs(y1) < 0.3:
@@ -256,6 +293,11 @@ def _per_candidate_intersection(example, which, seed):
         else:
             y1 = rand_c(rng)
             if abs(y1) < 0.3 or abs(y1 ** 3 - y1) < 0.1:
+                continue
+            if example in ("C1", "C2"):
+                x1 = ((y1 ** 3 + 2) / (y1 ** 3 - y1) if example == "C1"
+                      else (y1 ** 3 - 2 * y1 ** 2 + 2) / (y1 ** 3 - y1))
+                pts.append((0j, y1, x1, -y1 * x1))
                 continue
             coeffs = ([-y1 ** 3, y1 ** 2 * (y1 + 1), 1 + 0j] if example == "D" else
                       [2 * y1 ** 2 - y1 ** 3, -5 * y1 ** 2, 4 * y1 ** 2, 1 - y1 ** 2])
@@ -277,6 +319,25 @@ def test_rooted_intersections_equal_per_candidate_roots_with_one_eigensolve(monk
                 assert chart == "U2" and len(calls) == 1
                 want = _per_candidate_intersection(example, which, seed)
                 assert _bits([np.array(points)]) == _bits([np.array(want)])
+
+
+def test_closed_form_intersections_equal_each_examples_own_formulas():
+    for example, which in (("C1", "P_S"), ("C2", "P_S"), ("D", "P_S"), ("E", "P_S"),
+                           ("C1", "P_Q_S"), ("C2", "P_Q_S")):
+        for seed in range(500):
+            chart, points = intersection_points(example, which, seed)
+            assert chart == "U2"
+            want = _per_candidate_intersection(example, which, seed)
+            assert _bits([np.array(points)]) == _bits([np.array(want)]), (example, which, seed)
+
+
+def test_example_b_has_one_point_on_each_intersection():
+    assert intersection_points("B", "P_Q", 1) == ("eta", [(0j, 0j)])
+    assert intersection_points("B", "P_S", 1) == ("eta", [(0j, 1 + 0j)])
+    assert intersection_points("B", "Q_S", 1) == ("eta", [(-0.5 + 0j, 0.5 + 0j)])
+    for example, which in (("B", "P_Q_S"), ("A", "P_Q"), ("C1", "Q_Q")):
+        with pytest.raises(InputError):
+            intersection_points(example, which, 1)
 
 
 def test_transversality_margin_golden_ratio():
