@@ -200,7 +200,7 @@ def first_formula(n: int, f: HolomorphicExpr, z, eps: float, quad, tol: float,
     """Reproduce f(z) as (n-1)!/(2 pi i)^n times the kernel integral, n = 1, 2."""
     t0 = time.perf_counter()
     z = tuple(complex(c) for c in z)
-    sphere = cycles.make_cycle("sphere_M", z=z, eps=eps)
+    sphere = cycles.sphere_M(z, eps)
     factor = alpha_orientation_factor(n, z, sphere)
     outward = cycles.orientation_sign(sphere, z)
     raw = cycles.integrate(kernels.phi(n, z, f), sphere, quad)
@@ -282,7 +282,7 @@ def third_formula_case(case_id: str, f: HolomorphicExpr, *, nodes: int, tol: flo
         expected = eval_expr(f, (0j,))
     else:
         raise InputError("third formula cases are 'A' and 'B'")
-    path = cycles.make_cycle("segment", start=1 + 0j, end=0j)
+    path = cycles.segment(1 + 0j, 0j)
     computed = cycles.integrate(form, path, (nodes,))
     f_at_zero = eval_expr(f, (0j,))
     formula_holds = abs(computed - f_at_zero) <= tol
@@ -345,13 +345,13 @@ def necessary_condition_case(case_id: str, *, quad, tol: float,
     if case_id == "D":
         if not 0 < eps < 1:
             raise InputError("Example D needs 0 < eps < 1")
-        torus = cycles.make_cycle("torus_D", eps=eps)
+        torus = cycles.torus_D(eps)
         form = kernels.casebook_form("theta_D")
         oracle = residue_oracle_D(eps)
         params = {"eps": eps}
     elif case_id == "E":
         r1, r2 = radii
-        torus = cycles.make_cycle("torus_E", r1=r1, r2=r2)
+        torus = cycles.torus_E(r1, r2)
         form = kernels.casebook_form("integrand_E")
         oracle = residue_oracle_E(r1, r2)
         params = {"r1": r1, "r2": r2}
@@ -384,8 +384,8 @@ def necessary_condition_eps_invariance(
     tolerance default to the ``necessary`` family's."""
     t0 = time.perf_counter()
     form = kernels.casebook_form("theta_D")
-    va = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_a), quad)
-    vb = cycles.integrate(form, cycles.make_cycle("torus_D", eps=eps_b), quad)
+    va = cycles.integrate(form, cycles.torus_D(eps_a), quad)
+    vb = cycles.integrate(form, cycles.torus_D(eps_b), quad)
     params = {"eps_a": eps_a, "eps_b": eps_b,
               "value_a": _cfmt(va), "value_b": _cfmt(vb)}
     return _value_report("necessary_D_eps_invariance", "D", params,

@@ -20,8 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import forms
-from .errors import (DimensionMismatchError, InputError, PoleError,
-                     UnsupportedKindError)
+from .errors import InputError, PoleError
 
 Param = tuple[float, ...]
 
@@ -113,21 +112,10 @@ class Cycle:
         return point, frame
 
 
-# --------------------------------------------------------------- factories
+# ------------------------------------------------------------ constructors
 
-def make_cycle(kind: str, **params) -> Cycle:
-    """Construct one of the catalog cycles.
-
-    Kinds: ``segment`` (start, end), ``sphere_M`` (z, eps), ``torus_D``
-    (eps), ``torus_E`` (r1, r2).
-    """
-    builder = _CYCLE_BUILDERS.get(kind)
-    if builder is None:
-        raise InputError(f"unknown cycle kind {kind!r}")
-    return builder(**params)
-
-
-def _segment(start: complex, end: complex) -> Cycle:
+def segment(start: complex, end: complex) -> Cycle:
+    """The straight path from start to end in C, over [0, 1]."""
     start, end = complex(start), complex(end)
     delta = end - start
 
@@ -142,7 +130,7 @@ def _segment(start: complex, end: complex) -> Cycle:
                  x_indices=(0,), reference_param=(0.5,))
 
 
-def _sphere_M(z: Sequence[complex], eps: float) -> Cycle:
+def sphere_M(z: Sequence[complex], eps: float) -> Cycle:
     """The residue sphere: x on the eps-sphere about z, with the attached
     homogeneous coordinates xi = (x.conj(z) - |x|^2, conj(x - z)).
 
@@ -199,7 +187,7 @@ def _sphere_M(z: Sequence[complex], eps: float) -> Cycle:
     raise InputError("sphere_M is implemented for n in {1, 2}")
 
 
-def _torus_D(eps: float) -> Cycle:
+def torus_D(eps: float) -> Cycle:
     """The two-cycle inside S_D over P: y1 and x2 on eps-circles, x1 solved
     from the chart equation.  Ambient coordinates are (y1, x2, x1)."""
     if not 0 < eps < 1:
@@ -230,7 +218,8 @@ def _torus_D(eps: float) -> Cycle:
                  x_indices=(0, 1, 2), reference_param=(0.4, 1.1))
 
 
-def _torus_E(r1: float, r2: float) -> Cycle:
+def torus_E(r1: float, r2: float) -> Cycle:
+    """The torus |x1| = r1, |x2| = r2 in C^2."""
     if r1 <= 0 or r2 <= 0:
         raise InputError("torus_E radii must be positive")
 
@@ -246,14 +235,6 @@ def _torus_E(r1: float, r2: float) -> Cycle:
                  x_indices=(0, 1), reference_param=(0.4, 1.1))
 
 
-_CYCLE_BUILDERS = {
-    "segment": _segment,
-    "sphere_M": _sphere_M,
-    "torus_D": _torus_D,
-    "torus_E": _torus_E,
-}
-
-
 # ------------------------------------------------------------- orientation
 
 def orientation_sign(cycle: Cycle, interior_point: Sequence[complex]) -> int:
@@ -265,7 +246,7 @@ def orientation_sign(cycle: Cycle, interior_point: Sequence[complex]) -> int:
     affine x-space.
     """
     if cycle.kind != "sphere_M":
-        raise UnsupportedKindError(
+        raise InputError(
             f"orientation_sign needs a boundary sphere, got {cycle.kind!r}")
     interior = np.asarray(interior_point, dtype=complex)
     point, frame = cycle.at(cycle.reference_param)
@@ -315,8 +296,7 @@ def _on_block(fn, params: tuple[np.ndarray, ...]) -> np.ndarray:
     output's tuple nesting, then m.
 
     ``fn`` takes the block's parameter arrays (see :class:`Cycle`): one that
-    fails on them raises :class:`InputError`, and a ragged output raises
-    :class:`DimensionMismatchError`.
+    fails on them, or whose output is ragged, raises :class:`InputError`.
     """
     try:
         with np.errstate(all="ignore"):
@@ -332,8 +312,8 @@ def _on_block(fn, params: tuple[np.ndarray, ...]) -> np.ndarray:
     except (TypeError, ValueError):
         fits = False
     if not fits:
-        raise DimensionMismatchError("cycle output is not a regular nesting "
-                                     "of tuples")
+        raise InputError("cycle output is not a regular nesting "
+                         "of tuples")
     return out
 
 
@@ -346,7 +326,7 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
     m = len(weights)
     point, frame = _on_block(cycle.map, params), _on_block(cycle.tangent, params)
     if point.shape[:-1] != (form.dim,) or frame.shape[:-1] != (form.degree, form.dim):
-        raise DimensionMismatchError(
+        raise InputError(
             f"cycle point and frame need shapes {(form.dim,)} and "
             f"{(form.degree, form.dim)}, got {point.shape[:-1]} and {frame.shape[:-1]}")
     finite = np.isfinite(point).all(axis=0) & np.isfinite(frame).all(axis=(0, 1))

@@ -11,23 +11,6 @@ class InputError(CflabError, ValueError):
     """Malformed or out-of-contract input (unknown name, bad arity, ...)."""
 
 
-class DimensionMismatchError(InputError):
-    """Point / vector / form dimensions do not agree."""
-
-
-class ChartDomainError(InputError):
-    """A chart map was evaluated outside its domain (division by a vanishing
-    homogeneous coordinate)."""
-
-
-class PreconditionError(InputError):
-    """A documented operation precondition was violated."""
-
-
-class UnsupportedKindError(InputError):
-    """Operation asked for on a cycle kind that does not support it."""
-
-
 class PoleError(CflabError, ArithmeticError):
     """An integrand or coefficient was evaluated at a pole.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .errors import DimensionMismatchError, InputError, PoleError
+from .errors import InputError, PoleError
 
 MAX_EXPR_DEPTH = 100  # nesting of the text and depth of the tree
 MAX_EXPR_NODES = 1000  # nodes of one parsed tree
@@ -353,7 +353,7 @@ def _compile(expr):
             try:
                 x = p[index]
             except IndexError:
-                raise DimensionMismatchError(
+                raise InputError(
                     f"expression uses x{index + 1} but the point has "
                     f"{len(p)} coordinates") from None
             return x if type(x) is complex else complex(x)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, PoleError
+from .errors import InputError, PoleError
 
 # dim coordinate columns (complex, length m) -> m values, or one for all rows
 CoeffFn = Callable[[tuple[np.ndarray, ...]], "np.ndarray | complex"]
@@ -243,7 +243,7 @@ class KForm:
             return KForm.zero(dim, len(indices))
         for i in indices:
             if not 0 <= i < dim:
-                raise DimensionMismatchError(f"index {i} outside ambient dim {dim}")
+                raise InputError(f"index {i} outside ambient dim {dim}")
         key, sign = _sorted_key(tuple(indices))
         fn = coeff if callable(coeff) else _const_fn(coeff)
         if sign < 0:
@@ -270,16 +270,16 @@ class KForm:
         if frames.ndim < 3 and frames.size == 0:  # frames of no vectors
             frames = frames.reshape(len(frames), 0, self.dim)
         if points.ndim != 2 or points.shape[1] != self.dim:
-            raise DimensionMismatchError(f"point has {points.shape[-1]} "
-                                         f"coordinates, form lives on C^{self.dim}")
+            raise InputError(f"point has {points.shape[-1]} "
+                             f"coordinates, form lives on C^{self.dim}")
         if frames.ndim != 3 or frames.shape[1] != self.degree:
             raise InputError(f"degree-{self.degree} form needs {self.degree} "
                              f"vectors, got {frames.shape[1]}")
         if self.degree and frames.shape[2] != self.dim:
-            raise DimensionMismatchError(f"tangent vector has {frames.shape[2]} "
-                                         f"components, expected {self.dim}")
+            raise InputError(f"tangent vector has {frames.shape[2]} "
+                             f"components, expected {self.dim}")
         if len(frames) != len(points):
-            raise DimensionMismatchError(
+            raise InputError(
                 f"{len(points)} points but {len(frames)} frames")
         return self.on_frames(self.coefficients(points), frames)
 
@@ -356,7 +356,7 @@ def _sorted_key(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 def wedge(f1: KForm, f2: KForm) -> KForm:
     """Exterior product, merging the wedge monomials of the two factors."""
     if f1.dim != f2.dim:
-        raise DimensionMismatchError("wedge factors live on different ambients")
+        raise InputError("wedge factors live on different ambients")
     degree = f1.degree + f2.degree
     if degree > 2 * f1.dim:
         raise InputError("wedge degree exceeds the ambient real capacity")
@@ -380,7 +380,7 @@ def wedge(f1: KForm, f2: KForm) -> KForm:
 
 def add(f1: KForm, f2: KForm) -> KForm:
     if f1.dim != f2.dim or f1.degree != f2.degree:
-        raise DimensionMismatchError("can only add forms of equal degree and ambient")
+        raise InputError("can only add forms of equal degree and ambient")
     terms = dict(f1.terms)
     for key, c2 in f2.terms.items():
         if key in terms:
@@ -423,9 +423,9 @@ def d_numeric_many(form: KForm, points, frames) -> np.ndarray:
     if frames.ndim != 3 or frames.shape[1] != k:
         raise InputError(f"d of a degree-{form.degree} form needs {k} vectors")
     if points.shape != (m, form.dim) or frames.shape != (m, k, form.dim):
-        raise DimensionMismatchError(f"need points (m, {form.dim}) and frames "
-                                     f"(m, {k}, {form.dim}), got {points.shape} "
-                                     f"and {frames.shape}")
+        raise InputError(f"need points (m, {form.dim}) and frames "
+                         f"(m, {k}, {form.dim}), got {points.shape} "
+                         f"and {frames.shape}")
     h = 1e-5 * (1.0 + modulus(points).max(axis=1, initial=0.0))
     shift = h[:, None, None] * frames
     stencil = np.stack([points[:, None] + shift, points[:, None] - shift], axis=2)
@@ -456,6 +456,6 @@ def pullback_integrand(form: KForm, cycle, param) -> complex:
     """
     point, frame = cycle.at(param)
     if len(frame) != form.degree:
-        raise DimensionMismatchError(
+        raise InputError(
             f"cycle dimension {len(frame)} != form degree {form.degree}")
     return form.evaluate(point, frame)

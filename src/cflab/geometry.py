@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, PreconditionError
+from .errors import InputError
 from .forms import CoeffFn, modulus, mul, power
 from .forms import _const_fn as _const
 
@@ -265,7 +265,7 @@ def sample_points(rng: random.Random, count: int, dim: int, degree: int,
         while len(starts) < count and pos <= len(buf) - record:
             attempts += 1
             if attempts > 200 * count:
-                raise PreconditionError("sampler found too few acceptable points")
+                raise InputError("sampler found too few acceptable points")
             if ok[(pos - first) // step]:
                 starts.append(pos)
                 pos += record
@@ -299,7 +299,7 @@ def sample_on_surface(spec: SurfaceSpec, seed: int, count: int) -> list[Point]:
     budget = 200 * count
     while len(points) < count:
         if not budget:
-            raise PreconditionError("sampler failed to avoid singularities")
+            raise InputError("sampler failed to avoid singularities")
         drawn = min(count - len(points), budget)
         budget -= drawn
         # one solve per point: column solves and bulk draws were slower at 20 points
@@ -342,15 +342,17 @@ def intersection_points(example: str, which: str, seed: int) -> tuple[str, list]
     rng = random.Random(seed)
     if example == "B":
         if which not in _B_POINTS:
-            raise InputError(which)
+            raise InputError(f"Example B has no intersection {which!r}: "
+                             f"it has {', '.join(_B_POINTS)}")
         return "eta", [_B_POINTS[which]]
     if example not in ("C1", "C2", "D", "E"):
-        raise InputError(example)
+        raise InputError(f"no intersections for Example {example!r}: "
+                         f"the examples are B, C1, C2, D and E")
     pts, rooted, count, attempts = [], [], 0, 0
     while count < _INTERSECTION_COUNT:
         attempts += 1
         if attempts > 200 * _INTERSECTION_COUNT:
-            raise PreconditionError(
+            raise InputError(
                 f"sampler failed to find points on {which} of Example {example}")
         if which == "P_Q":
             y1, x1 = rand_c(rng), rand_c(rng)
@@ -362,7 +364,8 @@ def intersection_points(example: str, which: str, seed: int) -> tuple[str, list]
         elif which == "P_Q_S":
             got = _p_q_s(example, rng)
         else:
-            raise InputError(which)
+            raise InputError(f"no intersection {which!r} of Example {example}: "
+                             f"it has P_Q, P_S, Q_S and P_Q_S")
         if isinstance(got, tuple):  # (coefficient row in x1, the point of a root)
             rooted.append(got)
             count += len(got[0]) - 1
@@ -442,13 +445,13 @@ def transversality_margin(specs: Sequence[SurfaceSpec], points) -> float:
     if not points:
         raise InputError("need at least one point")
     if any(len(p) != specs[0].dim for p in points):
-        raise DimensionMismatchError("point dimension does not match the chart")
+        raise InputError("point dimension does not match the chart")
     rows = []
     for k, p in enumerate(points):
         bound = 1e-9 * (1.0 + max(abs(c) for c in p))
         for s in specs:
             if (size := abs(s.value(p))) > bound:
-                raise PreconditionError(
+                raise InputError(
                     f"point {k} {p} is not on {s.name} (|value| = {size:.3e})")
         rows.append([[g(p) for g in s.gradient] for s in specs])
     return float(np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)[:, -1].min())

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exprlang, forms
-from .errors import ChartDomainError, InputError
+from .errors import InputError
 from .exprlang import HolomorphicExpr
 from .forms import KForm
 from .geometry import SurfaceSpec, sample_on_surface, surface_catalog
@@ -157,7 +157,7 @@ def phi_chart_formula(n: int) -> KForm:
 
     def prefactor(p):
         for i, what in ((0, "xi_0"), (1, "y_1")):
-            forms.fault(p[i] == 0, lambda row: ChartDomainError(
+            forms.fault(p[i] == 0, lambda row: InputError(
                 f"chart formula needs {what} != 0"))
         return forms.power(forms.div(p[1], p[0]), n)
 

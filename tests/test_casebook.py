@@ -52,7 +52,7 @@ def test_first_formula_n2_constant_recovers_minus_four_pi_sq():
 def test_first_formula_n2_oriented_kernel_integral_is_minus_four_pi_sq():
     # The oriented cycle integral of the bare kernel equals (2 pi i)^2.
     z = (0.2 + 0j, -0.1 + 0j)
-    sphere = cycles.make_cycle("sphere_M", z=z, eps=0.5)
+    sphere = cycles.sphere_M(z, 0.5)
     factor = casebook.alpha_orientation_factor(2, z, sphere)
     raw = cycles.integrate(kernels.phi(2, z), sphere, (24, 48, 48))
     assert factor * raw == pytest.approx(MINUS_FOUR_PI_SQ, abs=1e-6)
@@ -61,10 +61,10 @@ def test_first_formula_n2_oriented_kernel_integral_is_minus_four_pi_sq():
 def test_first_formula_calls_its_sphere_on_parameter_arrays_only(monkeypatch):
     # The orientation probe and orientation_sign go through the block path
     # too, as one one-point block.
-    real, seen = cycles.make_cycle, []
+    real, seen = cycles.sphere_M, []
 
-    def spied(kind, **params):
-        cycle = real(kind, **params)
+    def spied(z, eps):
+        cycle = real(z, eps)
 
         def arrays_only(fn):
             def checked(param):
@@ -75,7 +75,7 @@ def test_first_formula_calls_its_sphere_on_parameter_arrays_only(monkeypatch):
         return dataclasses.replace(cycle, map=arrays_only(cycle.map),
                                    tangent=arrays_only(cycle.tangent))
 
-    monkeypatch.setattr(cycles, "make_cycle", spied)
+    monkeypatch.setattr(cycles, "sphere_M", spied)
     for n, z in ((1, (0.3 + 0.1j,)), (2, (0.2, -0.1))):
         first_formula(n, parse_expr("1", n), z, 0.5, quad=(8,) * (2 * n - 1),
                       tol=1.0)
@@ -178,7 +178,7 @@ def test_third_gamma_path_independence():
     f = parse_expr("exp(x)+x^2", 1)
     a = 2 + 0.5j
     form = kernels.casebook_form("residue_A", {"a": a}, f)
-    straight = cycles.make_cycle("segment", start=1 + 0j, end=0j)
+    straight = cycles.segment(1 + 0j, 0j)
 
     def smap(t):
         return (0.5 + 0.5 * np.exp(1j * math.pi * t[0]),)

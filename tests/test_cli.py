@@ -349,7 +349,7 @@ def test_orientation_probe_errors_name_the_reference_param(n, z, eps, cause,
     param = (0.7,) if n == 1 else (0.9, 0.7, 1.3)
     assert capsys.readouterr().err == \
         f"cflab: error: orientation probe at param {param}: {cause}\n"
-    sphere = cycles.make_cycle("sphere_M", z=z, eps=float(eps))
+    sphere = cycles.sphere_M(z, float(eps))
     with pytest.raises(PoleError) as err:
         casebook.alpha_orientation_factor(n, z, sphere)
     assert err.value.param == sphere.reference_param == param

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cflab import cycles, exprlang, forms, kernels
-from cflab.cycles import integrate, make_cycle
-from cflab.errors import (CflabError, DimensionMismatchError, InputError,
-                          PoleError, UnsupportedKindError)
+from cflab.cycles import integrate
+from cflab.errors import CflabError, InputError, PoleError
 from cflab.forms import KForm
 
 TWO_PI_I = 2j * math.pi
@@ -50,8 +49,8 @@ def _reversed(cycle, k):
 
 
 def test_at_is_one_column_of_a_block():
-    for cyc in (make_cycle("sphere_M", z=(0.2 + 0j, -0.1 + 0.3j), eps=0.5),
-                make_cycle("torus_D", eps=0.4), _circle(0.1j, 0.9)):
+    for cyc in (cycles.sphere_M((0.2 + 0j, -0.1 + 0.3j), 0.5),
+                cycles.torus_D(0.4), _circle(0.1j, 0.9)):
         params = tuple(np.linspace(0.1, 1.2, 5) + j for j in range(cyc.dim))
         block = [cycles._on_block(fn, params) for fn in (cyc.map, cyc.tangent)]
         for i in range(5):
@@ -99,19 +98,17 @@ def test_cycle_needs_a_factor():
                      tangent=lambda t: ())
 
 
-def test_make_cycle_validation():
-    with pytest.raises(InputError):
-        make_cycle("torus_E", r1=-1.0, r2=0.5)
-    with pytest.raises(InputError):
-        make_cycle("sphere_M", z=(0j,), eps=0.0)
-    with pytest.raises(InputError):
-        make_cycle("torus_D", eps=1.5)
-    with pytest.raises(InputError):
-        make_cycle("unknown_kind")
+def test_cycle_constructors_validate_their_parameters():
+    with pytest.raises(InputError, match="radii must be positive"):
+        cycles.torus_E(-1.0, 0.5)
+    with pytest.raises(InputError, match="eps must be positive"):
+        cycles.sphere_M((0j,), 0.0)
+    with pytest.raises(InputError, match="0 < eps < 1"):
+        cycles.torus_D(1.5)
 
 
 def test_torus_d_point_value():
-    t = make_cycle("torus_D", eps=0.5)
+    t = cycles.torus_D(0.5)
     y1, x2, x1 = t.at((0.0, 0.0))[0]
     assert y1 == pytest.approx(0.5)
     assert x2 == pytest.approx(0.5)
@@ -137,11 +134,11 @@ def _generic_torus(centers, radii):
 def test_tangent_frames_match_finite_differences():
     specs = [
         _circle(center=0.2 + 0.1j, radius=0.8),
-        make_cycle("segment", start=1 + 0j, end=0j),
-        make_cycle("sphere_M", z=(0.3 + 0.1j,), eps=0.7),
-        make_cycle("sphere_M", z=(0.2 + 0j, -0.1 + 0j), eps=0.5),
-        make_cycle("torus_D", eps=0.5),
-        make_cycle("torus_E", r1=0.5, r2=0.4),
+        cycles.segment(1 + 0j, 0j),
+        cycles.sphere_M((0.3 + 0.1j,), 0.7),
+        cycles.sphere_M((0.2 + 0j, -0.1 + 0j), 0.5),
+        cycles.torus_D(0.5),
+        cycles.torus_E(0.5, 0.4),
         _generic_torus(centers=(0j, 1j), radii=(0.5, 0.25)),
     ]
     h = 1e-6
@@ -162,7 +159,7 @@ def test_tangent_frames_match_finite_differences():
 
 
 def test_sphere_points_at_distance_eps():
-    sphere = make_cycle("sphere_M", z=(0.2 + 0j, -0.1 + 0j), eps=0.5)
+    sphere = cycles.sphere_M((0.2 + 0j, -0.1 + 0j), 0.5)
     for param in [(0.3, 0.1, 4.0), (1.2, 2.0, 0.5), sphere.reference_param]:
         point = sphere.at(param)[0]
         x = point[3:]
@@ -172,13 +169,13 @@ def test_sphere_points_at_distance_eps():
 
 def test_orientation_sign_sphere_m_n1():
     # x = z + eps exp(i theta) runs counter-clockwise: outward.
-    sphere = make_cycle("sphere_M", z=(0j,), eps=1.0)
+    sphere = cycles.sphere_M((0j,), 1.0)
     assert cycles.orientation_sign(sphere, (0j,)) == 1
     assert cycles.orientation_sign(_reversed(sphere, 0), (0j,)) == -1
 
 
 def test_orientation_sign_sphere_m_n2():
-    sphere = make_cycle("sphere_M", z=(0j, 0j), eps=1.0)
+    sphere = cycles.sphere_M((0j, 0j), 1.0)
     # The (psi, phi1, phi2) order parametrizes the 3-sphere inward.
     assert cycles.orientation_sign(sphere, (0j, 0j)) == -1
 
@@ -190,7 +187,7 @@ _CENTERS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def _boundary_spheres(draw):
     """A residue sphere (n = 1, 2) with its interior point."""
     z = tuple(draw(_CENTERS) for _ in range(draw(st.sampled_from([1, 2]))))
-    return make_cycle("sphere_M", z=z, eps=draw(st.floats(0.1, 1.0))), z
+    return cycles.sphere_M(z, draw(st.floats(0.1, 1.0))), z
 
 
 @settings(settings.get_profile("cflab"), max_examples=80)
@@ -203,10 +200,10 @@ def test_orientation_sign_flips_under_reversed_factor(sphere, data):
 
 
 def test_orientation_sign_rejects_torus_and_circle():
-    t = make_cycle("torus_E", r1=0.5, r2=0.5)
-    with pytest.raises(UnsupportedKindError):
+    t = cycles.torus_E(0.5, 0.5)
+    with pytest.raises(InputError):
         cycles.orientation_sign(t, (0j, 0j))
-    with pytest.raises(UnsupportedKindError):
+    with pytest.raises(InputError):
         cycles.orientation_sign(_circle(), (0j,))
 
 
@@ -217,7 +214,7 @@ def test_integrate_residue_of_dx_over_x():
 
 
 def test_integrate_exact_segment():
-    seg = make_cycle("segment", start=1 + 0j, end=0j)
+    seg = cycles.segment(1 + 0j, 0j)
     val = integrate(KForm.basis(1, 0), seg, (8,))
     assert abs(val - (-1)) < 1e-14
 
@@ -246,7 +243,7 @@ def test_integrate_linearity_in_form():
 
 
 def test_reversing_a_circle_factor_negates_integral():
-    t = make_cycle("torus_E", r1=0.5, r2=0.5)
+    t = cycles.torus_E(0.5, 0.5)
     form = kernels.casebook_form("integrand_E")
     base = integrate(form, t, (32, 32))
     for k in (0, 1):
@@ -256,13 +253,13 @@ def test_reversing_a_circle_factor_negates_integral():
 
 def test_torus_d_integral_independent_of_eps():
     form = kernels.casebook_form("theta_D")
-    v_small = integrate(form, make_cycle("torus_D", eps=0.3), (128, 128))
-    v_large = integrate(form, make_cycle("torus_D", eps=0.7), (128, 128))
+    v_small = integrate(form, cycles.torus_D(0.3), (128, 128))
+    v_large = integrate(form, cycles.torus_D(0.7), (128, 128))
     assert abs(v_small - v_large) < 1e-8
 
 
 def test_integrate_worker_counts_agree_bitwise():
-    sphere = make_cycle("sphere_M", z=(0.2 + 0j, -0.1 + 0j), eps=0.5)
+    sphere = cycles.sphere_M((0.2 + 0j, -0.1 + 0j), 0.5)
     form = kernels.phi(2, (0.2, -0.1))
     quad = (8, 12, 12)
     v1 = integrate(form, sphere, quad)
@@ -285,7 +282,7 @@ def test_pole_on_grid_raises_pole_error():
 
 
 def test_torus_integral_worker_counts_agree_bitwise():
-    t = make_cycle("torus_D", eps=0.5)
+    t = cycles.torus_D(0.5)
     form = kernels.casebook_form("theta_D")
     v1 = integrate(form, t, (64, 64))
     v2 = integrate(form, t, (64, 64))
@@ -325,21 +322,21 @@ def _reference_integral(form, cycle, sizes):
 
 
 _LINE_FORM = KForm.basis(1, 0, coeff=lambda p: 1 / p[0] + p[0] ** 2 - 1j)
-_SPHERE_2 = make_cycle("sphere_M", z=(0.2 + 0j, -0.1 + 0.3j), eps=0.5)
-_TORUS_E = make_cycle("torus_E", r1=0.5, r2=0.4)
+_SPHERE_2 = cycles.sphere_M((0.2 + 0j, -0.1 + 0.3j), 0.5)
+_TORUS_E = cycles.torus_E(0.5, 0.4)
 
 AGREEMENT_CASES = {
     "circle": (_LINE_FORM, _circle(center=0.1 + 0.2j, radius=0.9), (64,)),
-    "segment": (_LINE_FORM, make_cycle("segment", start=1 + 1j, end=2 - 1j),
+    "segment": (_LINE_FORM, cycles.segment(1 + 1j, 2 - 1j),
                 (16,)),
     "sphere_M_n1": (kernels.phi(1, (0.3 + 0.1j,), exprlang.parse_expr("exp(x)", 1)),
-                    make_cycle("sphere_M", z=(0.3 + 0.1j,), eps=0.7), (64,)),
+                    cycles.sphere_M((0.3 + 0.1j,), 0.7), (64,)),
     # 16 * 24 * 24 points: more than one block
     "sphere_M_n2": (kernels.phi(2, (0.2 + 0j, -0.1 + 0.3j),
                                 exprlang.parse_expr("x1^2*x2+3", 2)),
                     _SPHERE_2, (16, 24, 24)),
     "torus_D": (kernels.casebook_form("theta_D"),
-                make_cycle("torus_D", eps=0.4), (32, 32)),
+                cycles.torus_D(0.4), (32, 32)),
     "torus_E": (kernels.casebook_form("integrand_E"), _TORUS_E, (32, 32)),
     "torus_generic": (kernels.casebook_form("integrand_E"),
                       _generic_torus(centers=(0.1j, 0.2 + 0j), radii=(0.5, 0.4)),
@@ -363,7 +360,7 @@ def test_an_integral_does_not_depend_on_the_block_size(monkeypatch):
     # 2400 points: several blocks at each size, one at 4096
     z = (0.2 + 0j, -0.1 + 0.3j)
     form = kernels.phi(2, z, exprlang.parse_expr("x1^2*x2+3", 2))
-    sphere = make_cycle("sphere_M", z=z, eps=0.5)
+    sphere = cycles.sphere_M(z, 0.5)
     values = set()
     for block in (7, 100, cycles.BLOCK_POINTS, 4096):
         monkeypatch.setattr(cycles, "BLOCK_POINTS", block)
@@ -494,23 +491,22 @@ def test_factor_rule_hit_does_not_recompute(monkeypatch):
 
 
 def test_integrate_interval_cycle_repeats_exactly():
-    seg = make_cycle("segment", start=1 + 0j, end=0.3j)
+    seg = cycles.segment(1 + 0j, 0.3j)
     form = KForm.basis(1, 0, coeff=lambda p: 1 / (p[0] + 2) + p[0] ** 3)
     values = [integrate(form, seg, (33,)) for _ in range(3)]
     assert values[0] == values[1] == values[2]
     assert values[0] == _reference_integral(form, seg, (33,))
 
 
-@pytest.mark.parametrize("kind,params,sizes,message", [
-    ("segment", {"start": 1 + 0j, "end": 0j}, (10 ** 6,), "Gauss-Legendre"),
-    ("torus_E", {"r1": 0.5, "r2": 0.5}, (2 ** 12, 2 ** 12), "budget"),
+@pytest.mark.parametrize("cycle,sizes,message", [
+    (cycles.segment(1 + 0j, 0j), (10 ** 6,), "Gauss-Legendre"),
+    (cycles.torus_E(0.5, 0.5), (2 ** 12, 2 ** 12), "budget"),
 ], ids=["gauss_cap", "grid_budget"])
-def test_oversized_grid_rejected_before_allocating(kind, params, sizes,
-                                                   message, monkeypatch):
+def test_oversized_grid_rejected_before_allocating(cycle, sizes, message,
+                                                   monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("allocated for an oversized grid")
 
-    cycle = make_cycle(kind, **params)
     form = KForm.basis(len(cycle.at(cycle.reference_param)[0]), *range(cycle.dim))
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", boom)
     monkeypatch.setattr(np, "empty", boom)
@@ -535,5 +531,5 @@ def test_cycle_output_of_the_wrong_shape_raises(tangent):
         kind="segment", factors=(cycles.Interval(0.0, 1.0),),
         map=lambda t: (t[0] + 0j,), tangent=tangent,
         x_indices=(0,), reference_param=(0.5,))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InputError):
         integrate(KForm.basis(1, 0), seg, (4,))

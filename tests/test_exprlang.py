@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflab.errors import DimensionMismatchError, InputError, PoleError
+from cflab.errors import InputError, PoleError
 from cflab.exprlang import (MAX_EXPR_DEPTH, MAX_EXPR_NODES, Add, Div, Exp,
                             ExprSyntaxError, Mul, Neg, Num, Pow, Sub, Var,
                             differentiate, eval_expr, parse_expr, to_str)
@@ -68,7 +68,7 @@ def test_eval_pole_errors():
 
 
 def test_eval_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InputError):
         eval_expr(Var(3), (1, 2))
 
 
@@ -169,7 +169,7 @@ def _reference_eval(expr, point):
         return expr.value
     if isinstance(expr, Var):
         if expr.index >= len(point):
-            raise DimensionMismatchError(
+            raise InputError(
                 f"expression uses x{expr.index + 1} but the point has "
                 f"{len(point)} coordinates")
         return point[expr.index]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cflab import casebook, cycles, geometry, kernels
-from cflab.errors import InputError, PreconditionError
+from cflab.errors import InputError
 from cflab.geometry import (intersection_points, rand_c, sample_on_surface,
                             sample_points, surface_catalog,
                             transversality_margin)
@@ -17,7 +17,7 @@ GOLDEN_MARGIN = 0.6180339887498949  # smallest singular value of [[1,0],[1,1]]
 
 def test_m_cycle_points_pair_to_zero_and_eps_sq():
     for z, eps in (((0.3 + 0.1j,), 0.7), ((0.2 + 0j, -0.1 + 0j), 0.5)):
-        sphere = cycles.make_cycle("sphere_M", z=z, eps=eps)
+        sphere = cycles.sphere_M(z, eps)
         n = len(z)
         params = [sphere.reference_param,
                   tuple(0.2 for _ in sphere.reference_param),
@@ -221,7 +221,7 @@ def test_sample_points_with_extra_draws_under_a_predicate_that_rejects_most(
 
 
 def test_sample_points_gives_up_on_a_predicate_that_never_holds():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError):
         sample_points(random.Random(1), 5, 3, 2, lambda p: False)
 
 
@@ -229,7 +229,7 @@ def test_intersection_points_gives_up_when_no_draw_lands(monkeypatch):
     # a closed-form intersection, and one whose points solve polynomials
     for helper, example, which in (("_p_cap_s", "C1", "P_S"), ("_q_cap_s", "D", "Q_S")):
         monkeypatch.setattr(geometry, helper, lambda example, rng: [])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError):
             intersection_points(example, which, seed=1)
 
 
@@ -335,8 +335,11 @@ def test_example_b_has_one_point_on_each_intersection():
     assert intersection_points("B", "P_Q", 1) == ("eta", [(0j, 0j)])
     assert intersection_points("B", "P_S", 1) == ("eta", [(0j, 1 + 0j)])
     assert intersection_points("B", "Q_S", 1) == ("eta", [(-0.5 + 0j, 0.5 + 0j)])
-    for example, which in (("B", "P_Q_S"), ("A", "P_Q"), ("C1", "Q_Q")):
-        with pytest.raises(InputError):
+    for example, which, message in (
+            ("B", "P_Q_S", r"Example B has no intersection 'P_Q_S': it has P_Q, P_S, Q_S$"),
+            ("A", "P_Q", r"no intersections for Example 'A': the examples are B, C1, C2, D and E$"),
+            ("C1", "Q_Q", r"no intersection 'Q_Q' of Example C1: it has P_Q, P_S, Q_S and P_Q_S$")):
+        with pytest.raises(InputError, match=message):
             intersection_points(example, which, 1)
 
 
@@ -364,7 +367,7 @@ def test_transversality_degenerate_point_of_s_d():
 def test_transversality_margin_requires_on_surface_point():
     p = surface_catalog("P", chart="eta")
     q = surface_catalog("Q", chart="eta")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError):
         transversality_margin([p, q], [(0.5, 0.5)])
 
 
@@ -520,9 +523,9 @@ def test_stacked_margin_is_the_least_per_point_margin_bit_for_bit():
 def test_margin_names_the_first_point_off_a_surface():
     p = surface_catalog("P", chart="eta")
     q = surface_catalog("Q", chart="eta")
-    with pytest.raises(PreconditionError, match=r"point 2 \(0j, \(1\+0j\)\) is not on Q"):
+    with pytest.raises(InputError, match=r"point 2 \(0j, \(1\+0j\)\) is not on Q"):
         transversality_margin([p, q], [(0, 0), (0, 0), (0, 1), (1, 0)])
-    with pytest.raises(PreconditionError, match=r"point 1 .* is not on P "):
+    with pytest.raises(InputError, match=r"point 1 .* is not on P "):
         transversality_margin([p, q], [(0, 0), (1, -1), (0, 1)])
     with pytest.raises(InputError):
         transversality_margin([p, q], [])

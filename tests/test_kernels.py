@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cflab import casebook, cycles, exprlang, forms, geometry, kernels
-from cflab.errors import ChartDomainError, InputError, PoleError
+from cflab.errors import InputError, PoleError
 from cflab.forms import KForm
 from cflab.kernels import (casebook_form, kernel_basis_form, phi,
                            phi_chart_formula, psi, vanishing_max_and_scale)
@@ -311,7 +311,7 @@ def test_pole_rows_match_point_by_point_evaluation(name, kernel, n, z, f, rows):
 def test_kernels_reach_an_eval_expr_patched_after_they_are_built(monkeypatch):
     z, f = (0.2 + 0j, -0.1 + 0j), exprlang.parse_expr("x1^2*x2+3", 2)
     form = phi(2, z, f)
-    sphere = cycles.make_cycle("sphere_M", z=z, eps=0.5)
+    sphere = cycles.sphere_M(z, 0.5)
     plain = cycles.integrate(form, sphere, (8, 8, 8))
     seen, original = [], exprlang.eval_expr
 
@@ -348,7 +348,7 @@ def test_kernel_terms_share_the_pairing_and_its_power_but_not_f(monkeypatch, ker
 
 
 _Z2 = (0.2 + 0j, -0.1 + 0.3j)
-_SPHERE = cycles.make_cycle("sphere_M", z=_Z2, eps=0.5)
+_SPHERE = cycles.sphere_M(_Z2, 0.5)
 _GRID = (6, 20, 20)  # 2400 points: more than one block
 
 
@@ -489,7 +489,7 @@ def test_chart_formula_takes_xi1_squared_once_per_batch(monkeypatch, n):
 
 
 def test_phi_chart_identity_rejects_chart_singularity():
-    with pytest.raises(ChartDomainError):
+    with pytest.raises(InputError):
         phi_chart_formula(2).evaluate_many(((0, 1, 1, 0, 0),),
                                            ([(1, 0, 0, 0, 0)] * 3,))
 
