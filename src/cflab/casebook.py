@@ -297,32 +297,35 @@ def third_formula_case(case_id: str, f: HolomorphicExpr, *, nodes: int, tol: flo
 
 # ---------------------------------------------------- necessary condition
 
-def _loop_integral(fn, center: complex, radius: float, n: int = 512) -> complex:
-    """Plain one-variable trapezoid loop integral of an array-valued ``fn``,
-    summed in node order (independent oracle path)."""
-    h = 2.0 * math.pi / n
-    e = np.exp(1j * (h * np.arange(n)))
+def _loop_integral(fn, center: complex, radius: float, e: np.ndarray) -> complex:
+    """Plain one-variable trapezoid loop integral of an array-valued ``fn``
+    on the node table ``e`` = exp(i h k), k < n, h = 2 pi / n, summed in
+    node order (independent oracle path)."""
+    h = 2.0 * math.pi / len(e)
     with np.errstate(all="ignore"):  # a non-finite oracle fails its check
         return complex(np.cumsum(fn(center + radius * e) * 1j * radius * e * h)[-1])
 
 
 def residue_oracle_D(eps: float, n: int = 512) -> complex:
     """Iterated one-variable residues for the separable Example D integrand."""
-    inner_y = _loop_integral(lambda y1: 1 / (y1 * (y1 + 1)), 0j, eps, n)
-    inner_x = _loop_integral(lambda x2: (x2 * x2 + 1) / x2, 0j, eps, n)
+    e = np.exp(1j * (2.0 * math.pi / n * np.arange(n)))
+    inner_y = _loop_integral(lambda y1: 1 / (y1 * (y1 + 1)), 0j, eps, e)
+    inner_x = _loop_integral(lambda x2: (x2 * x2 + 1) / x2, 0j, eps, e)
     return inner_y * inner_x
 
 
 def residue_oracle_E(r1: float, r2: float, n: int = 512) -> complex:
     """Nested one-variable loops for ((v-u)^3+1)/(uv), u outside, v inside:
-    a Python loop over the u nodes, each v loop one array sum."""
+    a Python loop over the u nodes, each v loop one array sum, all on one
+    node table."""
+    e = np.exp(1j * (2.0 * math.pi / n * np.arange(n)))
 
     def inner(us):
         return np.array([
-            _loop_integral(lambda v: ((v - u) ** 3 + 1) / (u * v), 0j, r2, n)
+            _loop_integral(lambda v: ((v - u) ** 3 + 1) / (u * v), 0j, r2, e)
             for u in us.tolist()])
 
-    return _loop_integral(inner, 0j, r1, n)
+    return _loop_integral(inner, 0j, r1, e)
 
 
 @_family("necessary", "obstruction torus integrals", case="case", options=(

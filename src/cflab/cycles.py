@@ -69,7 +69,9 @@ class Cycle:
     a tuple of ambient coordinate arrays; ``tangent`` returns one ambient
     vector per factor (hand differentiated, never by finite differences).
     Both are called on parameter arrays only, through :func:`_on_block`: by
-    :func:`integrate` on blocks of grid points and by :meth:`at` on one.
+    :func:`integrate` on blocks of grid points and by :meth:`at` on one,
+    each block one :class:`forms.Columns`, so a part both need runs once
+    per block (:func:`forms.shared`).
     ``x_indices`` names the ambient coordinates that project to affine
     space, used by the orientation test.
     """
@@ -102,7 +104,7 @@ class Cycle:
         param = tuple(param)
         if self._last and self._last[0] == param:
             return self._last[1]
-        params = tuple(np.array([t], dtype=float) for t in param)
+        params = forms.Columns(np.array([t], dtype=float) for t in param)
         point = _on_block(self.map, params)[..., 0]
         frame = _on_block(self.tangent, params)[..., 0]
         if not (np.isfinite(point).all() and np.isfinite(frame).all()):
@@ -143,14 +145,16 @@ def sphere_M(z: Sequence[complex], eps: float) -> Cycle:
     if n == 1:
         z0 = z[0]
 
+        def offset(param):  # x - z, once per block (forms.shared)
+            return eps * np.exp(1j * param[0])
+
         def mmap(param):
-            delta = eps * np.exp(1j * param[0])
+            delta = forms.shared(offset, param)
             xi1 = delta.conjugate()
             return (-z0 * xi1 - eps * eps, xi1, z0 + delta)
 
         def mtan(param):
-            delta = eps * np.exp(1j * param[0])
-            d_delta = 1j * delta
+            d_delta = 1j * forms.shared(offset, param)
             d_conj = d_delta.conjugate()
             return ((-z0 * d_conj, d_conj, d_delta),)
 
@@ -160,18 +164,20 @@ def sphere_M(z: Sequence[complex], eps: float) -> Cycle:
     if n == 2:
         z1, z2 = z
 
-        def mmap(param):
+        def parts(param):  # once per block (forms.shared)
             psi, p1, p2 = param
-            d1 = eps * np.cos(psi) * np.exp(1j * p1)
-            d2 = eps * np.sin(psi) * np.exp(1j * p2)
+            return (eps * np.cos(psi), eps * np.sin(psi),
+                    np.exp(1j * p1), np.exp(1j * p2))
+
+        def mmap(param):
+            a1, a2, e1, e2 = forms.shared(parts, param)
+            d1, d2 = a1 * e1, a2 * e2
             c1, c2 = d1.conjugate(), d2.conjugate()
             xi0 = -(z1 * c1 + z2 * c2) - eps * eps
             return (xi0, c1, c2, z1 + d1, z2 + d2)
 
         def mtan(param):
-            psi, p1, p2 = param
-            e1, e2 = np.exp(1j * p1), np.exp(1j * p2)
-            a1, a2 = eps * np.cos(psi), eps * np.sin(psi)
+            a1, a2, e1, e2 = forms.shared(parts, param)
             d1_psi, d2_psi = -a2 * e1, a1 * e2           # d/dpsi
             d1_1, d2_2 = 1j * a1 * e1, 1j * a2 * e2      # d/dphi1, d/dphi2
             c1_psi, c2_psi = d1_psi.conjugate(), d2_psi.conjugate()
@@ -193,22 +199,22 @@ def torus_D(eps: float) -> Cycle:
     if not 0 < eps < 1:
         raise InputError("torus_D needs 0 < eps < 1")
 
-    def parts(param):
+    def parts(param):  # once per block (forms.shared)
         th, et = param
         y1, x2 = eps * np.exp(1j * th), eps * np.exp(1j * et)
         num = 1 + x2 * x2
-        den = eps * eps * np.exp(1j * (th + et)) * (1 + y1)
-        return y1, x2, num, den
+        scale = eps * eps * np.exp(1j * (th + et))
+        return y1, x2, num, scale * (1 + y1), scale
 
     def dmap(param):
-        y1, x2, num, den = parts(param)
+        y1, x2, num, den, _ = forms.shared(parts, param)
         return (y1, x2, 1 - num / den)
 
     def dtan(param):
-        y1, x2, num, den = parts(param)
+        y1, x2, num, den, scale = forms.shared(parts, param)
         dy1, dx2 = 1j * y1, 1j * x2
         # d/dtheta: num constant, den has factor exp(i theta)(1 + y1)
-        dden_th = 1j * den + eps * eps * np.exp(1j * (param[0] + param[1])) * dy1
+        dden_th = 1j * den + scale * dy1
         # d/deta: num' = 2i x2^2, den' = i den
         dx1_et = (num * (1j * den) - 2j * x2 * x2 * den) / (den * den)
         return ((dy1, 0j, num * dden_th / (den * den)), (0j, dx2, dx1_et))
@@ -223,12 +229,16 @@ def torus_E(r1: float, r2: float) -> Cycle:
     if r1 <= 0 or r2 <= 0:
         raise InputError("torus_E radii must be positive")
 
+    def parts(param):  # once per block (forms.shared)
+        return np.exp(1j * param[0]), np.exp(1j * param[1])
+
     def emap(param):
-        return (r1 * np.exp(1j * param[0]), r2 * np.exp(1j * param[1]))
+        e1, e2 = forms.shared(parts, param)
+        return (r1 * e1, r2 * e2)
 
     def etan(param):
-        return ((1j * r1 * np.exp(1j * param[0]), 0j),
-                (0j, 1j * r2 * np.exp(1j * param[1])))
+        e1, e2 = forms.shared(parts, param)
+        return ((1j * r1 * e1, 0j), (0j, 1j * r2 * e2))
 
     return Cycle(kind="torus_E", factors=(Circle(), Circle()),
                  map=emap, tangent=etan,
@@ -396,11 +406,13 @@ def integrate(form: forms.KForm, cycle: Cycle, quad: Sequence[int]) -> complex:
         raise InputError(f"a Gauss-Legendre factor needs at most "
                          f"{MAX_GAUSS_NODES} nodes, got {sizes}")
     rules = [_factor_rule(f, n) for f, n in zip(cycle.factors, sizes)]
-    re, im = np.empty(total), np.empty(total)
+    # One chunk for both parts: freed, it raises glibc's trim threshold to twice
+    # its size, above what the next integral frees, so its pages stay mapped.
+    re, im = np.empty((2, total))
     for lo in range(0, total, BLOCK_POINTS):
         hi = min(lo + BLOCK_POINTS, total)
         index = np.unravel_index(np.arange(lo, hi), sizes)
-        params = tuple(nodes[i] for (nodes, _), i in zip(rules, index))
+        params = forms.Columns(nodes[i] for (nodes, _), i in zip(rules, index))
         weights = math.prod(w[i] for (_, w), i in zip(rules, index))
         re[lo:hi], im[lo:hi] = _weighted_block(form, cycle, params, weights)
     try:

@@ -38,6 +38,9 @@ def _const_fn(value: complex) -> CoeffFn:
 class Columns(tuple):
     """A batch's coordinate columns, with the ``memo`` of its :func:`shared` values."""
 
+    def __init__(self, columns):
+        self.memo = {}
+
 
 def shared(fn: CoeffFn, cols):
     """``fn(cols)``, once per batch: on :class:`Columns` the first call keeps
@@ -62,14 +65,18 @@ def pole_at(cols, bad, message: str) -> None:
     fault(bad, lambda row: PoleError(message, point=tuple(complex(c[row]) for c in cols)))
 
 
+def _lists(cols) -> list:
+    return [c.tolist() for c in cols]
+
+
 def map_points(fn: Callable[..., complex], cols, *lead) -> np.ndarray:
     """``fn(*lead, point)`` at each point (a tuple of Python complex
     numbers) of the batch columns ``cols``, in row order and called by
-    ``map`` itself; an error gets its row."""
+    ``map`` itself; an error gets its row.  The columns are made Python
+    numbers once per batch (:func:`shared`)."""
     values: list = []
     try:  # extend keeps the values before an error
-        values.extend(map(fn, *map(itertools.repeat, lead),
-                          zip(*(c.tolist() for c in cols))))
+        values.extend(map(fn, *map(itertools.repeat, lead), zip(*shared(_lists, cols))))
     except Exception as exc:
         exc.row = len(values)
         raise
@@ -163,6 +170,18 @@ def _frame_order(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order[:, tied] = np.lexsort(keys.transpose(1, 0, 2)[::-1], axis=0)
     lo, hi = _pairs(k)
     return order, (order[lo] > order[hi]).sum(axis=0) % 2 == 1
+
+
+def _gather(frames: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``frames[order[v, p], c, p]`` by one flat ``take`` from the memory of
+    frames C-contiguous as (vector, coordinate, point) or (point, vector,
+    coordinate), the layouts callers pass; other frames are copied first."""
+    if not (frames.flags.c_contiguous or frames.transpose(2, 0, 1).flags.c_contiguous):
+        frames = np.ascontiguousarray(frames)
+    _, dim, m = frames.shape
+    sk, sd, sm = (s // frames.itemsize for s in frames.strides)  # in elements
+    grid = (np.arange(dim) * sd)[:, None] + np.arange(m) * sm
+    return frames.ravel(order="K").take((order * sk)[:, None, :] + grid)
 
 
 def _index(values) -> np.ndarray:
@@ -301,7 +320,6 @@ class KForm:
             while True:
                 try:
                     cols = Columns(points[:n].T)
-                    cols.memo = {}
                     for t, c in enumerate(self.terms.values()):
                         coeff[t, :n] = c(cols)
                     break
@@ -330,7 +348,7 @@ class KForm:
         odd = None
         if self.degree >= 2:
             order, odd = _frame_order(frames)
-            frames = frames[order[:, None, :], np.arange(self.dim)[:, None], np.arange(m)]
+            frames = _gather(frames, order)
         value = np.zeros(m, dtype=complex)
         with np.errstate(all="ignore"):
             for term in mul(coeff, _minors(tuple(self.terms), frames)):

@@ -117,7 +117,7 @@ def _sample_S_A(rng, params):
 
 def _surface_S_B(params):
     return _spec("S_B", "eta", (), lambda p: power(p[0], 2) + mul(p[0] + 1, p[1] - 1),
-                 lambda p: mul(2, p[0]) + p[1] - 1, lambda p: p[0] + 1,
+                 lambda p: mul(2 + 0j, p[0]) + p[1] - 1, lambda p: p[0] + 1,
                  solve=_sample_S_B)
 
 
@@ -131,8 +131,8 @@ def _sample_S_B(rng, params):
 def _surface_S_C1(params):
     return _spec("S_C1", "U2", (),
                  lambda p: power(p[0], 3) + mul(power(p[1], 3), p[2] - 1) + (p[3] - 2),
-                 lambda p: mul(3, power(p[0], 2)),
-                 lambda p: mul(mul(3, power(p[1], 2)), p[2] - 1),
+                 lambda p: mul(3 + 0j, power(p[0], 2)),
+                 lambda p: mul(mul(3 + 0j, power(p[1], 2)), p[2] - 1),
                  lambda p: power(p[1], 3), _ONE)
 
 
@@ -140,18 +140,18 @@ def _surface_S_C2(params):
     # S_C1 plus 2 y1^2
     c1 = _surface_S_C1(params)
     dy0, dy1, dx1, dx2 = c1.gradient
-    return _spec("S_C2", "U2", (), lambda p: c1.value(p) + mul(2, power(p[1], 2)),
-                 dy0, lambda p: dy1(p) + mul(4, p[1]), dx1, dx2)
+    return _spec("S_C2", "U2", (), lambda p: c1.value(p) + mul(2 + 0j, power(p[1], 2)),
+                 dy0, lambda p: dy1(p) + mul(4 + 0j, p[1]), dx1, dx2)
 
 
 def _surface_S_D_U2(params):
     return _spec("S_D", "U2", (),
                  lambda p: (power(p[0], 2) + mul(mul(mul(p[1], p[1] + 1), p[2] - 1), p[3])
                             + power(p[3], 2) + 1),
-                 lambda p: mul(2, p[0]),
-                 lambda p: mul(mul(mul(2, p[1]) + 1, p[2] - 1), p[3]),
+                 lambda p: mul(2 + 0j, p[0]),
+                 lambda p: mul(mul(mul(2 + 0j, p[1]) + 1, p[2] - 1), p[3]),
                  lambda p: mul(mul(p[1], p[1] + 1), p[3]),
-                 lambda p: mul(mul(p[1], p[1] + 1), p[2] - 1) + mul(2, p[3]),
+                 lambda p: mul(mul(p[1], p[1] + 1), p[2] - 1) + mul(2 + 0j, p[3]),
                  solve=_x1_linear_solver("D"))
 
 
@@ -179,22 +179,23 @@ def _surface_S_D_U1(params):
     return _spec("S_D", "U1", (),
                  lambda p: (power(p[0], 2) + mul(mul(1 + p[1], p[2] - 1), p[3])
                             + mul(power(p[1], 2), power(p[3], 2) + 1)),
-                 lambda p: mul(2, p[0]),
-                 lambda p: mul(p[2] - 1, p[3]) + mul(mul(2, p[1]), power(p[3], 2) + 1),
+                 lambda p: mul(2 + 0j, p[0]),
+                 lambda p: mul(p[2] - 1, p[3]) + mul(mul(2 + 0j, p[1]), power(p[3], 2) + 1),
                  lambda p: mul(1 + p[1], p[3]),
-                 lambda p: mul(1 + p[1], p[2] - 1) + mul(mul(2, power(p[1], 2)), p[3]))
+                 lambda p: mul(1 + p[1], p[2] - 1) + mul(mul(2 + 0j, power(p[1], 2)), p[3]))
 
 
 def _surface_S_E(params):
     def quad(p):  # y1^2 + 3 y1 x2 + 2 x2^2
-        return power(p[1], 2) + mul(mul(3, p[1]), p[3]) + mul(2, power(p[3], 2))
+        return power(p[1], 2) + mul(mul(3 + 0j, p[1]), p[3]) + mul(2 + 0j, power(p[3], 2))
 
     return _spec("S_E", "U2", (),
                  lambda p: power(p[0], 2) + mul(quad(p), p[2] - 1) + power(p[3], 3) + 1,
-                 lambda p: mul(2, p[0]),
-                 lambda p: mul(mul(2, p[1]) + mul(3, p[3]), p[2] - 1),
+                 lambda p: mul(2 + 0j, p[0]),
+                 lambda p: mul(mul(2 + 0j, p[1]) + mul(3 + 0j, p[3]), p[2] - 1),
                  quad,
-                 lambda p: mul(mul(3, p[1]) + mul(4, p[3]), p[2] - 1) + mul(3, power(p[3], 2)),
+                 lambda p: (mul(mul(3 + 0j, p[1]) + mul(4 + 0j, p[3]), p[2] - 1)
+                            + mul(3 + 0j, power(p[3], 2))),
                  solve=_x1_linear_solver("E"))
 
 

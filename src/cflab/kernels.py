@@ -45,20 +45,12 @@ def kernel_basis_form(kind: str, n: int) -> KForm:
     dim = joint_dim(n)
     if kind == "omega":
         return KForm.basis(dim, *range(n + 1, 2 * n + 1))
-    if kind == "omega_prime":
-        terms: dict[tuple[int, ...], forms.CoeffFn] = {}
-        for k in range(1, n + 1):
-            key = tuple(j for j in range(1, n + 1) if j != k)
-            sign = (-1) ** (k - 1)
-            terms[key] = lambda cols, k=k, s=sign: forms.mul(s, cols[k])
-        return KForm(n - 1, dim, terms=terms)
-    if kind == "omega_star":
-        terms = {}
-        for k in range(0, n + 1):
-            key = tuple(j for j in range(0, n + 1) if j != k)
-            sign = (-1) ** k
-            terms[key] = lambda cols, k=k, s=sign: forms.mul(s, cols[k])
-        return KForm(n, dim, terms=terms)
+    if kind in ("omega_prime", "omega_star"):
+        first = 1 if kind == "omega_prime" else 0  # the first xi_k in the sum
+        terms = {tuple(j for j in range(first, n + 1) if j != k):
+                 (lambda cols, k=k, s=(-1) ** (k - first): forms.mul(s, cols[k]))
+                 for k in range(first, n + 1)}
+        return KForm(n - first, dim, terms=terms)
     raise InputError(f"unknown kernel basis form {kind!r}")
 
 
@@ -89,9 +81,10 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     power and ``s_k xi_k`` are taken on whole arrays, as Python's complex
     arithmetic rounds them, the pairing and power once per batch
     (:func:`forms.shared`, in the order pairing, pole test, ``f``, power);
-    ``f`` by :func:`_f_at`, a number once per batch and any other ``f`` once
-    per point per term (one shared ``f(x)`` per point waits for ROADMAP item
-    1: the benchmark counts expression calls).
+    ``f`` by :func:`_f_at`, and ``f / (xi.z)^power`` once per batch for a
+    number ``f``; any other ``f`` once per point per term (one shared
+    ``f(x)`` per point waits for ROADMAP item 1: the benchmark counts
+    expression calls).
     """
     _check_n(n)
     z = tuple(complex(c) for c in z)
@@ -108,17 +101,20 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     def den_power(cols):
         return forms.power(forms.shared(pairing, cols), power)
 
-    def f_x(cols):
-        return _f_at(f, cols[x])
+    def x_cols(cols):  # made Python numbers once for every term's f
+        return forms.Columns(cols[x])
 
-    once = f is not None and f.constant
+    def quotient(cols):
+        top = _f_at(f, forms.shared(x_cols, cols))
+        return forms.div(top, forms.shared(den_power, cols))
+
+    once = f is None or f.constant
 
     def term(k: int, s: int) -> forms.CoeffFn:
         def coeff(cols):
             forms.shared(pairing, cols)  # its pole test comes before f
-            top = forms.shared(f_x, cols) if once else f_x(cols)
-            return forms.mul(forms.div(top, forms.shared(den_power, cols)),
-                             0j + forms.mul(s, cols[k]))
+            q = forms.shared(quotient, cols) if once else quotient(cols)
+            return forms.mul(q, 0j + forms.mul(s, cols[k]))
 
         return coeff
 
@@ -245,7 +241,7 @@ def _sigma_B(f: HolomorphicExpr | None) -> KForm:
             eta, x = p
             forms.pole_at(p, eta == 0, "sigma_B pole at eta = 0")
             s = forms.power(eta, 2) + forms.mul(eta + 1, x - 1)
-            ds = forms.mul(2, eta) + x - 1 if i == 0 else eta + 1
+            ds = forms.mul(2 + 0j, eta) + x - 1 if i == 0 else eta + 1
             fac = forms.div(_f_at(f, (x,)), eta)
             return forms.mul(fac, forms.mul(s, 1 + 0j) - forms.mul(eta + x, ds))
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import random
@@ -533,3 +534,160 @@ def test_cycle_output_of_the_wrong_shape_raises(tangent):
         x_indices=(0,), reference_param=(0.5,))
     with pytest.raises(InputError):
         integrate(KForm.basis(1, 0), seg, (4,))
+
+
+# ------------------------------------------------------- shared cycle parts
+# Each constructor's map and tangent share their exponentials and cos/sin
+# per block (forms.shared).  The formulas below are the ones they had when
+# each computed its own: point and frame must keep their bits.
+
+def _unshared_sphere_1(z0, eps):
+    def mmap(param):
+        delta = eps * np.exp(1j * param[0])
+        xi1 = delta.conjugate()
+        return (-z0 * xi1 - eps * eps, xi1, z0 + delta)
+
+    def mtan(param):
+        delta = eps * np.exp(1j * param[0])
+        d_delta = 1j * delta
+        d_conj = d_delta.conjugate()
+        return ((-z0 * d_conj, d_conj, d_delta),)
+
+    return mmap, mtan
+
+
+def _unshared_sphere_2(z1, z2, eps):
+    def mmap(param):
+        psi, p1, p2 = param
+        d1 = eps * np.cos(psi) * np.exp(1j * p1)
+        d2 = eps * np.sin(psi) * np.exp(1j * p2)
+        c1, c2 = d1.conjugate(), d2.conjugate()
+        xi0 = -(z1 * c1 + z2 * c2) - eps * eps
+        return (xi0, c1, c2, z1 + d1, z2 + d2)
+
+    def mtan(param):
+        psi, p1, p2 = param
+        e1, e2 = np.exp(1j * p1), np.exp(1j * p2)
+        a1, a2 = eps * np.cos(psi), eps * np.sin(psi)
+        d1_psi, d2_psi = -a2 * e1, a1 * e2
+        d1_1, d2_2 = 1j * a1 * e1, 1j * a2 * e2
+        c1_psi, c2_psi = d1_psi.conjugate(), d2_psi.conjugate()
+        c1_1, c2_2 = d1_1.conjugate(), d2_2.conjugate()
+        return ((-(z1 * c1_psi + z2 * c2_psi), c1_psi, c2_psi, d1_psi, d2_psi),
+                (-(z1 * c1_1), c1_1, 0j, d1_1, 0j),
+                (-(z2 * c2_2), 0j, c2_2, 0j, d2_2))
+
+    return mmap, mtan
+
+
+def _unshared_torus_D(eps):
+    def parts(param):
+        th, et = param
+        y1, x2 = eps * np.exp(1j * th), eps * np.exp(1j * et)
+        num = 1 + x2 * x2
+        den = eps * eps * np.exp(1j * (th + et)) * (1 + y1)
+        return y1, x2, num, den
+
+    def dmap(param):
+        y1, x2, num, den = parts(param)
+        return (y1, x2, 1 - num / den)
+
+    def dtan(param):
+        y1, x2, num, den = parts(param)
+        dy1, dx2 = 1j * y1, 1j * x2
+        dden_th = 1j * den + eps * eps * np.exp(1j * (param[0] + param[1])) * dy1
+        dx1_et = (num * (1j * den) - 2j * x2 * x2 * den) / (den * den)
+        return ((dy1, 0j, num * dden_th / (den * den)), (0j, dx2, dx1_et))
+
+    return dmap, dtan
+
+
+def _unshared_torus_E(r1, r2):
+    def emap(param):
+        return (r1 * np.exp(1j * param[0]), r2 * np.exp(1j * param[1]))
+
+    def etan(param):
+        return ((1j * r1 * np.exp(1j * param[0]), 0j),
+                (0j, 1j * r2 * np.exp(1j * param[1])))
+
+    return emap, etan
+
+
+# cycle, its unshared (map, tangent), and a grid of two blocks
+SHARED_CASES = {
+    "sphere_M_n1": (cycles.sphere_M((0.3 + 0.1j,), 0.7),
+                    _unshared_sphere_1(0.3 + 0.1j, 0.7), (cycles.BLOCK_POINTS + 100,)),
+    "sphere_M_n2": (cycles.sphere_M((0.2 + 0j, -0.1 + 0.3j), 0.5),
+                    _unshared_sphere_2(0.2 + 0j, -0.1 + 0.3j, 0.5), (4, 20, 24)),
+    "torus_D": (cycles.torus_D(0.4), _unshared_torus_D(0.4), (40, 48)),
+    "torus_E": (cycles.torus_E(0.5, 0.4), _unshared_torus_E(0.5, 0.4), (40, 48)),
+}
+
+
+def _recorded(cycle):
+    """``cycle`` whose map and tangent record (name, params, block array)."""
+    seen = []
+
+    def record(fn, name):
+        def wrapped(params):
+            out = fn(params)
+            seen.append((name, tuple(params), cycles._on_block(lambda p: out, params)))
+            return out
+        return wrapped
+
+    return dataclasses.replace(cycle, map=record(cycle.map, "map"),
+                               tangent=record(cycle.tangent, "tangent")), seen
+
+
+def _constant_form(cycle):
+    ambient = len(cycle.at(cycle.reference_param)[0])
+    return KForm.basis(ambient, *range(cycle.dim))
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_shared_parts_keep_point_and_frame_bits(case):
+    cycle, unshared, sizes = SHARED_CASES[case]
+    traced, seen = _recorded(cycle)
+    integrate(_constant_form(cycle), traced, sizes)
+    assert [name for name, _, _ in seen] == ["map", "tangent"] * 2
+    for name, params, block in seen:
+        fn = unshared[name == "tangent"]
+        assert block.tobytes() == cycles._on_block(fn, params).tobytes()
+    for param in (cycle.reference_param, (0.3,) * cycle.dim):
+        point, frame = cycle.at(param)
+        ones = tuple(np.array([t]) for t in param)
+        assert point.tobytes() == cycles._on_block(unshared[0], ones)[..., 0].tobytes()
+        assert frame.tobytes() == cycles._on_block(unshared[1], ones)[..., 0].tobytes()
+
+
+def _counting_shared(monkeypatch):
+    """Patch ``forms.shared`` to count, per shared function of ``cycles``,
+    its lookups and its runs."""
+    lookups, runs, counted = {}, {}, {}
+    inner = forms.shared
+
+    def shared(fn, cols):
+        if fn.__module__ != "cflab.cycles":
+            return inner(fn, cols)
+        if fn not in counted:
+            def count(params, fn=fn):
+                runs[fn] = runs.get(fn, 0) + 1
+                return fn(params)
+            counted[fn] = count
+        lookups[fn] = lookups.get(fn, 0) + 1
+        return inner(counted[fn], cols)
+
+    monkeypatch.setattr(forms, "shared", shared)
+    return lookups, runs
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_shared_parts_run_once_per_block(monkeypatch, case):
+    cycle, _, sizes = SHARED_CASES[case]
+    form = _constant_form(cycle)
+    lookups, runs = _counting_shared(monkeypatch)
+    integrate(form, cycle, sizes)
+    assert list(runs.values()) == [2] and list(lookups.values()) == [4]
+    lookups.clear(), runs.clear()
+    dataclasses.replace(cycle).at((0.25,) * cycle.dim)  # a fresh last result
+    assert list(runs.values()) == [1] and list(lookups.values()) == [2]

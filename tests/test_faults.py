@@ -15,11 +15,12 @@ under a fault whose set names one of them.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from cflab import casebook, forms, geometry, kernels
+from cflab import casebook, cycles, forms, geometry, kernels
 from cflab.forms import KForm
 
 _CATALOG = dict(geometry._CATALOG)
@@ -253,3 +254,48 @@ def test_a_fault_fails_exactly_its_rows(monkeypatch, patch, want):
     kind, *args = patch
     getattr(monkeypatch, kind)(*args)
     assert _failing(() if want & _N2_SPHERE_ROWS else tuple(_N2_SPHERE_ROWS)) == want
+
+
+# ------------------------------------------------------- oracle independence
+# The residue oracles of the necessary_D and necessary_E rows must not run
+# through the code their rows test: with the integrator, the batched form
+# evaluation and the kernel builders poisoned they return the same bits,
+# which are those of one node table per loop.
+
+def _one_table_per_loop(fn, center, radius, n):
+    h = 2.0 * math.pi / n
+    e = np.exp(1j * (h * np.arange(n)))
+    with np.errstate(all="ignore"):
+        return complex(np.cumsum(fn(center + radius * e) * 1j * radius * e * h)[-1])
+
+
+def _oracle_D_by_loops(eps, n):
+    return (_one_table_per_loop(lambda y1: 1 / (y1 * (y1 + 1)), 0j, eps, n)
+            * _one_table_per_loop(lambda x2: (x2 * x2 + 1) / x2, 0j, eps, n))
+
+
+def _oracle_E_by_loops(r1, r2, n):
+    def inner(us):
+        return np.array([_one_table_per_loop(lambda v: ((v - u) ** 3 + 1) / (u * v), 0j, r2, n)
+                         for u in us.tolist()])
+    return _one_table_per_loop(inner, 0j, r1, n)
+
+
+def _poisoned(*args, **kwargs):
+    raise AssertionError("an oracle ran the code under test")
+
+
+@pytest.mark.parametrize("oracle, by_loops, args", [
+    (casebook.residue_oracle_D, _oracle_D_by_loops, (0.5, 512)),
+    (casebook.residue_oracle_D, _oracle_D_by_loops, (0.3, 48)),
+    (casebook.residue_oracle_E, _oracle_E_by_loops, (0.5, 0.5, 512)),
+    (casebook.residue_oracle_E, _oracle_E_by_loops, (0.6, 0.4, 48)),
+])
+def test_residue_oracles_run_without_the_code_under_test(monkeypatch, oracle, by_loops, args):
+    unpatched = oracle(*args)
+    monkeypatch.setattr(cycles, "integrate", _poisoned)
+    monkeypatch.setattr(forms.KForm, "evaluate_many", _poisoned)
+    for name in ("phi", "psi", "casebook_form", "kernel_basis_form", "_kernel"):
+        monkeypatch.setattr(kernels, name, _poisoned)
+    poisoned = oracle(*args)
+    assert repr(poisoned) == repr(unpatched) == repr(by_loops(*args))

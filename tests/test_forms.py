@@ -494,6 +494,36 @@ def test_frame_order_is_a_stable_lexicographic_sort_with_its_parity():
         assert odd[j] == (inversions % 2 == 1)
 
 
+def _tied_frames(k, dim, m, seed):
+    """(vector, coordinate, point) frames, C-contiguous, whose leading real
+    parts tie at every third point, and whose first two vectors are equal
+    at every fifth."""
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(k, dim, m)) + 1j * rng.normal(size=(k, dim, m))
+    frames.real[:, 0, ::3] = frames.real[0, 0, ::3]
+    frames[1, :, ::5] = frames[0, :, ::5]
+    return frames
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_flat_gather_equals_the_three_index_gather(monkeypatch, k):
+    dim, m = k + 1, 61
+    kdm = _tied_frames(k, dim, m, seed=k)
+    layouts = {"integrate (k, dim, m)": kdm,
+               "evaluate_many (m, k, dim)":
+                   np.ascontiguousarray(kdm.transpose(2, 0, 1)).transpose(1, 2, 0),
+               "strided, copied first": _tied_frames(k, dim, 2 * m, seed=k)[:, :, ::2]}
+    for name, frames in layouts.items():
+        order, _ = forms._frame_order(frames)
+        want = frames[order[:, None, :], np.arange(dim)[:, None], np.arange(frames.shape[2])]
+        with monkeypatch.context() as patch:
+            if not name.startswith("strided"):  # no copy on the two layouts
+                patch.setattr(forms.np, "ascontiguousarray", None)
+                assert np.shares_memory(frames.ravel(order="K"), frames)
+            got = forms._gather(frames, order)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
 # ------------------------------------------- scalar reference, exact equality
 
 def _reference_minor(indices, vectors):

@@ -347,6 +347,33 @@ def test_kernel_terms_share_the_pairing_and_its_power_but_not_f(monkeypatch, ker
     assert [repr(v) for v in got.tolist()] == [repr(v) for v in want.tolist()]
 
 
+@pytest.mark.parametrize("kernel, n, terms", [(phi, 2, 2), (psi, 2, 3), (psi, 1, 2)])
+@pytest.mark.parametrize("text, one_quotient, lists", [
+    (None, True, 0), ("3", True, 1), ("x^2+3", False, 1)])
+def test_kernel_terms_share_the_quotient_of_a_number_f_and_the_points_of_any_other(
+        monkeypatch, kernel, n, terms, text, one_quotient, lists):
+    # one batch: f / (xi.z)^power once for no f or a number f (whose one
+    # evaluation converts its first row); for any other f one quotient per
+    # term, all on one conversion of the columns to Python numbers
+    z = (0.2 + 0j, -0.1 + 0j)[:n]
+    f = text and exprlang.parse_expr(text.replace("x", "x1") if n == 2 else text, n)
+    form = kernel(n, z, f)
+    rng = random.Random(29)
+    points = [tuple(_rand_c(rng) + (2 if i == 0 else 0) for i in range(2 * n + 1))
+              for _ in range(5)]
+    frames = [[_rand_vec(rng, 2 * n + 1) for _ in range(form.degree)] for _ in range(5)]
+    want = form.evaluate_many(points, frames)
+    counts = {"div": 0, "_lists": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(forms, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(forms, name, counted)
+    got = form.evaluate_many(points, frames)
+    assert counts == {"div": 1 if one_quotient else terms, "_lists": lists}
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in want.tolist()]
+
+
 _Z2 = (0.2 + 0j, -0.1 + 0.3j)
 _SPHERE = cycles.sphere_M(_Z2, 0.5)
 _GRID = (6, 20, 20)  # 2400 points: more than one block
