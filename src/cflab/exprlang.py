@@ -29,36 +29,27 @@ MAX_EXPR_NODES = 1000  # nodes of one parsed tree
 class _Node:
     """Common base of the expression nodes.
 
-    ``_fn`` is the tree compiled to nested closures and ``constant`` whether
-    it reads no coordinate, each worked out on first use and cached on the
-    node; neither is a dataclass field, so equality, hashing and ``repr``
-    see only the tree.
+    ``_operand`` (the tree compiled by :func:`_compile`) and ``_fn`` (its
+    closure) are worked out on first use and cached on the node, not as
+    dataclass fields, so equality, hashing and ``repr`` see only the tree.
     """
 
     @cached_property
-    def _fn(self):
+    def _operand(self):
         return _compile(self)
 
     @cached_property
+    def _fn(self):
+        return _closure(*self._operand)
+
+    @property
     def constant(self) -> bool:
-        """True when the tree has no :class:`Var`, so that it evaluates the
-        same at every point."""
-        stack = [self]
-        while stack:  # iterative: the tree may be too deep to recurse into
-            node = stack.pop()
-            if isinstance(node, Var):
-                return False
-            if isinstance(node, (Add, Sub, Mul, Div)):
-                stack += node.left, node.right
-            elif isinstance(node, (Neg, Exp)):
-                stack.append(node.arg)
-            elif isinstance(node, Pow):
-                stack.append(node.base)
-        return True
+        """True when the tree has no :class:`Var`: it is the same everywhere."""
+        return self._operand[0] in (_CONST, _RAISES)
 
     def __getstate__(self):
         # Closures do not pickle; an unpickled tree compiles again.
-        return {k: v for k, v in vars(self).items() if k != "_fn"}
+        return {k: v for k, v in vars(self).items() if k not in ("_operand", "_fn")}
 
 
 @dataclass(frozen=True)
@@ -326,7 +317,7 @@ def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
     :class:`PoleError` carrying the point as a tuple of Python complex.  The
     tree is compiled once, on its first evaluation.
     """
-    fn = expr._fn if isinstance(expr, _Node) else _compile(expr)
+    fn = expr._fn if isinstance(expr, _Node) else _closure(*_compile(expr))
     try:
         return fn(point)
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
@@ -336,70 +327,138 @@ def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
                         point=tuple(map(complex, point))) from None
 
 
-def _compile(expr):
-    """``expr`` as nested closures of a sequence of numeric coordinates.
+_CONST, _COORD, _FN, _RAISES = "constant", "coordinate", "closure", "raises"
 
-    Each closure does the arithmetic of one node, children first (the
-    denominator before the numerator), so values and errors are those of a
-    recursive walk of the tree on the coordinates made Python complex.
+
+def _compile(expr, read=False):
+    """``expr`` as an operand ``(kind, payload)`` of the point: a number
+    (``_CONST``), a closure (``_FN``; ``_RAISES`` if it has no Var and its
+    folding raised) or, where the parent ``read``s it itself, a coordinate
+    index (``_COORD``).  A node's closure is the :data:`_CLOSURES` entry for
+    its operands' kinds, else for closures of them: its arithmetic, children
+    first (the denominator before the numerator), as a recursive walk does.
+    A node with no Var below it is folded here, by one call of its closure.
     """
-    if isinstance(expr, Num):
-        value = expr.value
-        return lambda p: value
-    if isinstance(expr, Var):
-        index = expr.index
+    cls = type(expr)
+    if cls is Num:
+        return _CONST, expr.value
+    if cls is Var:
+        return (_COORD, expr.index) if read else (_FN, _coordinate(expr.index))
+    if cls is Neg or cls is Exp or cls is Pow:
+        child = expr.base if cls is Pow else expr.arg
+        kind, a = _compile(child, (cls, _COORD) in _CLOSURES)
+        build = _CLOSURES.get((cls, kind))
+        if build is None:
+            build, a = _CLOSURES[cls, _FN], _closure(kind, a)
+        fn = build(a, expr.exponent) if cls is Pow else build(a)
+        constant = kind in (_CONST, _RAISES)
+    elif cls is Add or cls is Sub or cls is Mul or cls is Div:
+        (left, a), (right, b) = _compile(expr.left), _compile(expr.right)
+        build = _CLOSURES.get((cls, left, right))
+        if build is None:
+            build, a, b = _CLOSURES[cls, _FN, _FN], _closure(left, a), _closure(right, b)
+        fn = build(a, b)
+        constant = left in (_CONST, _RAISES) and right in (_CONST, _RAISES)
+    else:
+        def not_a_node(p):
+            raise InputError(f"not an expression node: {expr!r}")
 
-        def var(p):
-            try:
-                x = p[index]
-            except IndexError:
-                raise InputError(
-                    f"expression uses x{index + 1} but the point has "
-                    f"{len(p)} coordinates") from None
-            return x if type(x) is complex else complex(x)
+        return _FN, not_a_node
+    try:
+        return (_CONST, fn(())) if constant else (_FN, fn)
+    except Exception:  # noqa: BLE001 - the fold's error, raised again when evaluated
+        return _RAISES, fn
 
-        return var
-    if isinstance(expr, Neg):
-        arg = _compile(expr.arg)
-        return lambda p: -arg(p)
-    if isinstance(expr, Exp):
-        arg, exp = _compile(expr.arg), cmath.exp
-        return lambda p: exp(arg(p))
-    if isinstance(expr, Pow):
-        base, k = _compile(expr.base), expr.exponent
-        if k >= 0:
-            return lambda p: base(p) ** k
 
-        def negative_power(p):
-            b = base(p)
-            if b == 0:
-                raise PoleError("negative power of zero in expression",
-                                point=tuple(map(complex, p)))
-            return b ** k
+def _closure(kind, x):
+    """The operand ``(kind, x)`` of a node as a closure of the point."""
+    return (lambda p: x) if kind is _CONST else x
 
-        return negative_power
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        left, right = _compile(expr.left), _compile(expr.right)
-        if isinstance(expr, Add):
-            return lambda p: left(p) + right(p)
-        if isinstance(expr, Sub):
-            return lambda p: left(p) - right(p)
-        if isinstance(expr, Mul):
-            return lambda p: left(p) * right(p)
 
-        def divide(p):
-            den = right(p)
-            if den == 0:
-                raise PoleError("division by zero in expression",
-                                point=tuple(map(complex, p)))
-            return left(p) / den
+def _missing(index, p):
+    return InputError(f"expression uses x{index + 1} but the point has "
+                      f"{len(p)} coordinates")
 
-        return divide
 
-    def not_a_node(p):
-        raise InputError(f"not an expression node: {expr!r}")
+def _coordinate(index):
+    def var(p):
+        try:
+            x = p[index]
+        except IndexError:
+            raise _missing(index, p) from None
+        return x if type(x) is complex else complex(x)
 
-    return not_a_node
+    return var
+
+
+def _exp_of_coordinate(index, exp=cmath.exp):
+    def exp_x(p):
+        try:
+            x = p[index]
+        except IndexError:
+            raise _missing(index, p) from None
+        return exp(x if type(x) is complex else complex(x))
+
+    return exp_x
+
+
+def _power(base, k):
+    if k >= 0:
+        return lambda p: base(p) ** k
+
+    def negative_power(p):
+        b = base(p)
+        if b == 0:
+            raise PoleError("negative power of zero in expression",
+                            point=tuple(map(complex, p)))
+        return b ** k
+
+    return negative_power
+
+
+def _power_of_coordinate(index, k):
+    if k < 0:
+        return _power(_coordinate(index), k)
+
+    def power_x(p):
+        try:
+            x = p[index]
+        except IndexError:
+            raise _missing(index, p) from None
+        return (x if type(x) is complex else complex(x)) ** k
+
+    return power_x
+
+
+def _divide(left, right):
+    def divide(p):
+        den = right(p)
+        if den == 0:
+            raise PoleError("division by zero in expression",
+                            point=tuple(map(complex, p)))
+        return left(p) / den
+
+    return divide
+
+
+# Closure builders by node type and operand kinds, on the operands' payloads.
+_CLOSURES = {
+    (Neg, _FN): lambda a: lambda p: -a(p),
+    (Exp, _FN): lambda a, exp=cmath.exp: lambda p: exp(a(p)),
+    (Exp, _COORD): _exp_of_coordinate,
+    (Pow, _FN): _power,
+    (Pow, _COORD): _power_of_coordinate,
+    (Add, _FN, _FN): lambda a, b: lambda p: a(p) + b(p),
+    (Add, _CONST, _FN): lambda c, b: lambda p: c + b(p),
+    (Add, _FN, _CONST): lambda a, c: lambda p: a(p) + c,
+    (Sub, _FN, _FN): lambda a, b: lambda p: a(p) - b(p),
+    (Sub, _CONST, _FN): lambda c, b: lambda p: c - b(p),
+    (Sub, _FN, _CONST): lambda a, c: lambda p: a(p) - c,
+    (Mul, _FN, _FN): lambda a, b: lambda p: a(p) * b(p),
+    (Mul, _CONST, _FN): lambda c, b: lambda p: c * b(p),
+    (Mul, _FN, _CONST): lambda a, c: lambda p: a(p) * c,
+    (Div, _FN, _FN): _divide,
+}
 
 
 # ----------------------------------------------------------- differentiation

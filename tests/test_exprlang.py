@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cflab import exprlang
 from cflab.errors import InputError, PoleError
 from cflab.exprlang import (MAX_EXPR_DEPTH, MAX_EXPR_NODES, Add, Div, Exp,
                             ExprSyntaxError, Mul, Neg, Num, Pow, Sub, Var,
@@ -218,14 +219,20 @@ def _outcome(call):
 _floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 700.0]))
 _complexes = st.builds(complex, _floats, _floats)
-_trees = st.recursive(
-    st.one_of(st.builds(Num, _complexes), st.builds(Var, st.integers(0, 3))),
-    lambda kids: st.one_of(
+
+
+def _operators(kids):
+    """A node of each kind over subtrees drawn from ``kids``."""
+    return st.one_of(
         st.builds(Neg, kids), st.builds(Exp, kids),
         st.builds(Pow, kids, st.integers(-3, 4)),
         st.builds(Add, kids, kids), st.builds(Sub, kids, kids),
-        st.builds(Mul, kids, kids), st.builds(Div, kids, kids)),
-    max_leaves=12)
+        st.builds(Mul, kids, kids), st.builds(Div, kids, kids))
+
+
+_trees = st.recursive(
+    st.one_of(st.builds(Num, _complexes), st.builds(Var, st.integers(0, 3))),
+    _operators, max_leaves=12)
 _points = st.lists(st.one_of(_complexes, _floats, st.integers(-3, 3),
                              _floats.map(np.float64), _complexes.map(np.complex128)),
                    max_size=4)
@@ -376,3 +383,88 @@ def test_constant_is_whether_the_tree_reads_no_coordinate():
     assert not parse_expr("-exp(x)^2/3", 1).constant
     assert not differentiate(parse_expr("x^2", 1)).constant
     assert differentiate(parse_expr("x", 1)).constant
+
+
+# ---------------------------------------- constant folding, fused operands
+
+# Constants that make a folded subtree raise or overflow (0, 1000, 1e200) or
+# carry signed zeros, drawn often, so that most trees hold constant subtrees.
+_special = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                            complex(-0.0, -0.0), 1000 + 0j, -1000 + 0j,
+                            1e200 + 0j, 2 + 0j, 0.5j])
+_constant_trees = st.recursive(
+    st.builds(Num, st.one_of(_special, _complexes)), _operators, max_leaves=5)
+_constant_heavy_trees = st.recursive(
+    st.one_of(_constant_trees, _constant_trees, st.builds(Var, st.integers(0, 3))),
+    _operators, max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_constant_heavy_trees, _points)
+def test_constant_heavy_trees_evaluate_as_the_reference_walk(expr, point):
+    # Folded subtrees give the walk's bits; those whose folding raises give
+    # its error, type, message and point, in its order.
+    want = _outcome(lambda: _reference(expr, tuple(complex(c) for c in point)))
+    assert _outcome(lambda: eval_expr(expr, point)) == want
+    assert _outcome(lambda: eval_expr(expr, point)) == want
+    assert expr.constant == (not any(isinstance(e, Var) for e in _nodes(expr)))
+
+
+_FOLD_RAISES = ("1/0", "0^-2", "exp(1000)", "(1e200)^2")
+
+
+@pytest.mark.parametrize("constant", _FOLD_RAISES)
+@pytest.mark.parametrize("coordinate, point", [
+    ("x3", (1.5, 2)),  # x3 is out of range for a point of two coordinates
+    ("1/x1", (0, 2)),  # a pole at x1 = 0
+    ("x3", (np.float64(1.5), np.complex128(2j))),
+], ids=["missing", "pole", "numpy"])
+@pytest.mark.parametrize("op", ["+", "*", "-"])
+def test_errors_of_constants_that_do_not_fold_come_in_evaluation_order(
+        constant, coordinate, point, op):
+    complex_point = tuple(complex(c) for c in point)
+    for first, second in ((constant, coordinate), (coordinate, constant)):
+        expr = parse_expr(f"{first}{op}({second})", 3)
+        want = _outcome(lambda: _reference(expr, complex_point))
+        # The left operand's error comes first, with the evaluated point.
+        assert want == _outcome(lambda: _reference(parse_expr(first, 3), complex_point))
+        assert _outcome(lambda: eval_expr(expr, point)) == want
+        assert _outcome(lambda: eval_expr(expr, point)) == want
+
+
+@pytest.mark.parametrize("text", ["-0*x", "(0-0i)*x", "exp(-1000)*x",
+                                  "x*-0", "x-(0-0i)", "-0-x", "(0-0i)+x*0"])
+@pytest.mark.parametrize("x", [1, -1.0, 0, -0.0, complex(0.0, -0.0),
+                               complex(-0.0, -0.0), -1j, 1e308, -2.5 + 1e-300j])
+def test_signed_zero_constants_fold_to_the_walks_bits(text, x):
+    expr = parse_expr(text, 1)
+    want = _outcome(lambda: _reference(expr, (complex(x),)))
+    assert _outcome(lambda: eval_expr(expr, (x,))) == want
+
+
+def test_constant_subtrees_fold_and_raising_ones_stay_closures():
+    kinds = {text: parse_expr(text, 1)._operand[0]
+             for text in ("(1+2i)", "exp(-1000)", "2^-3", "x", "x+1")
+             + _FOLD_RAISES + ("1/0+2", "-(0^-2)")}
+    assert kinds == {"(1+2i)": exprlang._CONST, "exp(-1000)": exprlang._CONST,
+                     "2^-3": exprlang._CONST, "x": exprlang._FN,
+                     "x+1": exprlang._FN,
+                     **dict.fromkeys(_FOLD_RAISES + ("1/0+2", "-(0^-2)"),
+                                     exprlang._RAISES)}
+    # A folded constant is the walk's value; its tree compiles to one
+    # closure returning it, reading no coordinate.
+    assert parse_expr("(1+2i)*(3-1i)", 1)._operand == (exprlang._CONST, (1 + 2j) * (3 - 1j))
+    assert eval_expr(parse_expr("exp(2i)^-3-(4+1i)", 1), ()) == cmath.exp(2j) ** -3 - (4 + 1j)
+
+
+def test_compiling_visits_each_node_once(monkeypatch):
+    # Constness is decided while compiling, bottom-up, not by walking each
+    # subtree again; the tree is compiled once, for both uses.
+    expr = parse_expr(_balanced_sum(7).replace("x", "(2i+x*3)"), 1)
+    compile_ = exprlang._compile
+    calls = []
+    monkeypatch.setattr(exprlang, "_compile",
+                        lambda *args: calls.append(1) or compile_(*args))
+    assert not expr.constant
+    assert eval_expr(expr, (1,)) == 128 * (2j + 3)
+    assert len(calls) == len(list(_nodes(expr))) == 128 * 5 + 127

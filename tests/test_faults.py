@@ -7,8 +7,9 @@ failing under an unrelated one.  Every one of the report's 48 rows is in
 some fault's set.  The faults cover the kernels phi and psi, the casebook
 forms and the residue oracles, the catalog's values, gradients and
 samplers, the intersection candidates, Example B's fixed points, the C2
-fibre check and Example A's residue form.  A fault that fails no row names
-where it is caught instead, or says that nothing catches it.
+fibre check, Example A's residue form and the expression compiler's fused
+closures.  A fault that fails no row names where it is caught instead, or
+says that nothing catches it.
 
 The two ``first_n2_*`` rows take most of the report's time, so they run only
 under a fault whose set names one of them.
@@ -20,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from cflab import casebook, cycles, forms, geometry, kernels
+from cflab import casebook, cycles, exprlang, forms, geometry, kernels
 from cflab.forms import KForm
 
 _CATALOG = dict(geometry._CATALOG)
@@ -30,6 +31,8 @@ _S_C2_HOMOGENEOUS = casebook._s_C2_homogeneous
 _PHI, _PSI = kernels.phi, kernels.psi
 _ORACLE_D, _ORACLE_E = casebook.residue_oracle_D, casebook.residue_oracle_E
 _N2_SPHERE_ROWS = frozenset({"first_n2_const", "first_n2_poly"})
+_CLOSURES = dict(exprlang._CLOSURES)
+_X, _C = exprlang._FN, exprlang._CONST  # closure and constant operands
 
 
 def _surface(name, chart, field, source):
@@ -225,17 +228,48 @@ FAULTS = (
     ("S_E's gradient replaced by S_D's",
      ("setitem", geometry._CATALOG, *_surface("S_E", "U2", "gradient", ("S_D", "U2"))),
      set()),
+    # -- the expression compiler's fused closures (exprlang._CLOSURES)
+    # third_B's g = (x-1)^2 puts x - 1 into d(f g).
+    ("x - c computed as c - x",
+     ("setitem", exprlang._CLOSURES, (exprlang.Sub, _X, _C),
+      lambda a, c: lambda p: c - a(p)),
+     {"third_B"}),
+    # No row's expression has c - x with c a constant:
+    # test_compiled_eval_matches_reference_walk_and_text_roundtrips,
+    # test_constant_heavy_trees_evaluate_as_the_reference_walk and
+    # test_signed_zero_constants_fold_to_the_walks_bits catch it.
+    ("c - x computed as x - c",
+     ("setitem", exprlang._CLOSURES, (exprlang.Sub, _C, _X),
+      lambda c, b: lambda p: b(p) - c),
+     set()),
+    # An n = 1 f then reads a missing x2 (an error row).  first_n2_poly's
+    # x1^2*x2+3 becomes x2^3+3, which the first formula reproduces as well,
+    # and its expected f(z) comes from the same compiled tree: it passes.
+    ("x^k reading the next coordinate",
+     ("setitem", exprlang._CLOSURES, (exprlang.Pow, exprlang._COORD),
+      lambda index, k: _CLOSURES[exprlang.Pow, exprlang._COORD](index + 1, k)),
+     {"first_n1", "second_square", "identity_exact_A", "vanish_sigmaA_Q",
+      "vanish_sigmaA_SA", "vanish_sigmaB_Q", "vanish_sigmaB_SB"}),
+    ("exp(x) reading the next coordinate",
+     ("setitem", exprlang._CLOSURES, (exprlang.Exp, exprlang._COORD),
+      lambda index: _CLOSURES[exprlang.Exp, exprlang._COORD](index + 1)),
+     {"first_n1", "second_exp", "third_A_a0", "third_B", "identity_exact_A",
+      "vanish_sigmaA_Q", "vanish_sigmaA_SA", "vanish_sigmaB_Q", "vanish_sigmaB_SB"}),
 )
 
 
 def _failing(skip=()):
-    """The FAIL ids of ``full_report(7, skip)``, with the margin specs built
-    afresh and none kept for later tests."""
-    casebook._margin_specs.cache_clear()
+    """The FAIL ids of ``full_report(7, skip)``, with the margin specs and
+    the generic f (whose compiled closures it caches) built afresh and none
+    kept for later tests."""
+    caches = (casebook._margin_specs, casebook._generic_f)
+    for cache in caches:
+        cache.cache_clear()
     try:
         return {r.id for r in casebook.full_report(7, skip=skip) if not r.passed}
     finally:
-        casebook._margin_specs.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_the_unfaulted_report_passes():
