@@ -391,17 +391,6 @@ def _coordinate(index):
     return var
 
 
-def _exp_of_coordinate(index, exp=cmath.exp):
-    def exp_x(p):
-        try:
-            x = p[index]
-        except IndexError:
-            raise _missing(index, p) from None
-        return exp(x if type(x) is complex else complex(x))
-
-    return exp_x
-
-
 def _power(base, k):
     if k >= 0:
         return lambda p: base(p) ** k
@@ -445,7 +434,6 @@ def _divide(left, right):
 _CLOSURES = {
     (Neg, _FN): lambda a: lambda p: -a(p),
     (Exp, _FN): lambda a, exp=cmath.exp: lambda p: exp(a(p)),
-    (Exp, _COORD): _exp_of_coordinate,
     (Pow, _FN): _power,
     (Pow, _COORD): _power_of_coordinate,
     (Add, _FN, _FN): lambda a, b: lambda p: a(p) + b(p),

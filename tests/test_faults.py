@@ -250,11 +250,6 @@ FAULTS = (
       lambda index, k: _CLOSURES[exprlang.Pow, exprlang._COORD](index + 1, k)),
      {"first_n1", "second_square", "identity_exact_A", "vanish_sigmaA_Q",
       "vanish_sigmaA_SA", "vanish_sigmaB_Q", "vanish_sigmaB_SB"}),
-    ("exp(x) reading the next coordinate",
-     ("setitem", exprlang._CLOSURES, (exprlang.Exp, exprlang._COORD),
-      lambda index: _CLOSURES[exprlang.Exp, exprlang._COORD](index + 1)),
-     {"first_n1", "second_exp", "third_A_a0", "third_B", "identity_exact_A",
-      "vanish_sigmaA_Q", "vanish_sigmaA_SA", "vanish_sigmaB_Q", "vanish_sigmaB_SB"}),
 )
 
 
