@@ -29,23 +29,19 @@ MAX_EXPR_NODES = 1000  # nodes of one parsed tree
 class _Node:
     """Common base of the expression nodes.
 
-    ``_operand`` (the tree compiled by :func:`_compile`) and ``_fn`` (its
+    ``_operand`` (the tree compiled by :func:`_operand_of`) and ``_fn`` (its
     closure) are worked out on first use and cached on the node, not as
     dataclass fields, so equality, hashing and ``repr`` see only the tree.
     """
 
     @cached_property
-    def _operand(self):
-        return _compile(self)
-
-    @cached_property
     def _fn(self):
-        return _closure(*self._operand)
+        return _closure(*_operand_of(self))
 
     @property
     def constant(self) -> bool:
         """True when the tree has no :class:`Var`: it is the same everywhere."""
-        return self._operand[0] in (_CONST, _RAISES)
+        return _operand_of(self)[0] in (_CONST, _RAISES)
 
     def __getstate__(self):
         # Closures do not pickle; an unpickled tree compiles again.
@@ -144,6 +140,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # ----------------------------------------------------------------- parser
 
+_BINARY_OPS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+
+
 class _Parser:
     def __init__(self, text: str, n: int):
         if n < 1:
@@ -186,35 +185,27 @@ class _Parser:
         return expr
 
     def sum_(self) -> HolomorphicExpr:
-        expr = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                expr = Add(expr, rhs) if val == "+" else Sub(expr, rhs)
-            else:
-                return expr
+        return self.chain(self.term, "+-")
 
     def term(self) -> HolomorphicExpr:
-        expr = self.unary()
-        while True:
+        return self.chain(self.unary, "*/")
+
+    def chain(self, operand, ops: str) -> HolomorphicExpr:
+        """``operand``s joined by the binary operators ``ops``, to the left."""
+        expr = operand()
+        kind, val, _ = self.peek()
+        while kind == "op" and val in ops:
+            self.advance()
+            expr = _BINARY_OPS[val](expr, operand())
             kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.unary()
-                expr = Mul(expr, rhs) if val == "*" else Div(expr, rhs)
-            else:
-                return expr
+        return expr
 
     def unary(self) -> HolomorphicExpr:
         kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+        if kind == "op" and val in "+-":
             self.advance()
-            return Neg(self.nested(self.unary))
-        if kind == "op" and val == "+":
-            self.advance()
-            return self.nested(self.unary)
+            inner = self.nested(self.unary)
+            return Neg(inner) if val == "-" else inner
         return self.power()
 
     def power(self) -> HolomorphicExpr:
@@ -257,9 +248,8 @@ class _Parser:
             self.expect_op(")")
             return inner
         if kind == "num":
-            if val.endswith("i"):
-                body = val[:-1]
-                return Num(complex(0.0, float(body) if body else 1.0))
+            if val.endswith("i"):  # the pattern puts a digit before the i
+                return Num(complex(0.0, float(val[:-1])))
             return Num(complex(float(val), 0.0))
         if kind == "name":
             if val == "i":
@@ -289,7 +279,10 @@ def parse_expr(text: str, n: int = 1) -> HolomorphicExpr:
     than that or with more than :data:`MAX_EXPR_NODES` nodes (a long sum
     parses to a deep chain), raises :class:`InputError`.
     """
-    expr = _Parser(text, n).parse()
+    parser = _Parser(text, n)
+    expr = parser.parse()
+    if len(parser.tokens) <= MAX_EXPR_DEPTH + 1:
+        return expr  # one node per token at most ("eof" aside): within both bounds
     nodes, stack = 0, [(expr, 1)]
     while stack:  # iterative: the tree may be too deep to recurse into
         node, depth = stack.pop()
@@ -298,8 +291,11 @@ def parse_expr(text: str, n: int = 1) -> HolomorphicExpr:
             raise InputError(f"expression tree deeper than {MAX_EXPR_DEPTH} levels")
         if nodes > MAX_EXPR_NODES:
             raise InputError(f"expression has more than {MAX_EXPR_NODES} nodes")
-        stack.extend((child, depth + 1) for child in vars(node).values()
-                     if isinstance(child, _Node))
+        cls = type(node)
+        if cls is Add or cls is Sub or cls is Mul or cls is Div:
+            stack += (node.left, depth + 1), (node.right, depth + 1)
+        elif cls is Neg or cls is Exp or cls is Pow:
+            stack.append((node.base if cls is Pow else node.arg, depth + 1))
     return expr
 
 
@@ -314,8 +310,8 @@ def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
     Division by an exact zero, and a result beyond the floats (Python's
     ``OverflowError``, ``ValueError`` from ``exp`` of an infinite argument,
     ``ZeroDivisionError`` from a negative power that underflows), raise
-    :class:`PoleError` carrying the point as a tuple of Python complex.  The
-    tree is compiled once, on its first evaluation.
+    :class:`PoleError` carrying the point as a tuple of Python complex.  Each
+    node is compiled once, when a tree holding it is first evaluated.
     """
     fn = expr._fn if isinstance(expr, _Node) else _closure(*_compile(expr))
     try:
@@ -330,35 +326,40 @@ def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
 _CONST, _COORD, _FN, _RAISES = "constant", "coordinate", "closure", "raises"
 
 
-def _compile(expr, read=False):
+def _compile(expr):
     """``expr`` as an operand ``(kind, payload)`` of the point: a number
-    (``_CONST``), a closure (``_FN``; ``_RAISES`` if it has no Var and its
-    folding raised) or, where the parent ``read``s it itself, a coordinate
-    index (``_COORD``).  A node's closure is the :data:`_CLOSURES` entry for
-    its operands' kinds, else for closures of them: its arithmetic, children
-    first (the denominator before the numerator), as a recursive walk does.
-    A node with no Var below it is folded here, by one call of its closure.
+    (``_CONST``), a coordinate index (``_COORD``, a Var) or a closure
+    (``_FN``; ``_RAISES`` if it has no Var and its folding raised).  A node's
+    closure is the :data:`_CLOSURES` entry for its operands' kinds, else for
+    closures of its coordinates and raising constants, else of all operands:
+    its arithmetic, children first (the denominator before the numerator), as
+    a recursive walk does.  A node with no Var below it is folded here.
     """
     cls = type(expr)
     if cls is Num:
         return _CONST, expr.value
     if cls is Var:
-        return (_COORD, expr.index) if read else (_FN, _coordinate(expr.index))
+        return _COORD, expr.index
     if cls is Neg or cls is Exp or cls is Pow:
-        child = expr.base if cls is Pow else expr.arg
-        kind, a = _compile(child, (cls, _COORD) in _CLOSURES)
+        kind, a = _operand_of(expr.base if cls is Pow else expr.arg)
+        constant = kind is _CONST or kind is _RAISES
         build = _CLOSURES.get((cls, kind))
         if build is None:
             build, a = _CLOSURES[cls, _FN], _closure(kind, a)
         fn = build(a, expr.exponent) if cls is Pow else build(a)
-        constant = kind in (_CONST, _RAISES)
     elif cls is Add or cls is Sub or cls is Mul or cls is Div:
-        (left, a), (right, b) = _compile(expr.left), _compile(expr.right)
+        (left, a), (right, b) = _operand_of(expr.left), _operand_of(expr.right)
+        constant = left in (_CONST, _RAISES) and right in (_CONST, _RAISES)
         build = _CLOSURES.get((cls, left, right))
+        if build is None:
+            if left is not _CONST:
+                left, a = _FN, _closure(left, a)
+            if right is not _CONST:
+                right, b = _FN, _closure(right, b)
+            build = _CLOSURES.get((cls, left, right))
         if build is None:
             build, a, b = _CLOSURES[cls, _FN, _FN], _closure(left, a), _closure(right, b)
         fn = build(a, b)
-        constant = left in (_CONST, _RAISES) and right in (_CONST, _RAISES)
     else:
         def not_a_node(p):
             raise InputError(f"not an expression node: {expr!r}")
@@ -370,9 +371,22 @@ def _compile(expr, read=False):
         return _RAISES, fn
 
 
+def _operand_of(node):
+    """``node``'s operand, compiled once and kept on it as ``_operand``: a
+    subtree that several trees share, as f and d(f g) do, compiles once."""
+    operand = getattr(node, "_operand", None)
+    if operand is None:
+        operand = _compile(node)
+        if isinstance(node, _Node):  # frozen: past the dataclass's __setattr__
+            object.__setattr__(node, "_operand", operand)
+    return operand
+
+
 def _closure(kind, x):
     """The operand ``(kind, x)`` of a node as a closure of the point."""
-    return (lambda p: x) if kind is _CONST else x
+    if kind is _CONST:
+        return lambda p: x
+    return _coordinate(x) if kind is _COORD else x
 
 
 def _missing(index, p):
@@ -419,6 +433,40 @@ def _power_of_coordinate(index, k):
     return power_x
 
 
+def _const_times_coordinate(c, index):
+    def c_times_x(p):
+        try:
+            x = p[index]
+        except IndexError:
+            raise _missing(index, p) from None
+        return c * (x if type(x) is complex else complex(x))
+
+    return c_times_x
+
+
+def _times_coordinate(a, index):
+    def times_x(p):
+        left = a(p)
+        try:
+            x = p[index]
+        except IndexError:
+            raise _missing(index, p) from None
+        return left * (x if type(x) is complex else complex(x))
+
+    return times_x
+
+
+def _coordinate_minus_const(index, c):
+    def x_minus_c(p):
+        try:
+            x = p[index]
+        except IndexError:
+            raise _missing(index, p) from None
+        return (x if type(x) is complex else complex(x)) - c
+
+    return x_minus_c
+
+
 def _divide(left, right):
     def divide(p):
         den = right(p)
@@ -431,6 +479,8 @@ def _divide(left, right):
 
 
 # Closure builders by node type and operand kinds, on the operands' payloads.
+# A parent reads a coordinate itself only in the pairs the benchmark's trees
+# evaluate often: x^k, c*x, x - c (residue_B's g) and a*x (x1^2*x2).
 _CLOSURES = {
     (Neg, _FN): lambda a: lambda p: -a(p),
     (Exp, _FN): lambda a, exp=cmath.exp: lambda p: exp(a(p)),
@@ -442,9 +492,12 @@ _CLOSURES = {
     (Sub, _FN, _FN): lambda a, b: lambda p: a(p) - b(p),
     (Sub, _CONST, _FN): lambda c, b: lambda p: c - b(p),
     (Sub, _FN, _CONST): lambda a, c: lambda p: a(p) - c,
+    (Sub, _COORD, _CONST): _coordinate_minus_const,
     (Mul, _FN, _FN): lambda a, b: lambda p: a(p) * b(p),
     (Mul, _CONST, _FN): lambda c, b: lambda p: c * b(p),
     (Mul, _FN, _CONST): lambda a, c: lambda p: a(p) * c,
+    (Mul, _CONST, _COORD): _const_times_coordinate,
+    (Mul, _FN, _COORD): _times_coordinate,
     (Div, _FN, _FN): _divide,
 }
 
@@ -462,16 +515,11 @@ def _mk_add(a, b):
 
 
 def _mk_mul(a, b):
-    if isinstance(a, Num):
-        if a.value == 0:
+    for one, other in ((a, b), (b, a)):
+        if isinstance(one, Num) and one.value == 0:
             return Num(0j)
-        if a.value == 1:
-            return b
-    if isinstance(b, Num):
-        if b.value == 0:
-            return Num(0j)
-        if b.value == 1:
-            return a
+        if isinstance(one, Num) and one.value == 1:
+            return other
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value * b.value)
     return Mul(a, b)
@@ -531,6 +579,7 @@ _LEVEL_MUL = 2
 _LEVEL_UNARY = 3
 _LEVEL_POW = 4
 _LEVEL_ATOM = 5
+_BINARY = {cls: (op, _LEVEL_ADD if op in "+-" else _LEVEL_MUL) for op, cls in _BINARY_OPS.items()}
 
 
 def _fmt_float(v: float) -> str:
@@ -563,18 +612,9 @@ def _render(expr, required: int) -> str:
     elif isinstance(expr, Pow):
         text = f"{_render(expr.base, _LEVEL_ATOM)}^{expr.exponent}"
         level = _LEVEL_POW
-    elif isinstance(expr, Mul):
-        text = f"{_render(expr.left, _LEVEL_MUL)}*{_render(expr.right, _LEVEL_UNARY)}"
-        level = _LEVEL_MUL
-    elif isinstance(expr, Div):
-        text = f"{_render(expr.left, _LEVEL_MUL)}/{_render(expr.right, _LEVEL_UNARY)}"
-        level = _LEVEL_MUL
-    elif isinstance(expr, Add):
-        text = f"{_render(expr.left, _LEVEL_ADD)}+{_render(expr.right, _LEVEL_MUL)}"
-        level = _LEVEL_ADD
-    elif isinstance(expr, Sub):
-        text = f"{_render(expr.left, _LEVEL_ADD)}-{_render(expr.right, _LEVEL_MUL)}"
-        level = _LEVEL_ADD
+    elif type(expr) in _BINARY:  # the right operand binds one level tighter
+        op, level = _BINARY[type(expr)]
+        text = f"{_render(expr.left, level)}{op}{_render(expr.right, level + 1)}"
     else:
         raise InputError(f"not an expression node: {expr!r}")
     if level < required:

@@ -248,6 +248,9 @@ def test_compiled_eval_matches_reference_walk_and_text_roundtrips(expr, point):
     # Printing is a fixed point after one parse (mixed literals such as
     # (1+2i) reparse as a sum), and exact when the tree has none.
     text = to_str(expr)
+    # parse_expr walks no tree of fewer tokens than MAX_EXPR_DEPTH + 1: each
+    # node takes a token of its own.
+    assert len(list(_nodes(parse_expr(text, 4)))) < len(exprlang._tokenize(text))
     text1 = to_str(parse_expr(text, 4))
     assert to_str(parse_expr(text1, 4)) == text1
     if not any(isinstance(e, Num) and e.value.real != 0 and e.value.imag != 0
@@ -306,6 +309,48 @@ def test_expressions_at_the_size_bounds_parse():
     assert eval_expr(chain, (1,)) == MAX_EXPR_DEPTH - 1
     assert 2 ** 9 - 1 <= MAX_EXPR_NODES < 2 ** 10 - 1
     assert eval_expr(parse_expr(_balanced_sum(8), 1), (1,)) == 256
+
+
+def _depth(expr):
+    children = [c for c in vars(expr).values() if isinstance(c, exprlang._Node)]
+    return 1 + max(map(_depth, children), default=0)
+
+
+def _tree_of(nodes):
+    """Text of a tree of exactly ``nodes`` nodes (sums, signs and x), about
+    2 log2(nodes) deep."""
+    if nodes <= 2:
+        return "-x" if nodes == 2 else "x"
+    left = (nodes - 1) // 2
+    return f"({_tree_of(left)}+{_tree_of(nodes - 1 - left)})"
+
+
+# Each node type as a wrapper of the text t, with the nodes it adds.  Every
+# wrapper nests the text one level, so a chain of MAX_EXPR_DEPTH of them
+# stays within the parser's nesting bound and only the tree walk sees it.
+_WRAPPERS = {
+    "Neg": (lambda t: f"-{t}", 1), "Exp": (lambda t: f"exp({t})", 1),
+    "Pow": (lambda t: f"({t})^2", 1), "Add": (lambda t: f"({t})+x", 2),
+    "Sub": (lambda t: f"({t})-x", 2), "Mul": (lambda t: f"({t})*x", 2),
+    "Div": (lambda t: f"({t})/x", 2),
+}
+
+
+@pytest.mark.parametrize("node_type", _WRAPPERS)
+def test_size_bounds_hold_below_every_node_type(node_type):
+    wrap, added = _WRAPPERS[node_type]
+    chain = "x"
+    for _ in range(MAX_EXPR_DEPTH - 1):
+        chain = wrap(chain)
+    expr = parse_expr(chain, 1)
+    assert type(expr).__name__ == node_type and _depth(expr) == MAX_EXPR_DEPTH
+    with pytest.raises(InputError, match=f"tree deeper than {MAX_EXPR_DEPTH} levels"):
+        parse_expr(wrap(chain), 1)
+    # The nodes past the bound all sit below the node_type root.
+    expr = parse_expr(wrap(_tree_of(MAX_EXPR_NODES - added)), 1)
+    assert type(expr).__name__ == node_type and len(list(_nodes(expr))) == MAX_EXPR_NODES
+    with pytest.raises(InputError, match=f"more than {MAX_EXPR_NODES} nodes"):
+        parse_expr(wrap(_tree_of(MAX_EXPR_NODES - added + 1)), 1)
 
 
 @pytest.mark.parametrize("text, point", [
@@ -443,28 +488,79 @@ def test_signed_zero_constants_fold_to_the_walks_bits(text, x):
 
 
 def test_constant_subtrees_fold_and_raising_ones_stay_closures():
-    kinds = {text: parse_expr(text, 1)._operand[0]
+    kinds = {text: exprlang._operand_of(parse_expr(text, 1))[0]
              for text in ("(1+2i)", "exp(-1000)", "2^-3", "x", "x+1")
              + _FOLD_RAISES + ("1/0+2", "-(0^-2)")}
     assert kinds == {"(1+2i)": exprlang._CONST, "exp(-1000)": exprlang._CONST,
-                     "2^-3": exprlang._CONST, "x": exprlang._FN,
+                     "2^-3": exprlang._CONST, "x": exprlang._COORD,
                      "x+1": exprlang._FN,
                      **dict.fromkeys(_FOLD_RAISES + ("1/0+2", "-(0^-2)"),
                                      exprlang._RAISES)}
     # A folded constant is the walk's value; its tree compiles to one
     # closure returning it, reading no coordinate.
-    assert parse_expr("(1+2i)*(3-1i)", 1)._operand == (exprlang._CONST, (1 + 2j) * (3 - 1j))
+    assert (exprlang._operand_of(parse_expr("(1+2i)*(3-1i)", 1))
+            == (exprlang._CONST, (1 + 2j) * (3 - 1j)))
     assert eval_expr(parse_expr("exp(2i)^-3-(4+1i)", 1), ()) == cmath.exp(2j) ** -3 - (4 + 1j)
 
 
-def test_compiling_visits_each_node_once(monkeypatch):
-    # Constness is decided while compiling, bottom-up, not by walking each
-    # subtree again; the tree is compiled once, for both uses.
-    expr = parse_expr(_balanced_sum(7).replace("x", "(2i+x*3)"), 1)
+def test_d_of_f_g_compiles_only_the_nodes_that_f_does_not_own(monkeypatch):
+    # Each node keeps its compiled operand, so d(f g), which holds subtrees of
+    # f (the product rule keeps f and its factors, exp's chain rule keeps the
+    # exp), compiles only its own nodes.  Counted by identity, once each.
+    f = parse_expr("(0.5-0.2i)*x^2*exp((0.3+0.1i)*x)+(0.1+0.2i)*x-x^3/(2+x)", 1)
+    exprlang._operand_of(exprlang.ONE)  # every tree shares ONE; compile it first
     compile_ = exprlang._compile
     calls = []
     monkeypatch.setattr(exprlang, "_compile",
-                        lambda *args: calls.append(1) or compile_(*args))
-    assert not expr.constant
-    assert eval_expr(expr, (1,)) == 128 * (2j + 3)
-    assert len(calls) == len(list(_nodes(expr))) == 128 * 5 + 127
+                        lambda expr: calls.append(id(expr)) or compile_(expr))
+    assert not f.constant
+    owned = {id(e) for e in _nodes(f)}
+    assert sorted(calls) == sorted(owned)
+    calls.clear()
+    g = Pow(Sub(Var(0), Num(1 + 0j)), 2)  # residue_B's g
+    d_fg = differentiate(Mul(f, g))
+    point = (0.3 + 0.1j,)
+    assert _outcome(lambda: eval_expr(d_fg, point)) == _outcome(lambda: _reference(d_fg, point))
+    d_fg_nodes = {id(e) for e in _nodes(d_fg)}
+    assert sorted(calls) == sorted(d_fg_nodes - owned - {id(exprlang.ONE)})
+    assert len(d_fg_nodes & owned) > len(calls)  # most of d(f g) is f's
+
+
+# The pairs whose parent reads a coordinate inside its own closure, each with
+# a tree that reaches it; {x} is x1, x2 or x3 (past the end of the points).
+_FUSED = {
+    (Mul, exprlang._CONST, exprlang._COORD): "(2-3i)*{x}",
+    (Mul, exprlang._FN, exprlang._COORD): "x1^2*{x}",
+    (Sub, exprlang._COORD, exprlang._CONST): "{x}-(0.5+1i)",
+}
+
+
+@pytest.mark.parametrize("coords", [
+    (2, -3), (0.5, -0.0), (np.float64(0.1), np.float64(-2.5)),
+    (np.complex128(-0.0 - 0.7j), np.complex128(-0.0 + 1e-300j)), (-1.5 + 1e-300j, -0j),
+], ids=["int", "float", "float64", "complex128", "complex"])
+@pytest.mark.parametrize("key", _FUSED, ids=["c*x", "a*x", "x-c"])
+def test_fused_coordinate_reads_give_the_walks_bits_and_errors(key, coords):
+    for x in ("x1", "x2", "x3"):
+        expr = parse_expr(_FUSED[key].format(x=x), 3)
+        kinds = tuple(exprlang._operand_of(e)[0] for e in (expr.left, expr.right))
+        assert (type(expr), *kinds) == key
+        want = _outcome(lambda: _reference(expr, tuple(complex(c) for c in coords)))
+        assert _outcome(lambda: eval_expr(expr, coords)) == want
+        assert _outcome(lambda: eval_expr(expr, np.array(coords))) == want
+        if x == "x3":  # the bare coordinate's error, message and all
+            assert want == _outcome(lambda: eval_expr(parse_expr("x3", 3), coords))
+
+
+@pytest.mark.parametrize("text", ["(1/x1)*x3", "(1/0)*x3", "exp(1000)*x3"])
+def test_a_fused_coordinate_is_read_after_the_operand_before_it(text):
+    # The left operand's pole or overflow comes first, as in the walk, not the
+    # missing x3: (1/x1)*x3 reads x3 inside Mul's closure; a left operand
+    # that is a raising constant takes the all-closure entry.
+    expr = parse_expr(text, 3)
+    if text == "(1/x1)*x3":
+        kinds = tuple(exprlang._operand_of(e)[0] for e in (expr.left, expr.right))
+        assert kinds == (exprlang._FN, exprlang._COORD)
+    want = _outcome(lambda: _reference(expr, (0j, 1.5 + 0j)))
+    assert want[0] is PoleError
+    assert _outcome(lambda: eval_expr(expr, (0, 1.5))) == want

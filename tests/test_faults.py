@@ -32,7 +32,8 @@ _PHI, _PSI = kernels.phi, kernels.psi
 _ORACLE_D, _ORACLE_E = casebook.residue_oracle_D, casebook.residue_oracle_E
 _N2_SPHERE_ROWS = frozenset({"first_n2_const", "first_n2_poly"})
 _CLOSURES = dict(exprlang._CLOSURES)
-_X, _C = exprlang._FN, exprlang._CONST  # closure and constant operands
+# closure, constant and coordinate operands
+_X, _C, _COORD = exprlang._FN, exprlang._CONST, exprlang._COORD
 
 
 def _surface(name, chart, field, source):
@@ -229,11 +230,18 @@ FAULTS = (
      ("setitem", geometry._CATALOG, *_surface("S_E", "U2", "gradient", ("S_D", "U2"))),
      set()),
     # -- the expression compiler's fused closures (exprlang._CLOSURES)
-    # third_B's g = (x-1)^2 puts x - 1 into d(f g).
+    # third_B's g = (x-1)^2 puts x - 1 into d(f g), read in Sub's own closure.
+    ("x - c read in Sub's own closure computed as c - x",
+     ("setitem", exprlang._CLOSURES, (exprlang.Sub, _COORD, _C),
+      lambda index, c: lambda p: c - exprlang._coordinate(index)(p)),
+     {"third_B"}),
+    # No row's expression has x - c with x a closure (x - 1 reads its
+    # coordinate itself): test_differentiate_matches_finite_differences and
+    # test_compiled_eval_matches_reference_walk_and_text_roundtrips catch it.
     ("x - c computed as c - x",
      ("setitem", exprlang._CLOSURES, (exprlang.Sub, _X, _C),
       lambda a, c: lambda p: c - a(p)),
-     {"third_B"}),
+     set()),
     # No row's expression has c - x with c a constant:
     # test_compiled_eval_matches_reference_walk_and_text_roundtrips,
     # test_constant_heavy_trees_evaluate_as_the_reference_walk and
@@ -242,12 +250,23 @@ FAULTS = (
      ("setitem", exprlang._CLOSURES, (exprlang.Sub, _C, _X),
       lambda c, b: lambda p: b(p) - c),
      set()),
+    # residue_A's g = (a-1)*x + 1 puts c*x into d(f g); third_A_a1 (f = 1,
+    # a = 1) differentiates to the number 0 and passes.
+    ("c*x read in Mul's own closure from the next coordinate",
+     ("setitem", exprlang._CLOSURES, (exprlang.Mul, _C, _COORD),
+      lambda c, index: _CLOSURES[exprlang.Mul, _C, _COORD](c, index + 1)),
+     {"identity_exact_A", "third_A_a0", "third_A_a2"}),
+    # a a closure: first_n2_poly's x1^2*x2 then reads past the end of the point.
+    ("a*x read in Mul's own closure from the next coordinate",
+     ("setitem", exprlang._CLOSURES, (exprlang.Mul, _X, _COORD),
+      lambda a, index: _CLOSURES[exprlang.Mul, _X, _COORD](a, index + 1)),
+     {"first_n2_poly"}),
     # An n = 1 f then reads a missing x2 (an error row).  first_n2_poly's
     # x1^2*x2+3 becomes x2^3+3, which the first formula reproduces as well,
     # and its expected f(z) comes from the same compiled tree: it passes.
     ("x^k reading the next coordinate",
-     ("setitem", exprlang._CLOSURES, (exprlang.Pow, exprlang._COORD),
-      lambda index, k: _CLOSURES[exprlang.Pow, exprlang._COORD](index + 1, k)),
+     ("setitem", exprlang._CLOSURES, (exprlang.Pow, _COORD),
+      lambda index, k: _CLOSURES[exprlang.Pow, _COORD](index + 1, k)),
      {"first_n1", "second_square", "identity_exact_A", "vanish_sigmaA_Q",
       "vanish_sigmaA_SA", "vanish_sigmaB_Q", "vanish_sigmaB_SB"}),
 )
