@@ -4,15 +4,15 @@ Periodic parameter directions use the trapezoid rule (spectrally accurate
 for analytic periodic integrands); interval directions use Gauss-Legendre.
 Cycle maps are numpy ufunc expressions called on parameter arrays only:
 :func:`integrate` evaluates the grid in blocks of them, and a one-point probe
-(:meth:`Cycle.at`) is a block of one.  One correctly rounded ``math.fsum``
-per real and imaginary part makes an integral independent of evaluation
-order.
+(:meth:`Cycle.at`) is a block of one.  The real and imaginary parts are
+each reduced to their correctly rounded sum (exact extraction of long
+chunks, then one ``math.fsum``), so an integral does not depend on the
+evaluation order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -24,18 +24,21 @@ from .errors import InputError, PoleError
 
 Param = tuple[float, ...]
 
-# Grid points per vectorized evaluation pass, small enough that a block's
-# temporaries stay inside the heap (the n = 2 sphere's (3, 5, m) complex frame
-# and its sorted copy are the largest, 240 bytes a point each): glibc gives a
-# freed heap top above its trim threshold back to the kernel, and the next
-# block faults it in again.  Minor faults of one in-process `cflab suite` at
-# seed 101, median of 5 (2-core VM, Python 3.11.7, numpy 2.4.6), and its ms:
-# 4096 points 71 500 (384 ms), 3072 66 400 (373), 2048 2 000 but 23 300 in one
-# run of the five (329), 1792 1 860 (345), 1536 1 670 (362), 1024 1 360 (370),
-# 512 1 070 (461).  At 2048 the churn depends on what ran before (at seeds 7
-# and 211 it churned in 3 and 5 runs of 5); 1536 stays a quarter below that
-# size, 1792, a little faster, only an eighth.
-BLOCK_POINTS = 1536
+# Grid points per vectorized evaluation pass, the largest size whose
+# temporaries stay inside the heap: glibc gives a freed heap top above its trim
+# threshold back to the kernel, and the next block or integral faults it in
+# again.  The n = 2 sphere's (3, 5, m) complex frame and its sorted copy take
+# 240 bytes a point each, and the (2, total) reduction buffer of integrate sets
+# the threshold.  Minor faults of one warm in-process `cflab suite`, median of
+# 5 fresh processes at each of seeds 7, 101 and 211 (2-core VM, Python 3.11.7,
+# numpy 2.4.6), and its ms: 1024 points 40-43 (246-249 ms), 1280 22-28
+# (233-237), 1536 35-36 (229), 1792 13-20 (223), 1920 about 2 000 (223-225),
+# 2048 2 050 (219-222), 2304 2 050-2 280 (217-221), 2560 2 450 (212-213),
+# 3072 2 700 (208), 4096 71 300-71 700 (264-266).  From 1920 points on, each
+# n = 2 integral leaves more than the threshold free and the heap is trimmed.
+BLOCK_POINTS = 1792
+EXTRACT_MIN = 512  # _fsum extracts longer chunks: below, fsum alone is as fast
+EXTRACT_LEVELS = 2  # extractions per chunk in _fsum
 MAX_GRID_POINTS = 2 ** 22  # budget of one integrate call, checked up front
 MAX_GAUSS_NODES = 1024  # per Gauss-Legendre factor: leggauss is O(n^2) memory
 RULE_CACHE_SIZE = 64  # (factor, node count) rules kept by _factor_rule
@@ -363,12 +366,39 @@ def _weighted_block(form: forms.KForm, cycle: Cycle,
 
 
 def _fsum(values: np.ndarray) -> float:
-    """``math.fsum`` of ``values``, made Python floats a block at a time: the
-    floats of a whole grid (3 MB at 131 072 points) would be fresh memory,
-    faulted in again on every integral."""
-    return math.fsum(itertools.chain.from_iterable(
-        values[lo:lo + BLOCK_POINTS].tolist()
-        for lo in range(0, len(values), BLOCK_POINTS)))
+    """``math.fsum`` of ``values``, bit for bit (zero sign and
+    ``OverflowError`` included), from a few floats per chunk.
+
+    Each :data:`BLOCK_POINTS` chunk longer than :data:`EXTRACT_MIN` is cut by
+    error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+    2008, Lemma 3.3).  With 2^m >= len + 2 and sigma = 2^(m + e), where
+    max|p| < 2^e, q = (sigma + p) - sigma and p - q are exact, and every
+    partial sum of q, in any order, is a multiple of ulp(sigma)/2 below
+    sigma, so ``q.sum()`` is exact too.  The nonzero p - q left after
+    :data:`EXTRACT_LEVELS` levels go to the one ``math.fsum`` as they are.
+    A chunk whose maximum is below 2^-960 (ulp(sigma) could be subnormal) is
+    not extracted.  A value at or above 2^(1000 - m), or not finite, hands
+    all of ``values`` to ``math.fsum``: below that bound neither sum can
+    overflow (under 2^24 values), so an overflow is always fsum's own.
+    """
+    if len(values) <= EXTRACT_MIN:
+        return math.fsum(values.tolist())
+    partials = []
+    for lo in range(0, len(values), BLOCK_POINTS):
+        rest = values[lo:lo + BLOCK_POINTS]
+        for _ in range(EXTRACT_LEVELS):
+            m = (len(rest) + 1).bit_length()
+            top = float(np.abs(rest).max(initial=0.0))
+            if not top < 2.0 ** (1000 - m):
+                return math.fsum(values.tolist())
+            if len(rest) <= EXTRACT_MIN or top < 2.0 ** -960:
+                break
+            sigma = 2.0 ** (m + math.frexp(top)[1])
+            q = (sigma + rest) - sigma
+            partials.append(float(q.sum()))
+            rest = (rest - q)[rest != q]
+        partials += rest.tolist()
+    return math.fsum(partials)
 
 
 def integrate(form: forms.KForm, cycle: Cycle, quad: Sequence[int]) -> complex:
@@ -380,8 +410,10 @@ def integrate(form: forms.KForm, cycle: Cycle, quad: Sequence[int]) -> complex:
     The grid is walked in parameter-lexicographic order, :data:`BLOCK_POINTS`
     points at a time, with one ``cycle.map`` and ``cycle.tangent`` call per
     block.  The weighted real and imaginary parts of the whole grid are each
-    reduced by one ``math.fsum`` (correctly rounded, so independent of the
-    order and of the block size), made Python floats a block at a time.
+    reduced by :func:`_fsum`: exact extraction of each long chunk into a few
+    floats, then one ``math.fsum``, with the bits of ``math.fsum`` on the
+    values (correctly rounded, so independent of the order and of the block
+    size).
     A pole or a non-finite map, frame or value raises :class:`PoleError`
     carrying the first offending param in grid order, and so does a sum that
     overflows (without a param).  A grid above

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cflab import cycles, exprlang, forms, kernels
@@ -523,6 +523,100 @@ def test_integral_whose_sum_overflows_raises_pole_error():
         integrate(form, _circle(), (16,))
 
 
+def test_a_long_grid_whose_sum_overflows_raises_pole_error():
+    # Three blocks: each weighted value is 1e308 * 2 pi / n, at or above the
+    # reduction's overflow guard, so the sum is math.fsum's and overflows.
+    form = KForm.basis(1, 0, coeff=lambda p: 1e308 / (1j * p[0]))
+    with pytest.raises(PoleError, match="overflows"):
+        integrate(form, _circle(), (3 * cycles.BLOCK_POINTS,))
+
+
+# ------------------------------------------------------------- reduction
+
+def _fsum_outcome(fsum, values):
+    """The repr of ``fsum(values)``, or the type and message it raised."""
+    try:
+        return repr(fsum(values))
+    except (OverflowError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def _fsum_rows(draw):
+    """A row of a (2, n) buffer: lengths around the extraction cutoff and
+    around one, two and three blocks; exponents from the smallest subnormal
+    to just above the overflow guard of a full chunk; mixed or one sign;
+    exact cancellations; all-zero and all-negative-zero chunks; values near
+    the float limit or not finite, which leave the sum to ``math.fsum``."""
+    block, cut = cycles.BLOCK_POINTS, cycles.EXTRACT_MIN
+    n = draw(st.sampled_from([0, 1, 2, cut - 1, cut, cut + 1, cut + 2] + [
+        max(k * block + d, 0) for k in (1, 2, 3) for d in (-cut - 1, -1, 0, 1, cut + 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    guard = 1000 - (block + 1).bit_length()
+    lo = draw(st.integers(-1076, guard + 2))
+    hi = draw(st.integers(lo, guard + 2))
+    signs = draw(st.sampled_from([(-1.0, 1.0), (1.0,), (-1.0,)]))
+    values = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice(signs, n),
+                      rng.integers(lo, hi + 1, n))
+    if n and draw(st.booleans()):  # exact cancellation, in another order
+        values[n // 2:n // 2 * 2] = -rng.permutation(values[:n // 2])
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, max(n - 1, 0)))
+        values[start:start + draw(st.sampled_from([1, cut + 1, block]))] = \
+            draw(st.sampled_from([0.0, -0.0, 1.7976931348623157e308, -1e308,
+                                  math.inf, math.nan]))
+    buffer = np.empty((2, n))
+    buffer[0], buffer[1] = values, values[::-1]
+    return buffer[draw(st.integers(0, 1))]
+
+
+def _overflow_across_chunks():
+    """The largest float, then a chunk that cancels exactly: math.fsum
+    overflows on the way, so that chunk's one partial, 0.0, may not stand in
+    for its values."""
+    block = cycles.BLOCK_POINTS
+    values = np.zeros(2 * block)
+    values[0] = 1.7976931348623157e308
+    values[block::2], values[block + 1::2] = 2.0 ** 980, -2.0 ** 980
+    return values
+
+
+def _repeated(values):
+    """``values``, each over three blocks and a short tail."""
+    return np.repeat(values, cycles.BLOCK_POINTS + 7)
+
+
+@settings(settings.get_profile("cflab"), max_examples=150)
+@given(_fsum_rows())
+@example(_overflow_across_chunks())
+@example(_repeated([0.0] * 3))
+@example(_repeated([-0.0] * 3))
+@example(_repeated([0.0, -0.0, 0.0]))
+@example(_repeated([-0.0, 5e-324, -5e-324]))
+@example(_repeated([1.5, -1.5, -0.0]))
+@example(_repeated([2.0 ** -1000, -(2.0 ** -1000)] * 2))
+def test_fsum_is_math_fsum_bit_for_bit(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning, an empty max included
+        assert _fsum_outcome(cycles._fsum, values) == \
+            _fsum_outcome(lambda v: math.fsum(v.tolist()), values)
+
+
+def test_fsum_extracts_long_chunks(monkeypatch):
+    # math.fsum gets a few partials per chunk, not one float per value; the
+    # rounded part leaves no remainder after one level, and takes no max of it.
+    rng = np.random.default_rng(5)
+    n = 3 * cycles.BLOCK_POINTS
+    values = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n),
+                      rng.integers(-20, 0, n))  # 73 bits: two levels take them all
+    seen, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: seen.append(list(xs)) or fsum(seen[-1]))
+    for part in (values, np.round(values * 2 ** 20)):
+        seen.clear()
+        assert repr(cycles._fsum(part)) == repr(fsum(part.tolist()))
+        assert len(seen) == 1 and len(seen[0]) < len(part) // 20
+
+
 @pytest.mark.parametrize("tangent", [
     lambda t: ((1 + 0j, 0j),), lambda t: (), lambda t: (((1 + 0j,),),),
     lambda t: ((np.ones(len(t[0]) + 1, dtype=complex),),),
@@ -613,14 +707,20 @@ def _unshared_torus_E(r1, r2):
     return emap, etan
 
 
+def _two_blocks(*lead):
+    """Node counts ``lead`` and one more, for a grid of exactly two blocks
+    (more than ``BLOCK_POINTS`` points, and at most twice that)."""
+    return lead + (cycles.BLOCK_POINTS // math.prod(lead) + 1,)
+
+
 # cycle, its unshared (map, tangent), and a grid of two blocks
 SHARED_CASES = {
     "sphere_M_n1": (cycles.sphere_M((0.3 + 0.1j,), 0.7),
-                    _unshared_sphere_1(0.3 + 0.1j, 0.7), (cycles.BLOCK_POINTS + 100,)),
+                    _unshared_sphere_1(0.3 + 0.1j, 0.7), _two_blocks()),
     "sphere_M_n2": (cycles.sphere_M((0.2 + 0j, -0.1 + 0.3j), 0.5),
-                    _unshared_sphere_2(0.2 + 0j, -0.1 + 0.3j, 0.5), (4, 20, 24)),
-    "torus_D": (cycles.torus_D(0.4), _unshared_torus_D(0.4), (40, 48)),
-    "torus_E": (cycles.torus_E(0.5, 0.4), _unshared_torus_E(0.5, 0.4), (40, 48)),
+                    _unshared_sphere_2(0.2 + 0j, -0.1 + 0.3j, 0.5), _two_blocks(4, 20)),
+    "torus_D": (cycles.torus_D(0.4), _unshared_torus_D(0.4), _two_blocks(40)),
+    "torus_E": (cycles.torus_E(0.5, 0.4), _unshared_torus_E(0.5, 0.4), _two_blocks(40)),
 }
 
 
