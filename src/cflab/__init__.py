@@ -22,7 +22,7 @@ from .forms import KForm, d_numeric, pullback_integrand, wedge
 from .geometry import (SurfaceSpec, sample_on_surface, surface_catalog,
                        transversality_margin)
 from .cycles import Cycle, integrate, orientation_sign
-from .kernels import casebook_form, kernel_basis_form, phi, psi
+from .kernels import casebook_form, phi, psi
 
 __all__ = [
     "__version__",
@@ -30,7 +30,7 @@ __all__ = [
     "HolomorphicExpr", "KForm", "SurfaceSpec", "Cycle",
     "casebook_form", "d_numeric", "differentiate",
     "eval_expr", "first_formula", "fibration_check_C2",
-    "full_report", "identity_suite", "integrate", "kernel_basis_form",
+    "full_report", "identity_suite", "integrate",
     "necessary_condition_case", "orientation_sign",
     "parse_expr", "phi", "psi",
     "pullback_integrand", "sample_on_surface",

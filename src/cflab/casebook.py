@@ -346,8 +346,6 @@ def necessary_condition_case(case_id: str, *, quad, tol: float,
     """
     t0 = time.perf_counter()
     if case_id == "D":
-        if not 0 < eps < 1:
-            raise InputError("Example D needs 0 < eps < 1")
         torus = cycles.torus_D(eps)
         form = kernels.casebook_form("theta_D")
         oracle = residue_oracle_D(eps)

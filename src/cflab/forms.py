@@ -65,24 +65,6 @@ def pole_at(cols, bad, message: str) -> None:
     fault(bad, lambda row: PoleError(message, point=tuple(complex(c[row]) for c in cols)))
 
 
-def _lists(cols) -> list:
-    return [c.tolist() for c in cols]
-
-
-def map_points(fn: Callable[..., complex], cols, *lead) -> np.ndarray:
-    """``fn(*lead, point)`` at each point (a tuple of Python complex
-    numbers) of the batch columns ``cols``, in row order and called by
-    ``map`` itself; an error gets its row.  The columns are made Python
-    numbers once per batch (:func:`shared`)."""
-    values: list = []
-    try:  # extend keeps the values before an error
-        values.extend(map(fn, *map(itertools.repeat, lead), zip(*shared(_lists, cols))))
-    except Exception as exc:
-        exc.row = len(values)
-        raise
-    return np.array(values, dtype=complex)
-
-
 def _join(re, im) -> np.ndarray:
     out = np.asarray(re, dtype=complex)  # a new array: re is real
     out.imag = im
@@ -252,14 +234,10 @@ class KForm:
     # -- construction helpers ------------------------------------------
 
     @staticmethod
-    def zero(dim: int, degree: int = 0) -> "KForm":
-        return KForm(degree, dim, terms={})
-
-    @staticmethod
     def basis(dim: int, *indices: int, coeff: complex | CoeffFn = 1) -> "KForm":
         """The wedge monomial ``coeff * dz_{i1} ^ ... ^ dz_{ik}``."""
         if len(set(indices)) != len(indices):
-            return KForm.zero(dim, len(indices))
+            return KForm(len(indices), dim, terms={})
         for i in indices:
             if not 0 <= i < dim:
                 raise InputError(f"index {i} outside ambient dim {dim}")

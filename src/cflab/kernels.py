@@ -32,41 +32,33 @@ def _check_n(n: int):
         raise InputError("dimension n must be >= 1")
 
 
-# --------------------------------------------------------- basis kernels
+# --------------------------------------------------------------- kernels
 
-def kernel_basis_form(kind: str, n: int) -> KForm:
-    """omega, omega' or omega* on the joint (xi, x) ambient space.
-
-    omega(x)  = dx_1 ^ ... ^ dx_n
-    omega'(xi) = sum_{k=1..n} (-1)^(k-1) xi_k  dxi_1 ^..^ omit k ^..^ dxi_n
-    omega*(xi) = sum_{k=0..n} (-1)^k      xi_k  dxi_0 ^..^ omit k ^..^ dxi_n
-    """
-    _check_n(n)
-    dim = joint_dim(n)
-    if kind == "omega":
-        return KForm.basis(dim, *range(n + 1, 2 * n + 1))
-    if kind in ("omega_prime", "omega_star"):
-        first = 1 if kind == "omega_prime" else 0  # the first xi_k in the sum
-        terms = {tuple(j for j in range(first, n + 1) if j != k):
-                 (lambda cols, k=k, s=(-1) ** (k - first): forms.mul(s, cols[k]))
-                 for k in range(first, n + 1)}
-        return KForm(n - first, dim, terms=terms)
-    raise InputError(f"unknown kernel basis form {kind!r}")
+def _lists(cols) -> list:  # a batch's columns as lists of Python complex
+    return [c.tolist() for c in cols]
 
 
 def _f_at(f: HolomorphicExpr | None, cols) -> np.ndarray | complex:
     """``f`` at each point of the coordinate columns ``cols``, 1 without f:
-    ``exprlang.eval_expr`` mapped over the rows (:func:`forms.map_points`),
-    an error with its row.  An ``f`` that reads no coordinate (a number) is
+    ``exprlang.eval_expr`` called by ``map`` on each point (a tuple of Python
+    complex numbers) in row order, an error with its row (the number of
+    values before it).  The columns are made Python numbers once per batch
+    (:func:`forms.shared`).  An ``f`` that reads no coordinate (a number) is
     evaluated once, at the first row, and returned as a Python complex, so
     its error is the per-point loop's, at row 0; an empty batch evaluates
     nothing.  ``eval_expr`` is looked up on the module at each call, so a
     wrapped or patched one is the one that runs."""
     if f is None:
         return 1 + 0j
-    if f.constant and len(cols[0]):
-        return complex(forms.map_points(exprlang.eval_expr, [c[:1] for c in cols], f)[0])
-    return forms.map_points(exprlang.eval_expr, cols, f)
+    once = f.constant and len(cols[0]) > 0
+    lists = forms.shared(_lists, [c[:1] for c in cols] if once else cols)
+    values: list = []
+    try:  # extend keeps the values before an error
+        values.extend(map(exprlang.eval_expr, itertools.repeat(f), zip(*lists)))
+    except Exception as exc:
+        exc.row = len(values)
+        raise
+    return complex(values[0]) if once else np.array(values, dtype=complex)
 
 
 def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
@@ -168,7 +160,7 @@ def phi_chart_formula(n: int) -> KForm:
             (1,): (lambda p, j=j: forms.div(-p[j], forms.shared(xi1_sq, p))),
         }
         factors.append(KForm(1, dim, terms=terms))
-    factors.append(kernel_basis_form("omega", n))
+    factors.append(KForm.basis(dim, *range(n + 1, 2 * n + 1)))
     return forms.scale(functools.reduce(forms.wedge, factors), prefactor)
 
 

@@ -7,7 +7,9 @@ The properties take it as their parent settings; ``pytest
 --hypothesis-profile=cflab`` makes it the default for every test.
 
 ``scalar_sampler`` is the per-coordinate sampling loop that the bulk draws of
-``geometry.sample_points`` replace.  ``seed7_report`` is one seed-7
+``geometry.sample_points`` replace.  ``pointwise`` makes a function of one
+point a batch coefficient, the per-point reference that tests build forms
+from.  ``seed7_report`` is one seed-7
 ``full_report``, computed once per session and shared by the tests that only
 read it.
 """
@@ -42,6 +44,28 @@ def scalar_sample_points(rng, count, dim, degree, accept, extra=0):
 @pytest.fixture(scope="session")
 def scalar_sampler():
     return scalar_sample_points
+
+
+def pointwise_coeff(fn):
+    """A coefficient that calls ``fn`` on each point (a tuple of Python complex
+    numbers) of a batch's columns in row order, an error tagged with its row
+    (the number of values before it), as :meth:`KForm.coefficients` expects."""
+    def coeff(cols):
+        values = []
+        try:
+            for point in zip(*[c.tolist() for c in cols]):
+                values.append(fn(point))
+        except Exception as exc:
+            exc.row = len(values)
+            raise
+        return np.array(values, dtype=complex)
+
+    return coeff
+
+
+@pytest.fixture(scope="session")
+def pointwise():
+    return pointwise_coeff
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import cmath
 import dataclasses
+import hashlib
+import json
 import math
 import random
 import warnings
@@ -375,6 +377,28 @@ def test_every_table_row_reports_its_own_id_and_group(unpatched_report):
     assert all(c.passed for c in unpatched_report)
     assert [(c.id, c.group) for c in unpatched_report] == \
         [(check_id, group) for check_id, group, _ in casebook.CHECKS]
+
+
+# sha256 of the report fields that no CPU feature moves: each row's id,
+# group, tol, quad_sizes, pass and params, without the three params that
+# carry computed values (numpy's dispatched loops and the OpenBLAS kernel
+# move their last bits).  A changed tolerance, grid or parameter changes it.
+ROW_DIGESTS = {
+    7: "cceb3b013383837fdf6e54a3d8a72fd35e3cc6f77c06ea792517d4636d5e02a5",
+    101: "573e58361baebc13b37fe30cdcb9293d799b847ffeca8ccb0759e404768c6d6c",
+    211: "7ce73da200eecae9838d3bc29fd43adaf62101429bbde4aa50e07d694fc5d8ea",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ROW_DIGESTS))
+def test_cpu_independent_row_fields_have_their_committed_digest(seed, seed7_report):
+    computed = ("oracle", "value_a", "value_b")
+    rows = [{"id": c.id, "group": c.group, "tol": c.tol,
+             "quad_sizes": list(c.quad_sizes), "pass": c.passed,
+             "params": {k: v for k, v in c.params.items() if k not in computed}}
+            for c in (seed7_report if seed == 7 else full_report(seed))]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == ROW_DIGESTS[seed]
 
 
 def test_full_report_skip_group():

@@ -138,6 +138,19 @@ def test_an_option_of_the_other_case_exits_2_naming_it(argv, option, case, capsy
     assert captured.err == f"cflab: error: {option} does not apply to case {case}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["necessary", "D", "--eps", "0"], "torus_D needs 0 < eps < 1"),
+    (["necessary", "D", "--eps", "1"], "torus_D needs 0 < eps < 1"),
+    (["necessary", "E", "--radii", "0,0.5"], "torus_E radii must be positive"),
+], ids=["eps_0", "eps_1", "radius_0"])
+def test_a_torus_parameter_on_its_bound_exits_2_with_one_line(argv, message, capsys):
+    # the torus constructors hold the bounds; the open interval excludes its ends
+    assert run_cli(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cflab: error: {message}\n"
+
+
 def _verify_json(argv, capsys):
     """The JSON check objects that ``cflab verify`` prints for ``argv``."""
     assert run_cli(["verify", *argv, "--format=json"]) == 0

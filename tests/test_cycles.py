@@ -380,7 +380,7 @@ def _identity_torus():
 
 
 @pytest.mark.parametrize("raised", [ZeroDivisionError, PoleError, None])
-def test_pole_error_names_first_param_in_grid_order(raised):
+def test_pole_error_names_first_param_in_grid_order(raised, pointwise):
     sizes = (128, 64)
     h0, h1 = 2 * math.pi / sizes[0], 2 * math.pi / sizes[1]
     first, later = (h0 * 70, h1 * 50), (h0 * 100, h1 * 3)
@@ -396,7 +396,7 @@ def test_pole_error_names_first_param_in_grid_order(raised):
             raise (raised or ZeroDivisionError)("pole")
         return p[0] * p[1]
 
-    form = KForm.basis(2, 0, 1, coeff=lambda cols: forms.map_points(coeff, cols))
+    form = KForm.basis(2, 0, 1, coeff=pointwise(coeff))
     with pytest.raises(PoleError) as err:
         integrate(form, _identity_torus(), sizes)
     assert err.value.param == first
@@ -434,7 +434,7 @@ def test_float_only_cycle_callable_raises_input_error():
         integrate(_LINE_FORM, detour, (24,))
 
 
-def test_non_finite_value_raises_instead_of_returning_nan():
+def test_non_finite_value_raises_instead_of_returning_nan(pointwise):
     sizes = (16, 16)
     h = 2 * math.pi / 16
     bad = (h * 9, h * 2)
@@ -442,7 +442,7 @@ def test_non_finite_value_raises_instead_of_returning_nan():
     def coeff(p):
         return complex("nan") if (p[0].real, p[1].real) == bad else 1 + 0j
 
-    form = KForm.basis(2, 0, 1, coeff=lambda cols: forms.map_points(coeff, cols))
+    form = KForm.basis(2, 0, 1, coeff=pointwise(coeff))
     with pytest.raises(CflabError) as err:
         integrate(form, _identity_torus(), sizes)
     assert err.value.param == bad

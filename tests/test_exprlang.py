@@ -413,12 +413,18 @@ def test_exponent_beyond_the_floats_is_a_syntax_error():
 @pytest.mark.parametrize("text, offset", [
     ("2^3^40", 6),  # 3^40 is above 10^9, as before the bound on the top
     ("x^-3^99999999999999999999", 25),  # the top alone would not fit in memory
+    ("x^2^30", 6),  # 2^30 and 3^19 are the first powers of 2 and 3 above 10^9
+    ("x^3^19", 6),
 ])
 def test_an_exponent_tower_above_ten_to_the_ninth_is_rejected(text, offset):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr(text, 1)
     assert str(err.value) == f"exponent tower too large at offset {offset}"
     assert parse_expr("x^1^99999999999999999999", 1) == Pow(Var(0), 1)
+
+
+def test_an_exponent_tower_of_ten_to_the_ninth_parses():
+    assert parse_expr("x^10^9", 1) == Pow(Var(0), 10 ** 9)
 
 
 def test_constant_is_whether_the_tree_reads_no_coordinate():

@@ -343,7 +343,7 @@ def test_residue_oracles_run_without_the_code_under_test(monkeypatch, oracle, by
     unpatched = oracle(*args)
     monkeypatch.setattr(cycles, "integrate", _poisoned)
     monkeypatch.setattr(forms.KForm, "evaluate_many", _poisoned)
-    for name in ("phi", "psi", "casebook_form", "kernel_basis_form", "_kernel"):
+    for name in ("phi", "psi", "casebook_form", "_kernel"):
         monkeypatch.setattr(kernels, name, _poisoned)
     poisoned = oracle(*args)
     assert repr(poisoned) == repr(unpatched) == repr(by_loops(*args))

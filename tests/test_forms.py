@@ -167,24 +167,24 @@ def test_d_numeric_constant_coefficients_vanish():
     assert abs(val) < 1e-8
 
 
-def _d_form(form):
+def _d_form(form, pointwise):
     """d(form) as terms: the coefficient of dz_J is d_numeric on the unit
     frame e_J."""
     def unit(i):
         return tuple(1 if j == i else 0 for j in range(form.dim))
 
     terms = {
-        key: lambda cols, frame=tuple(unit(i) for i in key): forms.map_points(
-            lambda p: forms.d_numeric(form, p, frame), cols)
+        key: pointwise(lambda p, frame=tuple(unit(i) for i in key):
+                       forms.d_numeric(form, p, frame))
         for key in itertools.combinations(range(form.dim), form.degree + 1)
     }
     return KForm(form.degree + 1, form.dim, terms=terms)
 
 
-def test_d_numeric_squared_is_small():
+def test_d_numeric_squared_is_small(pointwise):
     rng = random.Random(21)
     f = KForm.basis(3, 1, coeff=lambda p: p[0] ** 2 * p[2] + p[1])
-    df = _d_form(f)
+    df = _d_form(f, pointwise)
     for _ in range(10):
         p = _rand_vec(rng, 3)
         v = [_rand_vec(rng, 3) for _ in range(3)]
@@ -244,7 +244,7 @@ def test_coefficient_scale_terms(monkeypatch):
     assert scale(f, [(2, 5), (7, 1), (1, 0)]) == pytest.approx(15.0)
     nan = KForm.basis(2, 0, coeff=lambda p: np.where(p[0] == 1, np.nan, p[0]))
     assert scale(nan, [(1, 0), (-2, 0)]) == 2.0  # NaN passed over
-    assert scale(KForm.zero(2, 1), [(1, 0)]) == 0.0
+    assert scale(KForm(1, 2, terms={}), [(1, 0)]) == 0.0
 
 
 # ------------------------------------------------ batched evaluation, properties
@@ -440,27 +440,6 @@ def test_a_coefficient_error_without_a_row_propagates_as_raised():
     with pytest.raises(PoleError, match="no row") as err:
         KForm.basis(1, 0, coeff=coeff).evaluate_many([(0j,), (1j,)], [[(1,)]] * 2)
     assert err.value.row is None
-
-
-def test_map_points_calls_in_row_order_and_tags_the_failing_row():
-    seen = []
-
-    def fn(p):
-        seen.append(p)
-        if p == (2 + 0j, 4 + 0j):
-            raise ZeroDivisionError("scalar pole")
-        return p[0] * p[1]
-
-    def coeff(cols):
-        return forms.map_points(fn, cols)
-
-    cols = (np.array([1, 3, 2, 2], dtype=complex), np.array([1, 1, 4, 4], dtype=complex))
-    with pytest.raises(ZeroDivisionError) as err:
-        coeff(cols)
-    assert err.value.row == 2 and seen == [(1, 1), (3, 1), (2, 4)]
-    assert coeff(tuple(c[:2] for c in cols)).tolist() == [1, 3]
-    assert all(type(c) is complex for p in seen for c in p)
-    assert coeff((np.array([], dtype=complex),)).shape == (0,)
 
 
 def test_d_numeric_many_equals_one_sample_calls_exactly():

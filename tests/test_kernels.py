@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from cflab import casebook, cycles, exprlang, forms, geometry, kernels
 from cflab.errors import InputError, PoleError
 from cflab.forms import KForm
-from cflab.kernels import (casebook_form, kernel_basis_form, phi,
-                           phi_chart_formula, psi, vanishing_max_and_scale)
+from cflab.kernels import (casebook_form, phi, phi_chart_formula, psi,
+                           vanishing_max_and_scale)
 
 
 def _rand_c(rng, r=1.0):
@@ -25,29 +25,42 @@ def _rand_vec(rng, dim):
 
 # ------------------------------------------------------------ basis kernels
 
+def _basis_form(kind, n):
+    """omega, omega' or omega* on the joint (xi, x) ambient space, the
+    reference for the terms that phi and psi write themselves.
+
+    omega(x)  = dx_1 ^ ... ^ dx_n
+    omega'(xi) = sum_{k=1..n} (-1)^(k-1) xi_k  dxi_1 ^..^ omit k ^..^ dxi_n
+    omega*(xi) = sum_{k=0..n} (-1)^k      xi_k  dxi_0 ^..^ omit k ^..^ dxi_n
+    """
+    dim = 2 * n + 1
+    if kind == "omega":
+        return KForm.basis(dim, *range(n + 1, 2 * n + 1))
+    first = 1 if kind == "omega_prime" else 0  # the first xi_k in the sum
+    terms = {tuple(j for j in range(first, n + 1) if j != k):
+             (lambda cols, k=k, s=(-1) ** (k - first): forms.mul(s, cols[k]))
+             for k in range(first, n + 1)}
+    return KForm(n - first, dim, terms=terms)
+
+
 def test_omega_prime_n1_is_xi1():
-    form = kernel_basis_form("omega_prime", 1)
+    form = _basis_form("omega_prime", 1)
     assert form.degree == 0
     assert form.evaluate((5, 3, 0), ()) == 3
 
 
 def test_omega_star_n1_values():
-    form = kernel_basis_form("omega_star", 1)
+    form = _basis_form("omega_star", 1)
     # omega* = xi0 d xi1 - xi1 d xi0 evaluated on d/d xi0
     assert form.evaluate((2, 1, 0), [(1, 0, 0)]) == -1
     assert form.evaluate((2, 1, 0), [(0, 1, 0)]) == 2
 
 
 def test_omega_n2_unit_determinant():
-    form = kernel_basis_form("omega", 2)
+    form = _basis_form("omega", 2)
     e_x1 = (0, 0, 0, 1, 0)
     e_x2 = (0, 0, 0, 0, 1)
     assert form.evaluate((0, 0, 0, 0, 0), [e_x1, e_x2]) == 1
-
-
-def test_kernel_basis_unknown_kind():
-    with pytest.raises(InputError):
-        kernel_basis_form("omega_hat", 1)
 
 
 # -------------------------------------------------------------------- phi
@@ -182,7 +195,7 @@ def _batch(coeff, rows):
         return np.broadcast_to(coeff(cols), len(rows)).tolist()
 
 
-def _reference_kernel(name, basis, power, n, z, f):
+def _reference_kernel(name, basis, power, n, z, f, pointwise):
     """f / (xi.z)^power scaling wedge(basis, omega), built from the algebra,
     with the scale factor computed point by point in Python."""
     z = tuple(complex(c) for c in z)
@@ -194,8 +207,8 @@ def _reference_kernel(name, basis, power, n, z, f):
         fx = 1 + 0j if f is None else exprlang.eval_expr(f, p[n + 1:])
         return fx / den ** power
 
-    body = forms.wedge(kernel_basis_form(basis, n), kernel_basis_form("omega", n))
-    return forms.scale(body, lambda cols: forms.map_points(coeff, cols))
+    body = forms.wedge(_basis_form(basis, n), _basis_form("omega", n))
+    return forms.scale(body, pointwise(coeff))
 
 
 def _signed_zero_c(rng):
@@ -212,13 +225,13 @@ _F_BY_N = {1: "exp(x)+x^2", 2: "x1^2*x2+3", 3: "x1*x2-exp(x3)/(x1+2)"}
 @pytest.mark.parametrize("kernel, name, basis, extra", [
     (phi, "phi", "omega_prime", 0), (psi, "psi", "omega_star", 1)])
 def test_fused_kernel_equals_wedge_and_scale_reference(kernel, name, basis,
-                                                       extra, n):
+                                                       extra, n, pointwise):
     rng = random.Random(70 + n)
     dim = 2 * n + 1
     z = tuple(_rand_c(rng, 0.3) for _ in range(n))
     for f in (None, exprlang.parse_expr(_F_BY_N[n], n)):
         fused = kernel(n, z, f)
-        ref = _reference_kernel(name, basis, n + extra, n, z, f)
+        ref = _reference_kernel(name, basis, n + extra, n, z, f, pointwise)
         assert (fused.degree, fused.dim) == (ref.degree, ref.dim)
         assert list(fused.terms) == list(ref.terms)
         rows = []
@@ -364,11 +377,11 @@ def test_kernel_terms_share_the_quotient_of_a_number_f_and_the_points_of_any_oth
     frames = [[_rand_vec(rng, 2 * n + 1) for _ in range(form.degree)] for _ in range(5)]
     want = form.evaluate_many(points, frames)
     counts = {"div": 0, "_lists": 0}
-    for name in counts:
-        def counted(*args, _fn=getattr(forms, name), _name=name):
+    for module, name in ((forms, "div"), (kernels, "_lists")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(forms, name, counted)
+        monkeypatch.setattr(module, name, counted)
     got = form.evaluate_many(points, frames)
     assert counts == {"div": 1 if one_quotient else terms, "_lists": lists}
     assert [repr(v) for v in got.tolist()] == [repr(v) for v in want.tolist()]
@@ -417,6 +430,24 @@ def test_a_number_f_with_a_pole_raises_as_the_per_point_loop_does():
     assert errors[0][0].endswith(": division by zero in expression")
     assert errors[0][2] == tuple(float(nodes[0]) for nodes, _ in
                                  map(cycles._factor_rule, _SPHERE.factors, _GRID))
+
+
+def test_f_at_calls_eval_expr_in_row_order_and_tags_the_failing_row(monkeypatch):
+    seen, eval_expr = [], exprlang.eval_expr
+
+    def spy(f, p):
+        seen.append(p)
+        return eval_expr(f, p)
+
+    monkeypatch.setattr(exprlang, "eval_expr", spy)  # looked up at each call
+    f = exprlang.parse_expr("x1/(x2-4)", 2)
+    cols = (np.array([1, 3, 2, 2], dtype=complex), np.array([1, 1, 4, 4], dtype=complex))
+    with pytest.raises(PoleError) as err:
+        kernels._f_at(f, cols)
+    assert err.value.row == 2 and seen == [(1, 1), (3, 1), (2, 4)]
+    assert all(type(p) is tuple and all(type(c) is complex for c in p) for p in seen)
+    assert kernels._f_at(f, tuple(c[:2] for c in cols)).tolist() == [-1 / 3, -1]
+    assert kernels._f_at(f, (np.array([], dtype=complex),) * 2).shape == (0,)
 
 
 def test_a_number_f_on_an_empty_batch_evaluates_nothing(monkeypatch):
@@ -492,7 +523,7 @@ def _chart_formula_with_a_power_per_term(n):
         (j,): lambda p: forms.div(p[1], forms.power(p[1], 2)),
         (1,): lambda p, j=j: forms.div(-p[j], forms.power(p[1], 2))})
         for j in range(2, n + 1)]
-    factors.append(kernel_basis_form("omega", n))
+    factors.append(_basis_form("omega", n))
     return forms.scale(functools.reduce(forms.wedge, factors),
                        lambda p: forms.power(forms.div(p[1], p[0]), n))
 
@@ -609,7 +640,7 @@ def test_vanishing_max_rejects_wrong_chart():
 
 # ------------------------------------------------- displayed exactness checks
 
-def test_sigma_b_exactness_identity():
+def test_sigma_b_exactness_identity(pointwise):
     # f*psi + d(sigma_B) = d eta/eta ^ d(f(x)(x-1)^2) + d theta, where the
     # smooth remainder theta = -f(eta+2x) d eta - 2 f dx contributes
     # d theta = (f'(eta+2x) + 2 f) d eta ^ dx.
@@ -628,7 +659,7 @@ def test_sigma_b_exactness_identity():
                   + 2 * exprlang.eval_expr(f, (x,)))
         return lead + smooth
 
-    rhs = KForm.basis(2, 0, 1, coeff=lambda cols: forms.map_points(rhs_coeff, cols))
+    rhs = KForm.basis(2, 0, 1, coeff=pointwise(rhs_coeff))
     for _ in range(25):
         p = (_rand_c(rng), _rand_c(rng))
         if abs(p[0]) < 0.3:
@@ -679,8 +710,8 @@ def _catalog():
     f = exprlang.parse_expr("exp(x)+x^2", 1)
     z2 = (0.2 - 0.1j, 0.1 + 0.05j)
     return {
-        "omega_n2": kernel_basis_form("omega", 2),
-        "omega_star_n2": kernel_basis_form("omega_star", 2),
+        "omega_n2": _basis_form("omega", 2),
+        "omega_star_n2": _basis_form("omega_star", 2),
         "psi_n1": psi(1, (0.3 + 0.1j,), f),
         "phi_n2": phi(2, z2),
         "psi_n2": psi(2, z2),
