@@ -306,7 +306,10 @@ def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
 
     Values and errors are those at the ``complex()`` of every coordinate,
     but a coordinate is converted only where the tree reads it (a Python
-    complex costs a type check), so one the tree never reads is not.
+    complex costs a type check), so one the tree never reads is not.  The
+    compiled closures only compute; their errors are made here.  A
+    coordinate the point lacks raises :class:`InputError` naming the first
+    one read (the closure runs again on a :class:`_Reading` of the point).
     Division by an exact zero, and a result beyond the floats (Python's
     ``OverflowError``, ``ValueError`` from ``exp`` of an infinite argument,
     ``ZeroDivisionError`` from a negative power that underflows), raise
@@ -316,11 +319,28 @@ def eval_expr(expr: HolomorphicExpr, point: Sequence[complex]) -> complex:
     fn = expr._fn if isinstance(expr, _Node) else _closure(*_compile(expr))
     try:
         return fn(point)
+    except IndexError:
+        pass
+    except PoleError as exc:
+        exc.point = tuple(map(complex, point))
+        raise
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, InputError):
             raise
         raise PoleError(f"expression overflows: {exc}",
                         point=tuple(map(complex, point))) from None
+    # The same reads in the same order, up to the missing one, which raises.
+    return fn(_Reading(point))
+
+
+class _Reading(tuple):
+    """A point whose read outside its coordinates raises :class:`InputError`."""
+
+    def __getitem__(self, index):
+        if not 0 <= index < len(self):
+            raise InputError(f"expression uses x{index + 1} but the point has "
+                             f"{len(self)} coordinates")
+        return tuple.__getitem__(self, index)
 
 
 _CONST, _COORD, _FN, _RAISES = "constant", "coordinate", "closure", "raises"
@@ -389,20 +409,8 @@ def _closure(kind, x):
     return _coordinate(x) if kind is _COORD else x
 
 
-def _missing(index, p):
-    return InputError(f"expression uses x{index + 1} but the point has "
-                      f"{len(p)} coordinates")
-
-
 def _coordinate(index):
-    def var(p):
-        try:
-            x = p[index]
-        except IndexError:
-            raise _missing(index, p) from None
-        return x if type(x) is complex else complex(x)
-
-    return var
+    return lambda p: x if type(x := p[index]) is complex else complex(x)
 
 
 def _power(base, k):
@@ -412,67 +420,17 @@ def _power(base, k):
     def negative_power(p):
         b = base(p)
         if b == 0:
-            raise PoleError("negative power of zero in expression",
-                            point=tuple(map(complex, p)))
+            raise PoleError("negative power of zero in expression")
         return b ** k
 
     return negative_power
-
-
-def _power_of_coordinate(index, k):
-    if k < 0:
-        return _power(_coordinate(index), k)
-
-    def power_x(p):
-        try:
-            x = p[index]
-        except IndexError:
-            raise _missing(index, p) from None
-        return (x if type(x) is complex else complex(x)) ** k
-
-    return power_x
-
-
-def _const_times_coordinate(c, index):
-    def c_times_x(p):
-        try:
-            x = p[index]
-        except IndexError:
-            raise _missing(index, p) from None
-        return c * (x if type(x) is complex else complex(x))
-
-    return c_times_x
-
-
-def _times_coordinate(a, index):
-    def times_x(p):
-        left = a(p)
-        try:
-            x = p[index]
-        except IndexError:
-            raise _missing(index, p) from None
-        return left * (x if type(x) is complex else complex(x))
-
-    return times_x
-
-
-def _coordinate_minus_const(index, c):
-    def x_minus_c(p):
-        try:
-            x = p[index]
-        except IndexError:
-            raise _missing(index, p) from None
-        return (x if type(x) is complex else complex(x)) - c
-
-    return x_minus_c
 
 
 def _divide(left, right):
     def divide(p):
         den = right(p)
         if den == 0:
-            raise PoleError("division by zero in expression",
-                            point=tuple(map(complex, p)))
+            raise PoleError("division by zero in expression")
         return left(p) / den
 
     return divide
@@ -485,19 +443,24 @@ _CLOSURES = {
     (Neg, _FN): lambda a: lambda p: -a(p),
     (Exp, _FN): lambda a, exp=cmath.exp: lambda p: exp(a(p)),
     (Pow, _FN): _power,
-    (Pow, _COORD): _power_of_coordinate,
+    (Pow, _COORD): lambda i, k: (
+        _power(_coordinate(i), k) if k < 0
+        else lambda p: (x if type(x := p[i]) is complex else complex(x)) ** k),
     (Add, _FN, _FN): lambda a, b: lambda p: a(p) + b(p),
     (Add, _CONST, _FN): lambda c, b: lambda p: c + b(p),
     (Add, _FN, _CONST): lambda a, c: lambda p: a(p) + c,
     (Sub, _FN, _FN): lambda a, b: lambda p: a(p) - b(p),
     (Sub, _CONST, _FN): lambda c, b: lambda p: c - b(p),
     (Sub, _FN, _CONST): lambda a, c: lambda p: a(p) - c,
-    (Sub, _COORD, _CONST): _coordinate_minus_const,
+    (Sub, _COORD, _CONST): lambda i, c: lambda p: (
+        x if type(x := p[i]) is complex else complex(x)) - c,
     (Mul, _FN, _FN): lambda a, b: lambda p: a(p) * b(p),
     (Mul, _CONST, _FN): lambda c, b: lambda p: c * b(p),
     (Mul, _FN, _CONST): lambda a, c: lambda p: a(p) * c,
-    (Mul, _CONST, _COORD): _const_times_coordinate,
-    (Mul, _FN, _COORD): _times_coordinate,
+    (Mul, _CONST, _COORD): lambda c, i: lambda p: c * (
+        x if type(x := p[i]) is complex else complex(x)),
+    (Mul, _FN, _COORD): lambda a, i: lambda p: a(p) * (
+        x if type(x := p[i]) is complex else complex(x)),
     (Div, _FN, _FN): _divide,
 }
 

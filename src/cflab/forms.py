@@ -236,11 +236,11 @@ class KForm:
     @staticmethod
     def basis(dim: int, *indices: int, coeff: complex | CoeffFn = 1) -> "KForm":
         """The wedge monomial ``coeff * dz_{i1} ^ ... ^ dz_{ik}``."""
-        if len(set(indices)) != len(indices):
-            return KForm(len(indices), dim, terms={})
         for i in indices:
             if not 0 <= i < dim:
                 raise InputError(f"index {i} outside ambient dim {dim}")
+        if len(set(indices)) != len(indices):
+            return KForm(len(indices), dim, terms={})
         key, sign = _sorted_key(tuple(indices))
         fn = coeff if callable(coeff) else _const_fn(coeff)
         if sign < 0:
@@ -451,7 +451,4 @@ def pullback_integrand(form: KForm, cycle, param) -> complex:
     degree.
     """
     point, frame = cycle.at(param)
-    if len(frame) != form.degree:
-        raise InputError(
-            f"cycle dimension {len(frame)} != form degree {form.degree}")
     return form.evaluate(point, frame)

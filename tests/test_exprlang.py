@@ -570,3 +570,31 @@ def test_a_fused_coordinate_is_read_after_the_operand_before_it(text):
     want = _outcome(lambda: _reference(expr, (0j, 1.5 + 0j)))
     assert want[0] is PoleError
     assert _outcome(lambda: eval_expr(expr, (0, 1.5))) == want
+
+
+# ------------------------------------------- the second read of a short point
+
+def test_a_negative_index_past_the_start_is_named_by_the_second_read():
+    # p[-3] of two coordinates raises IndexError; eval_expr reads again on a
+    # point that names it, and the error is the parent's InputError.
+    with pytest.raises(InputError) as err:
+        eval_expr(Var(-3), (1, 2))
+    assert str(err.value) == "expression uses x-2 but the point has 2 coordinates"
+    assert not isinstance(err.value, (IndexError, RecursionError))
+
+
+def test_the_second_read_names_the_coordinate_the_closure_read(monkeypatch):
+    # The error comes from the read itself, not from the tree: a closure
+    # patched to read the next coordinate names x3, which the tree lacks.
+    key = (Mul, exprlang._FN, exprlang._COORD)
+    fused = exprlang._CLOSURES[key]
+    monkeypatch.setitem(exprlang._CLOSURES, key, lambda a, index: fused(a, index + 1))
+    with pytest.raises(InputError, match="^expression uses x3 but the point has 2 coordinates$"):
+        eval_expr(parse_expr("x1^2*x2", 2), (1, 2))
+
+
+@pytest.mark.parametrize("text, name", [("x4*x3", "x4"), ("x3*x4", "x3"), ("x1+x2-x5^2", "x5")])
+def test_the_first_missing_coordinate_read_is_named(text, name):
+    want = f"^expression uses {name} but the point has 2 coordinates$"
+    with pytest.raises(InputError, match=want):
+        eval_expr(parse_expr(text, 5), np.array([1, 2]))

@@ -8,7 +8,7 @@ some fault's set.  The faults cover the kernels phi and psi, the casebook
 forms and the residue oracles, the catalog's values, gradients and
 samplers, the intersection candidates, Example B's fixed points, the C2
 fibre check, Example A's residue form and the expression compiler's fused
-closures.  A fault that fails no row names where it is caught instead, or
+and generic closures.  A fault that fails no row names where it is caught instead, or
 says that nothing catches it.
 
 The two ``first_n2_*`` rows take most of the report's time, so they run only
@@ -90,6 +90,15 @@ def _negated(target, key):
 
 def _scaled(target, key, factor):
     return _term_changed(target, key, lambda value, p: value * factor)
+
+
+def _closure_changed(key, change):
+    """The ``exprlang._CLOSURES`` builder ``key`` with each closure it builds
+    returning ``change`` of its value."""
+    def build(*operands):
+        fn = _CLOSURES[key](*operands)
+        return lambda p: change(fn(p))
+    return build
 
 
 def _kernel_scaled(kernel, factor):
@@ -269,6 +278,23 @@ FAULTS = (
       lambda index, k: _CLOSURES[exprlang.Pow, _COORD](index + 1, k)),
      {"first_n1", "second_square", "identity_exact_A", "vanish_sigmaA_Q",
       "vanish_sigmaA_SA", "vanish_sigmaB_Q", "vanish_sigmaB_SB"}),
+    # -- the generic closures, of two closure operands.  A wrong Mul or Add
+    # turns f into another function, and the first and second formulas hold
+    # for that one too; the third formula sees it through d(f g).
+    ("a*b times 1 + 1e-9",
+     ("setitem", exprlang._CLOSURES, (exprlang.Mul, _X, _X),
+      _closure_changed((exprlang.Mul, _X, _X), lambda value: value * (1 + 1e-9))),
+     {"third_A_a0", "third_B"}),
+    ("a + b plus 1e-9",
+     ("setitem", exprlang._CLOSURES, (exprlang.Add, _X, _X),
+      _closure_changed((exprlang.Add, _X, _X), lambda value: value + 1e-9)),
+     {"third_A_a0", "third_A_a2", "third_B"}),
+    # No row's expression has a quotient:
+    # test_compiled_eval_matches_reference_walk_and_text_roundtrips catches it.
+    ("a / b times 1 + 1e-9",
+     ("setitem", exprlang._CLOSURES, (exprlang.Div, _X, _X),
+      _closure_changed((exprlang.Div, _X, _X), lambda value: value * (1 + 1e-9))),
+     set()),
 )
 
 

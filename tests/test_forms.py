@@ -48,6 +48,14 @@ def test_wedge_dimension_mismatch():
         forms.wedge(KForm.basis(2, 0), KForm.basis(3, 0))
 
 
+def test_basis_checks_the_index_range_before_a_repeated_index():
+    for indices in ((5,), (5, 5)):
+        with pytest.raises(InputError, match="index 5 outside ambient dim 2"):
+            KForm.basis(2, *indices)
+    repeated = KForm.basis(3, 1, 1)
+    assert (repeated.degree, repeated.dim, repeated.terms) == (2, 3, {})
+
+
 def _merge_sign(left, right):
     # Parity of interleaving two increasing index tuples into sorted order.
     inversions = 0
@@ -218,7 +226,7 @@ def test_pullback_integrand_rejects_a_zero_form_on_a_one_cycle():
 
     seg = cycles.segment(0j, 1 + 0j)
     form = KForm(0, 1, terms={(): lambda p: p[0] ** 2})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="degree-0 form needs 0 vectors, got 1"):
         forms.pullback_integrand(form, seg, (0.5,))
 
 
