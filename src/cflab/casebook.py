@@ -126,7 +126,7 @@ def _finite(value: float, what: str) -> float:
 def _listed(text: str, what: str, counts: tuple[int, ...], kind=float) -> list:
     """The comma-separated ``kind`` values of ``text``, one of ``counts`` many."""
     try:
-        values = [kind(p) for p in text.split(",") if p.strip()]
+        values = [kind(p) for p in text.split(",")]
     except ValueError as exc:
         raise InputError(f"bad {what}: {exc}") from None
     if len(values) not in counts:
@@ -276,15 +276,15 @@ def third_formula_case(case_id: str, f: HolomorphicExpr, *, nodes: int, tol: flo
     if case_id == "A":
         a = complex(a)
         form = kernels.casebook_form("residue_A", {"a": a}, f)
-        expected = eval_expr(f, (0j,)) - a * eval_expr(f, (1 + 0j,))
+        f_at_zero = eval_expr(f, (0j,))
+        expected = f_at_zero - a * eval_expr(f, (1 + 0j,))
     elif case_id == "B":
         form = kernels.casebook_form("residue_B", f=f)
-        expected = eval_expr(f, (0j,))
+        expected = f_at_zero = eval_expr(f, (0j,))
     else:
         raise InputError("third formula cases are 'A' and 'B'")
     path = cycles.segment(1 + 0j, 0j)
     computed = cycles.integrate(form, path, (nodes,))
-    f_at_zero = eval_expr(f, (0j,))
     formula_holds = abs(computed - f_at_zero) <= tol
     params = {"f": exprlang.to_str(f),
               "pass_formula": formula_holds,
@@ -722,9 +722,8 @@ def _degenerate_D_report() -> CheckReport:
     """Example D's degeneracy over (x1, x2) = (1, 0), visible in the xi1
     chart, must be reported below 1e-6."""
     t0 = time.perf_counter()
-    spec_P = geometry.surface_catalog("P", chart="U1")
-    spec_S = geometry.surface_catalog("S_D", chart="U1")
-    margin = geometry.transversality_margin([spec_P, spec_S], [(0j, 0j, 1 + 0j, 0j)])
+    margin = geometry.transversality_margin(_margin_specs("D", "P_S", "U1"),
+                                            [(0j, 0j, 1 + 0j, 0j)])
     params = {"example": "D", "surfaces": "P_S",
               "point": "(w0,w2,x1,x2)=(0,0,1,0)",
               "predicate": "margin < 1e-6"}

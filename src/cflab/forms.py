@@ -337,14 +337,10 @@ class KForm:
 
 
 def _sorted_key(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    order = sorted(range(len(indices)), key=indices.__getitem__)
-    inversions = sum(
-        1
-        for a in range(len(order))
-        for b in range(a + 1, len(order))
-        if order[a] > order[b]
-    )
-    return tuple(indices[i] for i in order), (-1) ** inversions
+    """The distinct ``indices`` sorted, and the sign of the sorting
+    permutation: the parity of their inversions."""
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+    return tuple(sorted(indices)), (-1) ** inversions
 
 
 # ------------------------------------------------------------ form algebra

@@ -27,11 +27,6 @@ def joint_dim(n: int) -> int:
     return 2 * n + 1
 
 
-def _check_n(n: int):
-    if n < 1:
-        raise InputError("dimension n must be >= 1")
-
-
 # --------------------------------------------------------------- kernels
 
 def _lists(cols) -> list:  # a batch's columns as lists of Python complex
@@ -78,7 +73,8 @@ def _kernel(name: str, first: int, power: int, n: int, z: Sequence[complex],
     ``f(x)`` per point waits for ROADMAP item 1: the benchmark counts
     expression calls).
     """
-    _check_n(n)
+    if n < 1:
+        raise InputError("dimension n must be >= 1")
     z = tuple(complex(c) for c in z)
     if len(z) != n:
         raise InputError(f"base point z must have {n} coordinates")
@@ -138,7 +134,6 @@ def psi(n: int, z: Sequence[complex], f: HolomorphicExpr | None = None) -> KForm
 def phi_chart_formula(n: int) -> KForm:
     """y1^n d(y2/y1)^...^d(yn/y1)^omega(x) with y_j = xi_j/xi_0, as a form on
     the joint ambient (valid on xi_0 != 0, y_1 != 0, base point z = 0)."""
-    _check_n(n)
     if n < 2:
         raise InputError("the chart formula needs n >= 2")
     dim = joint_dim(n)

@@ -389,9 +389,25 @@ def test_a_sphere_too_small_to_resolve_has_a_degenerate_frame(capsys):
     (["first", "--n", "2", "--z", "0.2,0"], "--z takes 3 or 4 values, got 2"),
     (["first", "--nodes", "16,16"], "--nodes takes 1 value, got 2"),
     (["first", "--n", "2", "--nodes", "16,16"], "--nodes takes 1 or 3 values, got 2"),
-    (["second", "--z", ","], "--z takes 1 or 2 values, got 0"),
 ])
 def test_list_options_take_a_fixed_number_of_values(argv, message, capsys):
+    assert run_cli(["verify", *argv]) == 2
+    assert capsys.readouterr().err == f"cflab: error: {message}\n"
+
+
+_NO_FLOAT = "could not convert string to float: ''"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["second", "--z", "0.3,,0"], f"bad --z: {_NO_FLOAT}"),
+    (["second", "--z", ","], f"bad --z: {_NO_FLOAT}"),
+    (["second", "--z", ""], f"bad --z: {_NO_FLOAT}"),
+    (["necessary", "E", "--radii", "0.5,,0.4"], f"bad --radii: {_NO_FLOAT}"),
+    (["second", "--nodes", "128,"],
+     "bad --nodes: invalid literal for int() with base 10: ''"),
+])
+def test_an_empty_field_of_a_list_option_is_a_bad_value(argv, message, capsys):
+    # Every comma-separated field counts: an empty one is not skipped.
     assert run_cli(["verify", *argv]) == 2
     assert capsys.readouterr().err == f"cflab: error: {message}\n"
 

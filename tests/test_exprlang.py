@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cflab import exprlang
 from cflab.errors import InputError, PoleError
 from cflab.exprlang import (MAX_EXPR_DEPTH, MAX_EXPR_NODES, Add, Div, Exp,
-                            ExprSyntaxError, Mul, Neg, Num, Pow, Sub, Var,
+                            Mul, Neg, Num, Pow, Sub, Var,
                             differentiate, eval_expr, parse_expr, to_str)
 
 
@@ -26,9 +26,8 @@ def test_parse_exp_call():
 
 
 def test_parse_incomplete_reports_offset():
-    with pytest.raises(ExprSyntaxError) as err:
+    with pytest.raises(InputError, match="at offset 3$"):
         parse_expr("x1+", 1)
-    assert err.value.position == 3
 
 
 def test_variable_out_of_range():
@@ -53,9 +52,9 @@ def test_power_precedence_and_unary_minus():
 
 
 def test_non_integer_exponent_rejected():
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(InputError):
         parse_expr("x^2.5", 1)
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(InputError):
         parse_expr("x^i", 1)
 
 
@@ -406,7 +405,7 @@ def test_unread_coordinates_are_not_converted():
 
 
 def test_exponent_beyond_the_floats_is_a_syntax_error():
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(InputError):
         parse_expr("x^1" + "0" * 400, 1)
 
 
@@ -417,7 +416,7 @@ def test_exponent_beyond_the_floats_is_a_syntax_error():
     ("x^3^19", 6),
 ])
 def test_an_exponent_tower_above_ten_to_the_ninth_is_rejected(text, offset):
-    with pytest.raises(ExprSyntaxError) as err:
+    with pytest.raises(InputError) as err:
         parse_expr(text, 1)
     assert str(err.value) == f"exponent tower too large at offset {offset}"
     assert parse_expr("x^1^99999999999999999999", 1) == Pow(Var(0), 1)
@@ -598,3 +597,15 @@ def test_the_first_missing_coordinate_read_is_named(text, name):
     want = f"^expression uses {name} but the point has 2 coordinates$"
     with pytest.raises(InputError, match=want):
         eval_expr(parse_expr(text, 5), np.array([1, 2]))
+
+
+# ------------------------------------------- a non-node, rejected when compiled
+
+@pytest.mark.parametrize("expr, point", [
+    (Add(Num(1j), 1), ()),
+    (Add(Var(5), 1), (2j,)),  # a closure would read the missing x6 first
+])
+def test_a_non_node_child_is_rejected_before_any_closure_runs(expr, point):
+    with pytest.raises(InputError) as err:
+        eval_expr(expr, point)
+    assert str(err.value) == "not an expression node: 1"

@@ -244,21 +244,6 @@ FAULTS = (
      ("setitem", exprlang._CLOSURES, (exprlang.Sub, _COORD, _C),
       lambda index, c: lambda p: c - exprlang._coordinate(index)(p)),
      {"third_B"}),
-    # No row's expression has x - c with x a closure (x - 1 reads its
-    # coordinate itself): test_differentiate_matches_finite_differences and
-    # test_compiled_eval_matches_reference_walk_and_text_roundtrips catch it.
-    ("x - c computed as c - x",
-     ("setitem", exprlang._CLOSURES, (exprlang.Sub, _X, _C),
-      lambda a, c: lambda p: c - a(p)),
-     set()),
-    # No row's expression has c - x with c a constant:
-    # test_compiled_eval_matches_reference_walk_and_text_roundtrips,
-    # test_constant_heavy_trees_evaluate_as_the_reference_walk and
-    # test_signed_zero_constants_fold_to_the_walks_bits catch it.
-    ("c - x computed as x - c",
-     ("setitem", exprlang._CLOSURES, (exprlang.Sub, _C, _X),
-      lambda c, b: lambda p: b(p) - c),
-     set()),
     # residue_A's g = (a-1)*x + 1 puts c*x into d(f g); third_A_a1 (f = 1,
     # a = 1) differentiates to the number 0 and passes.
     ("c*x read in Mul's own closure from the next coordinate",
@@ -289,6 +274,13 @@ FAULTS = (
      ("setitem", exprlang._CLOSURES, (exprlang.Add, _X, _X),
       _closure_changed((exprlang.Add, _X, _X), lambda value: value + 1e-9)),
      {"third_A_a0", "third_A_a2", "third_B"}),
+    # No row's expression has a difference of two closures (x - 1 reads its
+    # coordinate in Sub's own closure):
+    # test_compiled_eval_matches_reference_walk_and_text_roundtrips catches it.
+    ("a - b computed as b - a",
+     ("setitem", exprlang._CLOSURES, (exprlang.Sub, _X, _X),
+      lambda a, b: lambda p: b(p) - a(p)),
+     set()),
     # No row's expression has a quotient:
     # test_compiled_eval_matches_reference_walk_and_text_roundtrips catches it.
     ("a / b times 1 + 1e-9",

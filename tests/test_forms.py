@@ -75,6 +75,32 @@ def test_sorted_key_of_a_merge_is_its_interleaving_parity():
         assert sign == _merge_sign(left, right), (left, right)
 
 
+def _cycle_parity_sign(indices):
+    # Sign of the permutation that sorts ``indices``: (-1)^(length - cycles).
+    perm = sorted(range(len(indices)), key=indices.__getitem__)
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (-1) ** (len(perm) - cycles)
+
+
+def test_sorted_key_sign_is_the_sorting_permutations_cycle_parity():
+    # Every ordering of up to 6 distinct indices from 0..7: 28 961 tuples.
+    count = 0
+    for size in range(7):
+        for indices in itertools.permutations(range(8), size):
+            key, sign = forms._sorted_key(indices)
+            assert key == tuple(sorted(indices))
+            assert sign == _cycle_parity_sign(indices), indices
+            count += 1
+    assert count == 28961
+
+
 def test_wedge_anticommutes_for_one_forms():
     rng = random.Random(5)
     a = KForm.basis(3, 0, coeff=lambda p: p[1] + 2)
