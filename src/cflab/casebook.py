@@ -4,8 +4,10 @@ Every operation returns :class:`CheckReport` records: computed value,
 expected value (pinned from an independent oracle where no closed form
 exists), absolute error, tolerance and a pass flag.  :data:`CHECKS` holds
 one ``(id, group, run)`` row per report row, where ``run(seed)`` returns
-that row's report; ``full_report`` runs the table in order, and
-``identity_suite`` and ``transversality_suite`` run parts of it.
+that row's report.  ``full_report`` runs the table in order, and
+``identity_suite`` and ``transversality_suite`` run parts of it, each
+through :func:`_run`, which times every row and turns a raising one into
+a FAIL row.
 
 Each ``cflab verify`` family is one record in :data:`VERIFY`, declared on its
 function: its options, their defaults and the cases they apply to.  The
@@ -45,8 +47,7 @@ class CheckReport:
     tol: float
     passed: bool
     quad_sizes: tuple[int, ...]
-    runtime_ms: float
-    group: str = "core"
+    runtime_ms: float = 0.0  # set by whoever runs the check
 
 
 def _cfmt(z: complex) -> str:
@@ -56,8 +57,8 @@ def _cfmt(z: complex) -> str:
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
 
 
-def _value_report(check_id, group, params, computed, expected, tol,
-                  quad_sizes, t0, extra_ok=True) -> CheckReport:
+def _value_report(check_id, params, computed, expected, tol, quad_sizes,
+                  extra_ok=True) -> CheckReport:
     computed = complex(computed)
     expected = complex(expected)
     abs_error = abs(computed - expected)
@@ -65,21 +66,37 @@ def _value_report(check_id, group, params, computed, expected, tol,
         id=check_id, params=params, computed=computed, expected=expected,
         abs_error=abs_error, tol=float(tol),
         passed=bool(abs_error <= tol and extra_ok),
-        quad_sizes=tuple(quad_sizes),
-        runtime_ms=(time.perf_counter() - t0) * 1e3, group=group)
+        quad_sizes=tuple(quad_sizes))
 
 
-def _predicate_report(check_id, group, params, computed, bound, passed,
-                      quad_sizes, t0, violation=0.0) -> CheckReport:
+def _predicate_report(check_id, params, computed, bound, passed, quad_sizes,
+                      violation=0.0) -> CheckReport:
     return CheckReport(
         id=check_id, params=params, computed=complex(computed),
         expected=complex(bound), abs_error=float(violation), tol=0.0,
-        passed=bool(passed), quad_sizes=tuple(quad_sizes),
-        runtime_ms=(time.perf_counter() - t0) * 1e3, group=group)
+        passed=bool(passed), quad_sizes=tuple(quad_sizes))
 
 
 def _subseed(seed: int, check_id: str) -> int:
     return (seed + zlib.crc32(check_id.encode())) & 0x7FFFFFFF
+
+
+def _run(rows, seed: int) -> list[CheckReport]:
+    """The report of each ``(id, group, run)`` row, in order, run with
+    ``seed`` and timed here.  A row that raises :class:`CflabError` becomes
+    one FAIL row with that row's id, carrying the error in ``params``, and
+    the other rows still run."""
+    checks = []
+    for check_id, _, run in rows:
+        t0 = time.perf_counter()
+        try:
+            report = run(seed)
+        except CflabError as exc:
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            report = _predicate_report(check_id, error, 0j, 0j, False, ())
+        report.runtime_ms = (time.perf_counter() - t0) * 1e3
+        checks.append(report)
+    return checks
 
 
 # ---------------------------------------------------------- verify families
@@ -198,7 +215,6 @@ def alpha_orientation_factor(n: int, z, cycle: cycles.Cycle) -> int:
 def first_formula(n: int, f: HolomorphicExpr, z, eps: float, quad, tol: float,
                   check_id: str = "first") -> CheckReport:
     """Reproduce f(z) as (n-1)!/(2 pi i)^n times the kernel integral, n = 1, 2."""
-    t0 = time.perf_counter()
     z = tuple(complex(c) for c in z)
     sphere = cycles.sphere_M(z, eps)
     factor = alpha_orientation_factor(n, z, sphere)
@@ -211,8 +227,7 @@ def first_formula(n: int, f: HolomorphicExpr, z, eps: float, quad, tol: float,
         "n": n, "f": exprlang.to_str(f), "z": ";".join(_cfmt(c) for c in z),
         "eps": eps, "orientation_sign": outward, "alpha_factor": factor,
     }
-    return _value_report(check_id, "core", params, computed, expected, tol,
-                         quad, t0)
+    return _value_report(check_id, params, computed, expected, tol, quad)
 
 
 # -------------------------------------------------------- the second formula
@@ -229,7 +244,6 @@ def second_formula_n1(f: HolomorphicExpr, z: complex, r: float, nodes: int,
     """n = 1 residue form: f(z) = -Res of the kernel pulled back to the
     incidence surface, the residue taken on a small positively-oriented
     circle about z."""
-    t0 = time.perf_counter()
     z = complex(z)
     if r <= 0:
         raise InputError("residue circle radius must be positive")
@@ -249,8 +263,7 @@ def second_formula_n1(f: HolomorphicExpr, z: complex, r: float, nodes: int,
     computed = -residue
     expected = eval_expr(f, (z,))
     params = {"f": exprlang.to_str(f), "z": _cfmt(z), "r": r}
-    return _value_report(check_id, "core", params, computed, expected, tol,
-                         (nodes,), t0)
+    return _value_report(check_id, params, computed, expected, tol, (nodes,))
 
 
 # --------------------------------------------------------- the third formula
@@ -272,7 +285,6 @@ def third_formula_case(case_id: str, f: HolomorphicExpr, *, nodes: int, tol: flo
     whether the representation formula's claim f(0) holds is recorded
     separately as ``pass_formula``.
     """
-    t0 = time.perf_counter()
     if case_id == "A":
         a = complex(a)
         form = kernels.casebook_form("residue_A", {"a": a}, f)
@@ -291,8 +303,8 @@ def third_formula_case(case_id: str, f: HolomorphicExpr, *, nodes: int, tol: flo
               "f0": _cfmt(f_at_zero)}
     if case_id == "A":
         params["a"] = _cfmt(a)
-    return _value_report(check_id or f"third_{case_id}", case_id, params,
-                         computed, expected, tol, (nodes,), t0)
+    return _value_report(check_id or f"third_{case_id}", params, computed,
+                         expected, tol, (nodes,))
 
 
 # ---------------------------------------------------- necessary condition
@@ -344,7 +356,6 @@ def necessary_condition_case(case_id: str, *, quad, tol: float,
     fails; the expected value is pinned by the iterated-residue oracle
     (both equal -4 pi^2).
     """
-    t0 = time.perf_counter()
     if case_id == "D":
         torus = cycles.torus_D(eps)
         form = kernels.casebook_form("theta_D")
@@ -366,9 +377,8 @@ def necessary_condition_case(case_id: str, *, quad, tol: float,
         "predicate": "|computed| > 0.1",
         "predicate_holds": nonzero,
     })
-    return _value_report(check_id or f"necessary_{case_id}", case_id, params,
-                         computed, oracle, tol, quad, t0,
-                         extra_ok=nonzero)
+    return _value_report(check_id or f"necessary_{case_id}", params, computed,
+                         oracle, tol, quad, extra_ok=nonzero)
 
 
 def _default(family: str, name: str):
@@ -383,14 +393,13 @@ def necessary_condition_eps_invariance(
         tol: float = _default("necessary", "--tol")) -> CheckReport:
     """Example D's class does not depend on the torus radius; the grid and
     tolerance default to the ``necessary`` family's."""
-    t0 = time.perf_counter()
     form = kernels.casebook_form("theta_D")
     va = cycles.integrate(form, cycles.torus_D(eps_a), quad)
     vb = cycles.integrate(form, cycles.torus_D(eps_b), quad)
     params = {"eps_a": eps_a, "eps_b": eps_b,
               "value_a": _cfmt(va), "value_b": _cfmt(vb)}
-    return _value_report("necessary_D_eps_invariance", "D", params,
-                         va - vb, 0j, tol, quad, t0)
+    return _value_report("necessary_D_eps_invariance", params, va - vb, 0j,
+                         tol, quad)
 
 
 # ------------------------------------------------------------ identity suite
@@ -533,31 +542,6 @@ def _identity_extend_C(seed, count):
                      forms.modulus(pulled[1::2] - want).max()))
 
 
-# (check id, group, form id, (surface, chart, *surface params))
-VANISH_PAIRS = (
-    ("vanish_sigmaA_Q", "A", "sigma_A", ("Q", "eta")),
-    ("vanish_sigmaA_SA", "A", "sigma_A", ("S_A", "eta", _SIGMA_A_PARAM)),
-    ("vanish_sigmaB_Q", "B", "sigma_B", ("Q", "eta")),
-    ("vanish_sigmaB_SB", "B", "sigma_B", ("S_B", "eta")),
-    ("vanish_tauD_SD", "D", "tau_D", ("S_D", "U2")),
-    ("vanish_tauE_SE", "E", "tau_E", ("S_E", "U2")),
-)
-
-
-def _vanish_report(check_id, group, form_id, surf, seed, count=20) -> CheckReport:
-    t0 = time.perf_counter()
-    # each form takes what it needs of A's parameter and the generic f
-    form = kernels.casebook_form(form_id, {"a": _SIGMA_A_PARAM}, _generic_f())
-    name, chart, *surface_params = surf
-    spec = geometry.surface_catalog(name, surface_params, chart=chart)
-    worst, scale = kernels.vanishing_max_and_scale(form, spec, seed, count)
-    scale = max(scale, 1e-30)
-    params = {"form": form_id, "surface": name, "scale": scale,
-              "count": count}
-    return _value_report(check_id, group, params, worst, 0j, 1e-9 * scale,
-                         (), t0)
-
-
 def _gap_row(check_id, group, tol, subseed, gap, *args, **params):
     """The table row of an identity whose worst gap must stay within ``tol``
     of 0: the module function named ``gap``, looked up when the row runs, at
@@ -566,15 +550,26 @@ def _gap_row(check_id, group, tol, subseed, gap, *args, **params):
     points = (params["points"],) if "points" in params else ()
 
     def run(seed):
-        t0 = time.perf_counter()
         worst = globals()[gap](*args, _subseed(seed, subseed), *points)
-        return _value_report(check_id, group, dict(params), worst, 0j, tol, (), t0)
+        return _value_report(check_id, dict(params), worst, 0j, tol, ())
     return check_id, group, run
 
 
-def _vanish_row(check_id, group, form_id, surf):
-    return check_id, group, lambda seed: _vanish_report(
-        check_id, group, form_id, surf, _subseed(seed, check_id))
+def _vanish_row(check_id, group, form_id, name, chart, *surface_params, count=20):
+    """The table row of the form ``form_id`` restricted to the surface
+    ``name`` in ``chart``, which must vanish within 1e-9 of its scale at
+    ``count`` points drawn with the row's sub-seed."""
+    def run(seed):
+        # each form takes what it needs of A's parameter and the generic f
+        form = kernels.casebook_form(form_id, {"a": _SIGMA_A_PARAM}, _generic_f())
+        spec = geometry.surface_catalog(name, surface_params, chart=chart)
+        worst, scale = kernels.vanishing_max_and_scale(
+            form, spec, _subseed(seed, check_id), count)
+        scale = max(scale, 1e-30)
+        params = {"form": form_id, "surface": name, "scale": scale,
+                  "count": count}
+        return _value_report(check_id, params, worst, 0j, 1e-9 * scale, ())
+    return check_id, group, run
 
 
 # The identity rows of the report by ``verify identities`` id, in report
@@ -605,7 +600,13 @@ IDENTITY_CHECKS = {
     "extend_C": (
         _gap_row("identity_extend_C", "C", 1e-10, "extC", "_identity_extend_C",
                  points=50),),
-    "vanish_all": tuple(_vanish_row(*pair) for pair in VANISH_PAIRS),
+    "vanish_all": (
+        _vanish_row("vanish_sigmaA_Q", "A", "sigma_A", "Q", "eta"),
+        _vanish_row("vanish_sigmaA_SA", "A", "sigma_A", "S_A", "eta", _SIGMA_A_PARAM),
+        _vanish_row("vanish_sigmaB_Q", "B", "sigma_B", "Q", "eta"),
+        _vanish_row("vanish_sigmaB_SB", "B", "sigma_B", "S_B", "eta"),
+        _vanish_row("vanish_tauD_SD", "D", "tau_D", "S_D", "U2"),
+        _vanish_row("vanish_tauE_SE", "E", "tau_E", "S_E", "U2")),
 }
 
 
@@ -619,8 +620,8 @@ def identity_suite(*ids: str, seed: int = SEED) -> list[CheckReport]:
         if which not in IDENTITY_CHECKS:
             raise InputError(f"unknown identity id {which!r}; "
                              f"choose from {tuple(IDENTITY_CHECKS)}")
-    return [run(seed) for which in dict.fromkeys(ids or IDENTITY_CHECKS)
-            for _, _, run in IDENTITY_CHECKS[which]]
+    return _run([row for which in dict.fromkeys(ids or IDENTITY_CHECKS)
+                 for row in IDENTITY_CHECKS[which]], seed)
 
 
 # --------------------------------------------------------- Example C fibres
@@ -643,7 +644,6 @@ def fibration_check_C2(seed: int = SEED, count: int = FIBRE_COUNT,
     local trivializations invert each other, (iii) no full fibre of P lies
     inside the surface.
     """
-    t0 = time.perf_counter()
     geometry.check_count(count)
     rng = random.Random(seed)
     surj_worst = 0.0
@@ -685,10 +685,9 @@ def fibration_check_C2(seed: int = SEED, count: int = FIBRE_COUNT,
         "predicate": "surj<1e-10 and roundtrip<1e-12 and nofibre>1e-3",
         "count": count,
     }
-    return _predicate_report(check_id, "C", params,
-                             max(surj_worst, trip_worst), 0j, passed, (), t0,
-                             violation=0.0 if passed else max(surj_worst,
-                                                              trip_worst))
+    worst = max(surj_worst, trip_worst)
+    return _predicate_report(check_id, params, worst, 0j, passed, (),
+                             violation=0.0 if passed else worst)
 
 
 # ------------------------------------------------------- transversality
@@ -702,39 +701,34 @@ def _margin_specs(example: str, which: str, chart: str) -> tuple:
                  for token in which.split("_"))
 
 
-def _transversality_report(example: str, which: str, seed: int) -> CheckReport:
-    """The smallest stacked-gradient singular value over sampled points of
-    one intersection must stay above 1e-6."""
-    t0 = time.perf_counter()
-    check_id = f"transv_{example}_{which}"
-    chart, points = geometry.intersection_points(
-        example, which, _subseed(seed, check_id))
-    specs = _margin_specs(example, which, chart)
-    margin = geometry.transversality_margin(specs, points)
-    params = {"example": example, "surfaces": which, "points": len(points),
-              "predicate": "margin > 1e-6"}
-    return _predicate_report(check_id, example[0], params, margin, 1e-6,
-                             margin > 1e-6, (), t0,
-                             violation=max(0.0, 1e-6 - margin))
-
-
 def _degenerate_D_report() -> CheckReport:
     """Example D's degeneracy over (x1, x2) = (1, 0), visible in the xi1
     chart, must be reported below 1e-6."""
-    t0 = time.perf_counter()
     margin = geometry.transversality_margin(_margin_specs("D", "P_S", "U1"),
                                             [(0j, 0j, 1 + 0j, 0j)])
     params = {"example": "D", "surfaces": "P_S",
               "point": "(w0,w2,x1,x2)=(0,0,1,0)",
               "predicate": "margin < 1e-6"}
     return _predicate_report(
-        "transv_D_degenerate_over_1_0", "D", params, margin, 1e-6,
-        margin < 1e-6, (), t0, violation=max(0.0, margin - 1e-6))
+        "transv_D_degenerate_over_1_0", params, margin, 1e-6,
+        margin < 1e-6, (), violation=max(0.0, margin - 1e-6))
 
 
 def _transversality_row(example, which):
-    return (f"transv_{example}_{which}", example[0],
-            lambda seed: _transversality_report(example, which, seed))
+    """The table row of one intersection: the smallest stacked-gradient
+    singular value over its sampled points must stay above 1e-6."""
+    check_id = f"transv_{example}_{which}"
+
+    def run(seed):
+        chart, points = geometry.intersection_points(
+            example, which, _subseed(seed, check_id))
+        specs = _margin_specs(example, which, chart)
+        margin = geometry.transversality_margin(specs, points)
+        params = {"example": example, "surfaces": which, "points": len(points),
+                  "predicate": "margin > 1e-6"}
+        return _predicate_report(check_id, params, margin, 1e-6, margin > 1e-6,
+                                 (), violation=max(0.0, 1e-6 - margin))
+    return check_id, example[0], run
 
 
 # Pairwise (and, for n = 2, triple) intersections per example, then the
@@ -750,7 +744,7 @@ TRANSVERSALITY_CHECKS = (
 def transversality_suite(seed: int = SEED) -> list[CheckReport]:
     """General-position spot checks at sampled intersection points: every
     row of :data:`TRANSVERSALITY_CHECKS`."""
-    return [run(seed) for _, _, run in TRANSVERSALITY_CHECKS]
+    return _run(TRANSVERSALITY_CHECKS, seed)
 
 
 # -------------------------------------------------------------- full report
@@ -783,8 +777,12 @@ def verify(family: str, given: dict, seed: int = SEED, **keywords) -> list[Check
             keywords[opt.keyword or dest] = value
     if record.seeded:
         keywords["seed"] = seed
+    t0 = time.perf_counter()
     reports = globals()[record.function](*args, **keywords)
-    return reports if isinstance(reports, list) else [reports]
+    if isinstance(reports, list):  # table rows, each timed by _run
+        return reports
+    reports.runtime_ms = (time.perf_counter() - t0) * 1e3
+    return [reports]
 
 
 def _family_row(check_id, group, family, subseed=None, **given):
@@ -825,24 +823,13 @@ def full_report(seed: int = SEED, skip=()) -> list[CheckReport]:
     """Every row of :data:`CHECKS`, in order, each run with ``seed``.
 
     A row whose id or group is in ``skip`` is never computed; a ``skip``
-    token that names no row's id or group raises :class:`InputError`.  A row
-    that raises :class:`CflabError` becomes one FAIL row with that row's id
-    and group, carrying the error in ``params``, and the other rows still run.
+    token that names no row's id or group raises :class:`InputError`.  The
+    other rows run as :func:`_run` runs them.
     """
     names = {name for check_id, group, _ in CHECKS for name in (check_id, group)}
     unknown = [token for token in skip if token not in names]
     if unknown:
         raise InputError("--skip matches no check id or group: "
                          + ", ".join(unknown))
-    checks: list[CheckReport] = []
-    for check_id, group, run in CHECKS:
-        if check_id in skip or group in skip:
-            continue
-        t0 = time.perf_counter()
-        try:
-            checks.append(run(seed))
-        except CflabError as exc:
-            error = {"error": f"{type(exc).__name__}: {exc}"}
-            checks.append(_predicate_report(check_id, group, error,
-                                            0j, 0j, False, (), t0))
-    return checks
+    return _run([(check_id, group, run) for check_id, group, run in CHECKS
+                 if check_id not in skip and group not in skip], seed)

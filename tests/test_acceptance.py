@@ -109,7 +109,7 @@ def test_criterion_09_identity_suite():
     ok &= reports["identity_chart_phi_n3"].abs_error < 1e-10
     ok &= reports["identity_exact_A"].abs_error < 1e-5
     ok &= reports["identity_exact_D"].abs_error < 1e-5
-    for check_id, _, _, _ in casebook.VANISH_PAIRS:
+    for check_id, _, _ in casebook.IDENTITY_CHECKS["vanish_all"]:
         rep = reports[check_id]
         ok &= rep.passed and rep.abs_error <= rep.tol
     _line(9, "identity suite at stated tolerances", ok)

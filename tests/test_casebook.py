@@ -321,13 +321,12 @@ def test_fibration_report_is_the_two_chart_reference_bit_for_bit():
         want = casebook.CheckReport(
             id="fibration_C2", computed=complex(max(surj, trip)), expected=0j,
             abs_error=0.0 if passed else max(surj, trip), tol=0.0, passed=passed,
-            quad_sizes=(), runtime_ms=0.0, group="C",
+            quad_sizes=(), runtime_ms=0.0,
             params={"surjectivity_max_defect": surj, "roundtrip_max_defect": trip,
                     "nofibre_min_witness": nofibre,
                     "predicate": "surj<1e-10 and roundtrip<1e-12 and nofibre>1e-3",
                     "count": casebook.FIBRE_COUNT})
-        got = dataclasses.replace(fibration_check_C2(seed=seed), runtime_ms=0.0)
-        assert repr(got) == repr(want), seed
+        assert repr(fibration_check_C2(seed=seed)) == repr(want), seed
 
 
 def test_fibration_witness_at_one_one():
@@ -372,17 +371,37 @@ def _without_runtime(checks):
     return [dataclasses.replace(c, runtime_ms=0.0) for c in checks]
 
 
-def test_every_table_row_reports_its_own_id_and_group(unpatched_report):
+def _groups():
+    return {check_id: group for check_id, group, _ in casebook.CHECKS}
+
+
+def test_every_table_row_reports_its_own_id(unpatched_report):
     assert len(casebook.CHECKS) == 48
     assert all(c.passed for c in unpatched_report)
-    assert [(c.id, c.group) for c in unpatched_report] == \
-        [(check_id, group) for check_id, group, _ in casebook.CHECKS]
+    assert [c.id for c in unpatched_report] == \
+        [check_id for check_id, _, _ in casebook.CHECKS]
+
+
+def test_every_table_row_is_timed_by_the_runner(unpatched_report):
+    assert all(c.runtime_ms > 0 for c in unpatched_report)
+    # a check function called directly is timed by nobody
+    assert fibration_check_C2().runtime_ms == 0.0
+
+
+def test_rows_do_not_depend_on_each_others_state(unpatched_report):
+    # every row but the two heavy n = 2 integrals, in reverse order
+    rows = [row for row in casebook.CHECKS
+            if row[0] not in ("first_n2_const", "first_n2_poly")][::-1]
+    assert _without_runtime(casebook._run(rows, 7)) == \
+        _without_runtime(c for c in unpatched_report[::-1]
+                         if c.id not in ("first_n2_const", "first_n2_poly"))
 
 
 # sha256 of the report fields that no CPU feature moves: each row's id,
-# group, tol, quad_sizes, pass and params, without the three params that
-# carry computed values (numpy's dispatched loops and the OpenBLAS kernel
-# move their last bits).  A changed tolerance, grid or parameter changes it.
+# group (read from the table), tol, quad_sizes, pass and params, without
+# the three params that carry computed values (numpy's dispatched loops and
+# the OpenBLAS kernel move their last bits).  A changed tolerance, grid or
+# parameter changes it.
 ROW_DIGESTS = {
     7: "cceb3b013383837fdf6e54a3d8a72fd35e3cc6f77c06ea792517d4636d5e02a5",
     101: "573e58361baebc13b37fe30cdcb9293d799b847ffeca8ccb0759e404768c6d6c",
@@ -393,7 +412,8 @@ ROW_DIGESTS = {
 @pytest.mark.parametrize("seed", sorted(ROW_DIGESTS))
 def test_cpu_independent_row_fields_have_their_committed_digest(seed, seed7_report):
     computed = ("oracle", "value_a", "value_b")
-    rows = [{"id": c.id, "group": c.group, "tol": c.tol,
+    groups = _groups()
+    rows = [{"id": c.id, "group": groups[c.id], "tol": c.tol,
              "quad_sizes": list(c.quad_sizes), "pass": c.passed,
              "params": {k: v for k, v in c.params.items() if k not in computed}}
             for c in (seed7_report if seed == 7 else full_report(seed))]
@@ -406,7 +426,7 @@ def test_full_report_skip_group():
     ids = [c.id for c in checks]
     assert "necessary_E" not in ids
     assert "vanish_tauE_SE" not in ids
-    assert not any(c.group == "E" for c in checks)
+    assert not any(_groups()[c.id] == "E" for c in checks)
     assert "necessary_D" in ids
 
 
@@ -447,23 +467,27 @@ def _raise_on_transv_C2_P_S(monkeypatch):
     monkeypatch.setattr(geometry, "intersection_points", raising)
 
 
-@pytest.mark.parametrize("patch, row", [
-    (_raise_on_exact_D, ("identity_exact_D", "D")),
-    (_raise_on_transv_C2_P_S, ("transv_C2_P_S", "C")),
-], ids=["identity", "transversality"])
-def test_full_report_isolates_a_raising_row(patch, row, unpatched_report,
-                                            monkeypatch):
+@pytest.mark.parametrize("runner, patch, row, count", [
+    (full_report, _raise_on_exact_D, "identity_exact_D", 48),
+    (full_report, _raise_on_transv_C2_P_S, "transv_C2_P_S", 48),
+    (identity_suite, _raise_on_exact_D, "identity_exact_D", 15),
+    (transversality_suite, _raise_on_transv_C2_P_S, "transv_C2_P_S", 20),
+], ids=["identity", "transversality", "identity_suite", "transversality_suite"])
+def test_full_report_isolates_a_raising_row(runner, patch, row, count,
+                                            unpatched_report, monkeypatch):
     patch(monkeypatch)
-    checks = full_report()
-    assert len(checks) == 48
+    checks = runner()
+    assert len(checks) == count
     failed = [c for c in checks if not c.passed]
-    assert [(c.id, c.group) for c in failed] == [row]
+    assert [c.id for c in failed] == [row]
     assert failed[0].params == {"error": "InputError: sampler gave up"}
     assert (failed[0].computed, failed[0].expected) == (0j, 0j)
     assert (failed[0].abs_error, failed[0].tol, failed[0].quad_sizes) == \
         (0.0, 0.0, ())
-    assert _without_runtime(c for c in checks if c.id != row[0]) == \
-        _without_runtime(c for c in unpatched_report if c.id != row[0])
+    assert failed[0].runtime_ms > 0
+    ids = {c.id for c in checks}
+    assert _without_runtime(c for c in checks if c.id != row) == \
+        _without_runtime(c for c in unpatched_report if c.id in ids - {row})
 
 
 def test_full_report_never_computes_a_skipped_table_row(monkeypatch):
@@ -491,16 +515,18 @@ def test_full_report_never_computes_a_skipped_table_row(monkeypatch):
     assert {"identity_exact_D", "transv_D_P_S"} <= set(computed)
 
 
-def test_full_report_keeps_the_group_of_a_raising_check(monkeypatch):
+def test_full_report_keeps_the_id_of_a_raising_check(monkeypatch):
     def raising(*args, **kwargs):
         raise PoleError("pole", param=(0.5,))
 
     monkeypatch.setattr(casebook, "third_formula_case", raising)
     checks = full_report(skip=("core", "C", "D", "E"))
-    rows = [(c.id, c.group, c.passed) for c in checks
-            if c.id.startswith("third_")]
-    assert rows == [("third_A_a0", "A", False), ("third_A_a2", "A", False),
-                    ("third_A_a1", "A", False), ("third_B", "B", False)]
+    rows = [(c.id, c.passed) for c in checks if c.id.startswith("third_")]
+    assert rows == [("third_A_a0", False), ("third_A_a2", False),
+                    ("third_A_a1", False), ("third_B", False)]
+    # the raising rows are still dropped by their group
+    checks = full_report(skip=("core", "A", "C", "D", "E"))
+    assert [c.id for c in checks if c.id.startswith("third_")] == ["third_B"]
 
 
 def test_vanishing_checks_draw_each_sample_once(monkeypatch):
@@ -513,7 +539,7 @@ def test_vanishing_checks_draw_each_sample_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "sample_on_surface", counting)
     rows = casebook.identity_suite("vanish_all", seed=3)
-    assert len(rows) == len(draws) == len(casebook.VANISH_PAIRS)
+    assert len(rows) == len(draws) == len(casebook.IDENTITY_CHECKS["vanish_all"])
     assert all(r.passed for r in rows)
 
 

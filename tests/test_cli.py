@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cflab import casebook, cycles, geometry, report
 from cflab.cli import build_parser, run_cli
-from cflab.errors import PoleError
+from cflab.errors import InputError, PoleError
 
 JSON_CHECK_FIELDS = {"id", "params", "computed_re", "computed_im",
                      "expected_re", "expected_im", "abs_error", "tol",
@@ -152,9 +152,12 @@ def test_a_torus_parameter_on_its_bound_exits_2_with_one_line(argv, message, cap
 
 
 def _verify_json(argv, capsys):
-    """The JSON check objects that ``cflab verify`` prints for ``argv``."""
+    """The JSON check objects that ``cflab verify`` prints for ``argv``, each
+    timed by its runner."""
     assert run_cli(["verify", *argv, "--format=json"]) == 0
-    return json.loads(capsys.readouterr().out)["checks"]
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert all(c["runtime_ms"] > 0 for c in checks)
+    return checks
 
 
 def _rows_json(report_rows, ids):
@@ -218,6 +221,20 @@ def test_verify_identities_reproduces_the_rows_of_each_id(ident, seed7_report, c
         _without(_rows_json(seed7_report, set(ids)), "runtime_ms")
 
 
+def test_verify_identities_turns_a_raising_row_into_a_fail_row(monkeypatch, capsys):
+    def raising(seed):
+        raise InputError("sampler gave up")
+
+    monkeypatch.setattr(casebook, "_identity_exact_D", raising)
+    assert run_cli(["verify", "identities", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out)["checks"]
+    assert len(checks) == 15
+    assert [(c["id"], c["params"]) for c in checks if not c["pass"]] == \
+        [("identity_exact_D", {"error": "InputError: sampler gave up"})]
+
+
 def test_verify_fibration(capsys):
     rc = run_cli(["verify", "fibration", "--seed", "5", "--count", "10"])
     assert rc == 0
@@ -236,6 +253,10 @@ def test_csv_columns_and_quoting(tmp_path):
     assert record["id"] == "third_B"
     assert record["pass"] == "true"
     json.loads(record["params"])  # params cell is embedded JSON
+
+
+def test_csv_columns_are_the_json_fields_in_order(seed7_report):
+    assert report.CSV_COLUMNS == tuple(report.check_to_dict(seed7_report[0]))
 
 
 def test_out_file_written(tmp_path):
