@@ -17,6 +17,8 @@ from cflab import casebook, cycles, geometry, report
 from cflab.cli import build_parser, run_cli
 from cflab.errors import InputError, PoleError
 
+import rejected_lines
+
 JSON_CHECK_FIELDS = {"id", "params", "computed_re", "computed_im",
                      "expected_re", "expected_im", "abs_error", "tol",
                      "pass", "quad_sizes", "runtime_ms"}
@@ -431,6 +433,25 @@ def test_an_empty_field_of_a_list_option_is_a_bad_value(argv, message, capsys):
     # Every comma-separated field counts: an empty one is not skipped.
     assert run_cli(["verify", *argv]) == 2
     assert capsys.readouterr().err == f"cflab: error: {message}\n"
+
+
+# --------------------------------------------------- rejected command lines
+
+_REJECTED = json.loads(pathlib.Path(__file__).with_name("rejected_lines.json").read_text())
+
+
+def test_the_committed_rejected_lines_are_the_generated_list():
+    assert [entry["argv"] for entry in _REJECTED] == rejected_lines.lines()
+    for entry in _REJECTED:
+        assert entry["code"] == 2, entry
+        assert entry["stderr"].startswith("cflab: error: "), entry
+        assert entry["stderr"].count("\n") == 1, entry
+
+
+def test_each_rejected_line_keeps_its_exit_code_and_message():
+    changed = [(entry, got) for entry in _REJECTED
+               if (got := rejected_lines.outcome(run_cli, entry["argv"])) != entry]
+    assert changed == []
 
 
 # ------------------------------------------------------- the cached parser
