@@ -6,6 +6,10 @@ exactly the fields ``{id, params, computed_re, computed_im, expected_re,
 expected_im, abs_error, tol, pass, quad_sizes, runtime_ms}``.  Reports are
 byte-identical across runs with the same configuration, apart from
 ``runtime_ms``.
+
+:func:`to_json` writes the bytes that ``json.dumps(payload, indent=2)`` would
+write, without json's pure-Python indenting encoder, which took most of the
+render of a one-check report; the tests hold it to ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .casebook import CheckReport
 
@@ -44,7 +49,39 @@ def to_json(checks: list[CheckReport], version: str, seed: int) -> str:
         "all_pass": all(c.passed for c in checks),
         "checks": [check_to_dict(c) for c in checks],
     }
-    return json.dumps(payload, indent=2)
+    return _json(payload, "")
+
+
+# json's names for the floats that float.__repr__ writes as nan, inf and -inf
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at ``indent``;
+    dict keys must be str.  The types are tested in the order of their
+    frequency in a report, which gives json's choice, as no value is a float
+    and a str or container at once, and any type json rejects raises
+    TypeError."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    if isinstance(value, str):
+        return _string(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = ",\n".join([f"{inner}{_string(key)}: {_json(item, inner)}"
+                            for key, item in value.items()])
+        return f"{{\n{items}\n{indent}}}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        items = ",\n".join([inner + _json(item, inner) for item in value])
+        return f"[\n{items}\n{indent}]" if value else "[]"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # The CSV cell of each check_to_dict field that is not written as its repr
