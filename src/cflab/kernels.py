@@ -37,8 +37,9 @@ def _f_at(f: HolomorphicExpr | None, cols) -> np.ndarray | complex:
     """``f`` at each point of the coordinate columns ``cols``, 1 without f:
     ``exprlang.eval_expr`` called by ``map`` on each point (a tuple of Python
     complex numbers) in row order, an error with its row (the number of
-    values before it).  The columns are made Python numbers once per batch
-    (:func:`forms.shared`).  An ``f`` that reads no coordinate (a number) is
+    values before it).  A ``StopIteration``, which ends ``map`` early, becomes
+    a ``RuntimeError`` at its row, as PEP 479 makes it in a generator.  The
+    columns are made Python numbers once per batch (:func:`forms.shared`).  An ``f`` that reads no coordinate (a number) is
     evaluated once, at the first row, and returned as a Python complex, so
     its error is the per-point loop's, at row 0; an empty batch evaluates
     nothing.  ``eval_expr`` is looked up on the module at each call, so a
@@ -50,6 +51,8 @@ def _f_at(f: HolomorphicExpr | None, cols) -> np.ndarray | complex:
     values: list = []
     try:  # extend keeps the values before an error
         values.extend(map(exprlang.eval_expr, itertools.repeat(f), zip(*lists)))
+        if len(values) < len(lists[0]):  # a StopIteration ended the map
+            raise RuntimeError("expression evaluation raised StopIteration")
     except Exception as exc:
         exc.row = len(values)
         raise

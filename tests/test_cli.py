@@ -3,9 +3,13 @@ import csv
 import functools
 import io
 import json
+import os
 import pathlib
+import random
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflab import casebook, cycles, geometry, report
+from cflab import casebook, cli, cycles, geometry, report
 from cflab.cli import build_parser, run_cli
 from cflab.errors import InputError, PoleError
 
@@ -452,6 +456,135 @@ def test_each_rejected_line_keeps_its_exit_code_and_message():
     changed = [(entry, got) for entry in _REJECTED
                if (got := rejected_lines.outcome(run_cli, entry["argv"])) != entry]
     assert changed == []
+
+
+@pytest.mark.parametrize("f, code, row, err", [
+    ("x$", 2, None, "cflab: error: unexpected character '$' at offset 1\n"),
+    # d(x^0) is the number 0; d(x^1) takes the x^0 shortcut of _mk_pow
+    ("x^0", 0, {"params": {"f": "x1^0", "pass_formula": True, "f0": "1.0"},
+                "computed_re": 1.0, "expected_re": 1.0, "abs_error": 0.0}, ""),
+    ("x^1", 0, {"params": {"f": "x1^1", "pass_formula": True, "f0": "0.0"},
+                "computed_re": 2.104436416794364e-16, "expected_re": 0.0,
+                "abs_error": 2.104436416794364e-16}, ""),
+])
+def test_third_b_lines_that_reach_the_lexer_error_and_the_power_shortcuts(
+        f, code, row, err, capsys):
+    assert run_cli(["verify", "third", "B", "--f", f, "--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if row is None:
+        assert captured.out == ""
+        return
+    payload = json.loads(captured.out)
+    check = payload["checks"][0]
+    assert payload["all_pass"] is True and check.pop("runtime_ms") > 0
+    assert check == {"id": "third_B", "computed_im": 0.0, "expected_im": 0.0,
+                     "tol": 1e-10, "pass": True, "quad_sizes": [16], **row}
+
+
+# ------------------------------------------------------ the module entry point
+
+def _zero_runtime(text):
+    return re.sub(r'("runtime_ms": )[-+0-9.eE]+', r"\g<1>0", text)
+
+
+@pytest.mark.parametrize("argv", [["verify", "second", "--format", "json"],
+                                  ["verify", "second", "--nodes"]],
+                         ids=["report", "usage_error"])
+def test_python_m_cflab_cli_matches_run_cli(argv, capsys):
+    # the argv-less path: main() runs run_cli(), which reads sys.argv
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "cflab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert (done.returncode, _zero_runtime(done.stdout), done.stderr) == \
+        (code, _zero_runtime(captured.out), captured.err)
+    assert code == (0 if argv[-1] == "json" else 2)
+
+
+# ------------------------------------------- a family line's own parser
+
+_FAMILY_OPTIONS = {name: [opt.name for opt in family.options if opt.name.startswith("--")]
+                   + ["--seed", "--format"] for name, family in casebook.VERIFY.items()}
+_VALUES = ["0.5", "-0.3", "-1", "1e-3", "x", "", "1,2", "-0.3,0.1", "16", "32,64,64",
+           "exp(x)", "x1^2", "nan", "A", "D", "json", "csv", "table", "-", "-x"]
+
+
+def _option_word(rng, family):
+    """An option of the family, abbreviated one time in three, with a value
+    after ``=`` or as the next word, or no value."""
+    name = rng.choice(_FAMILY_OPTIONS.get(family, ["--seed", "--f"]))
+    if rng.random() < 1 / 3:
+        name = name[:rng.randint(3, len(name))]
+    value = rng.choice(_VALUES)
+    form = rng.random()
+    return [f"{name}={value}"] if form < 0.4 else [name, value] if form < 0.9 else [name]
+
+
+def dispatch_corpus(count=1600, seed=20261022):
+    """``count`` generated ``cflab verify`` lines: every family and unknown
+    ones, cases right and wrong, options abbreviated or not with values
+    negative or not, and ``-h``, ``--help``, unknown options, ``--`` and
+    ``--=1`` at any position.  No line writes a file: no word is an
+    abbreviation of ``--out``."""
+    rng = random.Random(seed)
+    families, others = list(casebook.VERIFY), ["nope", "firs", "FIRST", "-h", "--help",
+                                               "--", "--=1"]
+    extras = ["-h", "--help", "--bogus", "-x", "--", "--=1", "--=", "extra", "-5"]
+    lines = []
+    for _ in range(count):
+        family = rng.choice(families if rng.random() < 0.8 else others)
+        argv = ["verify", family]
+        if family in ("third", "necessary", "identities") and rng.random() < 0.85:
+            argv.append(rng.choice(["A", "B", "D", "E", "C", "chart_phi"]))
+        for _ in range(rng.randint(0, 4)):
+            argv += _option_word(rng, family)
+        if rng.random() < 0.3:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(extras))
+        lines.append(argv)
+    return lines
+
+
+def _parsed_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_family_line_parses_as_through_the_whole_tree(monkeypatch):
+    # The checks are a stub whose one row names the namespace it was given, so
+    # every parsed value shows in the report, in each format.
+    def namespace_row(family, given, seed):
+        return [casebook.CheckReport(repr((family, seed, sorted(given.items()))), {},
+                                     0j, 0j, 0.0, 1.0, True, ())]
+
+    monkeypatch.setattr(casebook, "verify", namespace_row)
+    corpus = dispatch_corpus()
+    direct = [_parsed_outcome(argv) for argv in corpus]
+    monkeypatch.setattr(build_parser(), "families", {})
+    tree = [_parsed_outcome(argv) for argv in corpus]
+    assert len(corpus) >= 1500
+    assert sum(argv[1] in casebook.VERIFY for argv in corpus) >= 1000
+    assert {code for code, _, _ in direct} == {0, 2}
+    differ, ambiguous_lines = [], 0
+    for argv, ours, theirs in zip(corpus, direct, tree):
+        family_words = argv[2:argv.index("--")] if "--" in argv[2:] else argv[2:]
+        ambiguous = [word for word in family_words if word.startswith("--=")]
+        if argv[1] in casebook.VERIFY and ambiguous:
+            # the one difference: the family's own options, not the top level's
+            message = f"cflab: error: ambiguous option: {ambiguous[0]} could match --help, "
+            assert theirs == (2, "", message + "--version\n"), argv
+            assert ours[:2] == (2, "") and ours[2].startswith(message + "--"), argv
+            assert ours[2] != theirs[2] and ours[2].count("\n") == 1
+            ambiguous_lines += 1
+        elif ours != theirs:
+            differ.append((argv, ours, theirs))
+    assert differ == []
+    assert ambiguous_lines > 0
 
 
 # ------------------------------------------------------- the cached parser

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 import random
@@ -448,6 +449,37 @@ def test_f_at_calls_eval_expr_in_row_order_and_tags_the_failing_row(monkeypatch)
     assert all(type(p) is tuple and all(type(c) is complex for c in p) for p in seen)
     assert kernels._f_at(f, tuple(c[:2] for c in cols)).tolist() == [-1 / 3, -1]
     assert kernels._f_at(f, (np.array([], dtype=complex),) * 2).shape == (0,)
+
+
+def _stop_at_call(monkeypatch, call):
+    """Patch ``exprlang.eval_expr`` to raise StopIteration at its ``call``-th call."""
+    calls, eval_expr = itertools.count(1), exprlang.eval_expr
+
+    def stopping(f, p):
+        if next(calls) == call:
+            raise StopIteration
+        return eval_expr(f, p)
+
+    monkeypatch.setattr(exprlang, "eval_expr", stopping)
+
+
+def test_f_at_raises_a_stop_iteration_as_a_runtime_error_at_its_row(monkeypatch):
+    # map inside list.extend would take it for the end of the batch
+    _stop_at_call(monkeypatch, 3)
+    cols = (np.array([1, 3, 2, 2], dtype=complex),)
+    with pytest.raises(RuntimeError, match="raised StopIteration") as err:
+        kernels._f_at(exprlang.parse_expr("x+1"), cols)
+    assert err.value.row == 2
+
+
+def test_a_stop_iteration_in_a_quadrature_batch_is_raised_not_a_broadcast_error(
+        monkeypatch):
+    # the batch is cut at the row, as for any error, and the error raised
+    _stop_at_call(monkeypatch, 5)
+    with pytest.raises(RuntimeError, match="raised StopIteration") as err:
+        casebook.first_formula(1, exprlang.parse_expr("exp(x)"), (0.3 + 0.1j,),
+                               0.7, (16,), 1e-10)
+    assert err.value.row == 4
 
 
 def test_a_number_f_on_an_empty_batch_evaluates_nothing(monkeypatch):
