@@ -39,10 +39,10 @@ def _f_at(f: HolomorphicExpr | None, cols) -> np.ndarray | complex:
     complex numbers) in row order, an error with its row (the number of
     values before it).  A ``StopIteration``, which ends ``map`` early, becomes
     a ``RuntimeError`` at its row, as PEP 479 makes it in a generator.  The
-    columns are made Python numbers once per batch (:func:`forms.shared`).  An ``f`` that reads no coordinate (a number) is
-    evaluated once, at the first row, and returned as a Python complex, so
-    its error is the per-point loop's, at row 0; an empty batch evaluates
-    nothing.  ``eval_expr`` is looked up on the module at each call, so a
+    columns are made Python numbers once per batch (:func:`forms.shared`).
+    An ``f`` that reads no coordinate (a number) is evaluated once, at the
+    first row, and returned as a Python complex, so its error is the
+    per-point loop's, at row 0; an empty batch evaluates nothing.  ``eval_expr`` is looked up on the module at each call, so a
     wrapped or patched one is the one that runs."""
     if f is None:
         return 1 + 0j

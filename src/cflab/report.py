@@ -57,11 +57,10 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json(value, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it at ``indent``;
-    dict keys must be str.  The types are tested in the order of their
-    frequency in a report, which gives json's choice, as no value is a float
-    and a str or container at once, and any type json rejects raises
-    TypeError."""
+    """``value``, a dict with str keys, a list, a str, float, bool or int, as
+    ``json.dumps(value, indent=2)`` writes it at ``indent``; any other type
+    raises TypeError.  Floats and strs, the most frequent, are tested first:
+    no value is one of them and another of these types at once."""
     if isinstance(value, float):
         text = float.__repr__(value)
         return _FLOAT_WORDS.get(text, text)
@@ -72,11 +71,9 @@ def _json(value, indent: str) -> str:
         items = ",\n".join([f"{inner}{_string(key)}: {_json(item, inner)}"
                             for key, item in value.items()])
         return f"{{\n{items}\n{indent}}}" if value else "{}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         items = ",\n".join([inner + _json(item, inner) for item in value])
         return f"[\n{items}\n{indent}]" if value else "[]"
-    if value is None:
-        return "null"
     if value is True or value is False:
         return "true" if value else "false"
     if isinstance(value, int):

@@ -524,7 +524,7 @@ def _option_word(rng, family):
     return [f"{name}={value}"] if form < 0.4 else [name, value] if form < 0.9 else [name]
 
 
-def dispatch_corpus(count=1600, seed=20261022):
+def _dispatch_corpus(count=1600, seed=20261022):
     """``count`` generated ``cflab verify`` lines: every family and unknown
     ones, cases right and wrong, options abbreviated or not with values
     negative or not, and ``-h``, ``--help``, unknown options, ``--`` and
@@ -563,7 +563,7 @@ def test_a_family_line_parses_as_through_the_whole_tree(monkeypatch):
                                      0j, 0j, 0.0, 1.0, True, ())]
 
     monkeypatch.setattr(casebook, "verify", namespace_row)
-    corpus = dispatch_corpus()
+    corpus = _dispatch_corpus()
     direct = [_parsed_outcome(argv) for argv in corpus]
     monkeypatch.setattr(build_parser(), "families", {})
     tree = [_parsed_outcome(argv) for argv in corpus]
