@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cycles, exprlang, forms, geometry, kernels
-from .errors import CflabError, InputError, PoleError
+from .errors import InputError, PoleError
 from .exprlang import HolomorphicExpr, eval_expr, parse_expr
 from .forms import KForm
 
@@ -83,15 +83,15 @@ def _subseed(seed: int, check_id: str) -> int:
 
 def _run(rows, seed: int) -> list[CheckReport]:
     """The report of each ``(id, group, run)`` row, in order, run with
-    ``seed`` and timed here.  A row that raises :class:`CflabError` becomes
-    one FAIL row with that row's id, carrying the error in ``params``, and
-    the other rows still run."""
+    ``seed`` and timed here.  A row that raises any ``Exception`` becomes one
+    FAIL row with that row's id, carrying the error's class and message in
+    ``params``, and the other rows still run."""
     checks = []
     for check_id, _, run in rows:
         t0 = time.perf_counter()
         try:
             report = run(seed)
-        except CflabError as exc:
+        except Exception as exc:
             error = {"error": f"{type(exc).__name__}: {exc}"}
             report = _predicate_report(check_id, error, 0j, 0j, False, ())
         report.runtime_ms = (time.perf_counter() - t0) * 1e3

@@ -14,7 +14,9 @@ difference: ``verify FAMILY --=1`` is an ambiguous option among the family's
 own options, where the top level listed ``--help, --version``.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-parse errors.  Diagnostics go to stderr; reports go to stdout or ``--out``.
+parse errors or any error a single ``verify`` family raises (one line, which
+names the class of an error that is not a ``CflabError``).  Diagnostics go to
+stderr; reports go to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -95,15 +97,15 @@ def run_cli(argv=None) -> int:
                 raise InputError("--skip removed every check")
         else:
             checks = casebook.verify(args.which, vars(args), args.seed)
-    except CflabError as exc:
-        message = str(exc)
+    except Exception as exc:  # a fault of a single verify family too: one line
+        message = str(exc) if isinstance(exc, CflabError) else f"{type(exc).__name__}: {exc}"
         # a pole off any grid (the expected value f(z), say) names its point
         if isinstance(exc, PoleError) and exc.point is not None and exc.param is None:
             message += f" at point {exc.point}"
         print(f"cflab: error: {message}", file=sys.stderr)
         return EXIT_USAGE
     text = report.render(checks, args.format, __version__, args.seed)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -235,18 +235,15 @@ class KForm:
 
     @staticmethod
     def basis(dim: int, *indices: int, coeff: complex | CoeffFn = 1) -> "KForm":
-        """The wedge monomial ``coeff * dz_{i1} ^ ... ^ dz_{ik}``."""
+        """The wedge monomial ``coeff * dz_{i1} ^ ... ^ dz_{ik}``, indices
+        strictly increasing."""
         for i in indices:
             if not 0 <= i < dim:
                 raise InputError(f"index {i} outside ambient dim {dim}")
-        if len(set(indices)) != len(indices):
-            return KForm(len(indices), dim, terms={})
-        key, sign = _sorted_key(tuple(indices))
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise InputError(f"basis indices {indices} are not strictly increasing")
         fn = coeff if callable(coeff) else _const_fn(coeff)
-        if sign < 0:
-            inner = fn
-            fn = lambda cols: -inner(cols)
-        return KForm(len(indices), dim, terms={key: fn})
+        return KForm(len(indices), dim, terms={indices: fn})
 
     # -- evaluation -----------------------------------------------------
 
@@ -266,10 +263,13 @@ class KForm:
         frames = np.asarray(frames, dtype=complex)
         if frames.ndim < 3 and frames.size == 0:  # frames of no vectors
             frames = frames.reshape(len(frames), 0, self.dim)
-        if points.ndim != 2 or points.shape[1] != self.dim:
+        if points.ndim != 2 or frames.ndim != 3:
+            raise InputError(f"need points (m, {self.dim}) and frames (m, {self.degree}, "
+                             f"{self.dim}), got {points.shape} and {frames.shape}")
+        if points.shape[1] != self.dim:
             raise InputError(f"point has {points.shape[-1]} "
                              f"coordinates, form lives on C^{self.dim}")
-        if frames.ndim != 3 or frames.shape[1] != self.degree:
+        if frames.shape[1] != self.degree:
             raise InputError(f"degree-{self.degree} form needs {self.degree} "
                              f"vectors, got {frames.shape[1]}")
         if self.degree and frames.shape[2] != self.dim:

@@ -79,7 +79,8 @@ def lines() -> list[list[str]]:
             argvs += [["verify", *line] for line in _option_lines(
                 prefixes[0], option, out_of_range, wrong_count)]
         argvs.append(["verify", *prefixes[0], "--=1"])
-    argvs += [["verify", "second", "--out=."], ["verify", "second", "--out"]]
+    argvs += [["verify", "second", "--out="], ["verify", "second", "--out=."],
+              ["verify", "second", "--out"]]
     argvs += [["verify", "second", f"--f={f}", "--radii=0.7", "--nodes=16"]
               for f in EXPRESSIONS]
     argvs.append(["verify", "second", "--f", "x$"])

@@ -258,6 +258,13 @@ def test_necessary_d_rejects_bad_eps():
         necessary_condition_case("D", eps=1.2, quad=(128, 128), tol=1e-8)
 
 
+def test_a_case_outside_the_examples_is_rejected():
+    with pytest.raises(InputError, match="third formula cases are 'A' and 'B'"):
+        third_formula_case("C", parse_expr("1"), nodes=16, tol=1e-10)
+    with pytest.raises(InputError, match="necessary-condition cases are 'D' and 'E'"):
+        necessary_condition_case("F", quad=(16, 16), tol=1e-8)
+
+
 # ------------------------------------------------------------ suites
 
 def test_identity_suite_all_pass():

@@ -466,6 +466,10 @@ def test_each_rejected_line_keeps_its_exit_code_and_message():
     ("x^1", 0, {"params": {"f": "x1^1", "pass_formula": True, "f0": "0.0"},
                 "computed_re": 2.104436416794364e-16, "expected_re": 0.0,
                 "abs_error": 2.104436416794364e-16}, ""),
+    # d(2*x + 3*x) is 2 + 3, which _mk_add folds to the number 5
+    ("2*x+3*x", 0, {"params": {"f": "2*x1+3*x1", "pass_formula": True, "f0": "0.0"},
+                    "computed_re": 1.103826231807492e-15, "expected_re": 0.0,
+                    "abs_error": 1.103826231807492e-15}, ""),
 ])
 def test_third_b_lines_that_reach_the_lexer_error_and_the_power_shortcuts(
         f, code, row, err, capsys):
@@ -670,6 +674,39 @@ def test_suite_turns_a_raising_check_into_one_fail_row(monkeypatch, capsys):
             row["expected_im"], row["abs_error"], row["tol"]) == (0.0,) * 6
     assert row["quad_sizes"] == []
     assert {"third_A_a0", "third_B", "transv_C2_P_Q_S"} <= set(rows)
+
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, StopIteration, MemoryError],
+                         ids=lambda error: error.__name__)
+def test_suite_turns_any_exception_of_a_row_into_its_fail_row(error, monkeypatch,
+                                                              seed7_report, capsys):
+    def raising(seed):
+        raise error("row fault")
+
+    monkeypatch.setattr(casebook, "_identity_exact_D", raising)
+    assert run_cli(["suite", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["checks"]
+    assert captured.err == "" and len(checks) == 48
+    assert [(c["id"], c["params"]) for c in checks if not c["pass"]] == \
+        [("identity_exact_D", {"error": f"{error.__name__}: row fault"})]
+    others = [c for c in checks if c["id"] != "identity_exact_D"]
+    assert _without(others, "runtime_ms") == \
+        _without(_rows_json(seed7_report, {c["id"] for c in others}), "runtime_ms")
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, StopIteration, MemoryError],
+                         ids=lambda error: error.__name__)
+def test_a_single_verify_family_that_raises_exits_2_with_one_line(error, monkeypatch,
+                                                                  capsys):
+    def raising(*args, **kwargs):
+        raise error("family fault")
+
+    monkeypatch.setattr(casebook, "second_formula_n1", raising)
+    assert run_cli(["verify", "second"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", f"cflab: error: {error.__name__}: family fault\n")
 
 
 # ------------------------------------------------ expression bounds, fuzzing

@@ -106,6 +106,8 @@ def test_cycle_constructors_validate_their_parameters():
         cycles.sphere_M((0j,), 0.0)
     with pytest.raises(InputError, match="0 < eps < 1"):
         cycles.torus_D(1.5)
+    with pytest.raises(InputError, match="interval needs a < b"):
+        cycles.Interval(1.0, 1.0)
 
 
 def test_torus_d_point_value():
@@ -208,6 +210,11 @@ def test_orientation_sign_rejects_torus_and_circle():
         cycles.orientation_sign(_circle(), (0j,))
 
 
+def test_orientation_sign_rejects_an_interior_point_of_another_dimension():
+    with pytest.raises(InputError, match="interior point dimension mismatch"):
+        cycles.orientation_sign(cycles.sphere_M((0j,), 0.5), (0j, 0j))
+
+
 def test_integrate_residue_of_dx_over_x():
     form = KForm.basis(1, 0, coeff=lambda p: 1 / p[0])
     val = integrate(form, _circle(), (64,))
@@ -227,7 +234,7 @@ def test_integrate_quad_validation():
     with pytest.raises(InputError, match="need 1 quadrature sizes, got 2"):
         integrate(KForm.basis(1, 0), c, (8, 8))
     with pytest.raises(InputError, match="degree"):
-        integrate(KForm.basis(2, 0, 0), c, (8,))
+        integrate(KForm.basis(2, 0, 1), c, (8,))
 
 
 def test_integrate_linearity_in_form():

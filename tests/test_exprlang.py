@@ -51,6 +51,14 @@ def test_power_precedence_and_unary_minus():
     assert eval_expr(parse_expr("x^-1", 1), (4,)) == pytest.approx(0.25)
 
 
+def test_no_variables_and_a_non_node_are_rejected():
+    with pytest.raises(InputError, match="variable count n must be >= 1"):
+        parse_expr("x", 0)
+    for function in (differentiate, to_str):
+        with pytest.raises(InputError, match="^not an expression node: 1$"):
+            function(Add(Num(1j), 1))
+
+
 def test_non_integer_exponent_rejected():
     with pytest.raises(InputError):
         parse_expr("x^2.5", 1)

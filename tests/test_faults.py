@@ -8,8 +8,9 @@ some fault's set.  The faults cover the kernels phi and psi, the casebook
 forms and the residue oracles, the catalog's values, gradients and
 samplers, the intersection candidates, Example B's fixed points, the C2
 fibre check, Example A's residue form and the expression compiler's fused
-and generic closures.  A fault that fails no row names where it is caught instead, or
-says that nothing catches it.
+and generic closures; a row that raises a plain exception of four classes
+fails that row alone.  A fault that fails no row names where it is caught
+instead, or says that nothing catches it.
 
 The two ``first_n2_*`` rows take most of the report's time, so they run only
 under a fault whose set names one of them.
@@ -105,6 +106,13 @@ def _kernel_scaled(kernel, factor):
     """The kernel builder ``kernel`` with each kernel it builds times
     ``factor``, a number or a coefficient function."""
     return lambda *args: forms.scale(kernel(*args), factor)
+
+
+def _raising(error):
+    """A row function that raises ``error``, an exception class, when run."""
+    def run(*args, **kwargs):
+        raise error("row fault")
+    return run
 
 
 # The P_Q and P_Q_S rows of C1, C2, D and E: each takes Q's U2 gradient.
@@ -287,6 +295,11 @@ FAULTS = (
      ("setitem", exprlang._CLOSURES, (exprlang.Div, _X, _X),
       _closure_changed((exprlang.Div, _X, _X), lambda value: value * (1 + 1e-9))),
      set()),
+    # -- a row's own fault, of any exception class, fails that row alone
+    *((f"identity_exact_D raises {error.__name__}",
+       ("setattr", casebook, "_identity_exact_D", _raising(error)),
+       {"identity_exact_D"})
+      for error in (ValueError, ZeroDivisionError, StopIteration, MemoryError)),
 )
 
 

@@ -48,12 +48,31 @@ def test_wedge_dimension_mismatch():
         forms.wedge(KForm.basis(2, 0), KForm.basis(3, 0))
 
 
-def test_basis_checks_the_index_range_before_a_repeated_index():
-    for indices in ((5,), (5, 5)):
+def test_form_algebra_rejects_what_it_cannot_build():
+    for degree, dim in ((-1, 2), (0, 0)):
+        with pytest.raises(InputError, match="form degree must be >= 0 on an ambient of dim >= 1"):
+            KForm(degree, dim, terms={})
+    with pytest.raises(InputError, match="wedge degree exceeds the ambient real capacity"):
+        forms.wedge(KForm(2, 1, terms={}), KForm.basis(1, 0))
+    for other in (KForm.basis(2, 0, 1), KForm.basis(3, 0)):
+        with pytest.raises(InputError, match="can only add forms of equal degree and ambient"):
+            forms.add(KForm.basis(2, 0), other)
+    with pytest.raises(InputError, match=r"need points \(m, 2\) and frames \(m, 2, 2\), "
+                                         r"got \(3, 2\) and \(2, 2, 2\)$"):
+        forms.d_numeric_many(KForm.basis(2, 0), np.zeros((3, 2)), np.zeros((2, 2, 2)))
+
+
+def test_basis_checks_the_index_range_before_the_index_order():
+    for indices in ((5,), (5, 5), (5, 1)):
         with pytest.raises(InputError, match="index 5 outside ambient dim 2"):
             KForm.basis(2, *indices)
-    repeated = KForm.basis(3, 1, 1)
-    assert (repeated.degree, repeated.dim, repeated.terms) == (2, 3, {})
+    for indices in ((1, 1), (1, 0), (0, 2, 1)):
+        with pytest.raises(InputError, match=rf"basis indices \({', '.join(map(str, indices))}\) "
+                                             "are not strictly increasing"):
+            KForm.basis(3, *indices)
+    form = KForm.basis(3, 0, 2, coeff=2)
+    assert (form.degree, form.dim, list(form.terms)) == (2, 3, [(0, 2)])
+    assert form.evaluate((0, 0, 0), [(1, 0, 0), (0, 0, 1)]) == 2
 
 
 def _merge_sign(left, right):
@@ -354,6 +373,16 @@ def test_evaluate_many_validates_shapes_once():
     with pytest.raises(InputError):
         form.evaluate_many(np.zeros((4, 3)), np.zeros((5, 2, 3)))
     assert form.evaluate_many(np.zeros((0, 3)), np.zeros((0, 2, 3))).shape == (0,)
+    # arrays of too few dimensions name the shapes given and needed
+    one = KForm.basis(2, 0)
+    with pytest.raises(InputError, match=r"need points \(m, 2\) and frames \(m, 1, 2\), "
+                                         r"got \(1, 2\) and \(2,\)$"):
+        one.evaluate_many([[0, 0]], [1, 0])
+    with pytest.raises(InputError, match=r"got \(\) and \(1, 1, 2\)$"):
+        one.evaluate_many(5, [[[1, 0]]])
+    with pytest.raises(InputError, match=r"need points \(m, 3\) and frames \(m, 2, 3\), "
+                                         r"got \(3,\) and \(1, 2, 3\)$"):
+        form.evaluate_many(np.zeros(3), np.zeros((1, 2, 3)))
 
 
 def test_evaluate_many_raises_for_the_first_pole_with_its_row():

@@ -371,6 +371,13 @@ def test_transversality_margin_requires_on_surface_point():
         transversality_margin([p, q], [(0.5, 0.5)])
 
 
+def test_transversality_margin_requires_a_surface_and_points_of_its_chart():
+    with pytest.raises(InputError, match="need at least one surface"):
+        transversality_margin([], [(0, 0)])
+    with pytest.raises(InputError, match="point dimension does not match the chart"):
+        transversality_margin([surface_catalog("Q", chart="eta")], [(0, 0, 0)])
+
+
 def test_transversality_margin_requires_shared_chart():
     p = surface_catalog("P", chart="eta")
     s_d = surface_catalog("S_D", chart="U2")

@@ -482,6 +482,14 @@ def test_a_stop_iteration_in_a_quadrature_batch_is_raised_not_a_broadcast_error(
     assert err.value.row == 4
 
 
+def test_a_stop_iteration_in_first_n1_is_its_rows_runtime_error(monkeypatch):
+    _stop_at_call(monkeypatch, 5)
+    others = tuple(check_id for check_id, _, _ in casebook.CHECKS if check_id != "first_n1")
+    checks = casebook.full_report(7, skip=others)
+    assert [(c.id, c.passed, c.params) for c in checks] == [
+        ("first_n1", False, {"error": "RuntimeError: expression evaluation raised StopIteration"})]
+
+
 def test_a_number_f_on_an_empty_batch_evaluates_nothing(monkeypatch):
     monkeypatch.setattr(exprlang, "eval_expr", None)  # any call would fail
     empty = (np.empty(0, dtype=complex),) * 2
@@ -578,6 +586,16 @@ def test_chart_formula_takes_xi1_squared_once_per_batch(monkeypatch, n):
     assert [repr(v) for v in got.tolist()] == [repr(v) for v in want.tolist()]
 
 
+def test_kernel_builders_reject_a_dimension_they_do_not_build():
+    for kernel in (phi, psi):
+        with pytest.raises(InputError, match="dimension n must be >= 1"):
+            kernel(0, ())
+        with pytest.raises(InputError, match="base point z must have 2 coordinates"):
+            kernel(2, (0j,))
+    with pytest.raises(InputError, match="the chart formula needs n >= 2"):
+        phi_chart_formula(1)
+
+
 def test_phi_chart_identity_rejects_chart_singularity():
     with pytest.raises(InputError):
         phi_chart_formula(2).evaluate_many(((0, 1, 1, 0, 0),),
@@ -661,6 +679,12 @@ def test_dx_does_not_vanish_on_q():
     dx = KForm.basis(2, 1)
     worst = vanishing_max_and_scale(dx, spec, seed=25, count=10)[0]
     assert worst >= 0.1  # |dx(v)| = 1/sqrt(2) on the unit tangent of Q
+
+
+def test_vanishing_max_rejects_a_degree_above_the_surface_dimension():
+    with pytest.raises(InputError, match="form degree exceeds the surface dimension"):
+        vanishing_max_and_scale(KForm.basis(2, 0, 1),
+                                geometry.surface_catalog("Q", chart="eta"), 1, 2)
 
 
 def test_vanishing_max_rejects_wrong_chart():

@@ -55,6 +55,11 @@ def test_to_json_writes_a_suite_as_json_dumps_does(seed7_report):
     assert report.to_json(checks, "0.1.0", 7) == _reference(checks, "0.1.0", 7)
 
 
+def test_render_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        report.render([], "xml", "0.1.0", 7)
+
+
 @pytest.mark.parametrize("value", [1j, object(), {1, 2}, b"x"])
 def test_to_json_rejects_a_param_json_rejects(value):
     checks = [CheckReport("id", {"p": value}, 0j, 0j, 0.0, 1.0, True, ())]
