@@ -15,9 +15,10 @@ as a pytest plugin (``-p line_coverage``), which traces the whole session.
 
 Both print each module's count of executable lines run, then every
 statement with a line that never ran, with its reason if :data:`REASONS`
-gives one, and the number of such statements without a reason.
-``--changed FILE ...`` lists only the statements of those files.  pytest does
-not collect this file: its name does not start with ``test_``.
+gives one, the number of such statements without a reason, and any reason
+that names no line.  ``--changed FILE ...``, last on the command line,
+lists only the statements of those files.  pytest does not collect this
+file: its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import shlex
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cflab"
@@ -200,7 +203,7 @@ def product() -> list[str]:
 
 # ------------------------------------------------------- the pytest plugin
 
-_PLUGIN = {}
+_TRACER = pytest.StashKey[Tracer]()
 
 
 def pytest_addoption(parser):
@@ -209,18 +212,18 @@ def pytest_addoption(parser):
 
 
 def pytest_load_initial_conftests(early_config, parser, args):
-    _PLUGIN["tracer"] = Tracer()
-    _PLUGIN["tracer"].start()
+    early_config.stash[_TRACER] = Tracer()  # before the conftest imports cflab
+    early_config.stash[_TRACER].start()
 
 
 def pytest_sessionfinish(session):
-    _PLUGIN["tracer"].stop()
+    session.config.stash[_TRACER].stop()
 
 
 def pytest_terminal_summary(terminalreporter, config):
     changed = {Path(name).name for name in config.getoption("changed")}
-    terminalreporter.section("lines of src/cflab that tier-1 never runs")
-    for line in report(_PLUGIN["tracer"].hits, changed):
+    terminalreporter.section("lines of src/cflab that these tests never run")
+    for line in report(config.stash[_TRACER].hits, changed):
         terminalreporter.write_line(line)
 
 
@@ -231,8 +234,6 @@ def main(argv: list[str]) -> int:
         argv, changed = argv[:at], [Path(name).name for name in argv[at + 1:]]
     sys.path.insert(0, str(ROOT / "src"))
     if argv[:1] == ["--tier1"]:
-        import pytest
-
         os.chdir(ROOT)
         return pytest.main(["-p", "line_coverage", "-q", "--continue-on-collection-errors",
                             *argv[1:], *(["--changed", *changed] if changed else [])])

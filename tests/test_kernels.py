@@ -681,17 +681,12 @@ def test_dx_does_not_vanish_on_q():
     assert worst >= 0.1  # |dx(v)| = 1/sqrt(2) on the unit tangent of Q
 
 
-def test_vanishing_max_rejects_a_degree_above_the_surface_dimension():
+def test_vanishing_max_rejects_wrong_chart_and_a_degree_above_the_surface():
+    q = geometry.surface_catalog("Q", chart="eta")
+    with pytest.raises(InputError, match="form and surface live on different charts"):
+        vanishing_max_and_scale(KForm.basis(3, 1), q, 1, 2)
     with pytest.raises(InputError, match="form degree exceeds the surface dimension"):
-        vanishing_max_and_scale(KForm.basis(2, 0, 1),
-                                geometry.surface_catalog("Q", chart="eta"), 1, 2)
-
-
-def test_vanishing_max_rejects_wrong_chart():
-    dx = KForm.basis(3, 1)
-    with pytest.raises(InputError):
-        vanishing_max_and_scale(dx, geometry.surface_catalog("Q", chart="eta"),
-                                1, 2)
+        vanishing_max_and_scale(KForm.basis(2, 0, 1), q, 1, 2)
 
 
 # ------------------------------------------------- displayed exactness checks
